@@ -48,6 +48,7 @@ from .causal import (
     CausalTrajectories,
     ReducedSystem,
     RestrictedOperator,
+    TruncationFactor,
     abstract_causal_control,
     build_cross_term_reduction,
     causal_trajectories,

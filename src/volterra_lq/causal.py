@@ -8,7 +8,11 @@ This module rebuilds u(t) from information available at time t only:
 *   the auxiliary trajectory X^a(t) (running forecast of the terminal
     state from past control),
 *   and the restriction of the quadratic form to controls supported on
-    [sigma, T], whose trailing block is solved per node.
+    [sigma, T].  Its trailing blocks Lam[sigma:, sigma:] are the leading
+    blocks of the index-reversed form, so one Cholesky factor of the
+    reversed form, computed once, solves every truncation point: a
+    backward sweep that is the discrete analogue of integrating the
+    Riccati-like gain family once (`TruncationFactor`).
 
 With the weighted-adjoint discrete operators every identity used in the
 derivation is exact linear algebra, so the reconstruction matches the
@@ -27,16 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
-from .errors import AssumptionError
+from .errors import AssumptionError, NumericalError
 from .grids import Grid
 from .lq import (
     CostData,
     DiscreteLQ,
     SampledCost,
     _apply_blocks,
-    _blockdiag,
     assemble_quadratic_form,
     assemble_theta,
 )
@@ -54,6 +57,7 @@ __all__ = [
     "CausalProjection",
     "CausalTrajectories",
     "RestrictedOperator",
+    "TruncationFactor",
     "ReducedSystem",
     "lambda_sigma",
     "causal_trajectories",
@@ -165,6 +169,47 @@ def lambda_sigma(dlq: DiscreteLQ, sigma_index: int) -> RestrictedOperator:
     return RestrictedOperator(sigma_index=sigma_index, dlq=dlq)
 
 
+class TruncationFactor:
+    """One Cholesky factor serving every truncation point of the form.
+
+    With P the index reversal, P Lam P = L L' and the trailing block of
+    Lam on nodes >= sigma is P_k L_k L_k' P_k, where L_k is the leading
+    k x k block of L and k = (n - sigma) du.  `solve(sigma, v)` applies
+    Lam[sigma:, sigma:]^(-1) by two triangular solves of size k, and
+    `block_row(sigma)` returns Z_sigma, the block row of sigma in that
+    inverse, from the solve on du unit columns; all truncation points
+    together cost O((n du)^3 / 3).  `lambda_sigma` remains the per-node
+    reference.
+    """
+
+    def __init__(self, dlq: DiscreteLQ):
+        self.n, self.du = dlq.n, dlq.du
+        try:
+            self.L = cholesky(dlq.lam[::-1, ::-1], lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "quadratic form is not positive definite on the truncated "
+                "control spaces; check the coercivity assumptions on the "
+                "cost weights"
+            ) from exc
+
+    def _size(self, sigma_index: int) -> int:
+        if not 0 <= sigma_index < self.n:
+            raise ValueError(f"sigma index {sigma_index} out of range [0, {self.n})")
+        return (self.n - sigma_index) * self.du
+
+    def solve(self, sigma_index: int, v: np.ndarray) -> np.ndarray:
+        """Lam[sigma:, sigma:]^(-1) v for v (or its columns) on nodes >= sigma."""
+        k = self._size(sigma_index)
+        # L passed the finiteness check when it was factored
+        return cho_solve((self.L[:k, :k], True), v[::-1], check_finite=False)[::-1]
+
+    def block_row(self, sigma_index: int) -> np.ndarray:
+        """Z_sigma, shape (du, (n - sigma) du); columns run over nodes >= sigma."""
+        k = self._size(sigma_index)
+        return self.solve(sigma_index, np.eye(k, self.du)).T
+
+
 def _require_no_cross_terms(sc: SampledCost, what: str):
     if sc.has_cross_terms:
         raise AssumptionError(
@@ -196,22 +241,22 @@ def abstract_causal_control(
     solve of the quadratic form; requires zero cross weights (general
     problems go through the reduction).  The trajectories must come from
     the optimal pair for the reconstruction to equal the optimizer.
+
+    On row t the correction R^(-1)(Lam - R) of the trailing-block solve
+    cancels exactly, leaving u(t) = -Z_t b_t[t:] with Z_t the block row
+    of `TruncationFactor` and b_t the running gradient; it is evaluated
+    as the first block of the trailing solve of b_t[t:].
     """
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the causal representation")
     n, du = dlq.n, dlq.du
     if traj.x_trunc.shape != (grid.n, grid.n, dec.ops.dx):
         raise ValueError("trajectories do not match the grid and state dimension")
-    Rinv = sc.R_inverses()
-    lam_op_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
+    factor = TruncationFactor(dlq)
     out = np.empty((n, du))
     for t in range(n):
         b = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t])
-        gvec = b / dlq.wu
-        restricted = lambda_sigma(dlq, t)
-        y = restricted.solve_embedded(gvec)
-        corrected = gvec - lam_op_minus_R @ y
-        out[t] = -Rinv[t] @ corrected[t * du : (t + 1) * du]
+        out[t] = -factor.solve(t, b[t * du :])[:du]
     return out
 
 

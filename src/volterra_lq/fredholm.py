@@ -23,6 +23,13 @@ integral (through the factored control kernel) guards the assembly.
 Solvers, from oracle to cheap:
 
 *   `solve_direct`: one dense solve per source column (the oracle).
+*   the backward sweep behind `representation_terms(method="direct")`:
+    I - K_sigma is R^(-1) Lam restricted to [sigma, T], so the gain row
+    M_sigma(sigma, .) is read off the block row of sigma in the inverse
+    trailing block, and one Cholesky factor of the index-reversed form
+    serves every sigma (`causal.TruncationFactor`).  The whole family
+    costs O((n du)^3), the discrete analogue of integrating the
+    Riccati-like family once, backward.
 *   `solve_galerkin`: orthogonal projection onto continuous piecewise
     linear functions on a coarser node set (through the Gram system).
 *   `solve_iterated_galerkin`: one extra kernel application; the
@@ -39,7 +46,7 @@ Solvers, from oracle to cheap:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
@@ -111,8 +118,8 @@ class FeedbackKernel:
     """Gain kernel table M[t_i, s_j] with solver provenance.
 
     residual is the achieved Fredholm residual relative to the right
-    side; error_history (superconvergent solver only) tracks the distance
-    to the direct oracle per sweep.
+    side; error_history (superconvergent solver with an oracle only)
+    tracks the distance to the direct oracle per sweep.
     """
 
     M: np.ndarray  # (n, n, du, du)
@@ -184,7 +191,8 @@ def assemble_fredholm(
 def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
     """Dense solve of the gain equation; oracle for the projection family."""
     n, du = sys.n, sys.du
-    A = np.eye(n * du) - sys.masked_Kmat()
+    K = sys.masked_Kmat()
+    A = np.eye(n * du) - K
     try:
         M_flat = np.linalg.solve(A, sys.rhs)
     except np.linalg.LinAlgError as exc:
@@ -192,7 +200,7 @@ def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
             "gain equation is singular; the coercivity assumptions are "
             "likely violated"
         ) from exc
-    res = _fredholm_residual(sys, M_flat)
+    res = _fredholm_residual(sys, M_flat, K)
     return FeedbackKernel(
         M=_table(M_flat, n, du),
         method="direct",
@@ -202,8 +210,9 @@ def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
     )
 
 
-def _fredholm_residual(sys: FredholmSystem, M_flat: np.ndarray) -> float:
-    r = M_flat - sys.masked_Kmat() @ M_flat - sys.rhs
+def _fredholm_residual(sys: FredholmSystem, M_flat: np.ndarray, K: np.ndarray) -> float:
+    """Relative residual of M_flat; K is the system's masked_Kmat()."""
+    r = M_flat - K @ M_flat - sys.rhs
     scale = np.linalg.norm(sys.rhs)
     return float(np.linalg.norm(r) / (scale if scale > 0 else 1.0))
 
@@ -220,25 +229,37 @@ def _hat_basis(n: int, q: int) -> np.ndarray:
     return H
 
 
-class _Projection:
-    """Orthogonal projection onto the hat subspace in the weighted product."""
+class _HatSpace:
+    """Hat subspace and its weighted Gram factor; independent of sigma."""
 
-    def __init__(self, sys: FredholmSystem, subspace_dim: int):
+    def __init__(self, n: int, subspace_dim: int, du: int, omega: np.ndarray):
         if subspace_dim < 2:
             raise ValueError("subspace dimension must be >= 2")
-        if subspace_dim > sys.n:
+        if subspace_dim > n:
             raise ValueError("subspace dimension exceeds the grid size")
-        H = _hat_basis(sys.n, subspace_dim)
-        self.H = H
-        self.Hb = np.kron(H, np.eye(sys.du))
-        wu = np.repeat(sys.omega, sys.du)
-        self.wu = wu
-        self.gram = self.Hb.T @ (wu[:, None] * self.Hb)
-        self._gram_factor = cho_factor(self.gram)
-        K = sys.masked_Kmat()
-        self.K = K
+        self.dim = subspace_dim
+        self.H = _hat_basis(n, subspace_dim)
+        self.Hb = np.kron(self.H, np.eye(du))
+        self.wu = np.repeat(omega, du)
+        self.gram = self.Hb.T @ (self.wu[:, None] * self.Hb)
+        self.gram_factor = cho_factor(self.gram)
+
+
+class _Projection:
+    """Orthogonal projection onto the hat subspace in the weighted product.
+
+    Builds the hat subspace unless the caller shares a prebuilt `space`
+    across truncation points.
+    """
+
+    def __init__(self, sys: FredholmSystem, subspace_dim: int, space: _HatSpace | None = None):
+        if space is None:
+            space = _HatSpace(sys.n, subspace_dim, sys.du, sys.omega)
+        self.space = space
+        self.K = K = sys.masked_Kmat()
         # projected second-kind matrix (Gram - H' Wu K H)
-        proj_mat = self.gram - self.Hb.T @ (wu[:, None] * (K @ self.Hb))
+        Hb, wu = space.Hb, space.wu
+        proj_mat = space.gram - Hb.T @ (wu[:, None] * (K @ Hb))
         try:
             self._solve_factor = lu_factor(proj_mat)
         except np.linalg.LinAlgError as exc:
@@ -254,41 +275,51 @@ class _Projection:
             )
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        coeff = cho_solve(self._gram_factor, self.Hb.T @ (self.wu[:, None] * v))
-        return self.Hb @ coeff
+        sp = self.space
+        coeff = cho_solve(sp.gram_factor, sp.Hb.T @ (sp.wu[:, None] * v))
+        return sp.Hb @ coeff
 
     def solve_projected(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of (I - P K) x = P rhs inside the subspace."""
-        coeff = lu_solve(self._solve_factor, self.Hb.T @ (self.wu[:, None] * rhs))
-        return self.Hb @ coeff
+        sp = self.space
+        coeff = lu_solve(self._solve_factor, sp.Hb.T @ (sp.wu[:, None] * rhs))
+        return sp.Hb @ coeff
+
+    def state(self, **kwargs) -> GalerkinState:
+        sp = self.space
+        return GalerkinState(subspace_dim=sp.dim, basis=sp.H, gram=sp.gram, **kwargs)
 
 
-def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> FeedbackKernel:
-    """Projection solve on the piecewise-linear subspace."""
-    proj = _Projection(sys, subspace_dim)
+def solve_galerkin(
+    sys: FredholmSystem, subspace_dim: int, *, space: _HatSpace | None = None
+) -> FeedbackKernel:
+    """Projection solve on the piecewise-linear subspace.
+
+    `space` shares a hat subspace built for another truncation point of
+    the same grid and dimension.
+    """
+    proj = _Projection(sys, subspace_dim, space)
     M_flat = proj.solve_projected(sys.rhs)
-    state = GalerkinState(
-        subspace_dim=subspace_dim, basis=proj.H, gram=proj.gram, iterates={"M": M_flat}
-    )
     return FeedbackKernel(
         M=_table(M_flat, sys.n, sys.du),
         method="galerkin",
         sigma_index=sys.sigma_index,
         beta=sys.beta,
-        residual=_fredholm_residual(sys, M_flat),
-        galerkin=state,
+        residual=_fredholm_residual(sys, M_flat, proj.K),
+        galerkin=proj.state(iterates={"M": M_flat}),
     )
 
 
 def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> FeedbackKernel:
     """One kernel application on top of the Galerkin solution."""
-    M_flat = sys.rhs + sys.masked_Kmat() @ galerkin.flat()
+    K = sys.masked_Kmat()
+    M_flat = sys.rhs + K @ galerkin.flat()
     return FeedbackKernel(
         M=_table(M_flat, sys.n, sys.du),
         method="iterated",
         sigma_index=sys.sigma_index,
         beta=sys.beta,
-        residual=_fredholm_residual(sys, M_flat),
+        residual=_fredholm_residual(sys, M_flat, K),
         galerkin=galerkin.galerkin,
     )
 
@@ -298,29 +329,33 @@ def solve_superconvergent(
     subspace_dim: int,
     k_iters: int,
     oracle: FeedbackKernel | None = None,
+    *,
+    space: _HatSpace | None = None,
 ) -> FeedbackKernel:
     """Five-step refinement loop from the iterated-Galerkin start.
 
-    Records the distance to the direct oracle after every sweep in
-    `galerkin.error_history` (index 0 is the starting iterate).
+    With an `oracle` (e.g. from `solve_direct`), records its distance
+    after every sweep in `galerkin.error_history` (index 0 is the
+    starting iterate); without one the history stays empty and no dense
+    solve is made.  `space` is shared as in `solve_galerkin`.
     """
     if k_iters < 0:
         raise ValueError("iteration count must be >= 0")
-    proj = _Projection(sys, subspace_dim)
-    K = sys.masked_Kmat()
+    proj = _Projection(sys, subspace_dim, space)
+    K = proj.K
     f = sys.rhs
     M_gal = proj.solve_projected(f)
     M = f + K @ M_gal  # iterated-Galerkin start
-    if oracle is None:
-        oracle = solve_direct(sys)
-    M_star = oracle.flat()
-    wu = np.repeat(sys.omega, sys.du)
+    state = proj.state()
+    M_star = None if oracle is None else oracle.flat()
+    wu = proj.space.wu
 
-    def dist(Mf):
-        return float(np.sqrt(np.einsum("i,ij,j->", wu, (Mf - M_star) ** 2, wu)))
+    def record(Mf):
+        if M_star is not None:
+            dist = np.sqrt(np.einsum("i,ij,j->", wu, (Mf - M_star) ** 2, wu))
+            state.error_history.append(float(dist))
 
-    history = [dist(M)]
-    state = GalerkinState(subspace_dim=subspace_dim, basis=proj.H, gram=proj.gram)
+    record(M)
     for _ in range(k_iters):
         M_t = f + K @ M
         M_tt = f + K @ M_t
@@ -328,14 +363,13 @@ def solve_superconvergent(
         e = proj.solve_projected(g)
         M = K @ e + M_tt
         state.iterates = {"M~": M_t, "M~~": M_tt, "g": g, "e": e, "M": M}
-        history.append(dist(M))
-    state.error_history = history
+        record(M)
     return FeedbackKernel(
         M=_table(M, sys.n, sys.du),
         method="superconvergent",
         sigma_index=sys.sigma_index,
         beta=sys.beta,
-        residual=_fredholm_residual(sys, M),
+        residual=_fredholm_residual(sys, M, K),
         galerkin=state,
     )
 
@@ -352,22 +386,48 @@ def reconstruct_in_s(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     return (1.0 - lam) * values[j] + lam * values[j + 1]
 
 
-def _solve_gain_at(sys_base: FredholmSystem, sigma_index: int, method: str,
-                   subspace_dim: int | None, iterations: int) -> FeedbackKernel:
-    from dataclasses import replace
+def _direct_gain_row(factor, R: np.ndarray, w: np.ndarray, t: int) -> np.ndarray:
+    """Gain blocks M_t(t, s_j), j >= t, from the truncation factor.
 
-    sys_t = replace(sys_base, sigma_index=sigma_index)
+    M_t(t, s_j) = (Z_t (R W)[t:, t:] - E_t) / w_j with Z_t the factor's
+    block row and E_t the unit block row of node t, evaluated blockwise
+    as Z_t(j) R_j minus I / w_t on the diagonal block.  The other rows of
+    the gain equation at sigma = t are never formed.
+    """
+    du = factor.du
+    Z = factor.block_row(t).reshape(du, -1, du).swapaxes(0, 1)  # blocks Z_t(j)
+    row = Z @ R[t:]
+    row[0] -= np.eye(du) / w[t]
+    return row
+
+
+def _gain_rows(dlq: DiscreteLQ, dec: StateDecomposition, method: str,
+               subspace_dim: int | None, iterations: int):
+    """Yield the gain blocks M_t(t, s_j), j >= t, for t = 0, ..., n - 1."""
+    from .causal import TruncationFactor
+
+    n = dlq.n
     if method == "direct":
-        return solve_direct(sys_t)
+        factor = TruncationFactor(dlq)
+        R, w = dlq.cost_samples.R, dlq.norm_weights
+        for t in range(n):
+            yield _direct_gain_row(factor, R, w, t)
+        return
     if subspace_dim is None:
         raise ValueError(f"method {method!r} needs a subspace dimension")
-    if method == "galerkin":
-        return solve_galerkin(sys_t, subspace_dim)
-    if method == "iterated":
-        return solve_iterated_galerkin(sys_t, solve_galerkin(sys_t, subspace_dim))
-    if method == "superconvergent":
-        return solve_superconvergent(sys_t, subspace_dim, iterations)
-    raise ValueError(f"unknown gain solver {method!r}")
+    if method not in ("galerkin", "iterated", "superconvergent"):
+        raise ValueError(f"unknown gain solver {method!r}")
+    sys_base = assemble_fredholm(dlq, dec, None, 0)
+    space = _HatSpace(n, subspace_dim, dlq.du, sys_base.omega)
+    for t in range(n):
+        sys_t = replace(sys_base, sigma_index=t)
+        if method == "superconvergent":
+            gain = solve_superconvergent(sys_t, subspace_dim, iterations, space=space)
+        else:
+            gain = solve_galerkin(sys_t, subspace_dim, space=space)
+            if method == "iterated":
+                gain = solve_iterated_galerkin(sys_t, gain)
+        yield gain.M[t, t:]
 
 
 def representation_terms(
@@ -381,28 +441,28 @@ def representation_terms(
 ) -> np.ndarray:
     """Evaluate the gain-kernel control representation nodewise.
 
-    For each node t: solve the gain equation at sigma = t, form the
+    For each node t: take the gain row M_t(t, .), form the
     non-anticipating gradient data from the truncation trajectory and
     terminal forecast, and combine the instantaneous and integral terms.
-    The cost weights are taken from the assembled problem (no cross
-    terms).
+    The direct gain rows come from one backward sweep through a single
+    factor of the reversed quadratic form, O((n du)^3) for all t; the
+    projection methods solve a projected gain equation per node, sharing
+    the hat subspace and its Gram factor.  The cost weights are taken
+    from the assembled problem (no cross terms).
     """
-    from .causal import _running_gradient
+    from .causal import _require_no_cross_terms, _running_gradient
 
     sc = dlq.cost_samples
+    _require_no_cross_terms(sc, "the gain representation")
     n, du = dlq.n, dlq.du
     Rinv = sc.R_inverses()
-    sys_base = assemble_fredholm(dlq, dec, None, 0)
+    w = dlq.norm_weights
     out = np.empty((n, du))
-    keep = np.arange(n)
-    for t in range(n):
-        gain = _solve_gain_at(sys_base, t, method, subspace_dim, iterations)
+    for t, row in enumerate(_gain_rows(dlq, dec, method, subspace_dim, iterations)):
         b = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t])
         gvec = (b / dlq.wu).reshape(n, du)
         rg = np.einsum("jab,jb->ja", Rinv, gvec)
-        row = gain.M[t]  # blocks M_t(t, s_j)
-        mask = (keep >= t).astype(float) * dlq.norm_weights
-        integral = np.einsum("j,jab,jb->a", mask, row, rg)
+        integral = np.einsum("j,jab,jb->a", w[t:], row, rg[t:])
         out[t] = -rg[t] - integral
     return out
 

@@ -14,11 +14,13 @@ def rel_l2(omega, a, b):
 class Pipeline:
     """One fully assembled LQ problem, shared across tests."""
 
-    def __init__(self, name, seed, n=48, beta=0.75, T=1.0, with_kernel=False):
+    def __init__(
+        self, name, seed, n=48, beta=0.75, T=1.0, with_kernel=False, grid_kind="uniform"
+    ):
         self.entry = vlq.get_problem(name, beta=beta, T=T, seed=seed)
         self.problem = self.entry.problem
         self.cost = self.entry.cost
-        self.grid = vlq.build_grid(n, T)
+        self.grid = vlq.build_grid(n, T, grid_kind)
         self.kernel = vlq.resolvent(self.problem, self.grid) if with_kernel else None
         self.dec = vlq.decompose(self.problem, self.grid, self.kernel)
         self.theta, self.theta_T = vlq.assemble_theta(self.dec, self.grid)
@@ -45,3 +47,19 @@ def rs_pipeline_kernel():
 @pytest.fixture(scope="session")
 def ct_pipeline():
     return Pipeline("cross-term", seed=7)
+
+
+@pytest.fixture(
+    scope="session",
+    params=[
+        ("constant-coeff", "uniform"),
+        ("constant-coeff", "graded"),
+        ("random-smooth", "uniform"),
+        ("random-smooth", "graded"),
+    ],
+    ids=lambda p: "-".join(p),
+)
+def truncation_case(request):
+    """Small pipelines covering du = 1 and du = 2 on uniform and graded grids."""
+    name, kind = request.param
+    return Pipeline(name, seed=5, n=24, grid_kind=kind)

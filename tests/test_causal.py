@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from volterra_lq import (
     AssumptionError,
     CausalProjection,
     CostData,
+    NumericalError,
+    TruncationFactor,
     abstract_causal_control,
     build_cross_term_reduction,
     build_grid,
@@ -16,6 +20,7 @@ from volterra_lq import (
     solve_open_loop,
 )
 from volterra_lq.catalog import get_problem
+from volterra_lq.causal import _running_gradient
 from volterra_lq.lq import _blockdiag
 
 from conftest import rel_l2
@@ -104,6 +109,73 @@ class TestRestrictedOperator:
             # elimination identity
             lhs = P_f @ Rinv_bd @ (eye - (lam_op - Rbd) @ T)
             assert np.allclose(lhs, T, atol=1e-10 * np.abs(T).max())
+
+
+class TestTruncationFactor:
+    def test_block_rows_match_inverse_of_trailing_block(self, truncation_case):
+        dlq = truncation_case.dlq
+        n, du = dlq.n, dlq.du
+        factor = TruncationFactor(dlq)
+        for sigma in range(n):
+            k = sigma * du
+            expected = np.linalg.inv(dlq.lam[k:, k:])[:du]
+            got = factor.block_row(sigma)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
+
+    def test_causal_control_matches_per_node_restricted_solve(self, truncation_case):
+        # the slow reference: restricted solve per node, then the
+        # R^-1 (Lam - R) correction the block row lets cancel
+        pipe = truncation_case
+        dlq = pipe.dlq
+        n, du = dlq.n, dlq.du
+        sc = dlq.cost_samples
+        lam_op_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
+        Rinv = sc.R_inverses()
+        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        expected = np.empty((n, du))
+        for t in range(n):
+            gvec = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t]) / dlq.wu
+            y = lambda_sigma(dlq, t).solve_embedded(gvec)
+            corrected = gvec - lam_op_minus_R @ y
+            expected[t] = -Rinv[t] @ corrected[t * du : (t + 1) * du]
+        rec = abstract_causal_control(dlq, pipe.dec, traj, pipe.cost, pipe.grid)
+        assert rel_l2(pipe.omega, rec, expected) <= 1e-12
+
+    def test_trailing_solve_matches_dense_solve(self, truncation_case):
+        dlq = truncation_case.dlq
+        n, du = dlq.n, dlq.du
+        factor = TruncationFactor(dlq)
+        rng = np.random.default_rng(4)
+        for sigma in (0, n // 2, n - 1):
+            k = sigma * du
+            v = rng.normal(size=dlq.lam.shape[0] - k)
+            expected = np.linalg.solve(dlq.lam[k:, k:], v)
+            got = factor.solve(sigma, v)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
+
+    def test_out_of_range(self, rs_pipeline):
+        factor = TruncationFactor(rs_pipeline.dlq)
+        with pytest.raises(ValueError):
+            factor.block_row(rs_pipeline.grid.n)
+        with pytest.raises(ValueError):
+            factor.solve(-1, np.zeros(2))
+
+    def test_loss_of_positive_definiteness_is_a_numerical_error(self, rs_pipeline):
+        from volterra_lq.fredholm import representation_terms
+
+        pipe = rs_pipeline
+        eig = np.linalg.eigvalsh(pipe.dlq.lam)
+        bad = replace(pipe.dlq, lam=pipe.dlq.lam - np.median(eig) * np.eye(eig.size))
+        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        with pytest.raises(NumericalError, match="coercivity"):
+            TruncationFactor(bad)
+        with pytest.raises(NumericalError, match="coercivity"):
+            abstract_causal_control(bad, pipe.dec, traj, pipe.cost, pipe.grid)
+        with pytest.raises(NumericalError, match="coercivity"):
+            representation_terms(bad, pipe.dec, traj, pipe.grid)
+        with pytest.raises(NumericalError, match="coercivity"):
+            vlq.feedback_control(pipe.problem, pipe.cost, pipe.dec, bad, pipe.grid)
 
 
 class TestCausalTrajectories:

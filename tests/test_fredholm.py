@@ -19,7 +19,7 @@ from volterra_lq import (
     solve_superconvergent,
 )
 from volterra_lq.catalog import get_problem
-from volterra_lq.causal import lambda_sigma
+from volterra_lq.causal import TruncationFactor, causal_trajectories, lambda_sigma
 from volterra_lq.lq import _blockdiag
 
 from conftest import Pipeline, rel_l2
@@ -133,6 +133,41 @@ class TestDirectSolve:
         )
 
 
+class TestDirectGainSweep:
+    def test_gain_rows_match_dense_oracle(self, truncation_case):
+        from volterra_lq.fredholm import _direct_gain_row
+
+        pipe = truncation_case
+        dlq = pipe.dlq
+        sys0 = assemble_fredholm(dlq, pipe.dec, pipe.cost, 0)
+        factor = TruncationFactor(dlq)
+        R, w = dlq.cost_samples.R, dlq.norm_weights
+        for sigma in range(dlq.n):
+            oracle = solve_direct(replace(sys0, sigma_index=sigma)).M[sigma, sigma:]
+            row = _direct_gain_row(factor, R, w, sigma)
+            assert row.shape == oracle.shape
+            assert np.max(np.abs(row - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+    def test_fast_paths_make_no_dense_solve(self, rs_pipeline, monkeypatch):
+        import volterra_lq.fredholm as fredholm
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense gain oracle called")
+
+        pipe = rs_pipeline
+        monkeypatch.setattr(fredholm, "solve_direct", refuse)
+        u_fb = feedback_control(
+            pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid, method="direct"
+        )
+        assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-10
+        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        u_sc = fredholm.representation_terms(
+            pipe.dlq, pipe.dec, traj, pipe.grid,
+            method="superconvergent", subspace_dim=12, iterations=2,
+        )
+        assert rel_l2(pipe.omega, u_sc, pipe.u_opt) < 1e-6
+
+
 class TestProjectionFamily:
     def test_full_subspace_equals_direct(self, gain_setup):
         _, sys0, oracle = gain_setup
@@ -207,6 +242,14 @@ class TestProjectionFamily:
         floor = 1e-11 * (1.0 + np.abs(oracle.flat()).max())
         for k in range(len(hist) - 1):
             assert hist[k + 1] < hist[k] or hist[k + 1] <= floor
+
+    def test_superconvergent_history_needs_an_oracle(self, gain_setup):
+        _, sys0, oracle = gain_setup
+        plain = solve_superconvergent(sys0, 12, 2)
+        assert plain.galerkin.error_history == []
+        with_oracle = solve_superconvergent(sys0, 12, 2, oracle=oracle)
+        assert len(with_oracle.galerkin.error_history) == 3
+        assert np.array_equal(plain.M, with_oracle.M)
 
     def test_superconvergent_zero_right_side(self, gain_setup):
         _, sys0, _ = gain_setup
