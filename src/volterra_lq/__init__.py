@@ -12,7 +12,7 @@ and Galerkin-type solvers for the feedback-gain equation.
 
 __version__ = "0.1.0"
 
-from .errors import AssumptionError, ConfigError, NumericalError
+from .errors import AssumptionError, ConfigError, KernelFileError, NumericalError
 from .grids import (
     Grid,
     SingularWeights,

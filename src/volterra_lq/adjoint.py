@@ -24,6 +24,10 @@ round-off and serves as its independent cross-check.
 The pointwise value at t = T involves 1/(T-t)^(1-beta) and is reported as
 the solver's algebraic value; pointwise assertions exclude the terminal
 node, norm comparisons are weighted-L2.
+
+Both steps reuse the operator bundle of the problem: `solve_adjoint(ops,
+cost, x_bar, u_bar)` and `control_from_adjoint(adjoint, ops, cost, x_bar)`
+with ops = `decompose(...).ops`; the cost may be already sampled.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
-from .lq import CostData, SampledCost
-from .volterra import ProblemData, StateOperator, sample_trajectory
+from .lq import CostData, SampledCost, _sampled_cost
+from .volterra import StateOperator, sample_trajectory
 
 __all__ = ["AdjointTrajectory", "solve_adjoint", "control_from_adjoint"]
 
@@ -57,22 +60,20 @@ class AdjointTrajectory:
 
 
 def solve_adjoint(
-    problem: ProblemData,
-    cost: CostData,
+    ops: StateOperator,
+    cost: CostData | SampledCost,
     x_bar: np.ndarray,
     u_bar: np.ndarray,
-    grid: Grid,
 ) -> AdjointTrajectory:
     """Solve the backward adjoint equation for a given state/control pair.
 
     Requires beta > 1/2 so that X(T), and with it the terminal coupling,
     is defined.
     """
-    problem.require_lq()
-    ops = StateOperator(problem, grid)
-    sc = cost if isinstance(cost, SampledCost) else cost.sample(grid, ops.dx, ops.du)
-    X = sample_trajectory(x_bar, grid, ops.dx)
-    u = sample_trajectory(u_bar, grid, ops.du)
+    ops.problem.require_lq()
+    sc = _sampled_cost(cost, ops)
+    X = sample_trajectory(x_bar, ops.grid, ops.dx)
+    u = sample_trajectory(u_bar, ops.grid, ops.du)
     z = np.einsum("iab,ib->ia", sc.Q, X) + np.einsum("ica,ic->ia", sc.S, u) + sc.q
     zeta = sc.G @ X[-1] + sc.g
     vterm = ops.terminal_unit(zeta)
@@ -81,16 +82,15 @@ def solve_adjoint(
     # factored singular coefficient of the forcing, finite at every node < T
     term = np.einsum("ixy,x->iy", ops.A_samples[-1], zeta)  # A(T, t_i)' zeta
     return AdjointTrajectory(
-        Y=Y, gamma=z, terminal_coeff=term, beta=problem.beta, zeta=zeta
+        Y=Y, gamma=z, terminal_coeff=term, beta=ops.beta, zeta=zeta
     )
 
 
 def control_from_adjoint(
     adjoint: AdjointTrajectory,
-    problem: ProblemData,
-    cost: CostData,
+    ops: StateOperator,
+    cost: CostData | SampledCost,
     x_bar: np.ndarray,
-    grid: Grid,
 ) -> np.ndarray:
     """Evaluate the adjoint-based control formula nodewise.
 
@@ -99,9 +99,8 @@ def control_from_adjoint(
     is integrated through its factored form (finite at all nodes t < T;
     the last node receives the one-sided quadrature contribution only).
     """
-    ops = StateOperator(problem, grid)
-    sc = cost if isinstance(cost, SampledCost) else cost.sample(grid, ops.dx, ops.du)
-    X = sample_trajectory(x_bar, grid, ops.dx)
+    sc = _sampled_cost(cost, ops)
+    X = sample_trajectory(x_bar, ops.grid, ops.dx)
     vterm = ops.terminal_unit(adjoint.zeta)
     backward = ops.apply_dual_B(adjoint.Y.ravel()) + ops.apply_dual_B(vterm)
     total = backward.reshape(ops.n, ops.du)

@@ -10,16 +10,22 @@ coefficient table and then the regular part.  Feedback-gain kernels use
 the analogous header with sigma index and method tag.  The cache directory
 defaults to ~/.cache/volterra-lq and is overridden by the
 VOLTERRA_LQ_CACHE environment variable.
+
+Files are written to a temporary name in the target directory and moved
+into place, so a reader never sees a partial file.  A cached kernel whose
+header or length is wrong counts as a miss and is recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .errors import KernelFileError
 from .grids import Grid
 from .volterra import FactoredKernel, ProblemData, resolvent
 from .fredholm import FeedbackKernel
@@ -35,6 +41,7 @@ __all__ = [
 ]
 
 _EXT = ".vker"
+_MAGIC = "volterra-kernel v1 "
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -52,36 +59,42 @@ def save_factored_kernel(path, kernel: FactoredKernel):
     n, _, d1, d2 = C.shape
     res = kernel.residuals or {}
     header = (
-        f"volterra-kernel v1 n={n} beta={kernel.beta!r} d1={d1} d2={d2} "
+        f"{_MAGIC}n={n} beta={kernel.beta!r} d1={d1} d2={d2} "
         f"res_def={res.get('defining', float('nan'))!r} "
         f"res_tr={res.get('transposed', float('nan'))!r} "
         f"layout=row-major-float64-le C-then-D\n"
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(C.tobytes())
-        fh.write(D.tobytes())
+    _write_atomic(path, header, C, D)
 
 
 def load_factored_kernel(path) -> FactoredKernel:
+    """Read a kernel file; KernelFileError when its header or length is wrong."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        fields = dict(
-            tok.split("=", 1) for tok in header.split() if "=" in tok
-        )
-        n = int(fields["n"])
-        d1, d2 = int(fields["d1"]), int(fields["d2"])
+        header = fh.readline()
+        body = fh.read()
+    try:
+        text = header.decode("ascii")
+        if not text.startswith(_MAGIC):
+            raise ValueError("header magic missing")
+        fields = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
+        n, d1, d2 = int(fields["n"]), int(fields["d1"]), int(fields["d2"])
+        if min(n, d1, d2) < 1:
+            raise ValueError("nonpositive table dimension")
         beta = float(fields["beta"])
-        count = n * n * d1 * d2
-        C = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(n, n, d1, d2)
-        D = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(n, n, d1, d2)
-    kernel = FactoredKernel(
-        singular_coeff=C.copy(), regular_part=D.copy(), beta=beta
-    )
-    kernel.residuals = {
-        "defining": float(fields["res_def"]),
-        "transposed": float(fields["res_tr"]),
-    }
+        residuals = {
+            "defining": float(fields["res_def"]),
+            "transposed": float(fields["res_tr"]),
+        }
+    except (KeyError, ValueError) as exc:
+        raise KernelFileError(f"{path}: not a volterra-kernel v1 file ({exc})") from None
+    expected = 2 * n * n * d1 * d2 * 8
+    if len(body) != expected:
+        raise KernelFileError(
+            f"{path}: expected {expected} data bytes after the header, found {len(body)}"
+        )
+    C, D = np.frombuffer(body, dtype="<f8").reshape(2, n, n, d1, d2)
+    kernel = FactoredKernel(singular_coeff=C.copy(), regular_part=D.copy(), beta=beta)
+    kernel.residuals = residuals
     return kernel
 
 
@@ -93,9 +106,22 @@ def save_feedback_kernel(path, kernel: FeedbackKernel):
         f"sigma={kernel.sigma_index} method={kernel.method} "
         f"residual={kernel.residual!r} layout=row-major-float64-le\n"
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(M.tobytes())
+    _write_atomic(path, header, M)
+
+
+def _write_atomic(path, header: str, *tables: np.ndarray):
+    """Write header and tables to a temporary file, then move it onto path."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header.encode())
+            for table in tables:
+                fh.write(table.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_feedback_kernel(path) -> FeedbackKernel:
@@ -135,7 +161,10 @@ def cached_resolvent(
     digest = hashlib.sha256(raw.encode()).hexdigest()[:24]
     path = d / f"resolvent-{digest}{_EXT}"
     if path.exists():
-        return load_factored_kernel(path)
+        try:
+            return load_factored_kernel(path)
+        except KernelFileError:
+            pass  # damaged or foreign file: a miss, overwritten below
     kernel = resolvent(problem, grid)
     save_factored_kernel(path, kernel)
     return kernel

@@ -22,8 +22,9 @@ influence on the value reconstructed at t.
 
 Cross terms S, rho are removed first by the substitution
 u = v - R^(-1) (S X + rho), which rewrites the problem with shifted
-coefficients (see `build_cross_term_reduction`); the general
-representation runs the causal machinery on the reduced system.
+coefficients (see `build_cross_term_reduction(ops, cost)`, which reads the
+sampled coefficients off the problem's operator bundle ops = dec.ops); the
+general representation runs the causal machinery on the reduced system.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .lq import (
     DiscreteLQ,
     SampledCost,
     _apply_blocks,
+    _sampled_cost,
     assemble_quadratic_form,
     assemble_theta,
 )
@@ -291,22 +293,22 @@ class ReducedSystem:
 
 
 def build_cross_term_reduction(
-    problem: ProblemData,
-    cost: CostData,
-    grid: Grid,
+    ops: StateOperator,
+    cost: CostData | SampledCost,
     with_kernels: bool = False,
 ) -> ReducedSystem:
     """Fold the cross weights S, rho into shifted problem data.
 
-    The shifted kernels are built from the sampled originals nodewise, so
+    ops is the operator bundle of the original problem (`dec.ops`).  The
+    shifted kernels are built from the sampled originals nodewise, so
     the reduced discrete problem is exactly equivalent to the original
     one: optimal controls map through u = v - R^(-1)(S X + rho) and
     optimal values differ by the recorded constant.  With
     `with_kernels=True` the resolvent and factored control kernel of the
     reduced system are recomputed as well.
     """
-    ops = StateOperator(problem, grid)
-    sc = cost if isinstance(cost, SampledCost) else cost.sample(grid, ops.dx, ops.du)
+    problem, grid = ops.problem, ops.grid
+    sc = _sampled_cost(cost, ops)
     Rinv = sc.R_inverses()
     RS = np.einsum("iab,ibx->iax", Rinv, sc.S)  # R^-1 S per node
     A_hat = ops.A_samples - np.einsum("ijxc,jcy->ijxy", ops.B_samples, RS)

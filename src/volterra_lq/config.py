@@ -120,8 +120,13 @@ def load_config(path) -> RunConfig:
     """Parse and validate a configuration file."""
     cfg = RunConfig()
     seen_problem = False
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not text: {exc.reason}") from None
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["AssumptionError", "NumericalError", "ConfigError"]
+__all__ = ["AssumptionError", "NumericalError", "ConfigError", "KernelFileError"]
 
 
 class AssumptionError(ValueError):
@@ -28,3 +28,7 @@ class ConfigError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class KernelFileError(ValueError):
+    """A kernel file has a foreign header or the wrong length."""

@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from .errors import AssumptionError, NumericalError
-from .grids import Grid, lower_singular_weights
+from .grids import Grid, lower_product_weights, trapezoid_rule
 from .lq import CostData, DiscreteLQ, _blockdiag, solve_open_loop
 from .volterra import ProblemData, StateDecomposition
 
@@ -556,15 +556,15 @@ def crosscheck_kernel_samples(
         Q_tau = sc.Q[m:]
         psi_i = B[m:, i] * pow_i[:, None, None] + D[m:, i]
         psi_j = B[m:, j] * pow_j[:, None, None] + D[m:, j]
-        sing = lower_singular_weights(grid, beta, m)[m:]
+        sing = lower_product_weights(grid, beta, m)[-1]
         if i >= j:
             coeff_sing = np.einsum("lxc,lxy,lyd->lcd", B[m:, i], Q_tau, psi_j)
             coeff_reg = np.einsum("lxc,lxy,lyd->lcd", D[m:, i], Q_tau, psi_j)
         else:
             coeff_sing = np.einsum("lxc,lxy,lyd->lcd", psi_i, Q_tau, B[m:, j])
             coeff_reg = np.einsum("lxc,lxy,lyd->lcd", psi_i, Q_tau, D[m:, j])
-        integral = np.einsum("l,lcd->cd", sing, coeff_sing) + _trapz_from(
-            grid, m, coeff_reg
+        integral = np.einsum("l,lcd->cd", sing, coeff_sing) + np.einsum(
+            "l,lcd->cd", trapezoid_rule(taus), coeff_reg
         )
         terminal = dec.Psi_T_row[i].T @ sc.G @ dec.Psi_T_row[j]
         K_quad = -Rinv[i] @ (integral + terminal)
@@ -572,10 +572,3 @@ def crosscheck_kernel_samples(
         worst = max(worst, float(np.max(np.abs(K_quad - K_alg)) / scale))
     return worst
 
-
-def _trapz_from(grid: Grid, j: int, table: np.ndarray) -> np.ndarray:
-    d = np.diff(grid.nodes[j:])
-    w = np.zeros(grid.n - j)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return np.einsum("l,lcd->cd", w, table)

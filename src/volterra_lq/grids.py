@@ -16,10 +16,9 @@ interpolant and the moments
 
 are evaluated in closed form on every subinterval.  Constants are therefore
 reproduced exactly: the weights of row i always sum to t_i^beta / beta.
-
-The module also provides moments for doubly singular products
-(t - s)^(p-1) (s - lo)^(q-1), expressed through the regularized incomplete
-beta function; these drive the resolvent construction in `volterra`.
+`lower_product_weights` is the mirror image with the singularity at the
+lower endpoint, and `trapezoid_rule` the plain rule every module shares.
+The doubly singular moments behind the resolvent live in `volterra`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, beta as beta_function
 
 __all__ = [
     "Grid",
@@ -36,8 +34,9 @@ __all__ = [
     "product_weights",
     "integrate_singular",
     "check_young_bound",
+    "lower_product_weights",
     "lower_singular_weights",
-    "double_singular_weights",
+    "trapezoid_rule",
     "segment_moments",
 ]
 
@@ -78,11 +77,16 @@ class Grid:
 
     def trapezoid_weights(self) -> np.ndarray:
         """Node weights of the composite trapezoid rule on [0, T]."""
-        w = np.zeros(self.n)
-        d = self.spacings
-        w[:-1] += 0.5 * d
-        w[1:] += 0.5 * d
-        return w
+        return trapezoid_rule(self.nodes)
+
+
+def trapezoid_rule(points: np.ndarray) -> np.ndarray:
+    """Node weights of the composite trapezoid rule on increasing points."""
+    d = np.diff(points)
+    w = np.zeros(points.size)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
 
 
 def build_grid(n: int, T: float, kind: str = "uniform", exponent: float = 2.0) -> Grid:
@@ -182,54 +186,38 @@ def product_weights(grid: Grid, beta: float, interp: str = "linear") -> Singular
     return SingularWeights(grid=grid, beta=beta, interp=interp, w=w)
 
 
+def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
+    """Hat weights against (s - s_j)^(beta-1), singular at the lower endpoint.
+
+    Returns W of shape (n - j, n - j): sum_l W[i - j, l] g(s_{j+l})
+    approximates int_{s_j}^{t_i} (s - s_j)^(beta-1) g(s) ds for i >= j,
+    exactly for piecewise-linear g.  Moments are taken in offsets from s_j.
+    """
+    nodes = grid.nodes
+    lo = nodes[j:-1] - nodes[j]
+    hi = nodes[j + 1 :] - nodes[j]
+    h = hi - lo
+    mu0 = (hi**beta - lo**beta) / beta
+    mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
+    wl = mu0 - mu1 / h
+    wr = mu1 / h
+    m = grid.n - j
+    # row i - j integrates over the segments l < i - j
+    segs = np.arange(m - 1)[None, :] < np.arange(m)[:, None]
+    W = np.zeros((m, m))
+    W[:, :-1] += np.where(segs, wl[None, :], 0.0)
+    W[:, 1:] += np.where(segs, wr[None, :], 0.0)
+    return W
+
+
 def lower_singular_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
     """Weights v[i] with sum_i v[i] g(t_i) ~ int_{s_j}^{T} (s - s_j)^(beta-1) g(s) ds.
 
-    Mirror image of `product_weights` (piecewise-linear) with the
-    singularity at the lower endpoint s_j.
+    The full-range row of `lower_product_weights`, zero before s_j.
     """
-    nodes = grid.nodes
-    n = grid.n
-    v = np.zeros(n)
-    if j >= n - 1:
-        return v
-    lo = nodes[j:-1]
-    hi = nodes[j + 1 :]
-    h = hi - lo
-    # int_lo^hi (s - s_j)^(beta-1) {1, (s - lo)} ds with base point s_j
-    a = lo - nodes[j]
-    b = hi - nodes[j]
-    mu0 = (b ** beta - a ** beta) / beta
-    mu1_base = (b ** (beta + 1.0) - a ** (beta + 1.0)) / (beta + 1.0)  # about s_j
-    mu1 = mu1_base - a * mu0  # about lo
-    v[j:-1] += mu0 - mu1 / h
-    v[j + 1 :] += mu1 / h
+    v = np.zeros(grid.n)
+    v[j:] = lower_product_weights(grid, beta, j)[-1]
     return v
-
-
-def double_singular_weights(t: float, base: float, taus: np.ndarray, p: float, q: float):
-    """Hat-function weights for int_base^t (t-s)^(p-1) (s-base)^(q-1) g(s) ds.
-
-    taus are the interpolation nodes, taus[0] == base, taus[-1] == t.
-    Both endpoint singularities are integrated exactly through the
-    regularized incomplete beta function; only g is interpolated.
-    """
-    L = t - base
-    x = (taus - base) / L
-    x = np.clip(x, 0.0, 1.0)
-    iq = betainc(q, p, x)
-    iq1 = betainc(q + 1.0, p, x)
-    nu0 = L ** (p + q - 1.0) * beta_function(q, p) * np.diff(iq)
-    nu1 = L ** (p + q) * beta_function(q + 1.0, p) * np.diff(iq1)  # about base
-    lo = taus[:-1] - base
-    hi = taus[1:] - base
-    h = hi - lo
-    wl = (hi * nu0 - nu1) / h
-    wr = (nu1 - lo * nu0) / h
-    w = np.zeros_like(taus)
-    w[:-1] += wl
-    w[1:] += wr
-    return w
 
 
 def integrate_singular(weights: SingularWeights, i: int, g: np.ndarray):
@@ -276,10 +264,7 @@ def check_young_bound(weights: SingularWeights, theta0: np.ndarray, s: float) ->
         wl = mu0 - mu1 / h
         wr = mu1 / h
         eta[k] = wl @ vals[:k] + wr @ vals[1 : k + 1]
-    d = np.diff(pts)
-    trap = np.zeros(pts.size)
-    trap[:-1] += 0.5 * d
-    trap[1:] += 0.5 * d
+    trap = trapezoid_rule(pts)
     norm_eta = np.sqrt(trap @ eta**2)
     norm_theta = np.sqrt(trap @ vals**2)
     slack = 1.01

@@ -16,6 +16,12 @@ cost evaluation to round-off, and the optimality system Lam u + ell1 = 0
 is an exact finite-dimensional statement.  The open-loop control solved
 here is the oracle against which the adjoint-equation, causal, and
 feedback-gain characterizations are verified.
+
+Everything here works on the one operator bundle `decompose` builds per
+(problem, grid): `assemble_quadratic_form(theta, theta_T, cost, dec, grid)`,
+`evaluate_cost(ops, cost, u)` and `verify_control_relation(dlq, ops, cost,
+u_bar)` with ops = dec.ops.  The cost may be a `CostData` or the weights
+already sampled on that grid (`dlq.cost_samples`).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AssumptionError, NumericalError
 from .grids import Grid
-from .volterra import ProblemData, StateDecomposition, StateOperator, sample_trajectory
+from .volterra import StateDecomposition, StateOperator, sample_trajectory
 
 __all__ = [
     "CostData",
@@ -133,6 +139,11 @@ class SampledCost:
             raise AssumptionError("R(t) is not invertible at some node") from exc
 
 
+def _sampled_cost(cost: CostData | SampledCost, ops: StateOperator) -> SampledCost:
+    """Cost weights on the operator's grid; sampled weights pass through."""
+    return cost if isinstance(cost, SampledCost) else cost.sample(ops.grid, ops.dx, ops.du)
+
+
 def _validate_cost(sc: SampledCost):
     """Check the standard coercivity block: R >= delta, Q - S^T R^-1 S >= 0, G >= 0."""
     tol = 1e-10
@@ -222,22 +233,21 @@ def assemble_theta(dec: StateDecomposition, grid: Grid):
 def assemble_quadratic_form(
     theta: np.ndarray,
     theta_T: np.ndarray,
-    cost: CostData,
+    cost: CostData | SampledCost,
     dec: StateDecomposition,
     grid: Grid,
 ) -> DiscreteLQ:
     """Assemble (Lam, ell1, lam0) from the state maps and cost weights.
 
-    Raises AssumptionError naming the violated inequality when the
-    coercivity block fails.  Warns when Lam is severely ill-conditioned.
+    The cost is sampled on the grid of `dec.ops`, whose quadrature
+    weights are reused; `grid` must be that grid.  Raises AssumptionError
+    naming the violated inequality when the coercivity block fails.  Warns
+    when Lam is severely ill-conditioned.
     """
     ops = dec.ops
-    n, dx, du = ops.n, ops.dx, ops.du
-    sc = cost if isinstance(cost, SampledCost) else cost.sample(grid, dx, du)
+    sc = _sampled_cost(cost, ops)
     _validate_cost(sc)
-    omega = grid.trapezoid_weights()
-    wx = np.repeat(omega, dx)
-    wu = np.repeat(omega, du)
+    omega, wx, wu = ops.omega, ops.wx, ops.wu
     psi = dec.psi
     psi_flat = psi.ravel()
 
@@ -286,20 +296,20 @@ def assemble_quadratic_form(
         cost_samples=sc,
         psi=psi,
         psi_T=psi[-1].copy(),
-        dx=dx,
-        du=du,
+        dx=ops.dx,
+        du=ops.du,
     )
 
 
-def evaluate_cost(problem: ProblemData, cost: CostData, u, grid: Grid) -> float:
+def evaluate_cost(ops: StateOperator, cost: CostData | SampledCost, u) -> float:
     """Run the state and evaluate the cost by grid quadrature.
 
-    Requires beta > 1/2 (the terminal term needs X(T)).
+    ops is the problem's operator bundle (`decompose(...).ops`).  Requires
+    beta > 1/2 (the terminal term needs X(T)).
     """
-    problem.require_lq()
-    ops = StateOperator(problem, grid)
-    sc = cost if isinstance(cost, SampledCost) else cost.sample(grid, ops.dx, ops.du)
-    u_s = sample_trajectory(u, grid, ops.du)
+    ops.problem.require_lq()
+    sc = _sampled_cost(cost, ops)
+    u_s = sample_trajectory(u, ops.grid, ops.du)
     xi = ops.phi.ravel() + ops.WB_flat @ u_s.ravel()
     X = ops.solve(xi).reshape(ops.n, ops.dx)
     omega = ops.omega
@@ -333,10 +343,9 @@ def solve_open_loop(dlq: DiscreteLQ) -> np.ndarray:
 
 def verify_control_relation(
     dlq: DiscreteLQ,
-    problem: ProblemData,
-    cost: CostData,
+    ops: StateOperator,
+    cost: CostData | SampledCost,
     u_bar: np.ndarray,
-    grid: Grid,
 ) -> float:
     """Pointwise residual of the expanded optimality relation.
 
@@ -345,9 +354,8 @@ def verify_control_relation(
     the resolvent-propagated running gradient) through the discrete
     operator algebra, and returns max_i |u_bar(t_i) - RHS(t_i)|.
     """
-    ops = StateOperator(problem, grid)
-    sc = cost if isinstance(cost, SampledCost) else cost.sample(grid, ops.dx, ops.du)
-    u = sample_trajectory(u_bar, grid, ops.du)
+    sc = _sampled_cost(cost, ops)
+    u = sample_trajectory(u_bar, ops.grid, ops.du)
     X = (dlq.psi.ravel() + dlq.theta @ u.ravel()).reshape(ops.n, ops.dx)
     z = _apply_blocks(sc.Q, X) + np.einsum("ica,ic->ia", sc.S, u) + sc.q
     zeta = sc.G @ X[-1] + sc.g

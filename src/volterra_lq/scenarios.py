@@ -201,8 +201,9 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     u_direct = solve_open_loop(dlq)
     x_bar = (dec.psi.ravel() + theta @ u_direct.ravel()).reshape(grid.n, -1)
 
-    adj = solve_adjoint(problem, cost, x_bar, u_direct, grid)
-    u_adjoint = control_from_adjoint(adj, problem, cost, x_bar, grid)
+    ops, sc = dec.ops, dlq.cost_samples
+    adj = solve_adjoint(ops, sc, x_bar, u_direct)
+    u_adjoint = control_from_adjoint(adj, ops, sc, x_bar)
     report.add(
         "control: adjoint-equation characterization vs direct solve",
         _rel(omega, u_adjoint - u_direct, u_direct),
@@ -229,7 +230,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         _tol(cfg, "feedback", 1e-6),
     )
 
-    j_quad = evaluate_cost(problem, cost, u_direct, grid)
+    j_quad = evaluate_cost(ops, sc, u_direct)
     j_form = float(
         u_direct.ravel() @ dlq.lam @ u_direct.ravel()
         + 2.0 * dlq.rhs @ u_direct.ravel()
@@ -263,7 +264,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     )
     report.add(
         "optimality: worst seeded cost decrease at the optimizer",
-        _optimality_gap(problem, cost, u_direct, j_quad, grid, rng, trials=20),
+        _optimality_gap(ops, sc, u_direct, j_quad, rng, trials=20),
         -1e-10,
         larger_ok=True,
     )
@@ -302,13 +303,13 @@ def _coercivity_ratio(dlq, grid) -> float:
     return float(worst)
 
 
-def _optimality_gap(problem, cost, u_opt, j_opt, grid, rng, trials=20) -> float:
+def _optimality_gap(ops, sc, u_opt, j_opt, rng, trials=20) -> float:
     """Most negative J(u_opt + eps v) - J(u_opt) over seeded directions."""
     worst = 0.0
     for _ in range(trials):
         v = rng.normal(size=u_opt.shape)
         for eps in (1e-2, -1e-2, 1e-1, -1e-1):
-            j = evaluate_cost(problem, cost, u_opt + eps * v, grid)
+            j = evaluate_cost(ops, sc, u_opt + eps * v)
             worst = min(worst, j - j_opt)
     return float(worst)
 
@@ -558,9 +559,9 @@ def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     dlq = assemble_quadratic_form(theta, theta_T, cost, dec, grid)
     u_direct = solve_open_loop(dlq)
     x_bar = (dec.psi.ravel() + theta @ u_direct.ravel()).reshape(grid.n, -1)
-    j_orig = evaluate_cost(problem, cost, u_direct, grid)
+    j_orig = evaluate_cost(dec.ops, dlq.cost_samples, u_direct)
 
-    reduced = build_cross_term_reduction(problem, cost, grid)
+    reduced = build_cross_term_reduction(dec.ops, dlq.cost_samples)
     v_opt = solve_open_loop(reduced.dlq)
     j_reduced = float(
         v_opt.ravel() @ reduced.dlq.lam @ v_opt.ravel()

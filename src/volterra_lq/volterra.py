@@ -39,7 +39,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import betainc, beta as beta_function
 
 from .errors import AssumptionError, NumericalError
-from .grids import Grid, build_grid, product_weights
+from .grids import Grid, build_grid, lower_product_weights, product_weights
 
 __all__ = [
     "ProblemData",
@@ -175,6 +175,24 @@ class FactoredKernel:
         )
 
 
+def _pair_hat_weights(x, L, lo, hi, h, p: float, q: float) -> np.ndarray:
+    """Hat node weights for int_base^{base+L} (t-s)^(p-1) (s-base)^(q-1) g(s) ds.
+
+    Both endpoint singularities are integrated exactly through the
+    regularized incomplete beta function; only g is interpolated.  x holds
+    the segment endpoints over L, lo/hi/h the segment offsets from base
+    and lengths, each as its caller computes them (so the uniform and
+    general kernels keep their own rounding).  Broadcasts over leading
+    axes; the last axis runs over segments.
+    """
+    nu0 = L ** (p + q - 1.0) * beta_function(q, p) * np.diff(betainc(q, p, x), axis=-1)
+    nu1 = L ** (p + q) * beta_function(q + 1.0, p) * np.diff(betainc(q + 1.0, p, x), axis=-1)
+    w = np.zeros(nu0.shape[:-1] + (nu0.shape[-1] + 1,))
+    w[..., :-1] += (hi * nu0 - nu1) / h
+    w[..., 1:] += (nu1 - lo * nu0) / h
+    return w
+
+
 def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray | None:
     """Uniform-grid hat weights for int (t-s)^(p-1) (s-base)^(q-1), keyed by offset.
 
@@ -187,22 +205,9 @@ def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray | None:
     n = grid.n
     h = grid.spacings[0]
     W = np.zeros((n, n))
-    Bqp = beta_function(q, p)
-    Bq1p = beta_function(q + 1.0, p)
     for d in range(1, n):
-        x = np.arange(d + 1) / d
-        iq = betainc(q, p, x)
-        iq1 = betainc(q + 1.0, p, x)
-        dh = d * h
-        nu0 = dh ** (p + q - 1.0) * Bqp * np.diff(iq)
-        nu1 = dh ** (p + q) * Bq1p * np.diff(iq1)
         lo = np.arange(d) * h
-        hi = lo + h
-        wl = (hi * nu0 - nu1) / h
-        wr = (nu1 - lo * nu0) / h
-        W[d, : d + 1] = 0.0
-        W[d, :d] += wl
-        W[d, 1 : d + 1] += wr
+        W[d, : d + 1] = _pair_hat_weights(np.arange(d + 1) / d, d * h, lo, lo + h, h, p, q)
     return W
 
 
@@ -244,24 +249,12 @@ def _convolve_pair_general(Fsamples, Gsamples, grid: Grid, p: float, q: float) -
     d1, dm = Fsamples.shape[2:]
     d2 = Gsamples.shape[-1]
     out = np.zeros((n, n, d1, d2))
-    Bqp = beta_function(q, p)
-    Bq1p = beta_function(q + 1.0, p)
     for j in range(n - 1):
         tt = nodes[j + 1 :, None] - nodes[j]  # (ni, 1)
-        tau = nodes[None, j:] - nodes[j]  # (1, nl+1)
+        tau = nodes[j:] - nodes[j]  # (nl+1,)
         x = np.clip(tau / tt, 0.0, 1.0)
-        iq = betainc(q, p, x)
-        iq1 = betainc(q + 1.0, p, x)
-        nu0 = tt ** (p + q - 1.0) * Bqp * np.diff(iq, axis=1)
-        nu1 = tt ** (p + q) * Bq1p * np.diff(iq1, axis=1)
-        lo = tau[0, :-1]
-        hi = tau[0, 1:]
-        h = hi - lo
-        wl = (hi * nu0 - nu1) / h
-        wr = (nu1 - lo * nu0) / h
-        Wnode = np.zeros((n - j - 1, n - j))
-        Wnode[:, :-1] += wl
-        Wnode[:, 1:] += wr
+        lo, hi = tau[:-1], tau[1:]
+        Wnode = _pair_hat_weights(x, tt, lo, hi, hi - lo, p, q)
         C = np.matmul(Fsamples[j + 1 :, j:], Gsamples[None, j:, j])
         out[j + 1 :, j] = np.einsum("il,ilxz->ixz", Wnode, C)
     return out
@@ -330,6 +323,8 @@ def resolvent(
         q = k * beta
         W = _pair_weight_matrix(grid, beta, q)
         F_next = _singular_convolution(Asamp, G, grid, beta, q, W)
+        if k == 1:
+            F2 = F_next
         e = (k + 1) * beta - 1.0
         Gnew = np.zeros_like(G)
         Gnew[il] = F_next[il] / dt[il][:, None, None] ** e
@@ -350,26 +345,24 @@ def resolvent(
             "large for this horizon"
         )
 
-    kernel.residuals = _resolvent_residuals(kernel, Asamp, grid, residual_stride)
+    kernel.residuals = _resolvent_residuals(kernel, Asamp, F2, grid, residual_stride)
     return kernel
 
 
-def _resolvent_residuals(kernel, Asamp, grid, stride):
+def _resolvent_residuals(kernel, Asamp, first, grid, stride):
     """Independent quadrature residuals of the two defining identities.
 
     defining:   D(t,s) = int A(t,tau) Phi(tau,s) (t-tau)^(b-1) dtau
     transposed: D(t,s) = int Phi(t,tau) A(tau,s) (tau-s)^(b-1) dtau
-    The regular part of each integrand is re-integrated by plain product
+    first is F_2, level 1 of the series, which both identities share.  The
+    regular part of each integrand is re-integrated by plain product
     quadrature (not the level-wise factored form used to build D), so the
     residual exercises a different discretization of the same identity.
     """
     beta = kernel.beta
     n = grid.n
     D = kernel.regular_part
-    W_pair = _pair_weight_matrix(grid, beta, beta)
-    first = _singular_convolution(Asamp, Asamp, grid, beta, beta, W_pair)
     sw = product_weights(grid, beta).w
-    nodes = grid.nodes
     phi_vals = kernel.eval_offdiag(grid)
 
     if stride is None:
@@ -389,24 +382,14 @@ def _resolvent_residuals(kernel, Asamp, grid, stride):
             float(np.max(np.abs(D[ii, j] - rhs[ii]).max(axis=(1, 2)) / denom[ii])),
         )
         # transposed identity, kernel A on the right; weights carry the
-        # (tau - s_j)^(beta-1) factor about the lower endpoint
-        lo = nodes[j:-1] - nodes[j]
-        hi = nodes[j + 1 :] - nodes[j]
-        h = hi - lo
-        mu0 = (hi**beta - lo**beta) / beta
-        mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
-        wl = mu0 - mu1 / h
-        wr = mu1 / h
-        segs = np.arange(n - j - 1)[None, :] < (np.arange(n) - j)[:, None]
-        Wlow = np.zeros((n, n - j))
-        Wlow[:, :-1] += np.where(segs, wl[None, :], 0.0)
-        Wlow[:, 1:] += np.where(segs, wr[None, :], 0.0)
-        integrand_tr = np.matmul(D[:, j:], Asamp[None, j:, j])
+        # (tau - s_j)^(beta-1) factor about the lower endpoint (rows i >= j)
+        Wlow = lower_product_weights(grid, beta, j)
+        integrand_tr = np.matmul(D[j:, j:], Asamp[None, j:, j])
         quad_tr = np.einsum("it,itxz->ixz", Wlow, integrand_tr)
-        rhs_tr = first[:, j] + quad_tr
+        rhs_tr = first[j:, j] + quad_tr
         res_tr = max(
             res_tr,
-            float(np.max(np.abs(D[ii, j] - rhs_tr[ii]).max(axis=(1, 2)) / denom[ii])),
+            float(np.max(np.abs(D[ii, j] - rhs_tr[ii - j]).max(axis=(1, 2)) / denom[ii])),
         )
     return {"defining": res_def, "transposed": res_tr}
 
@@ -565,25 +548,12 @@ def decompose(problem: ProblemData, grid: Grid, resolvent_kernel: FactoredKernel
 
 def _lower_singular_convolution(Dsamples, Gsamples, grid: Grid, beta: float) -> np.ndarray:
     """out[i,j] = int_{s_j}^{t_i} D(t_i,tau) G(tau,s_j) (tau-s_j)^(beta-1) dtau."""
-    nodes = grid.nodes
     n = grid.n
     d1 = Dsamples.shape[2]
     d2 = Gsamples.shape[-1]
     out = np.zeros((n, n, d1, d2))
     for j in range(n - 2):
-        lo = nodes[j:-1] - nodes[j]
-        hi = nodes[j + 1 :] - nodes[j]
-        h = hi - lo
-        mu0 = (hi**beta - lo**beta) / beta
-        mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
-        wl = mu0 - mu1 / h
-        wr = mu1 / h
-        # row for target t_i uses segments l = 0 .. (i-j-1)
-        W = np.zeros((n - j - 1, n - j))
-        ii = np.arange(1, n - j)
-        seg_mask = np.arange(n - j - 1)[None, :] < ii[:, None]
-        W[:, :-1] += np.where(seg_mask, wl[None, :], 0.0)
-        W[:, 1:] += np.where(seg_mask, wr[None, :], 0.0)
+        W = lower_product_weights(grid, beta, j)[1:]  # targets t_i, i > j
         C = np.einsum("ilxy,lyz->ilxz", Dsamples[j + 1 :, j:], Gsamples[j:, j])
         out[j + 1 :, j] = np.einsum("il,ilxz->ixz", W, C)
     return out

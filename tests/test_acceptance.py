@@ -116,8 +116,8 @@ def test_criterion_4_constant_coefficient_series():
 
 def test_criterion_5_three_way_equivalence(eq_pipeline):
     pipe = eq_pipeline
-    adj = vlq.solve_adjoint(pipe.problem, pipe.cost, pipe.x_opt, pipe.u_opt, pipe.grid)
-    u_mp = vlq.control_from_adjoint(adj, pipe.problem, pipe.cost, pipe.x_opt, pipe.grid)
+    adj = vlq.solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u_mp = vlq.control_from_adjoint(adj, pipe.dec.ops, pipe.cost, pipe.x_opt)
     traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
     u_causal = vlq.abstract_causal_control(pipe.dlq, pipe.dec, traj, pipe.cost, pipe.grid)
     u_fb = vlq.feedback_control(pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid)
@@ -135,8 +135,8 @@ def test_criterion_5_three_way_equivalence(eq_pipeline):
 
 def test_criterion_6_cross_term_equivalence(ct_pipeline64):
     pipe = ct_pipeline64
-    j_orig = vlq.evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt, pipe.grid)
-    red = vlq.build_cross_term_reduction(pipe.problem, pipe.cost, pipe.grid)
+    j_orig = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
+    red = vlq.build_cross_term_reduction(pipe.dec.ops, pipe.cost)
     v_opt = vlq.solve_open_loop(red.dlq)
     j_red = float(
         v_opt.ravel() @ red.dlq.lam @ v_opt.ravel()
@@ -159,18 +159,18 @@ def test_criterion_6_cross_term_equivalence(ct_pipeline64):
 
 def test_criterion_7_optimality(eq_pipeline):
     pipe = eq_pipeline
-    j_opt = vlq.evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt, pipe.grid)
+    j_opt = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
     rng = np.random.default_rng(2024)
     worst_gap = 0.0
     worst_grad = 0.0
     for _ in range(100):
         v = rng.normal(size=pipe.u_opt.shape)
         for eps in (1e-2, -1e-2, 1e-1, -1e-1):
-            j = vlq.evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt + eps * v, pipe.grid)
+            j = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
             worst_gap = min(worst_gap, j - j_opt)
         eps = 1e-4
-        jp = vlq.evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt + eps * v, pipe.grid)
-        jm = vlq.evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt - eps * v, pipe.grid)
+        jp = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
+        jm = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt - eps * v)
         vnorm = np.sqrt(np.einsum("i,ic,ic->", pipe.omega, v, v))
         worst_grad = max(worst_grad, abs(jp - jm) / (2 * eps) / vnorm)
     ok = worst_gap >= -1e-10 and worst_grad <= 1e-6

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import volterra_lq as vlq
 from volterra_lq.cache import (
@@ -10,6 +11,8 @@ from volterra_lq.cache import (
     save_feedback_kernel,
 )
 from volterra_lq.catalog import get_problem
+from volterra_lq.cli import main
+from volterra_lq.errors import KernelFileError
 from volterra_lq.fredholm import FeedbackKernel
 
 
@@ -62,3 +65,34 @@ def test_cached_resolvent_hits_disk_once(tmp_path):
     cached_resolvent(entry.problem, vlq.build_grid(12, 1.0), entry.cache_key, str(tmp_path))
     assert len(list(tmp_path.glob("*.vker"))) == 2
     assert clear_cache(str(tmp_path)) == 2
+
+
+def _damage(data: bytes, how: str) -> bytes:
+    head = data.index(b"\n") + 1
+    half = (len(data) - head) // 16 * 8
+    if how == "truncated-odd":
+        return data[: head + half + 3]
+    if how == "truncated-even":
+        return data[: head + half]
+    # same fields and length under another format's magic
+    return data.replace(b"volterra-kernel v1 ", b"some-other-format v1 ", 1)
+
+
+@pytest.mark.parametrize("how", ["truncated-odd", "truncated-even", "foreign-header"])
+def test_damaged_cache_file_is_a_miss(tmp_path, how):
+    cache = tmp_path / "cache"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "problem = random-smooth(3)\nscenario = convergence\nn = 9\n"
+        f"outdir = {tmp_path / 'out'}\ncache_dir = {cache}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    files = sorted(cache.glob("*.vker"))
+    good = files[0].read_bytes()
+    files[0].write_bytes(_damage(good, how))
+    with pytest.raises(KernelFileError):
+        load_factored_kernel(files[0])
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert files[0].read_bytes() == good
+    load_factored_kernel(files[0])
+    assert sorted(p.name for p in cache.iterdir()) == [p.name for p in files]

@@ -270,7 +270,7 @@ class TestAbstractCausalControl:
 class TestCrossTermReduction:
     def test_identity_when_no_cross_terms(self, rs_pipeline):
         pipe = rs_pipeline
-        red = build_cross_term_reduction(pipe.problem, pipe.cost, pipe.grid)
+        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
         assert np.array_equal(red.dec.ops.A_samples, pipe.dec.ops.A_samples)
         assert np.array_equal(red.dec.ops.phi, pipe.dec.ops.phi)
         assert np.array_equal(
@@ -285,16 +285,16 @@ class TestCrossTermReduction:
             A=p.A, B=None, phi=p.phi, beta=p.beta, T=p.T,
             n_state=p.n_state, n_control=p.n_control,
         )
-        red = build_cross_term_reduction(no_b, pipe.cost, pipe.grid)
         ops = vlq.StateOperator(no_b, pipe.grid)
+        red = build_cross_term_reduction(ops, pipe.cost)
         assert np.array_equal(red.dec.ops.A_samples, ops.A_samples)
         assert np.array_equal(red.dec.ops.phi, ops.phi)
 
     def test_equivalence_of_optima(self, ct_pipeline):
         pipe = ct_pipeline
-        red = build_cross_term_reduction(pipe.problem, pipe.cost, pipe.grid)
+        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
         v_opt = solve_open_loop(red.dlq)
-        j_orig = vlq.evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt, pipe.grid)
+        j_orig = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
         j_red = float(
             v_opt.ravel() @ red.dlq.lam @ v_opt.ravel()
             + 2.0 * red.dlq.rhs @ v_opt.ravel()
@@ -306,7 +306,7 @@ class TestCrossTermReduction:
 
     def test_round_trip_of_control_maps(self, ct_pipeline):
         pipe = ct_pipeline
-        red = build_cross_term_reduction(pipe.problem, pipe.cost, pipe.grid)
+        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
         v = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
         back = red.to_original_control(v, pipe.x_opt)
         assert np.allclose(back, pipe.u_opt, atol=1e-14)
@@ -314,7 +314,8 @@ class TestCrossTermReduction:
     def test_with_kernels_builds_factored_tables(self):
         entry = get_problem("cross-term", 0.75, 1.0, seed=3)
         grid = build_grid(24, 1.0)
-        red = build_cross_term_reduction(entry.problem, entry.cost, grid, with_kernels=True)
+        ops = vlq.StateOperator(entry.problem, grid)
+        red = build_cross_term_reduction(ops, entry.cost, with_kernels=True)
         assert red.resolvent_kernel is not None
         assert red.dec.Psi is not None
         assert red.dec.Psi.singular_coeff.shape == (24, 24, 2, 2)
@@ -323,7 +324,7 @@ class TestCrossTermReduction:
 class TestGeneralRepresentation:
     def test_reduces_to_plain_representation_without_cross_terms(self, rs_pipeline):
         pipe = rs_pipeline
-        red = build_cross_term_reduction(pipe.problem, pipe.cost, pipe.grid)
+        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
         v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
         assert np.array_equal(v_bar, pipe.u_opt)
         traj = causal_trajectories(red.dec, v_bar, pipe.grid)
@@ -343,7 +344,7 @@ class TestGeneralRepresentation:
         dlq = vlq.assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
         u = solve_open_loop(dlq)
         x = (pipe.dec.psi.ravel() + pipe.theta @ u.ravel()).reshape(pipe.grid.n, -1)
-        red = build_cross_term_reduction(pipe.problem, cost, pipe.grid)
+        red = build_cross_term_reduction(pipe.dec.ops, cost)
         v = red.to_reduced_control(u, x)
         traj = causal_trajectories(red.dec, v, pipe.grid)
         u_gen = general_causal_control(red, traj, x, v, pipe.grid)
@@ -354,7 +355,7 @@ class TestGeneralRepresentation:
 
     def test_matches_optimizer_on_cross_term_problem(self, ct_pipeline):
         pipe = ct_pipeline
-        red = build_cross_term_reduction(pipe.problem, pipe.cost, pipe.grid)
+        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
         v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
         traj = causal_trajectories(red.dec, v_bar, pipe.grid)
         u_gen = general_causal_control(red, traj, pipe.x_opt, v_bar, pipe.grid)

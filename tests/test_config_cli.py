@@ -1,6 +1,6 @@
 import pytest
 
-from volterra_lq import ConfigError, load_config, run_scenario
+from volterra_lq import ConfigError, StateOperator, load_config, run_scenario
 from volterra_lq.cli import main
 
 
@@ -130,6 +130,43 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = write(tmp_path, "problem = zero-cost\nscenario = nonsense\n")
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_unreadable_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match="missing.cfg"):
+        load_config(missing)
+    assert main(["run", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.cfg" in err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"problem = zero\xff-cost\n")
+    assert main(["run", "--config", str(binary)]) == 2
+    assert "binary.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem,scenario,builds",
+    [("random-smooth(7)", "equivalence", 1), ("cross-term(5)", "reduction", 2)],
+)
+def test_one_operator_build_per_problem(tmp_path, monkeypatch, problem, scenario, builds):
+    # one bundle per problem: reduction also builds the reduced problem's
+    calls = []
+    init = StateOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateOperator, "__init__", counting_init)
+    cfg = load_config(
+        write(
+            tmp_path,
+            f"problem = {problem}\nscenario = {scenario}\nn = 24\noutdir = {tmp_path}/out\n",
+        )
+    )
+    assert run_scenario(cfg).passed
+    assert len(calls) == builds
 
 
 def test_cli_clear_cache(tmp_path, capsys):

@@ -9,6 +9,7 @@ from volterra_lq import (
     product_weights,
 )
 from volterra_lq.catalog import example_2_1_control
+from volterra_lq.grids import lower_product_weights, lower_singular_weights
 
 
 def test_uniform_nodes():
@@ -49,6 +50,22 @@ def test_row_sums_reproduce_constants(beta, kind, exponent, interp):
     for i in range(1, grid.n):
         exact = grid.nodes[i] ** beta / beta
         assert abs(w.w[i].sum() - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("beta", [0.4, 0.75])
+@pytest.mark.parametrize("kind,exponent", [("uniform", 2.0), ("graded", 2.5)])
+def test_lower_endpoint_weights_exact_for_linear_integrands(beta, kind, exponent):
+    # int_{s_j}^{t_i} (s - s_j)^(beta-1) {1, s - s_j} ds for every i >= j
+    grid = build_grid(33, 1.5, kind, exponent)
+    nodes = grid.nodes
+    for j in range(grid.n):
+        W = lower_product_weights(grid, beta, j)
+        off = nodes[j:] - nodes[j]
+        tol = dict(rtol=1e-12, atol=1e-14 * off[-1] ** beta / beta)
+        assert np.all(W[0] == 0.0)
+        assert np.allclose(W @ np.ones(off.size), off**beta / beta, **tol)
+        assert np.allclose(W @ off, off ** (beta + 1.0) / (beta + 1.0), **tol)
+        assert np.array_equal(lower_singular_weights(grid, beta, j)[j:], W[-1])
 
 
 def test_linear_integrand_exact_moment():

@@ -7,6 +7,7 @@ from volterra_lq import (
     AssumptionError,
     CostData,
     ProblemData,
+    StateOperator,
     assemble_quadratic_form,
     assemble_theta,
     build_grid,
@@ -86,7 +87,7 @@ def test_quadratic_form_degenerate_to_control_weight():
 
 def test_cost_at_zero_control_is_offset(rs_pipeline):
     pipe = rs_pipeline
-    j0 = evaluate_cost(pipe.problem, pipe.cost, np.zeros_like(pipe.u_opt), pipe.grid)
+    j0 = evaluate_cost(pipe.dec.ops, pipe.cost, np.zeros_like(pipe.u_opt))
     assert abs(j0 - pipe.dlq.lam0) <= 1e-12 * (1 + abs(j0))
 
 
@@ -95,7 +96,7 @@ def test_cost_matches_quadratic_form(rs_pipeline):
     rng = np.random.default_rng(5)
     for _ in range(4):
         u = rng.normal(size=pipe.u_opt.shape)
-        jq = evaluate_cost(pipe.problem, pipe.cost, u, pipe.grid)
+        jq = evaluate_cost(pipe.dec.ops, pipe.cost, u)
         jf = float(
             u.ravel() @ pipe.dlq.lam @ u.ravel()
             + 2.0 * pipe.dlq.rhs @ u.ravel()
@@ -110,7 +111,7 @@ def test_cost_requires_beta_above_half():
     bad = ProblemData(A=p.A, B=p.B, phi=p.phi, beta=0.45, T=1.0)
     grid = build_grid(9, 1.0)
     with pytest.raises(AssumptionError, match="beta > 1/2"):
-        evaluate_cost(bad, entry.cost, np.zeros((9, 1)), grid)
+        evaluate_cost(StateOperator(bad, grid), entry.cost, np.zeros((9, 1)))
 
 
 class TestCoercivityValidation:
@@ -150,12 +151,12 @@ class TestOpenLoop:
 
     def test_perturbations_increase_cost(self, rs_pipeline):
         pipe = rs_pipeline
-        j_opt = evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt, pipe.grid)
+        j_opt = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
         rng = np.random.default_rng(17)
         for _ in range(10):
             v = rng.normal(size=pipe.u_opt.shape)
             for eps in (1e-2, -1e-2, 1e-1, -1e-1):
-                j = evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt + eps * v, pipe.grid)
+                j = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
                 assert j - j_opt >= -1e-10
 
     def test_central_difference_gradient_vanishes(self, rs_pipeline):
@@ -164,8 +165,8 @@ class TestOpenLoop:
         eps = 1e-4
         for _ in range(5):
             v = rng.normal(size=pipe.u_opt.shape)
-            jp = evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt + eps * v, pipe.grid)
-            jm = evaluate_cost(pipe.problem, pipe.cost, pipe.u_opt - eps * v, pipe.grid)
+            jp = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
+            jm = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt - eps * v)
             vnorm = np.sqrt(np.einsum("i,ic,ic->", pipe.omega, v, v))
             assert abs(jp - jm) / (2 * eps) <= 1e-6 * vnorm
 
@@ -184,11 +185,11 @@ class TestControlRelation:
         theta, theta_T = assemble_theta(dec, grid)
         dlq = assemble_quadratic_form(theta, theta_T, entry.cost, dec, grid)
         u = solve_open_loop(dlq)
-        assert verify_control_relation(dlq, entry.problem, entry.cost, u, grid) == 0.0
+        assert verify_control_relation(dlq, dec.ops, entry.cost, u) == 0.0
 
     def test_residual_small_on_random_problem(self, rs_pipeline):
         pipe = rs_pipeline
-        res = verify_control_relation(pipe.dlq, pipe.problem, pipe.cost, pipe.u_opt, pipe.grid)
+        res = verify_control_relation(pipe.dlq, pipe.dec.ops, pipe.cost, pipe.u_opt)
         unorm = float(np.max(np.abs(pipe.u_opt)))
         assert res <= 1e-6 * (1.0 + unorm)
 
@@ -204,7 +205,7 @@ class TestControlRelation:
         u = solve_open_loop(dlq)
         expected = -0.5 * np.sin(grid.nodes)[:, None]
         assert np.allclose(u, expected, atol=1e-13)
-        res = verify_control_relation(dlq, p, cost, u, grid)
+        res = verify_control_relation(dlq, dec.ops, cost, u)
         assert res <= 1e-13
 
 
@@ -220,5 +221,5 @@ def test_ill_conditioned_form_warns():
 
 def test_control_relation_with_cross_terms(ct_pipeline):
     pipe = ct_pipeline
-    res = verify_control_relation(pipe.dlq, pipe.problem, pipe.cost, pipe.u_opt, pipe.grid)
+    res = verify_control_relation(pipe.dlq, pipe.dec.ops, pipe.cost, pipe.u_opt)
     assert res <= 1e-6 * (1.0 + float(np.max(np.abs(pipe.u_opt))))
