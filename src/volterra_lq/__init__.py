@@ -37,7 +37,6 @@ from .lq import (
     DiscreteLQ,
     SampledCost,
     assemble_quadratic_form,
-    assemble_theta,
     evaluate_cost,
     solve_open_loop,
     verify_control_relation,

@@ -12,13 +12,16 @@ defaults to ~/.cache/volterra-lq and is overridden by the
 VOLTERRA_LQ_CACHE environment variable.
 
 Files are written to a temporary name in the target directory and moved
-into place, so a reader never sees a partial file.  A cached kernel whose
-header or length is wrong counts as a miss and is recomputed.
+into place, so a reader never sees a partial file.  Both loaders check the
+magic, the header fields and the exact data length and raise
+KernelFileError otherwise; a cached kernel that fails the check counts as a
+miss and is recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -42,6 +45,7 @@ __all__ = [
 
 _EXT = ".vker"
 _MAGIC = "volterra-kernel v1 "
+_GAIN_MAGIC = "feedback-kernel v1 "
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -67,32 +71,43 @@ def save_factored_kernel(path, kernel: FactoredKernel):
     _write_atomic(path, header, C, D)
 
 
-def load_factored_kernel(path) -> FactoredKernel:
-    """Read a kernel file; KernelFileError when its header or length is wrong."""
+def _read_kernel_file(path, magic: str, parse):
+    """Parsed header and float64 table of a kernel file.
+
+    parse(fields) turns the header's key=value strings into (table shape,
+    parsed header).  A wrong magic, a missing or malformed field, or a data
+    length other than the table's raises KernelFileError.
+    """
     with open(path, "rb") as fh:
         header = fh.readline()
         body = fh.read()
     try:
         text = header.decode("ascii")
-        if not text.startswith(_MAGIC):
+        if not text.startswith(magic):
             raise ValueError("header magic missing")
         fields = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
-        n, d1, d2 = int(fields["n"]), int(fields["d1"]), int(fields["d2"])
-        if min(n, d1, d2) < 1:
+        shape, parsed = parse(fields)
+        if min(shape) < 1:
             raise ValueError("nonpositive table dimension")
-        beta = float(fields["beta"])
-        residuals = {
-            "defining": float(fields["res_def"]),
-            "transposed": float(fields["res_tr"]),
-        }
     except (KeyError, ValueError) as exc:
-        raise KernelFileError(f"{path}: not a volterra-kernel v1 file ({exc})") from None
-    expected = 2 * n * n * d1 * d2 * 8
+        raise KernelFileError(f"{path}: not a {magic.strip()} file ({exc})") from None
+    expected = 8 * math.prod(shape)
     if len(body) != expected:
         raise KernelFileError(
             f"{path}: expected {expected} data bytes after the header, found {len(body)}"
         )
-    C, D = np.frombuffer(body, dtype="<f8").reshape(2, n, n, d1, d2)
+    return parsed, np.frombuffer(body, dtype="<f8").reshape(shape)
+
+
+def load_factored_kernel(path) -> FactoredKernel:
+    """Read a kernel file; KernelFileError when its header or length is wrong."""
+
+    def parse(f):
+        n, d1, d2 = int(f["n"]), int(f["d1"]), int(f["d2"])
+        residuals = {"defining": float(f["res_def"]), "transposed": float(f["res_tr"])}
+        return (2, n, n, d1, d2), (float(f["beta"]), residuals)
+
+    (beta, residuals), (C, D) = _read_kernel_file(path, _MAGIC, parse)
     kernel = FactoredKernel(singular_coeff=C.copy(), regular_part=D.copy(), beta=beta)
     kernel.residuals = residuals
     return kernel
@@ -102,7 +117,7 @@ def save_feedback_kernel(path, kernel: FeedbackKernel):
     M = np.ascontiguousarray(kernel.M, dtype="<f8")
     n, _, du, _ = M.shape
     header = (
-        f"feedback-kernel v1 n={n} beta={kernel.beta!r} du={du} "
+        f"{_GAIN_MAGIC}n={n} beta={kernel.beta!r} du={du} "
         f"sigma={kernel.sigma_index} method={kernel.method} "
         f"residual={kernel.residual!r} layout=row-major-float64-le\n"
     )
@@ -125,21 +140,20 @@ def _write_atomic(path, header: str, *tables: np.ndarray):
 
 
 def load_feedback_kernel(path) -> FeedbackKernel:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
-        n = int(fields["n"])
-        du = int(fields["du"])
-        M = np.frombuffer(fh.read(n * n * du * du * 8), dtype="<f8").reshape(
-            n, n, du, du
-        )
-    return FeedbackKernel(
-        M=M.copy(),
-        method=fields["method"],
-        sigma_index=int(fields["sigma"]),
-        beta=float(fields["beta"]),
-        residual=float(fields["residual"]),
-    )
+    """Read a gain file; KernelFileError when its header or length is wrong."""
+
+    def parse(f):
+        n, du = int(f["n"]), int(f["du"])
+        meta = {
+            "method": f["method"],
+            "sigma_index": int(f["sigma"]),
+            "beta": float(f["beta"]),
+            "residual": float(f["residual"]),
+        }
+        return (n, n, du, du), meta
+
+    meta, M = _read_kernel_file(path, _GAIN_MAGIC, parse)
+    return FeedbackKernel(M=M.copy(), **meta)
 
 
 def _grid_key(grid: Grid) -> str:

@@ -20,11 +20,12 @@ direct optimizer to factorization round-off, and it is non-anticipating
 in the strict sense: control samples at nodes >= t have exactly zero
 influence on the value reconstructed at t.
 
+Every function here reads the assembled problem `dlq` (which carries its
+decomposition `dlq.dec` and sampled cost) or the decomposition alone.
 Cross terms S, rho are removed first by the substitution
 u = v - R^(-1) (S X + rho), which rewrites the problem with shifted
-coefficients (see `build_cross_term_reduction(ops, cost)`, which reads the
-sampled coefficients off the problem's operator bundle ops = dec.ops); the
-general representation runs the causal machinery on the reduced system.
+coefficients (see `build_cross_term_reduction(dlq)`); the general
+representation runs the causal machinery on the reduced system.
 """
 
 from __future__ import annotations
@@ -35,21 +36,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .errors import AssumptionError, NumericalError
-from .grids import Grid
-from .lq import (
-    CostData,
-    DiscreteLQ,
-    SampledCost,
-    _apply_blocks,
-    _sampled_cost,
-    assemble_quadratic_form,
-    assemble_theta,
-)
+from .lq import CostData, DiscreteLQ, SampledCost, _apply_blocks, assemble_quadratic_form
 from .volterra import (
     FactoredKernel,
     ProblemData,
     StateDecomposition,
-    StateOperator,
     decompose,
     resolvent,
     sample_trajectory,
@@ -114,11 +105,11 @@ class CausalTrajectories:
     x_aux: np.ndarray  # (n, dx)
 
 
-def causal_trajectories(dec: StateDecomposition, u, grid: Grid) -> CausalTrajectories:
+def causal_trajectories(dec: StateDecomposition, u) -> CausalTrajectories:
     """All truncation trajectories at once, by cumulative kernel-control sums."""
     ops = dec.ops
     n, dx, du = ops.n, ops.dx, ops.du
-    u_s = sample_trajectory(u, grid, du)
+    u_s = sample_trajectory(u, ops.grid, du)
     theta = ops.theta
     x = np.empty((n, n, dx))
     acc = dec.psi.ravel().copy()
@@ -222,20 +213,14 @@ def _require_no_cross_terms(sc: SampledCost, what: str):
 
 def _running_gradient(dlq: DiscreteLQ, x_t: np.ndarray, x_aux_t: np.ndarray) -> np.ndarray:
     """Flat weighted vector Wu [Theta* Q X_t + Theta_T* G X^a + Theta* q + Theta_T* g]."""
-    sc = dlq.cost_samples
+    sc, ops = dlq.cost_samples, dlq.dec.ops
     qx = _apply_blocks(sc.Q, x_t) + sc.q
-    b = dlq.theta.T @ (dlq.wx * qx.ravel())
-    b += dlq.theta_T.T @ (sc.G @ x_aux_t + sc.g)
+    b = ops.theta.T @ (ops.wx * qx.ravel())
+    b += ops.theta[-ops.dx :].T @ (sc.G @ x_aux_t + sc.g)
     return b
 
 
-def abstract_causal_control(
-    dlq: DiscreteLQ,
-    dec: StateDecomposition,
-    traj: CausalTrajectories,
-    cost: CostData,
-    grid: Grid,
-) -> np.ndarray:
+def abstract_causal_control(dlq: DiscreteLQ, traj: CausalTrajectories) -> np.ndarray:
     """Reconstruct the optimal control from non-anticipating data.
 
     Evaluates, at every node t, the representation built from the
@@ -252,7 +237,7 @@ def abstract_causal_control(
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the causal representation")
     n, du = dlq.n, dlq.du
-    if traj.x_trunc.shape != (grid.n, grid.n, dec.ops.dx):
+    if traj.x_trunc.shape != (n, n, dlq.dx):
         raise ValueError("trajectories do not match the grid and state dimension")
     factor = TruncationFactor(dlq)
     out = np.empty((n, du))
@@ -273,9 +258,6 @@ class ReducedSystem:
     J_original(u) = J_reduced(v) - value_offset.
     """
 
-    problem: ProblemData
-    cost: CostData
-    dec: StateDecomposition
     dlq: DiscreteLQ
     value_offset: float
     S_samples: np.ndarray
@@ -292,23 +274,19 @@ class ReducedSystem:
         return v - np.einsum("iab,ib->ia", self.R_inv, shift)
 
 
-def build_cross_term_reduction(
-    ops: StateOperator,
-    cost: CostData | SampledCost,
-    with_kernels: bool = False,
-) -> ReducedSystem:
+def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> ReducedSystem:
     """Fold the cross weights S, rho into shifted problem data.
 
-    ops is the operator bundle of the original problem (`dec.ops`).  The
-    shifted kernels are built from the sampled originals nodewise, so
-    the reduced discrete problem is exactly equivalent to the original
-    one: optimal controls map through u = v - R^(-1)(S X + rho) and
-    optimal values differ by the recorded constant.  With
-    `with_kernels=True` the resolvent and factored control kernel of the
-    reduced system are recomputed as well.
+    dlq is the assembled original problem.  The shifted kernels are built
+    from the sampled originals nodewise, so the reduced discrete problem
+    (`reduced.dlq`, whose decomposition is `reduced.dlq.dec`) is exactly
+    equivalent to the original one: optimal controls map through
+    u = v - R^(-1)(S X + rho) and optimal values differ by the recorded
+    constant.  With `with_kernels=True` the resolvent and factored control
+    kernel of the reduced system are recomputed as well.
     """
+    ops, sc = dlq.dec.ops, dlq.cost_samples
     problem, grid = ops.problem, ops.grid
-    sc = _sampled_cost(cost, ops)
     Rinv = sc.R_inverses()
     RS = np.einsum("iab,ibx->iax", Rinv, sc.S)  # R^-1 S per node
     A_hat = ops.A_samples - np.einsum("ijxc,jcy->ijxy", ops.B_samples, RS)
@@ -329,14 +307,9 @@ def build_cross_term_reduction(
         Q=Q_hat, S=None, R=sc.R, q=q_hat, rho=None, G=sc.G, g=sc.g, delta=sc.delta
     )
     kernel = resolvent(problem_hat, grid) if with_kernels else None
-    dec_hat = decompose(problem_hat, grid, kernel)
-    theta, theta_T = assemble_theta(dec_hat, grid)
-    dlq_hat = assemble_quadratic_form(theta, theta_T, cost_hat, dec_hat, grid)
+    dlq_hat = assemble_quadratic_form(decompose(problem_hat, grid, kernel), cost_hat)
     offset = float(np.einsum("i,ia,ia->", ops.omega, rho_resp, sc.rho))
     return ReducedSystem(
-        problem=problem_hat,
-        cost=cost_hat,
-        dec=dec_hat,
         dlq=dlq_hat,
         value_offset=offset,
         S_samples=sc.S,
@@ -350,8 +323,6 @@ def general_causal_control(
     reduced: ReducedSystem,
     traj: CausalTrajectories,
     x_bar: np.ndarray,
-    v_bar: np.ndarray,
-    grid: Grid,
     method: str = "direct",
     subspace_dim: int | None = None,
     iterations: int = 2,
@@ -359,22 +330,13 @@ def general_causal_control(
     """Non-anticipating representation for problems with cross terms.
 
     `traj` must be the truncation family of the reduced system driven by
-    the substituted control v = u + R^(-1)(S X + rho); x_bar, v_bar are
-    the optimal state and substituted control.  Combines the
-    instantaneous term -R^(-1)(S X + rho) with the feedback-gain
-    representation of the reduced problem.
+    the substituted control v = u + R^(-1)(S X + rho); x_bar is the
+    optimal state.  Combines the instantaneous term -R^(-1)(S X + rho)
+    with the feedback-gain representation of the reduced problem.
     """
     from .fredholm import representation_terms
 
     v_rep = representation_terms(
-        reduced.dlq,
-        reduced.dec,
-        traj,
-        grid,
-        method=method,
-        subspace_dim=subspace_dim,
-        iterations=iterations,
+        reduced.dlq, traj, method=method, subspace_dim=subspace_dim, iterations=iterations
     )
-    x = np.asarray(x_bar, dtype=float)
-    shift = np.einsum("icx,ix->ic", reduced.S_samples, x) + reduced.rho_samples
-    return v_rep - np.einsum("iab,ib->ia", reduced.R_inv, shift)
+    return reduced.to_original_control(v_rep, np.asarray(x_bar, dtype=float))

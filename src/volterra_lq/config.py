@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .grids import build_grid
 
 __all__ = ["RunConfig", "load_config", "SCENARIOS", "STATE_ONLY_SCENARIOS"]
 
@@ -180,14 +181,29 @@ def _validate(cfg: RunConfig):
             f"terminal cost needs the state continuous at T; this requires "
             f"beta > 0.5, got {cfg.beta}"
         )
+    if not cfg.T > 0.0:
+        raise ConfigError(f"field 'T': must be positive, got {cfg.T}")
     if cfg.n < 3:
         raise ConfigError(f"field 'n': grid needs at least 3 nodes, got {cfg.n}")
     if cfg.grid not in ("uniform", "graded"):
         raise ConfigError(f"field 'grid': unknown kind {cfg.grid!r}")
     if cfg.grid == "graded" and cfg.grading_exponent < 1.0:
         raise ConfigError("field 'grading_exponent': must be >= 1")
+    # convergence also runs the once-refined grid, whose nodes include these
+    n_finest = 2 * cfg.n - 1 if cfg.scenario == "convergence" else cfg.n
+    try:
+        build_grid(n_finest, cfg.T, cfg.grid, cfg.grading_exponent)
+    except ValueError as exc:
+        raise ConfigError(f"field 'grading_exponent': {exc}") from None
     if cfg.m_solver not in ("direct", "galerkin", "iterated", "superconvergent"):
         raise ConfigError(f"field 'm_solver': unknown solver {cfg.m_solver!r}")
+    if cfg.iterations < 0:
+        raise ConfigError(f"field 'iterations': must be >= 0, got {cfg.iterations}")
+    reads_subspace = cfg.scenario == "fredholm-methods" or cfg.m_solver != "direct"
+    if reads_subspace and not 2 <= cfg.galerkin_dim <= cfg.n:
+        raise ConfigError(
+            f"field 'galerkin_dim': must lie in [2, n = {cfg.n}], got {cfg.galerkin_dim}"
+        )
     if cfg.problem != "inline" and cfg.inline:
         raise ConfigError(
             "inline coefficient keys are only valid with problem = inline"

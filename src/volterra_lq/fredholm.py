@@ -13,8 +13,9 @@ plays for ODE problems: the optimal control is a combination of
 instantaneous terms and integrals of M_t(t, .) against non-anticipating
 data.
 
-Discretely K is assembled from the already-weighted operators, which makes
-the kernel equal to -R^(-1)(Lam - R) up to the quadrature weights: the
+Discretely K is assembled from the already-weighted operators of the
+assembled problem `dlq` (which carries its decomposition `dlq.dec`), which
+makes the kernel equal to -R^(-1)(Lam - R) up to the quadrature weights: the
 Fredholm solve, the trailing-block solve of the quadratic form, and the
 representation formula are then three views of the same linear algebra and
 agree to round-off.  A quadrature cross-check against the defining double
@@ -51,10 +52,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from .errors import AssumptionError, NumericalError
+from .causal import (
+    TruncationFactor,
+    _require_no_cross_terms,
+    _running_gradient,
+    causal_trajectories,
+)
+from .errors import NumericalError
 from .grids import Grid, lower_product_weights, trapezoid_rule
-from .lq import CostData, DiscreteLQ, _blockdiag, solve_open_loop
-from .volterra import ProblemData, StateDecomposition
+from .lq import DiscreteLQ, _blockdiag, solve_open_loop
 
 __all__ = [
     "FredholmSystem",
@@ -149,41 +155,32 @@ def _table(flat: np.ndarray, n: int, du: int) -> np.ndarray:
     return flat.reshape(n, du, n, du).transpose(0, 2, 1, 3)
 
 
-def assemble_fredholm(
-    dlq: DiscreteLQ,
-    dec: StateDecomposition,
-    cost: CostData,
-    sigma_index: int,
-) -> FredholmSystem:
+def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
     """Build the discrete gain equation from the assembled operators.
 
     Matrix algebra on the weighted operators (no re-quadrature), so the
     result is exactly consistent with the quadratic form: the kernel
     matrix equals -R^(-1)(Lam - R) in operator coordinates.  The cost
-    argument is accepted for interface symmetry; the samples already
-    folded into the quadratic form are authoritative and may be passed
-    as None.
+    weights are the samples folded into the quadratic form
+    (`dlq.cost_samples`), which must have no cross terms.
     """
     sc = dlq.cost_samples
-    if sc.has_cross_terms:
-        raise AssumptionError(
-            "the gain equation is formulated for zero cross weights; "
-            "assemble it on the cross-term reduction instead"
-        )
+    _require_no_cross_terms(sc, "the gain equation")
     if not 0 <= sigma_index < dlq.n:
         raise ValueError(f"sigma index {sigma_index} out of range")
     Rinv_bd = _blockdiag(sc.R_inverses())
     lam_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
     Kmat = -Rinv_bd @ lam_minus_R
     kernel = Kmat / dlq.wu[None, :]
+    ops = dlq.dec.ops
     return FredholmSystem(
         kernel=kernel,
         Kmat=Kmat,
         sigma_index=sigma_index,
-        grid=dec.ops.grid,
+        grid=ops.grid,
         du=dlq.du,
-        beta=dec.ops.beta,
-        omega=dlq.norm_weights,
+        beta=ops.beta,
+        omega=ops.omega,
         R_blocks=sc.R,
     )
 
@@ -401,15 +398,12 @@ def _direct_gain_row(factor, R: np.ndarray, w: np.ndarray, t: int) -> np.ndarray
     return row
 
 
-def _gain_rows(dlq: DiscreteLQ, dec: StateDecomposition, method: str,
-               subspace_dim: int | None, iterations: int):
+def _gain_rows(dlq: DiscreteLQ, method: str, subspace_dim: int | None, iterations: int):
     """Yield the gain blocks M_t(t, s_j), j >= t, for t = 0, ..., n - 1."""
-    from .causal import TruncationFactor
-
     n = dlq.n
     if method == "direct":
         factor = TruncationFactor(dlq)
-        R, w = dlq.cost_samples.R, dlq.norm_weights
+        R, w = dlq.cost_samples.R, dlq.dec.ops.omega
         for t in range(n):
             yield _direct_gain_row(factor, R, w, t)
         return
@@ -417,7 +411,7 @@ def _gain_rows(dlq: DiscreteLQ, dec: StateDecomposition, method: str,
         raise ValueError(f"method {method!r} needs a subspace dimension")
     if method not in ("galerkin", "iterated", "superconvergent"):
         raise ValueError(f"unknown gain solver {method!r}")
-    sys_base = assemble_fredholm(dlq, dec, None, 0)
+    sys_base = assemble_fredholm(dlq, 0)
     space = _HatSpace(n, subspace_dim, dlq.du, sys_base.omega)
     for t in range(n):
         sys_t = replace(sys_base, sigma_index=t)
@@ -432,9 +426,7 @@ def _gain_rows(dlq: DiscreteLQ, dec: StateDecomposition, method: str,
 
 def representation_terms(
     dlq: DiscreteLQ,
-    dec: StateDecomposition,
     traj,
-    grid: Grid,
     method: str = "direct",
     subspace_dim: int | None = None,
     iterations: int = 2,
@@ -450,15 +442,13 @@ def representation_terms(
     the hat subspace and its Gram factor.  The cost weights are taken
     from the assembled problem (no cross terms).
     """
-    from .causal import _require_no_cross_terms, _running_gradient
-
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the gain representation")
     n, du = dlq.n, dlq.du
     Rinv = sc.R_inverses()
-    w = dlq.norm_weights
+    w = dlq.dec.ops.omega
     out = np.empty((n, du))
-    for t, row in enumerate(_gain_rows(dlq, dec, method, subspace_dim, iterations)):
+    for t, row in enumerate(_gain_rows(dlq, method, subspace_dim, iterations)):
         b = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t])
         gvec = (b / dlq.wu).reshape(n, du)
         rg = np.einsum("jab,jb->ja", Rinv, gvec)
@@ -468,11 +458,7 @@ def representation_terms(
 
 
 def feedback_control(
-    problem: ProblemData,
-    cost: CostData,
-    dec: StateDecomposition,
     dlq: DiscreteLQ,
-    grid: Grid,
     method: str = "direct",
     subspace_dim: int | None = None,
     iterations: int = 2,
@@ -484,26 +470,15 @@ def feedback_control(
     Requires zero cross weights; general problems use the cross-term
     reduction and its representation.
     """
-    from .causal import causal_trajectories
-
-    if (problem.n_state, problem.n_control) != (dlq.dx, dlq.du):
-        raise ValueError("problem dimensions do not match the assembled operators")
-    sc = dlq.cost_samples
-    if sc.has_cross_terms:
-        raise AssumptionError(
-            "the gain representation requires zero cross weights; use "
-            "build_cross_term_reduction and general_causal_control"
-        )
-    u_opt = solve_open_loop(dlq)
-    traj = causal_trajectories(dec, u_opt, grid)
+    _require_no_cross_terms(dlq.cost_samples, "the gain representation")
+    traj = causal_trajectories(dlq.dec, solve_open_loop(dlq))
     return representation_terms(
-        dlq, dec, traj, grid, method=method, subspace_dim=subspace_dim, iterations=iterations
+        dlq, traj, method=method, subspace_dim=subspace_dim, iterations=iterations
     )
 
 
 def crosscheck_kernel_samples(
     sys: FredholmSystem,
-    dec: StateDecomposition,
     dlq: DiscreteLQ,
     n_samples: int = 24,
     min_separation: float | None = None,
@@ -517,9 +492,10 @@ def crosscheck_kernel_samples(
     the diagonal (the folded singular factor must stay resolved) and away
     from the terminal corner (where the integration domain degenerates to
     a few segments); within that region the two routes agree to first
-    order in the step.  Requires the decomposition to carry the factored
-    kernel.
+    order in the step.  Requires the decomposition `dlq.dec` to carry the
+    factored kernel.
     """
+    dec = dlq.dec
     if dec.Psi is None:
         raise ValueError("decomposition lacks the factored control kernel")
     rng = rng or np.random.default_rng(0)

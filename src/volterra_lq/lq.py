@@ -17,11 +17,13 @@ is an exact finite-dimensional statement.  The open-loop control solved
 here is the oracle against which the adjoint-equation, causal, and
 feedback-gain characterizations are verified.
 
-Everything here works on the one operator bundle `decompose` builds per
-(problem, grid): `assemble_quadratic_form(theta, theta_T, cost, dec, grid)`,
-`evaluate_cost(ops, cost, u)` and `verify_control_relation(dlq, ops, cost,
-u_bar)` with ops = dec.ops.  The cost may be a `CostData` or the weights
-already sampled on that grid (`dlq.cost_samples`).
+Everything here works on the one decomposition `decompose` builds per
+(problem, grid): `assemble_quadratic_form(dec, cost)` returns a
+`DiscreteLQ` that carries `dec`, so `verify_control_relation(dlq, u_bar)`
+and every layer above read the operator bundle as `dlq.dec.ops`.  The
+independent references `evaluate_cost(ops, cost, u)` and the adjoint pair
+take the bundle and the cost themselves; the cost may be a `CostData` or
+the weights already sampled on that grid (`dlq.cost_samples`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "CostData",
     "SampledCost",
     "DiscreteLQ",
-    "assemble_theta",
     "assemble_quadratic_form",
     "evaluate_cost",
     "solve_open_loop",
@@ -172,82 +173,59 @@ def _validate_cost(sc: SampledCost):
 class DiscreteLQ:
     """Grid-sampled quadratic problem min <Lam u, u> + 2 <ell1, u> + lam0.
 
-    theta maps flat control samples to flat state samples with quadrature
-    weights folded in; theta_T is its terminal block row.  lam is stored
-    as the symmetric matrix of the quadratic form in plain coordinates,
-    i.e. J(u) = u' lam u + 2 (Wu ell1)' u + lam0 with Wu the repeated
-    trapezoid weights; ell1 holds nodal values of the affine term.
+    dec is the decomposition the form was assembled on: its operator
+    bundle dec.ops holds the control-to-state map theta (quadrature
+    weights folded in; the terminal block row is its last dx rows), the
+    grid weights and the free response psi.  lam is stored as the
+    symmetric matrix of the quadratic form in plain coordinates, i.e.
+    J(u) = u' lam u + 2 (Wu ell1)' u + lam0 with Wu the repeated trapezoid
+    weights; ell1 holds nodal values of the affine term.
     """
 
-    theta: np.ndarray
-    theta_T: np.ndarray
+    dec: StateDecomposition
     lam: np.ndarray
     ell1: np.ndarray
     lam0: float
-    norm_weights: np.ndarray
     cost_samples: SampledCost
-    psi: np.ndarray
-    psi_T: np.ndarray
-    dx: int
-    du: int
 
     @property
     def n(self) -> int:
-        return self.norm_weights.size
+        return self.dec.ops.n
+
+    @property
+    def dx(self) -> int:
+        return self.dec.ops.dx
+
+    @property
+    def du(self) -> int:
+        return self.dec.ops.du
 
     @property
     def wu(self) -> np.ndarray:
-        return np.repeat(self.norm_weights, self.du)
-
-    @property
-    def wx(self) -> np.ndarray:
-        return np.repeat(self.norm_weights, self.dx)
+        return self.dec.ops.wu
 
     @property
     def rhs(self) -> np.ndarray:
         """Flat right side Wu ell1 of the optimality system lam u = -rhs."""
         return self.wu * self.ell1
 
-    def lam_operator(self) -> np.ndarray:
-        """Matrix of the operator u -> Lam u acting on nodal values."""
-        return self.lam / self.wu[:, None]
 
-    def control_norm(self, u: np.ndarray) -> float:
-        """Weighted L2 norm of a control trajectory (n, du)."""
-        return float(np.sqrt(np.einsum("i,ic,ic->", self.norm_weights, u, u)))
-
-
-def assemble_theta(dec: StateDecomposition, grid: Grid):
-    """Control-to-state map and its terminal row, quadrature weights included.
-
-    The adjoints used throughout are weighted transposes of these
-    matrices, so <X, Theta u> = <Theta* X, u> holds exactly on the grid.
-    """
-    ops = dec.ops
-    if ops.grid is not grid and not np.array_equal(ops.grid.nodes, grid.nodes):
-        raise ValueError("decomposition was built on a different grid")
-    theta = ops.theta
-    return theta, theta[-ops.dx :, :]
-
-
-def assemble_quadratic_form(
-    theta: np.ndarray,
-    theta_T: np.ndarray,
-    cost: CostData | SampledCost,
-    dec: StateDecomposition,
-    grid: Grid,
-) -> DiscreteLQ:
+def assemble_quadratic_form(dec: StateDecomposition, cost: CostData | SampledCost) -> DiscreteLQ:
     """Assemble (Lam, ell1, lam0) from the state maps and cost weights.
 
-    The cost is sampled on the grid of `dec.ops`, whose quadrature
-    weights are reused; `grid` must be that grid.  Raises AssumptionError
-    naming the violated inequality when the coercivity block fails.  Warns
-    when Lam is severely ill-conditioned.
+    The cost is sampled on the grid of `dec.ops`, whose control-to-state
+    map and quadrature weights are reused.  The adjoints used throughout
+    are weighted transposes, so <X, Theta u> = <Theta* X, u> holds exactly
+    on the grid.  Raises AssumptionError naming the violated inequality
+    when the coercivity block fails.  Warns when Lam is severely
+    ill-conditioned.
     """
     ops = dec.ops
     sc = _sampled_cost(cost, ops)
     _validate_cost(sc)
     omega, wx, wu = ops.omega, ops.wx, ops.wu
+    theta = ops.theta
+    theta_T = theta[-ops.dx :]
     psi = dec.psi
     psi_flat = psi.ravel()
 
@@ -286,19 +264,7 @@ def assemble_quadratic_form(
             "solves may lose accuracy",
             stacklevel=2,
         )
-    return DiscreteLQ(
-        theta=theta,
-        theta_T=theta_T,
-        lam=lam,
-        ell1=ell1,
-        lam0=lam0,
-        norm_weights=omega,
-        cost_samples=sc,
-        psi=psi,
-        psi_T=psi[-1].copy(),
-        dx=ops.dx,
-        du=ops.du,
-    )
+    return DiscreteLQ(dec=dec, lam=lam, ell1=ell1, lam0=lam0, cost_samples=sc)
 
 
 def evaluate_cost(ops: StateOperator, cost: CostData | SampledCost, u) -> float:
@@ -341,12 +307,7 @@ def solve_open_loop(dlq: DiscreteLQ) -> np.ndarray:
     return u.reshape(dlq.n, dlq.du)
 
 
-def verify_control_relation(
-    dlq: DiscreteLQ,
-    ops: StateOperator,
-    cost: CostData | SampledCost,
-    u_bar: np.ndarray,
-) -> float:
+def verify_control_relation(dlq: DiscreteLQ, u_bar: np.ndarray) -> float:
     """Pointwise residual of the expanded optimality relation.
 
     Reconstructs the right side of the relation the optimizer must satisfy
@@ -354,9 +315,9 @@ def verify_control_relation(
     the resolvent-propagated running gradient) through the discrete
     operator algebra, and returns max_i |u_bar(t_i) - RHS(t_i)|.
     """
-    sc = _sampled_cost(cost, ops)
+    ops, sc = dlq.dec.ops, dlq.cost_samples
     u = sample_trajectory(u_bar, ops.grid, ops.du)
-    X = (dlq.psi.ravel() + dlq.theta @ u.ravel()).reshape(ops.n, ops.dx)
+    X = (dlq.dec.psi.ravel() + ops.theta @ u.ravel()).reshape(ops.n, ops.dx)
     z = _apply_blocks(sc.Q, X) + np.einsum("ica,ic->ia", sc.S, u) + sc.q
     zeta = sc.G @ X[-1] + sc.g
     vterm = ops.terminal_unit(zeta)

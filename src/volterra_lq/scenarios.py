@@ -30,13 +30,7 @@ from .config import RunConfig, SCENARIOS
 from .errors import ConfigError
 from .fredholm import feedback_control
 from .grids import build_grid, integrate_singular, product_weights
-from .lq import (
-    CostData,
-    assemble_quadratic_form,
-    assemble_theta,
-    evaluate_cost,
-    solve_open_loop,
-)
+from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
 from .volterra import ProblemData, decompose, resolvent, solve_state
 
 __all__ = ["Check", "ScenarioReport", "run_scenario"]
@@ -194,14 +188,13 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     report = ScenarioReport("equivalence", cfg.problem)
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
     dec = decompose(problem, grid, None)
-    theta, theta_T = assemble_theta(dec, grid)
-    dlq = assemble_quadratic_form(theta, theta_T, cost, dec, grid)
+    dlq = assemble_quadratic_form(dec, cost)
+    ops, sc = dec.ops, dlq.cost_samples
     omega = grid.trapezoid_weights()
 
     u_direct = solve_open_loop(dlq)
-    x_bar = (dec.psi.ravel() + theta @ u_direct.ravel()).reshape(grid.n, -1)
+    x_bar = (dec.psi.ravel() + ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
 
-    ops, sc = dec.ops, dlq.cost_samples
     adj = solve_adjoint(ops, sc, x_bar, u_direct)
     u_adjoint = control_from_adjoint(adj, ops, sc, x_bar)
     report.add(
@@ -210,8 +203,8 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         _tol(cfg, "adjoint", 1e-5),
     )
 
-    traj = causal_trajectories(dec, u_direct, grid)
-    u_causal = abstract_causal_control(dlq, dec, traj, cost, grid)
+    traj = causal_trajectories(dec, u_direct)
+    u_causal = abstract_causal_control(dlq, traj)
     report.add(
         "control: causal reconstruction vs direct solve",
         _rel(omega, u_causal - u_direct, u_direct),
@@ -219,7 +212,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     )
 
     u_feedback = feedback_control(
-        problem, cost, dec, dlq, grid,
+        dlq,
         method=cfg.m_solver,
         subspace_dim=cfg.galerkin_dim if cfg.m_solver != "direct" else None,
         iterations=cfg.iterations,
@@ -247,18 +240,18 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     t_probe = grid.n // 2
     u_pert = u_direct.copy()
     u_pert[t_probe:] += rng.normal(size=u_pert[t_probe:].shape)
-    traj_pert = causal_trajectories(dec, u_pert, grid)
+    traj_pert = causal_trajectories(dec, u_pert)
     drift = max(
         float(np.max(np.abs(traj_pert.x_trunc[t_probe] - traj.x_trunc[t_probe]))),
         float(np.max(np.abs(traj_pert.x_aux[t_probe] - traj.x_aux[t_probe]))),
     )
-    u_causal_pert = abstract_causal_control(dlq, dec, traj_pert, cost, grid)
+    u_causal_pert = abstract_causal_control(dlq, traj_pert)
     drift = max(drift, float(np.abs(u_causal_pert[t_probe] - u_causal[t_probe]).max()))
     report.add("non-anticipation: influence of future control samples", drift, 0.0)
 
     report.add(
         "coercivity: smallest generalized eigenvalue over delta",
-        _coercivity_ratio(dlq, grid),
+        _coercivity_ratio(dlq),
         1.0 - 1e-6,
         larger_ok=True,
     )
@@ -289,7 +282,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     return report
 
 
-def _coercivity_ratio(dlq, grid) -> float:
+def _coercivity_ratio(dlq) -> float:
     """Smallest generalized eigenvalue of the form and its truncations, over delta."""
     from scipy.linalg import eigh
 
@@ -297,7 +290,7 @@ def _coercivity_ratio(dlq, grid) -> float:
 
     delta = dlq.cost_samples.delta
     worst = eigh(dlq.lam, np.diag(dlq.wu), eigvals_only=True)[0] / delta
-    for sigma in range(1, grid.n, max(1, grid.n // 12)):
+    for sigma in range(1, dlq.n, max(1, dlq.n // 12)):
         r = lambda_sigma(dlq, sigma)
         worst = min(worst, r.min_generalized_eigenvalue() / delta)
     return float(worst)
@@ -439,10 +432,8 @@ def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     sweep_rows = None
     for trial in range(trials):
         entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed + trial)
-        dec = decompose(entry.problem, grid, None)
-        theta, theta_T = assemble_theta(dec, grid)
-        dlq = assemble_quadratic_form(theta, theta_T, entry.cost, dec, grid)
-        sys0 = assemble_fredholm(dlq, dec, entry.cost, 0)
+        dlq = assemble_quadratic_form(decompose(entry.problem, grid, None), entry.cost)
+        sys0 = assemble_fredholm(dlq, 0)
         oracle = solve_direct(sys0)
         gal = solve_galerkin(sys0, cfg.galerkin_dim)
         it = solve_iterated_galerkin(sys0, gal)
@@ -555,13 +546,12 @@ def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
     omega = grid.trapezoid_weights()
     dec = decompose(problem, grid, None)
-    theta, theta_T = assemble_theta(dec, grid)
-    dlq = assemble_quadratic_form(theta, theta_T, cost, dec, grid)
+    dlq = assemble_quadratic_form(dec, cost)
     u_direct = solve_open_loop(dlq)
-    x_bar = (dec.psi.ravel() + theta @ u_direct.ravel()).reshape(grid.n, -1)
+    x_bar = (dec.psi.ravel() + dec.ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
     j_orig = evaluate_cost(dec.ops, dlq.cost_samples, u_direct)
 
-    reduced = build_cross_term_reduction(dec.ops, dlq.cost_samples)
+    reduced = build_cross_term_reduction(dlq)
     v_opt = solve_open_loop(reduced.dlq)
     j_reduced = float(
         v_opt.ravel() @ reduced.dlq.lam @ v_opt.ravel()
@@ -581,9 +571,9 @@ def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     )
 
     v_bar = reduced.to_reduced_control(u_direct, x_bar)
-    traj = causal_trajectories(reduced.dec, v_bar, grid)
+    traj = causal_trajectories(reduced.dlq.dec, v_bar)
     u_general = general_causal_control(
-        reduced, traj, x_bar, v_bar, grid,
+        reduced, traj, x_bar,
         method=cfg.m_solver,
         subspace_dim=cfg.galerkin_dim if cfg.m_solver != "direct" else None,
         iterations=cfg.iterations,
@@ -595,7 +585,7 @@ def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     )
     report.add(
         "coercivity: smallest generalized eigenvalue over delta",
-        min(_coercivity_ratio(dlq, grid), _coercivity_ratio(reduced.dlq, grid)),
+        min(_coercivity_ratio(dlq), _coercivity_ratio(reduced.dlq)),
         1.0 - 1e-6,
         larger_ok=True,
     )

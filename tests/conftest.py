@@ -23,10 +23,9 @@ class Pipeline:
         self.grid = vlq.build_grid(n, T, grid_kind)
         self.kernel = vlq.resolvent(self.problem, self.grid) if with_kernel else None
         self.dec = vlq.decompose(self.problem, self.grid, self.kernel)
-        self.theta, self.theta_T = vlq.assemble_theta(self.dec, self.grid)
-        self.dlq = vlq.assemble_quadratic_form(
-            self.theta, self.theta_T, self.cost, self.dec, self.grid
-        )
+        self.theta = self.dec.ops.theta
+        self.theta_T = self.theta[-self.dec.ops.dx :]
+        self.dlq = vlq.assemble_quadratic_form(self.dec, self.cost)
         self.omega = self.grid.trapezoid_weights()
         self.u_opt = vlq.solve_open_loop(self.dlq)
         self.x_opt = (self.dec.psi.ravel() + self.theta @ self.u_opt.ravel()).reshape(

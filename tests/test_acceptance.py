@@ -118,9 +118,9 @@ def test_criterion_5_three_way_equivalence(eq_pipeline):
     pipe = eq_pipeline
     adj = vlq.solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
     u_mp = vlq.control_from_adjoint(adj, pipe.dec.ops, pipe.cost, pipe.x_opt)
-    traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
-    u_causal = vlq.abstract_causal_control(pipe.dlq, pipe.dec, traj, pipe.cost, pipe.grid)
-    u_fb = vlq.feedback_control(pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid)
+    traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt)
+    u_causal = vlq.abstract_causal_control(pipe.dlq, traj)
+    u_fb = vlq.feedback_control(pipe.dlq)
     d_mp = rel_l2(pipe.omega, u_mp, pipe.u_opt)
     d_causal = rel_l2(pipe.omega, u_causal, pipe.u_opt)
     d_fb = rel_l2(pipe.omega, u_fb, pipe.u_opt)
@@ -136,7 +136,7 @@ def test_criterion_5_three_way_equivalence(eq_pipeline):
 def test_criterion_6_cross_term_equivalence(ct_pipeline64):
     pipe = ct_pipeline64
     j_orig = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
-    red = vlq.build_cross_term_reduction(pipe.dec.ops, pipe.cost)
+    red = vlq.build_cross_term_reduction(pipe.dlq)
     v_opt = vlq.solve_open_loop(red.dlq)
     j_red = float(
         v_opt.ravel() @ red.dlq.lam @ v_opt.ravel()
@@ -145,8 +145,8 @@ def test_criterion_6_cross_term_equivalence(ct_pipeline64):
     )
     value_gap = abs(j_orig - (j_red - red.value_offset)) / (1.0 + abs(j_orig))
     v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
-    traj = vlq.causal_trajectories(red.dec, v_bar, pipe.grid)
-    u_general = vlq.general_causal_control(red, traj, pipe.x_opt, v_bar, pipe.grid)
+    traj = vlq.causal_trajectories(red.dlq.dec, v_bar)
+    u_general = vlq.general_causal_control(red, traj, pipe.x_opt)
     d_general = rel_l2(pipe.omega, u_general, pipe.u_opt)
     ok = d_general <= 1e-6 and value_gap <= 1e-8
     report(
@@ -194,8 +194,7 @@ def test_criterion_8_coercivity_floor():
         entry = get_problem(name, 0.75, 1.0, seed=seed)
         grid = build_grid(48, 1.0)
         dec = vlq.decompose(entry.problem, grid, None)
-        th, thT = vlq.assemble_theta(dec, grid)
-        dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
+        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
         delta = dlq.cost_samples.delta
         ratio = eigh(dlq.lam, np.diag(dlq.wu), eigvals_only=True)[0] / delta
         worst = min(worst, ratio)
@@ -234,15 +233,15 @@ def test_criterion_9_gain_solver_hierarchy(tmp_path):
 
 def test_criterion_10_non_anticipation(eq_pipeline):
     pipe = eq_pipeline
-    traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
-    u_causal = vlq.abstract_causal_control(pipe.dlq, pipe.dec, traj, pipe.cost, pipe.grid)
+    traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt)
+    u_causal = vlq.abstract_causal_control(pipe.dlq, traj)
     rng = np.random.default_rng(99)
     drift = 0.0
     for t in (1, pipe.grid.n // 2, pipe.grid.n - 2):
         perturbed = pipe.u_opt.copy()
         perturbed[t:] += rng.normal(size=perturbed[t:].shape)
-        traj_p = vlq.causal_trajectories(pipe.dec, perturbed, pipe.grid)
-        u_p = vlq.abstract_causal_control(pipe.dlq, pipe.dec, traj_p, pipe.cost, pipe.grid)
+        traj_p = vlq.causal_trajectories(pipe.dec, perturbed)
+        u_p = vlq.abstract_causal_control(pipe.dlq, traj_p)
         drift = max(
             drift,
             float(np.max(np.abs(traj_p.x_trunc[t] - traj.x_trunc[t]))),

@@ -108,10 +108,9 @@ def test_agreement_stays_at_round_off_under_refinement():
     for n in (16, 32, 64):
         grid = vlq.build_grid(n, 1.0)
         dec = vlq.decompose(entry.problem, grid, None)
-        th, thT = vlq.assemble_theta(dec, grid)
-        dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
+        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
         u = vlq.solve_open_loop(dlq)
-        x = (dec.psi.ravel() + th @ u.ravel()).reshape(grid.n, -1)
+        x = (dec.psi.ravel() + dec.ops.theta @ u.ravel()).reshape(grid.n, -1)
         adj = solve_adjoint(dec.ops, entry.cost, x, u)
         u2 = control_from_adjoint(adj, dec.ops, entry.cost, x)
         tols.append(rel_l2(grid.trapezoid_weights(), u2, u))

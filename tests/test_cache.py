@@ -51,6 +51,26 @@ def test_feedback_kernel_round_trip(tmp_path):
     assert loaded.residual == kernel.residual
 
 
+@pytest.mark.parametrize("how", ["cut-5", "cut-8", "padded-8", "foreign-magic"])
+def test_damaged_gain_file_is_rejected(tmp_path, how):
+    kernel = FeedbackKernel(
+        M=np.ones((4, 4, 2, 2)), method="direct", sigma_index=1, beta=0.75, residual=0.0
+    )
+    path = tmp_path / "m.vker"
+    save_feedback_kernel(path, kernel)
+    data = path.read_bytes()
+    damaged = {
+        "cut-5": data[:-5],
+        "cut-8": data[:-8],
+        "padded-8": data + bytes(8),
+        # same fields and length under the resolvent files' magic
+        "foreign-magic": data.replace(b"feedback-kernel v1 ", b"volterra-kernel v1 ", 1),
+    }[how]
+    path.write_bytes(damaged)
+    with pytest.raises(KernelFileError):
+        load_feedback_kernel(path)
+
+
 def test_cached_resolvent_hits_disk_once(tmp_path):
     entry = get_problem("constant-coeff", 0.75, 1.0)
     grid = vlq.build_grid(24, 1.0)

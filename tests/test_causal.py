@@ -23,7 +23,7 @@ from volterra_lq.catalog import get_problem
 from volterra_lq.causal import _running_gradient
 from volterra_lq.lq import _blockdiag
 
-from conftest import rel_l2
+from conftest import Pipeline, rel_l2
 
 
 class TestProjections:
@@ -64,10 +64,9 @@ class TestRestrictedOperator:
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(16, 1.0)
         dec = decompose(entry.problem, grid, None)
-        th, thT = vlq.assemble_theta(dec, grid)
-        dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
+        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
         r = lambda_sigma(dlq, 5)
-        expected = (np.repeat(dlq.norm_weights, 1)[:, None] * _blockdiag(
+        expected = (np.repeat(dlq.dec.ops.omega, 1)[:, None] * _blockdiag(
             dlq.cost_samples.R
         ))[5:, 5:]
         assert np.allclose(r.block, expected, rtol=1e-15)
@@ -132,14 +131,14 @@ class TestTruncationFactor:
         sc = dlq.cost_samples
         lam_op_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
         Rinv = sc.R_inverses()
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         expected = np.empty((n, du))
         for t in range(n):
             gvec = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t]) / dlq.wu
             y = lambda_sigma(dlq, t).solve_embedded(gvec)
             corrected = gvec - lam_op_minus_R @ y
             expected[t] = -Rinv[t] @ corrected[t * du : (t + 1) * du]
-        rec = abstract_causal_control(dlq, pipe.dec, traj, pipe.cost, pipe.grid)
+        rec = abstract_causal_control(dlq, traj)
         assert rel_l2(pipe.omega, rec, expected) <= 1e-12
 
     def test_trailing_solve_matches_dense_solve(self, truncation_case):
@@ -167,28 +166,28 @@ class TestTruncationFactor:
         pipe = rs_pipeline
         eig = np.linalg.eigvalsh(pipe.dlq.lam)
         bad = replace(pipe.dlq, lam=pipe.dlq.lam - np.median(eig) * np.eye(eig.size))
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         with pytest.raises(NumericalError, match="coercivity"):
             TruncationFactor(bad)
         with pytest.raises(NumericalError, match="coercivity"):
-            abstract_causal_control(bad, pipe.dec, traj, pipe.cost, pipe.grid)
+            abstract_causal_control(bad, traj)
         with pytest.raises(NumericalError, match="coercivity"):
-            representation_terms(bad, pipe.dec, traj, pipe.grid)
+            representation_terms(bad, traj)
         with pytest.raises(NumericalError, match="coercivity"):
-            vlq.feedback_control(pipe.problem, pipe.cost, pipe.dec, bad, pipe.grid)
+            vlq.feedback_control(bad)
 
 
 class TestCausalTrajectories:
     def test_zero_control(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, np.zeros_like(pipe.u_opt), pipe.grid)
+        traj = causal_trajectories(pipe.dec, np.zeros_like(pipe.u_opt))
         for sigma in range(pipe.grid.n):
             assert np.array_equal(traj.x_trunc[sigma], pipe.dec.psi)
         assert np.array_equal(traj.x_aux, np.tile(pipe.dec.psi_T, (pipe.grid.n, 1)))
 
     def test_truncation_matches_state_strictly_before_sigma(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         n, du = pipe.grid.n, pipe.problem.n_control
         theta_blocks = pipe.theta.reshape(n, -1, n, du)
         for sigma in (1, n // 2, n - 1):
@@ -203,7 +202,7 @@ class TestCausalTrajectories:
 
     def test_decomposition_identity(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         n, du = pipe.grid.n, pipe.problem.n_control
         scale = np.abs(pipe.x_opt).max()
         for sigma in range(0, n, 5):
@@ -216,17 +215,17 @@ class TestCausalTrajectories:
 
     def test_terminal_forecast_is_terminal_slice(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         assert np.array_equal(traj.x_aux, traj.x_trunc[:, -1, :])
 
     def test_non_anticipation_exact(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         rng = np.random.default_rng(3)
         t = pipe.grid.n // 3
         perturbed = pipe.u_opt.copy()
         perturbed[t:] += rng.normal(size=perturbed[t:].shape)
-        traj_p = causal_trajectories(pipe.dec, perturbed, pipe.grid)
+        traj_p = causal_trajectories(pipe.dec, perturbed)
         assert np.array_equal(traj_p.x_trunc[t], traj.x_trunc[t])
         assert np.array_equal(traj_p.x_aux[t], traj.x_aux[t])
 
@@ -236,11 +235,10 @@ class TestAbstractCausalControl:
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(16, 1.0)
         dec = decompose(entry.problem, grid, None)
-        th, thT = vlq.assemble_theta(dec, grid)
-        dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
+        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
         u = solve_open_loop(dlq)
-        traj = causal_trajectories(dec, u, grid)
-        rec = abstract_causal_control(dlq, dec, traj, entry.cost, grid)
+        traj = causal_trajectories(dec, u)
+        rec = abstract_causal_control(dlq, traj)
         assert np.all(rec == 0.0)
 
     def test_state_independent_data_still_matches(self, rs_pipeline):
@@ -248,31 +246,40 @@ class TestAbstractCausalControl:
         # the trajectories yet must reproduce the optimizer
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R, q=pipe.cost.q, g=pipe.cost.g)
-        dlq = vlq.assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
+        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
         u = solve_open_loop(dlq)
-        traj = causal_trajectories(pipe.dec, u, pipe.grid)
-        rec = abstract_causal_control(dlq, pipe.dec, traj, cost, pipe.grid)
+        traj = causal_trajectories(pipe.dec, u)
+        rec = abstract_causal_control(dlq, traj)
         assert rel_l2(pipe.omega, rec, u) < 1e-8
 
     def test_reconstructs_optimizer(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
-        rec = abstract_causal_control(pipe.dlq, pipe.dec, traj, pipe.cost, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        rec = abstract_causal_control(pipe.dlq, traj)
         assert rel_l2(pipe.omega, rec, pipe.u_opt) < 1e-8
 
     def test_rejects_cross_terms(self, ct_pipeline):
         pipe = ct_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         with pytest.raises(AssumptionError, match="cross"):
-            abstract_causal_control(pipe.dlq, pipe.dec, traj, pipe.cost, pipe.grid)
+            abstract_causal_control(pipe.dlq, traj)
+
+    def test_rejects_trajectories_of_another_grid(self, rs_pipeline):
+        # the form carries its own decomposition; trajectories built on a
+        # coarser grid of the same problem cannot be paired with it
+        small = Pipeline("random-smooth", seed=42, n=24)
+        assert vlq.assemble_quadratic_form(small.dec, small.cost).dec is small.dec
+        traj = causal_trajectories(small.dec, small.u_opt)
+        with pytest.raises(ValueError, match="trajectories do not match"):
+            abstract_causal_control(rs_pipeline.dlq, traj)
 
 
 class TestCrossTermReduction:
     def test_identity_when_no_cross_terms(self, rs_pipeline):
         pipe = rs_pipeline
-        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
-        assert np.array_equal(red.dec.ops.A_samples, pipe.dec.ops.A_samples)
-        assert np.array_equal(red.dec.ops.phi, pipe.dec.ops.phi)
+        red = build_cross_term_reduction(pipe.dlq)
+        assert np.array_equal(red.dlq.dec.ops.A_samples, pipe.dec.ops.A_samples)
+        assert np.array_equal(red.dlq.dec.ops.phi, pipe.dec.ops.phi)
         assert np.array_equal(
             red.dlq.cost_samples.Q, pipe.dlq.cost_samples.Q
         )
@@ -285,14 +292,15 @@ class TestCrossTermReduction:
             A=p.A, B=None, phi=p.phi, beta=p.beta, T=p.T,
             n_state=p.n_state, n_control=p.n_control,
         )
-        ops = vlq.StateOperator(no_b, pipe.grid)
-        red = build_cross_term_reduction(ops, pipe.cost)
-        assert np.array_equal(red.dec.ops.A_samples, ops.A_samples)
-        assert np.array_equal(red.dec.ops.phi, ops.phi)
+        dec = decompose(no_b, pipe.grid, None)
+        ops = dec.ops
+        red = build_cross_term_reduction(vlq.assemble_quadratic_form(dec, pipe.cost))
+        assert np.array_equal(red.dlq.dec.ops.A_samples, ops.A_samples)
+        assert np.array_equal(red.dlq.dec.ops.phi, ops.phi)
 
     def test_equivalence_of_optima(self, ct_pipeline):
         pipe = ct_pipeline
-        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
+        red = build_cross_term_reduction(pipe.dlq)
         v_opt = solve_open_loop(red.dlq)
         j_orig = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
         j_red = float(
@@ -306,7 +314,7 @@ class TestCrossTermReduction:
 
     def test_round_trip_of_control_maps(self, ct_pipeline):
         pipe = ct_pipeline
-        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
+        red = build_cross_term_reduction(pipe.dlq)
         v = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
         back = red.to_original_control(v, pipe.x_opt)
         assert np.allclose(back, pipe.u_opt, atol=1e-14)
@@ -314,22 +322,24 @@ class TestCrossTermReduction:
     def test_with_kernels_builds_factored_tables(self):
         entry = get_problem("cross-term", 0.75, 1.0, seed=3)
         grid = build_grid(24, 1.0)
-        ops = vlq.StateOperator(entry.problem, grid)
-        red = build_cross_term_reduction(ops, entry.cost, with_kernels=True)
+        dec = decompose(entry.problem, grid, None)
+        red = build_cross_term_reduction(
+            vlq.assemble_quadratic_form(dec, entry.cost), with_kernels=True
+        )
         assert red.resolvent_kernel is not None
-        assert red.dec.Psi is not None
-        assert red.dec.Psi.singular_coeff.shape == (24, 24, 2, 2)
+        assert red.dlq.dec.Psi is not None
+        assert red.dlq.dec.Psi.singular_coeff.shape == (24, 24, 2, 2)
 
 
 class TestGeneralRepresentation:
     def test_reduces_to_plain_representation_without_cross_terms(self, rs_pipeline):
         pipe = rs_pipeline
-        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
+        red = build_cross_term_reduction(pipe.dlq)
         v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
         assert np.array_equal(v_bar, pipe.u_opt)
-        traj = causal_trajectories(red.dec, v_bar, pipe.grid)
-        u_gen = general_causal_control(red, traj, pipe.x_opt, v_bar, pipe.grid)
-        u_fb = vlq.feedback_control(pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid)
+        traj = causal_trajectories(red.dlq.dec, v_bar)
+        u_gen = general_causal_control(red, traj, pipe.x_opt)
+        u_fb = vlq.feedback_control(pipe.dlq)
         assert np.allclose(u_gen, u_fb, atol=1e-10)
 
     def test_only_instantaneous_term_survives(self, ct_pipeline):
@@ -341,13 +351,13 @@ class TestGeneralRepresentation:
         Q = np.einsum("icx,icd,idy->ixy", sc.S, Rinv, sc.S)
         q = np.einsum("icx,icd,id->ix", sc.S, Rinv, sc.rho)
         cost = CostData(Q=Q, S=sc.S, R=sc.R, q=q, rho=sc.rho)
-        dlq = vlq.assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
+        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
         u = solve_open_loop(dlq)
         x = (pipe.dec.psi.ravel() + pipe.theta @ u.ravel()).reshape(pipe.grid.n, -1)
-        red = build_cross_term_reduction(pipe.dec.ops, cost)
+        red = build_cross_term_reduction(dlq)
         v = red.to_reduced_control(u, x)
-        traj = causal_trajectories(red.dec, v, pipe.grid)
-        u_gen = general_causal_control(red, traj, x, v, pipe.grid)
+        traj = causal_trajectories(red.dlq.dec, v)
+        u_gen = general_causal_control(red, traj, x)
         shift = np.einsum("icx,ix->ic", red.S_samples, x) + red.rho_samples
         expected = -np.einsum("iab,ib->ia", red.R_inv, shift)
         assert np.allclose(u_gen, expected, atol=1e-12)
@@ -355,8 +365,8 @@ class TestGeneralRepresentation:
 
     def test_matches_optimizer_on_cross_term_problem(self, ct_pipeline):
         pipe = ct_pipeline
-        red = build_cross_term_reduction(pipe.dec.ops, pipe.cost)
+        red = build_cross_term_reduction(pipe.dlq)
         v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
-        traj = causal_trajectories(red.dec, v_bar, pipe.grid)
-        u_gen = general_causal_control(red, traj, pipe.x_opt, v_bar, pipe.grid)
+        traj = causal_trajectories(red.dlq.dec, v_bar)
+        u_gen = general_causal_control(red, traj, pipe.x_opt)
         assert rel_l2(pipe.omega, u_gen, pipe.u_opt) < 1e-6

@@ -146,6 +146,48 @@ def test_cli_reports_unreadable_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [
+        "T = 0\n",
+        "T = -1\n",
+        "m_solver = galerkin\ngalerkin_dim = 40\n",
+        "m_solver = galerkin\ngalerkin_dim = 1\n",
+        "scenario = fredholm-methods\nn = 8\n",
+        "m_solver = superconvergent\niterations = -1\n",
+        "grid = graded\ngrading_exponent = 40\n",
+        "scenario = convergence\ngrid = graded\ngrading_exponent = 12\n",
+    ],
+    ids=[
+        "T-zero",
+        "T-negative",
+        "galerkin-dim-above-n",
+        "galerkin-dim-1",
+        "fredholm-methods-small-n",
+        "negative-iterations",
+        "colliding-graded-nodes",
+        "colliding-refined-nodes",
+    ],
+)
+def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
+    cfg_path = write(
+        tmp_path,
+        "problem = random-smooth(1)\nscenario = equivalence\nn = 24\n"
+        f"outdir = {tmp_path}/out\n" + extra,
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_direct_runs_ignore_an_unread_subspace_dimension(tmp_path):
+    cfg = load_config(
+        write(tmp_path, "problem = random-smooth(1)\nscenario = equivalence\nn = 8\n")
+    )
+    assert cfg.galerkin_dim > cfg.n
+
+
+@pytest.mark.parametrize(
     "problem,scenario,builds",
     [("random-smooth(7)", "equivalence", 1), ("cross-term(5)", "reduction", 2)],
 )

@@ -28,7 +28,7 @@ from conftest import Pipeline, rel_l2
 @pytest.fixture(scope="module")
 def gain_setup(rs_pipeline):
     pipe = rs_pipeline
-    sys0 = assemble_fredholm(pipe.dlq, pipe.dec, pipe.cost, 0)
+    sys0 = assemble_fredholm(pipe.dlq, 0)
     return pipe, sys0, solve_direct(sys0)
 
 
@@ -41,8 +41,8 @@ class TestAssembly:
     def test_zero_state_weights_give_zero_system(self, rs_pipeline):
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R)
-        dlq = vlq.assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
-        sys0 = assemble_fredholm(dlq, pipe.dec, cost, 0)
+        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        sys0 = assemble_fredholm(dlq, 0)
         assert np.all(sys0.kernel == 0.0)
         assert np.all(sys0.rhs == 0.0)
         assert np.all(solve_direct(sys0).M == 0.0)
@@ -53,9 +53,8 @@ class TestAssembly:
         cost = CostData(Q=1.0, R=1.0)
         grid = build_grid(32, 1.0)
         dec = decompose(entry.problem, grid, None)
-        th, thT = vlq.assemble_theta(dec, grid)
-        dlq = vlq.assemble_quadratic_form(th, thT, cost, dec, grid)
-        sys0 = assemble_fredholm(dlq, dec, cost, 0)
+        dlq = vlq.assemble_quadratic_form(dec, cost)
+        sys0 = assemble_fredholm(dlq, 0)
         assert np.allclose(sys0.kernel, sys0.kernel.T, atol=1e-13)
 
     def test_kernel_square_integrable_under_refinement(self):
@@ -64,9 +63,8 @@ class TestAssembly:
         for n in (24, 48, 96):
             grid = build_grid(n, 1.0)
             dec = decompose(entry.problem, grid, None)
-            th, thT = vlq.assemble_theta(dec, grid)
-            dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
-            sys0 = assemble_fredholm(dlq, dec, entry.cost, 0)
+            dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+            sys0 = assemble_fredholm(dlq, 0)
             norms.append(sys0.frobenius_norm())
         assert np.isfinite(norms).all()
         assert abs(norms[2] - norms[1]) < abs(norms[1] - norms[0])
@@ -74,13 +72,13 @@ class TestAssembly:
     def test_rejects_cross_terms(self, ct_pipeline):
         pipe = ct_pipeline
         with pytest.raises(AssumptionError, match="cross"):
-            assemble_fredholm(pipe.dlq, pipe.dec, pipe.cost, 0)
+            assemble_fredholm(pipe.dlq, 0)
 
     def test_quadrature_crosscheck(self):
         pipe = Pipeline("random-smooth", seed=42, n=96, with_kernel=True)
-        sys0 = assemble_fredholm(pipe.dlq, pipe.dec, pipe.cost, 0)
+        sys0 = assemble_fredholm(pipe.dlq, 0)
         worst = crosscheck_kernel_samples(
-            sys0, pipe.dec, pipe.dlq, n_samples=24, rng=np.random.default_rng(5)
+            sys0, pipe.dlq, n_samples=24, rng=np.random.default_rng(5)
         )
         assert worst <= 1e-4
 
@@ -139,9 +137,9 @@ class TestDirectGainSweep:
 
         pipe = truncation_case
         dlq = pipe.dlq
-        sys0 = assemble_fredholm(dlq, pipe.dec, pipe.cost, 0)
+        sys0 = assemble_fredholm(dlq, 0)
         factor = TruncationFactor(dlq)
-        R, w = dlq.cost_samples.R, dlq.norm_weights
+        R, w = dlq.cost_samples.R, dlq.dec.ops.omega
         for sigma in range(dlq.n):
             oracle = solve_direct(replace(sys0, sigma_index=sigma)).M[sigma, sigma:]
             row = _direct_gain_row(factor, R, w, sigma)
@@ -156,13 +154,11 @@ class TestDirectGainSweep:
 
         pipe = rs_pipeline
         monkeypatch.setattr(fredholm, "solve_direct", refuse)
-        u_fb = feedback_control(
-            pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid, method="direct"
-        )
+        u_fb = feedback_control(pipe.dlq, method="direct")
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-10
-        traj = causal_trajectories(pipe.dec, pipe.u_opt, pipe.grid)
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
         u_sc = fredholm.representation_terms(
-            pipe.dlq, pipe.dec, traj, pipe.grid,
+            pipe.dlq, traj,
             method="superconvergent", subspace_dim=12, iterations=2,
         )
         assert rel_l2(pipe.omega, u_sc, pipe.u_opt) < 1e-6
@@ -221,9 +217,8 @@ class TestProjectionFamily:
         for seed in range(10):
             entry = get_problem("random-smooth", 0.75, 1.0, seed=200 + seed)
             dec = decompose(entry.problem, grid, None)
-            th, thT = vlq.assemble_theta(dec, grid)
-            dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
-            sys0 = assemble_fredholm(dlq, dec, entry.cost, 0)
+            dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+            sys0 = assemble_fredholm(dlq, 0)
             oracle = solve_direct(sys0)
             gal = solve_galerkin(sys0, 12)
             it = solve_iterated_galerkin(sys0, gal)
@@ -296,9 +291,8 @@ class TestReconstruction:
 
         def gain_row(grid):
             dec = decompose(entry.problem, grid, None)
-            th, thT = vlq.assemble_theta(dec, grid)
-            dlq = vlq.assemble_quadratic_form(th, thT, entry.cost, dec, grid)
-            sys0 = assemble_fredholm(dlq, dec, entry.cost, 0)
+            dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+            sys0 = assemble_fredholm(dlq, 0)
             return solve_direct(sys0), grid
 
         ref_kernel, _ = gain_row(ref_grid)
@@ -334,8 +328,8 @@ class TestFeedbackControl:
     def test_zero_state_weights(self, rs_pipeline):
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R)
-        dlq = vlq.assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
-        u = feedback_control(pipe.problem, cost, pipe.dec, dlq, pipe.grid)
+        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        u = feedback_control(dlq)
         assert np.all(u == 0.0)
 
     def test_affine_only_data_matches_oracle(self, rs_pipeline):
@@ -343,22 +337,22 @@ class TestFeedbackControl:
         # from the affine terms alone and must still match the optimizer
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R, q=pipe.cost.q, g=pipe.cost.g)
-        dlq = vlq.assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
-        sys0 = assemble_fredholm(dlq, pipe.dec, cost, 0)
+        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        sys0 = assemble_fredholm(dlq, 0)
         assert np.all(sys0.kernel == 0.0)
-        u_fb = feedback_control(pipe.problem, cost, pipe.dec, dlq, pipe.grid)
+        u_fb = feedback_control(dlq)
         u_direct = solve_open_loop(dlq)
         assert rel_l2(pipe.omega, u_fb, u_direct) < 1e-10
 
     def test_matches_oracle(self, rs_pipeline):
         pipe = rs_pipeline
-        u_fb = feedback_control(pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid)
+        u_fb = feedback_control(pipe.dlq)
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-6
 
     def test_projection_backed_gain_still_accurate(self, rs_pipeline):
         pipe = rs_pipeline
         u_fb = feedback_control(
-            pipe.problem, pipe.cost, pipe.dec, pipe.dlq, pipe.grid,
+            pipe.dlq,
             method="superconvergent", subspace_dim=16, iterations=2,
         )
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-6

@@ -9,7 +9,6 @@ from volterra_lq import (
     ProblemData,
     StateOperator,
     assemble_quadratic_form,
-    assemble_theta,
     build_grid,
     decompose,
     evaluate_cost,
@@ -44,7 +43,8 @@ def test_zero_control_kernel_gives_zero_theta():
     p = ProblemData(A=lambda t, s: np.full(np.broadcast_shapes(np.shape(t), np.shape(s)) + (1, 1), 0.4),
                     B=None, phi=None, beta=0.75, T=1.0)
     dec = decompose(p, grid, None)
-    theta, theta_T = assemble_theta(dec, grid)
+    theta = dec.ops.theta
+    theta_T = theta[-dec.ops.dx :]
     assert np.all(theta == 0.0)
     assert np.all(theta_T == 0.0)
 
@@ -75,8 +75,7 @@ def test_quadratic_form_degenerate_to_control_weight():
     entry = get_problem("zero-cost", 0.75, 1.0)
     grid = build_grid(24, 1.0)
     dec = decompose(entry.problem, grid, None)
-    theta, theta_T = assemble_theta(dec, grid)
-    dlq = assemble_quadratic_form(theta, theta_T, entry.cost, dec, grid)
+    dlq = assemble_quadratic_form(dec, entry.cost)
     expected = np.repeat(grid.trapezoid_weights(), 1)[:, None] * _blockdiag(
         dlq.cost_samples.R
     )
@@ -119,20 +118,20 @@ class TestCoercivityValidation:
         pipe = rs_pipeline
         cost = CostData(Q=pipe.cost.Q, R=1e-8, delta=1.0)
         with pytest.raises(AssumptionError, match="R\\(t\\) >= delta"):
-            assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
+            assemble_quadratic_form(pipe.dec, cost)
 
     def test_rejects_indefinite_terminal_weight(self, rs_pipeline):
         pipe = rs_pipeline
         cost = CostData(R=1.0, G=-np.eye(pipe.problem.n_state))
         with pytest.raises(AssumptionError, match="G >= 0"):
-            assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
+            assemble_quadratic_form(pipe.dec, cost)
 
     def test_rejects_dominating_cross_weight(self, rs_pipeline):
         pipe = rs_pipeline
         dx, du = pipe.problem.n_state, pipe.problem.n_control
         cost = CostData(Q=None, S=np.ones((du, dx)), R=1.0)
         with pytest.raises(AssumptionError, match="S\\(t\\)"):
-            assemble_quadratic_form(pipe.theta, pipe.theta_T, cost, pipe.dec, pipe.grid)
+            assemble_quadratic_form(pipe.dec, cost)
 
     def test_generalized_eigenvalue_floor(self, rs_pipeline):
         pipe = rs_pipeline
@@ -145,8 +144,7 @@ class TestOpenLoop:
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(24, 1.0)
         dec = decompose(entry.problem, grid, None)
-        theta, theta_T = assemble_theta(dec, grid)
-        dlq = assemble_quadratic_form(theta, theta_T, entry.cost, dec, grid)
+        dlq = assemble_quadratic_form(dec, entry.cost)
         assert np.all(solve_open_loop(dlq) == 0.0)
 
     def test_perturbations_increase_cost(self, rs_pipeline):
@@ -182,14 +180,13 @@ class TestControlRelation:
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(24, 1.0)
         dec = decompose(entry.problem, grid, None)
-        theta, theta_T = assemble_theta(dec, grid)
-        dlq = assemble_quadratic_form(theta, theta_T, entry.cost, dec, grid)
+        dlq = assemble_quadratic_form(dec, entry.cost)
         u = solve_open_loop(dlq)
-        assert verify_control_relation(dlq, dec.ops, entry.cost, u) == 0.0
+        assert verify_control_relation(dlq, u) == 0.0
 
     def test_residual_small_on_random_problem(self, rs_pipeline):
         pipe = rs_pipeline
-        res = verify_control_relation(pipe.dlq, pipe.dec.ops, pipe.cost, pipe.u_opt)
+        res = verify_control_relation(pipe.dlq, pipe.u_opt)
         unorm = float(np.max(np.abs(pipe.u_opt)))
         assert res <= 1e-6 * (1.0 + unorm)
 
@@ -200,12 +197,11 @@ class TestControlRelation:
         rho = lambda t: np.stack([np.sin(t)], axis=1)  # noqa: E731
         cost = CostData(Q=1.0, R=2.0, rho=rho, G=np.eye(1))
         dec = decompose(p, grid, None)
-        theta, theta_T = assemble_theta(dec, grid)
-        dlq = assemble_quadratic_form(theta, theta_T, cost, dec, grid)
+        dlq = assemble_quadratic_form(dec, cost)
         u = solve_open_loop(dlq)
         expected = -0.5 * np.sin(grid.nodes)[:, None]
         assert np.allclose(u, expected, atol=1e-13)
-        res = verify_control_relation(dlq, dec.ops, cost, u)
+        res = verify_control_relation(dlq, u)
         assert res <= 1e-13
 
 
@@ -215,11 +211,10 @@ def test_ill_conditioned_form_warns():
     R = lambda t: (1e-10 + 1e3 * t**4)[:, None, None]  # noqa: E731
     cost = CostData(R=R, delta=1e-10)
     dec = decompose(p, grid, None)
-    theta, theta_T = assemble_theta(dec, grid)
     with pytest.warns(UserWarning, match="condition number"):
-        assemble_quadratic_form(theta, theta_T, cost, dec, grid)
+        assemble_quadratic_form(dec, cost)
 
 def test_control_relation_with_cross_terms(ct_pipeline):
     pipe = ct_pipeline
-    res = verify_control_relation(pipe.dlq, pipe.dec.ops, pipe.cost, pipe.u_opt)
+    res = verify_control_relation(pipe.dlq, pipe.u_opt)
     assert res <= 1e-6 * (1.0 + float(np.max(np.abs(pipe.u_opt))))
