@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AssumptionError, NumericalError) as exc:
+    except (ConfigError, AssumptionError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

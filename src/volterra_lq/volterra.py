@@ -25,6 +25,13 @@ Two complementary representations are built here.
     (to round-off and series truncation) for constant coefficients, and
     the factorization gives structural access to the diagonal singularity.
 
+    Every kernel product (each series level, and both pieces of the
+    factored control kernel Psi) runs through one column loop,
+    `_convolve_columns`, which differs only in its weight source: a slice
+    of one offset table on a uniform grid, per-column incomplete-beta
+    weights on a graded grid, or the lower-endpoint weights for the
+    regular part of Psi.
+
 The factored kernel feeds diagnostics and cross-checks; the discrete
 operator layer feeds the optimization modules.
 """
@@ -34,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import betainc, beta as beta_function
 
@@ -193,15 +199,13 @@ def _pair_hat_weights(x, L, lo, hi, h, p: float, q: float) -> np.ndarray:
     return w
 
 
-def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray | None:
+def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray:
     """Uniform-grid hat weights for int (t-s)^(p-1) (s-base)^(q-1), keyed by offset.
 
     Returns W[d, m] (m = 0..d) such that the integral from s_j to t_{j+d}
     of the doubly singular weight against a hat-interpolated coefficient g
-    is sum_m W[d, m] g(s_{j+m}).  None when the grid is not uniform.
+    is sum_m W[d, m] g(s_{j+m}).
     """
-    if grid.kind != "uniform":
-        return None
     n = grid.n
     h = grid.spacings[0]
     W = np.zeros((n, n))
@@ -211,59 +215,50 @@ def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray | None:
     return W
 
 
-def _convolve_pair_uniform(Fsamples, Gsamples, W) -> np.ndarray:
-    """out[i,j] = sum_m W[i-j, m] F[i, j+m] @ G[j+m, j] on a uniform grid."""
-    n, _, d1, dm = Fsamples.shape
-    d2 = Gsamples.shape[-1]
-    out = np.zeros((n, n, d1, d2))
-    sF = Fsamples.strides
-    sG = Gsamples.strides
-    for d in range(1, n):
-        Fd = as_strided(
-            Fsamples[d:],
-            shape=(d + 1, n - d, d1, dm),
-            strides=(sF[1], sF[0] + sF[1], sF[2], sF[3]),
-            writeable=False,
-        )
-        Gd = as_strided(
-            Gsamples,
-            shape=(d + 1, n - d, dm, d2),
-            strides=(sG[0], sG[0] + sG[1], sG[2], sG[3]),
-            writeable=False,
-        )
-        C = np.matmul(Fd, Gd)
-        vals = np.tensordot(W[d, : d + 1], C, axes=(0, 0))
-        ii = np.arange(n - d)
-        out[ii + d, ii] = vals
-    return out
+def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
+    """Doubly singular hat weights of source column j on any grid.
 
-
-def _convolve_pair_general(Fsamples, Gsamples, grid: Grid, p: float, q: float) -> np.ndarray:
-    """General-grid version of the doubly singular convolution.
-
-    out[i,j] = int_{s_j}^{t_i} (t-tau)^(p-1) (tau-s_j)^(q-1)
-               F(t_i, tau) G(tau, s_j) dtau with hat interpolation in tau.
+    Row i - j - 1 integrates (t_i-tau)^(p-1) (tau-s_j)^(q-1) g(tau) from
+    s_j to t_i for the targets i > j; column l - j weighs g(s_l), l >= j.
     """
     nodes = grid.nodes
-    n = grid.n
-    d1, dm = Fsamples.shape[2:]
+    tt = nodes[j + 1 :, None] - nodes[j]
+    tau = nodes[j:] - nodes[j]
+    x = np.clip(tau / tt, 0.0, 1.0)
+    lo, hi = tau[:-1], tau[1:]
+    return _pair_hat_weights(x, tt, lo, hi, hi - lo, p, q)
+
+
+def _pair_column_weights(grid: Grid, p: float, q: float):
+    """Column weight source of the doubly singular product, j -> (n-j-1, n-j).
+
+    A uniform grid slices one offset table shared by every column; a
+    graded grid computes each column's incomplete-beta weights.
+    """
+    if grid.kind == "uniform":
+        W = _pair_weight_matrix(grid, p, q)
+        return lambda j: W[1 : grid.n - j, : grid.n - j]
+    return lambda j: _pair_column(grid, p, q, j)
+
+
+def _convolve_columns(Fsamples, Gsamples, column_weights) -> np.ndarray:
+    """out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j.
+
+    Wj = column_weights(j) has shape (n-j-1, n-j) and carries whichever
+    singular factors the product integrates; each source column is one
+    weighted elementwise product and one GEMM.
+    """
+    n, _, d1, dm = Fsamples.shape
     d2 = Gsamples.shape[-1]
+    F = np.ascontiguousarray(Fsamples.transpose(0, 2, 1, 3))  # (n, d1, n, dm)
     out = np.zeros((n, n, d1, d2))
     for j in range(n - 1):
-        tt = nodes[j + 1 :, None] - nodes[j]  # (ni, 1)
-        tau = nodes[j:] - nodes[j]  # (nl+1,)
-        x = np.clip(tau / tt, 0.0, 1.0)
-        lo, hi = tau[:-1], tau[1:]
-        Wnode = _pair_hat_weights(x, tt, lo, hi, hi - lo, p, q)
-        C = np.matmul(Fsamples[j + 1 :, j:], Gsamples[None, j:, j])
-        out[j + 1 :, j] = np.einsum("il,ilxz->ixz", Wnode, C)
+        Wj = column_weights(j)
+        Fw = F[j + 1 :, :, j:] * Wj[:, None, :, None]
+        out[j + 1 :, j] = (
+            Fw.reshape(-1, (n - j) * dm) @ Gsamples[j:, j].reshape(-1, d2)
+        ).reshape(n - j - 1, d1, d2)
     return out
-
-
-def _singular_convolution(Fsamples, Gsamples, grid, p, q, W_uniform=None):
-    if W_uniform is not None:
-        return _convolve_pair_uniform(Fsamples, Gsamples, W_uniform)
-    return _convolve_pair_general(Fsamples, Gsamples, grid, p, q)
 
 
 def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -> float:
@@ -321,8 +316,7 @@ def resolvent(
     scale_ref = 0.0
     for k in range(1, max_levels + 1):
         q = k * beta
-        W = _pair_weight_matrix(grid, beta, q)
-        F_next = _singular_convolution(Asamp, G, grid, beta, q, W)
+        F_next = _convolve_columns(Asamp, G, _pair_column_weights(grid, beta, q))
         if k == 1:
             F2 = F_next
         e = (k + 1) * beta - 1.0
@@ -523,9 +517,8 @@ def decompose(problem: ProblemData, grid: Grid, resolvent_kernel: FactoredKernel
     if resolvent_kernel is not None:
         beta = problem.beta
         Bsamp = ops.B_samples
-        W_pair = _pair_weight_matrix(grid, beta, beta)
-        piece1 = _singular_convolution(
-            resolvent_kernel.singular_coeff, Bsamp, grid, beta, beta, W_pair
+        piece1 = _convolve_columns(
+            resolvent_kernel.singular_coeff, Bsamp, _pair_column_weights(grid, beta, beta)
         )
         piece2 = _lower_singular_convolution(
             resolvent_kernel.regular_part, Bsamp, grid, beta
@@ -547,16 +540,14 @@ def decompose(problem: ProblemData, grid: Grid, resolvent_kernel: FactoredKernel
 
 
 def _lower_singular_convolution(Dsamples, Gsamples, grid: Grid, beta: float) -> np.ndarray:
-    """out[i,j] = int_{s_j}^{t_i} D(t_i,tau) G(tau,s_j) (tau-s_j)^(beta-1) dtau."""
-    n = grid.n
-    d1 = Dsamples.shape[2]
-    d2 = Gsamples.shape[-1]
-    out = np.zeros((n, n, d1, d2))
-    for j in range(n - 2):
-        W = lower_product_weights(grid, beta, j)[1:]  # targets t_i, i > j
-        C = np.einsum("ilxy,lyz->ilxz", Dsamples[j + 1 :, j:], Gsamples[j:, j])
-        out[j + 1 :, j] = np.einsum("il,ilxz->ixz", W, C)
-    return out
+    """out[i,j] = int_{s_j}^{t_i} D(t_i,tau) G(tau,s_j) (tau-s_j)^(beta-1) dtau.
+
+    The column loop of the doubly singular products, with the hat weights
+    of the lower-endpoint factor alone as its weight source.
+    """
+    return _convolve_columns(
+        Dsamples, Gsamples, lambda j: lower_product_weights(grid, beta, j)[1:]
+    )
 
 
 def solve_state(problem: ProblemData, grid: Grid, xi) -> np.ndarray:

@@ -80,6 +80,17 @@ class TestRestrictedOperator:
             r = lambda_sigma(pipe.dlq, sigma)
             assert r.min_generalized_eigenvalue() >= delta * (1.0 - 1e-6)
 
+    def test_full_form_bounds_every_truncation(self, truncation_case):
+        # Cauchy interlacing: the one-eigh coercivity probe is the minimum
+        from volterra_lq.scenarios import _coercivity_ratio
+
+        dlq = truncation_case.dlq
+        full = _coercivity_ratio(dlq)
+        delta = dlq.cost_samples.delta
+        for sigma in range(1, dlq.n):
+            block = lambda_sigma(dlq, sigma).min_generalized_eigenvalue() / delta
+            assert full <= block + 1e-12 * abs(block)
+
     def test_out_of_range(self, rs_pipeline):
         with pytest.raises(ValueError):
             lambda_sigma(rs_pipeline.dlq, rs_pipeline.grid.n)

@@ -1,6 +1,6 @@
 import pytest
 
-from volterra_lq import ConfigError, StateOperator, load_config, run_scenario
+from volterra_lq import ConfigError, RunConfig, StateOperator, load_config, run_scenario
 from volterra_lq.cli import main
 
 
@@ -143,6 +143,28 @@ def test_cli_reports_unreadable_config_file(tmp_path, capsys):
     binary.write_bytes(b"problem = zero\xff-cost\n")
     assert main(["run", "--config", str(binary)]) == 2
     assert "binary.cfg" in capsys.readouterr().err
+
+
+def test_cli_reports_unwritable_outdir(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    cfg_path = write(
+        tmp_path,
+        f"problem = zero-cost\nscenario = equivalence\nn = 16\noutdir = {blocker}/out\n",
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_run_scenario_validates_configs_built_in_code(tmp_path):
+    cfg = RunConfig(
+        scenario="equivalence", n=8, m_solver="galerkin", galerkin_dim=16,
+        outdir=str(tmp_path / "out"),
+    )
+    with pytest.raises(ConfigError, match="galerkin_dim"):
+        run_scenario(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,13 @@ from volterra_lq.catalog import example_2_1_control, get_problem
 from volterra_lq import errors as vlq_errors
 from volterra_lq.volterra import (
     StateOperator,
-    _convolve_pair_general,
-    _convolve_pair_uniform,
+    _convolve_columns,
+    _pair_column,
+    _pair_column_weights,
     _pair_weight_matrix,
     sample_kernel,
 )
+from volterra_lq.grids import lower_product_weights
 
 from conftest import rel_l2
 
@@ -92,13 +94,38 @@ class TestResolvent:
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_uniform_and_general_paths_agree(self):
+        # the offset-table slice against the per-column incomplete-beta
+        # weights on the same uniform grid
         grid = build_grid(40, 1.0)
+        n = grid.n
         p = get_problem("random-smooth", 0.75, 1.0, seed=5).problem
         As = sample_kernel(p.A, grid, 2, 2)
         W = _pair_weight_matrix(grid, 0.75, 0.75)
-        u1 = _convolve_pair_uniform(As, As, W)
-        u2 = _convolve_pair_general(As, As, grid, 0.75, 0.75)
+        u1 = _convolve_columns(As, As, lambda j: W[1 : n - j, : n - j])
+        u2 = _convolve_columns(As, As, lambda j: _pair_column(grid, 0.75, 0.75, j))
         assert np.allclose(u1, u2, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_column_convolution_matches_triple_loop(self, kind):
+        # unequal block sizes, so a wrong reshape or block order fails
+        grid = build_grid(9, 1.0, kind)
+        n, d1, dm, d2 = grid.n, 2, 3, 1
+        rng = np.random.default_rng(11)
+        F = rng.normal(size=(n, n, d1, dm))
+        G = rng.normal(size=(n, n, dm, d2))
+        sources = (
+            _pair_column_weights(grid, 0.75, 0.6),
+            lambda j: lower_product_weights(grid, 0.75, j)[1:],
+        )
+        for weights in sources:
+            ref = np.zeros((n, n, d1, d2))
+            for j in range(n - 1):
+                Wj = weights(j)
+                for i in range(j + 1, n):
+                    for l in range(j, n):
+                        ref[i, j] += Wj[i - j - 1, l - j] * F[i, l] @ G[l, j]
+            got = _convolve_columns(F, G, weights)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
 
     def test_diagonal_matrix_coefficient_componentwise(self):
         beta = 0.8
@@ -241,6 +268,20 @@ class TestDecompose:
             )
         omega = grid.trapezoid_weights()
         assert rel_l2(omega, dec.psi, psi_kernel) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_constant_coefficient_last_row_matches_series(self, kind, n):
+        # Psi = (b/a) Phi for constant coefficients; the entry next to the
+        # diagonal must be as accurate as the rest of the terminal row
+        beta, a, b = 0.75, 0.8, 1.3
+        grid = build_grid(n, 1.0, kind)
+        p = scalar_problem(const_kernel(a), const_kernel(b), None, beta=beta)
+        dec = decompose(p, grid, resolvent(p, grid))
+        exact = (b / a) * series_kernel(a, beta, grid.T - grid.nodes[:-1])
+        for row in (dec.Psi.eval_offdiag(grid)[-1, :-1, 0, 0], dec.Psi_T_row[:-1, 0, 0]):
+            err = np.abs(row - exact)
+            assert err[-1] <= 2.0 * err[:-1].max()
 
     def test_terminal_row_bound(self, rs_pipeline_kernel):
         pipe = rs_pipeline_kernel
