@@ -17,11 +17,10 @@ __all__ = ["CatalogEntry", "get_problem", "problem_names", "example_2_1_control"
 
 
 class CatalogEntry:
-    def __init__(self, name, problem, cost, cache_key, description):
+    def __init__(self, name, problem, cost, description):
         self.name = name
         self.problem = problem
         self.cost = cost
-        self.cache_key = cache_key
         self.description = description
 
 
@@ -225,5 +224,4 @@ def get_problem(name: str, beta: float, T: float, seed: int = 0) -> CatalogEntry
             f"unknown catalog problem {name!r}; valid names: {', '.join(problem_names())}"
         )
     problem, cost, desc = _BUILDERS[name](beta, T, seed)
-    key = f"{name}-beta{beta:.12g}-T{T:.12g}-seed{seed}"
-    return CatalogEntry(name, problem, cost, key, desc)
+    return CatalogEntry(name, problem, cost, desc)

@@ -43,11 +43,17 @@ Solvers, from oracle to cheap:
         M_next = K e + M~~
     started from the iterated-Galerkin solution, which squeezes an extra
     convergence order out of each sweep until the round-off floor.
+
+The last three are one sweep of linear maps of the right side f that act
+on it from the left, so the representation, which needs M_t(t, .) only
+against one vector v, runs that sweep per node on the single column f v
+and never forms a gain table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
@@ -96,7 +102,6 @@ class FredholmSystem:
     du: int
     beta: float
     omega: np.ndarray
-    R_blocks: np.ndarray
 
     @property
     def rhs(self) -> np.ndarray:
@@ -142,12 +147,11 @@ class FeedbackKernel:
 
 @dataclass
 class GalerkinState:
-    """Projection data and iterates of the Galerkin-type solvers."""
+    """Projection data of the Galerkin-type solvers."""
 
     subspace_dim: int
     basis: np.ndarray  # (n, q) hat functions on the coarse nodes
     gram: np.ndarray
-    iterates: dict = field(default_factory=dict)
     error_history: list = field(default_factory=list)
 
 
@@ -181,7 +185,6 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
         du=dlq.du,
         beta=ops.beta,
         omega=ops.omega,
-        R_blocks=sc.R,
     )
 
 
@@ -197,21 +200,21 @@ def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
             "gain equation is singular; the coercivity assumptions are "
             "likely violated"
         ) from exc
-    res = _fredholm_residual(sys, M_flat, K)
-    return FeedbackKernel(
-        M=_table(M_flat, n, du),
-        method="direct",
-        sigma_index=sys.sigma_index,
-        beta=sys.beta,
-        residual=res,
-    )
+    return _solved(sys, M_flat, K, "direct")
 
 
-def _fredholm_residual(sys: FredholmSystem, M_flat: np.ndarray, K: np.ndarray) -> float:
-    """Relative residual of M_flat; K is the system's masked_Kmat()."""
+def _solved(sys: FredholmSystem, M_flat, K, method: str, galerkin=None) -> FeedbackKernel:
+    """Gain table of a solver with its relative residual; K is sys.masked_Kmat()."""
     r = M_flat - K @ M_flat - sys.rhs
     scale = np.linalg.norm(sys.rhs)
-    return float(np.linalg.norm(r) / (scale if scale > 0 else 1.0))
+    return FeedbackKernel(
+        M=_table(M_flat, sys.n, sys.du),
+        method=method,
+        sigma_index=sys.sigma_index,
+        beta=sys.beta,
+        residual=float(np.linalg.norm(r) / (scale if scale > 0 else 1.0)),
+        galerkin=galerkin,
+    )
 
 
 def _hat_basis(n: int, q: int) -> np.ndarray:
@@ -282,43 +285,46 @@ class _Projection:
         coeff = lu_solve(self._solve_factor, sp.Hb.T @ (sp.wu[:, None] * rhs))
         return sp.Hb @ coeff
 
-    def state(self, **kwargs) -> GalerkinState:
+    def state(self) -> GalerkinState:
         sp = self.space
-        return GalerkinState(subspace_dim=sp.dim, basis=sp.H, gram=sp.gram, **kwargs)
+        return GalerkinState(subspace_dim=sp.dim, basis=sp.H, gram=sp.gram)
 
 
-def solve_galerkin(
-    sys: FredholmSystem, subspace_dim: int, *, space: _HatSpace | None = None
-) -> FeedbackKernel:
-    """Projection solve on the piecewise-linear subspace.
+def _sweep(proj: _Projection, f: np.ndarray):
+    """Iterates of the projection family for the right side f.
 
-    `space` shares a hat subspace built for another truncation point of
-    the same grid and dimension.
+    Yields the Galerkin solution of (I - P K) M = P f, the iterated
+    Galerkin solution f + K M, and then the result of one five-step sweep
+    after another.  Every step acts on f from the left, so f is the whole
+    flat right side or a single column f v (shape (n du, 1)), whose
+    iterates are the tables' iterates applied to v.
     """
-    proj = _Projection(sys, subspace_dim, space)
-    M_flat = proj.solve_projected(sys.rhs)
-    return FeedbackKernel(
-        M=_table(M_flat, sys.n, sys.du),
-        method="galerkin",
-        sigma_index=sys.sigma_index,
-        beta=sys.beta,
-        residual=_fredholm_residual(sys, M_flat, proj.K),
-        galerkin=proj.state(iterates={"M": M_flat}),
-    )
+    K = proj.K
+    M = proj.solve_projected(f)
+    yield M
+    M = f + K @ M
+    while True:
+        yield M
+        M_t = f + K @ M
+        M_tt = f + K @ M_t
+        M = K @ proj.solve_projected(M_tt - M_t) + M_tt
+
+
+def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> FeedbackKernel:
+    """Projection solve on the piecewise-linear subspace."""
+    proj = _Projection(sys, subspace_dim)
+    M_flat = next(_sweep(proj, sys.rhs))
+    return _solved(sys, M_flat, proj.K, "galerkin", proj.state())
 
 
 def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> FeedbackKernel:
-    """One kernel application on top of the Galerkin solution."""
+    """One kernel application on top of the Galerkin solution.
+
+    The sweep's second step, f + K M, applied to the given Galerkin table.
+    """
     K = sys.masked_Kmat()
     M_flat = sys.rhs + K @ galerkin.flat()
-    return FeedbackKernel(
-        M=_table(M_flat, sys.n, sys.du),
-        method="iterated",
-        sigma_index=sys.sigma_index,
-        beta=sys.beta,
-        residual=_fredholm_residual(sys, M_flat, K),
-        galerkin=galerkin.galerkin,
-    )
+    return _solved(sys, M_flat, K, "iterated", galerkin.galerkin)
 
 
 def solve_superconvergent(
@@ -326,49 +332,25 @@ def solve_superconvergent(
     subspace_dim: int,
     k_iters: int,
     oracle: FeedbackKernel | None = None,
-    *,
-    space: _HatSpace | None = None,
 ) -> FeedbackKernel:
     """Five-step refinement loop from the iterated-Galerkin start.
 
     With an `oracle` (e.g. from `solve_direct`), records its distance
     after every sweep in `galerkin.error_history` (index 0 is the
     starting iterate); without one the history stays empty and no dense
-    solve is made.  `space` is shared as in `solve_galerkin`.
+    solve is made.
     """
     if k_iters < 0:
         raise ValueError("iteration count must be >= 0")
-    proj = _Projection(sys, subspace_dim, space)
-    K = proj.K
-    f = sys.rhs
-    M_gal = proj.solve_projected(f)
-    M = f + K @ M_gal  # iterated-Galerkin start
+    proj = _Projection(sys, subspace_dim)
     state = proj.state()
     M_star = None if oracle is None else oracle.flat()
     wu = proj.space.wu
-
-    def record(Mf):
+    for M in islice(_sweep(proj, sys.rhs), 1, k_iters + 2):
         if M_star is not None:
-            dist = np.sqrt(np.einsum("i,ij,j->", wu, (Mf - M_star) ** 2, wu))
+            dist = np.sqrt(np.einsum("i,ij,j->", wu, (M - M_star) ** 2, wu))
             state.error_history.append(float(dist))
-
-    record(M)
-    for _ in range(k_iters):
-        M_t = f + K @ M
-        M_tt = f + K @ M_t
-        g = M_tt - M_t
-        e = proj.solve_projected(g)
-        M = K @ e + M_tt
-        state.iterates = {"M~": M_t, "M~~": M_tt, "g": g, "e": e, "M": M}
-        record(M)
-    return FeedbackKernel(
-        M=_table(M, sys.n, sys.du),
-        method="superconvergent",
-        sigma_index=sys.sigma_index,
-        beta=sys.beta,
-        residual=_fredholm_residual(sys, M, K),
-        galerkin=state,
-    )
+    return _solved(sys, M, proj.K, "superconvergent", state)
 
 
 def reconstruct_in_s(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
@@ -398,30 +380,39 @@ def _direct_gain_row(factor, R: np.ndarray, w: np.ndarray, t: int) -> np.ndarray
     return row
 
 
-def _gain_rows(dlq: DiscreteLQ, method: str, subspace_dim: int | None, iterations: int):
-    """Yield the gain blocks M_t(t, s_j), j >= t, for t = 0, ..., n - 1."""
-    n = dlq.n
+def _gain_integral(dlq: DiscreteLQ, method: str, subspace_dim: int | None, iterations: int):
+    """The map (t, rg) -> sum_{j >= t} w_j M_t(t, s_j) rg_j of the representation.
+
+    The direct method reads the gain row from the truncation factor.  The
+    projection methods sweep at sigma = t the single column f v, with
+    v = w rg on the nodes j >= t and zero before t, and keep block t.
+    """
+    n, du = dlq.n, dlq.du
+    w = dlq.dec.ops.omega
     if method == "direct":
         factor = TruncationFactor(dlq)
-        R, w = dlq.cost_samples.R, dlq.dec.ops.omega
-        for t in range(n):
-            yield _direct_gain_row(factor, R, w, t)
-        return
+        R = dlq.cost_samples.R
+        return lambda t, rg: np.einsum(
+            "j,jab,jb->a", w[t:], _direct_gain_row(factor, R, w, t), rg[t:]
+        )
     if subspace_dim is None:
         raise ValueError(f"method {method!r} needs a subspace dimension")
     if method not in ("galerkin", "iterated", "superconvergent"):
         raise ValueError(f"unknown gain solver {method!r}")
-    sys_base = assemble_fredholm(dlq, 0)
-    space = _HatSpace(n, subspace_dim, dlq.du, sys_base.omega)
-    for t in range(n):
-        sys_t = replace(sys_base, sigma_index=t)
-        if method == "superconvergent":
-            gain = solve_superconvergent(sys_t, subspace_dim, iterations, space=space)
-        else:
-            gain = solve_galerkin(sys_t, subspace_dim, space=space)
-            if method == "iterated":
-                gain = solve_iterated_galerkin(sys_t, gain)
-        yield gain.M[t, t:]
+    if method == "superconvergent" and iterations < 0:
+        raise ValueError("iteration count must be >= 0")
+    stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]
+    sys0 = assemble_fredholm(dlq, 0)
+    space = _HatSpace(n, subspace_dim, du, sys0.omega)
+
+    def integral(t, rg):
+        v = np.zeros((n, du))
+        v[t:] = w[t:, None] * rg[t:]
+        proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space)
+        M = next(islice(_sweep(proj, sys0.rhs @ v.reshape(-1, 1)), stage, None))
+        return M[t * du : (t + 1) * du, 0]
+
+    return integral
 
 
 def representation_terms(
@@ -433,27 +424,26 @@ def representation_terms(
 ) -> np.ndarray:
     """Evaluate the gain-kernel control representation nodewise.
 
-    For each node t: take the gain row M_t(t, .), form the
-    non-anticipating gradient data from the truncation trajectory and
-    terminal forecast, and combine the instantaneous and integral terms.
-    The direct gain rows come from one backward sweep through a single
-    factor of the reversed quadratic form, O((n du)^3) for all t; the
-    projection methods solve a projected gain equation per node, sharing
-    the hat subspace and its Gram factor.  The cost weights are taken
-    from the assembled problem (no cross terms).
+    For each node t: form the non-anticipating gradient data from the
+    truncation trajectory and terminal forecast, and combine the
+    instantaneous term with the integral of the gain row M_t(t, .)
+    against it.  The direct gain rows come from one backward sweep
+    through a single factor of the reversed quadratic form, O((n du)^3)
+    for all t; the projection methods solve one right side per node,
+    O((n du)^2 q du) for its projected system.  The cost weights are
+    taken from the assembled problem (no cross terms).
     """
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the gain representation")
     n, du = dlq.n, dlq.du
     Rinv = sc.R_inverses()
-    w = dlq.dec.ops.omega
+    integral = _gain_integral(dlq, method, subspace_dim, iterations)
     out = np.empty((n, du))
-    for t, row in enumerate(_gain_rows(dlq, method, subspace_dim, iterations)):
+    for t in range(n):
         b = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t])
         gvec = (b / dlq.wu).reshape(n, du)
         rg = np.einsum("jab,jb->ja", Rinv, gvec)
-        integral = np.einsum("j,jab,jb->a", w[t:], row, rg[t:])
-        out[t] = -rg[t] - integral
+        out[t] = -rg[t] - integral(t, rg)
     return out
 
 

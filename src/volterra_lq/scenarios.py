@@ -125,14 +125,14 @@ def _inline_problem(cfg: RunConfig):
         G=vals.get("G"),
         g=vals.get("g"),
     )
-    return problem, cost, f"inline-{cfg.config_hash()}"
+    return problem, cost
 
 
 def _materialize(cfg: RunConfig):
     if cfg.problem == "inline":
         return _inline_problem(cfg)
     entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed)
-    return entry.problem, entry.cost, entry.cache_key
+    return entry.problem, entry.cost
 
 
 def run_scenario(cfg: RunConfig) -> ScenarioReport:
@@ -181,7 +181,7 @@ def _tol(cfg: RunConfig, name: str, default: float) -> float:
 
 
 def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    problem, cost, _ = _materialize(cfg)
+    problem, cost = _materialize(cfg)
     report = ScenarioReport("equivalence", cfg.problem)
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
     dec = decompose(problem, grid, None)
@@ -321,14 +321,14 @@ def _write_residuals_csv(outdir: Path, report: ScenarioReport, cfg_hash: str):
 
 
 def _run_convergence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    problem, cost, key = _materialize(cfg)
+    problem, cost = _materialize(cfg)
     report = ScenarioReport("convergence", cfg.problem)
     rows = {"n": [], "res_defining": [], "res_transposed": [], "varconst": [], "series_err": []}
     prev = None
     for level in range(2):
         n_level = (cfg.n - 1) * 2**level + 1
         grid = build_grid(n_level, cfg.T, cfg.grid, cfg.grading_exponent)
-        kernel = cached_resolvent(problem, grid, key, cfg.cache_dir)
+        kernel = cached_resolvent(problem, grid, cfg.cache_dir)
         rows["n"].append(n_level)
         rows["res_defining"].append(kernel.residuals["defining"])
         rows["res_transposed"].append(kernel.residuals["transposed"])
@@ -537,7 +537,7 @@ def _run_example_2_1(cfg: RunConfig, outdir: Path) -> ScenarioReport:
 
 
 def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    problem, cost, _ = _materialize(cfg)
+    problem, cost = _materialize(cfg)
     report = ScenarioReport("reduction", cfg.problem)
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
     omega = grid.trapezoid_weights()

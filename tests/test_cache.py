@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,11 @@ from volterra_lq.cache import (
     cached_resolvent,
     clear_cache,
     load_factored_kernel,
-    load_feedback_kernel,
     save_factored_kernel,
-    save_feedback_kernel,
 )
 from volterra_lq.catalog import get_problem
 from volterra_lq.cli import main
 from volterra_lq.errors import KernelFileError
-from volterra_lq.fredholm import FeedbackKernel
 
 
 def test_factored_kernel_round_trip(tmp_path):
@@ -32,59 +31,33 @@ def test_factored_kernel_round_trip(tmp_path):
     assert "n=24" in header
 
 
-def test_feedback_kernel_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    kernel = FeedbackKernel(
-        M=rng.normal(size=(6, 6, 2, 2)),
-        method="direct",
-        sigma_index=3,
-        beta=0.8,
-        residual=1.5e-12,
-    )
-    path = tmp_path / "m.vker"
-    save_feedback_kernel(path, kernel)
-    loaded = load_feedback_kernel(path)
-    assert np.array_equal(loaded.M, kernel.M)
-    assert loaded.method == "direct"
-    assert loaded.sigma_index == 3
-    assert loaded.beta == 0.8
-    assert loaded.residual == kernel.residual
-
-
-@pytest.mark.parametrize("how", ["cut-5", "cut-8", "padded-8", "foreign-magic"])
-def test_damaged_gain_file_is_rejected(tmp_path, how):
-    kernel = FeedbackKernel(
-        M=np.ones((4, 4, 2, 2)), method="direct", sigma_index=1, beta=0.75, residual=0.0
-    )
-    path = tmp_path / "m.vker"
-    save_feedback_kernel(path, kernel)
-    data = path.read_bytes()
-    damaged = {
-        "cut-5": data[:-5],
-        "cut-8": data[:-8],
-        "padded-8": data + bytes(8),
-        # same fields and length under the resolvent files' magic
-        "foreign-magic": data.replace(b"feedback-kernel v1 ", b"volterra-kernel v1 ", 1),
-    }[how]
-    path.write_bytes(damaged)
-    with pytest.raises(KernelFileError):
-        load_feedback_kernel(path)
-
-
 def test_cached_resolvent_hits_disk_once(tmp_path):
     entry = get_problem("constant-coeff", 0.75, 1.0)
     grid = vlq.build_grid(24, 1.0)
-    k1 = cached_resolvent(entry.problem, grid, entry.cache_key, str(tmp_path))
+    k1 = cached_resolvent(entry.problem, grid, str(tmp_path))
     files = list(tmp_path.glob("*.vker"))
     assert len(files) == 1
     stamp = files[0].stat().st_mtime_ns
-    k2 = cached_resolvent(entry.problem, grid, entry.cache_key, str(tmp_path))
+    k2 = cached_resolvent(entry.problem, grid, str(tmp_path))
     assert files[0].stat().st_mtime_ns == stamp
     assert np.array_equal(k1.regular_part, k2.regular_part)
     # a different grid gets its own entry
-    cached_resolvent(entry.problem, vlq.build_grid(12, 1.0), entry.cache_key, str(tmp_path))
+    cached_resolvent(entry.problem, vlq.build_grid(12, 1.0), str(tmp_path))
     assert len(list(tmp_path.glob("*.vker"))) == 2
     assert clear_cache(str(tmp_path)) == 2
+
+
+def test_cache_key_covers_the_state_kernel(tmp_path):
+    # same catalog name, seed, grid and beta; only A differs, as it would
+    # after a change to the catalog builder
+    entry = get_problem("constant-coeff", 0.75, 1.0)
+    grid = vlq.build_grid(16, 1.0)
+    other = replace(entry.problem, A=lambda t, s: 0.5 * entry.problem.A(t, s))
+    k1 = cached_resolvent(entry.problem, grid, str(tmp_path))
+    k2 = cached_resolvent(other, grid, str(tmp_path))
+    assert len(list(tmp_path.glob("*.vker"))) == 2
+    assert not np.array_equal(k1.singular_coeff, k2.singular_coeff)
+    assert np.array_equal(k2.singular_coeff, vlq.resolvent(other, grid).singular_coeff)
 
 
 def _damage(data: bytes, how: str) -> bytes:
