@@ -57,7 +57,6 @@ from .causal import (
 from .fredholm import (
     FeedbackKernel,
     FredholmSystem,
-    GalerkinState,
     assemble_fredholm,
     crosscheck_kernel_samples,
     feedback_control,

@@ -204,6 +204,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"field 'galerkin_dim': must lie in [2, n = {cfg.n}], got {cfg.galerkin_dim}"
         )
+    if cfg.problem == "inline" and cfg.scenario == "fredholm-methods":
+        raise ConfigError(
+            "field 'problem': scenario 'fredholm-methods' seeds its trials from "
+            "the catalog and cannot run an inline problem"
+        )
     if cfg.problem != "inline" and cfg.inline:
         raise ConfigError(
             "inline coefficient keys are only valid with problem = inline"

@@ -47,12 +47,14 @@ Solvers, from oracle to cheap:
 The last three are one sweep of linear maps of the right side f that act
 on it from the left, so the representation, which needs M_t(t, .) only
 against one vector v, runs that sweep per node on the single column f v
-and never forms a gain table.
+and never forms a gain table.  Every solver returns the gain table `M`
+and its Fredholm `residual`; the `fredholm-methods` scenario walks the
+sweep itself and measures each iterate's distance to the direct oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -71,7 +73,6 @@ from .lq import DiscreteLQ, _blockdiag, solve_open_loop
 __all__ = [
     "FredholmSystem",
     "FeedbackKernel",
-    "GalerkinState",
     "assemble_fredholm",
     "solve_direct",
     "solve_galerkin",
@@ -100,7 +101,6 @@ class FredholmSystem:
     sigma_index: int
     grid: Grid
     du: int
-    beta: float
     omega: np.ndarray
 
     @property
@@ -126,33 +126,18 @@ class FredholmSystem:
 
 @dataclass
 class FeedbackKernel:
-    """Gain kernel table M[t_i, s_j] with solver provenance.
+    """Gain kernel table M[t_i, s_j] of a whole-table solver.
 
     residual is the achieved Fredholm residual relative to the right
-    side; error_history (superconvergent solver with an oracle only)
-    tracks the distance to the direct oracle per sweep.
+    side.  Distances to the direct oracle are measured by the caller.
     """
 
     M: np.ndarray  # (n, n, du, du)
-    method: str
-    sigma_index: int
-    beta: float
     residual: float
-    galerkin: "GalerkinState | None" = None
 
     def flat(self) -> np.ndarray:
         n, _, du, _ = self.M.shape
         return self.M.transpose(0, 2, 1, 3).reshape(n * du, n * du)
-
-
-@dataclass
-class GalerkinState:
-    """Projection data of the Galerkin-type solvers."""
-
-    subspace_dim: int
-    basis: np.ndarray  # (n, q) hat functions on the coarse nodes
-    gram: np.ndarray
-    error_history: list = field(default_factory=list)
 
 
 def _table(flat: np.ndarray, n: int, du: int) -> np.ndarray:
@@ -183,7 +168,6 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
         sigma_index=sigma_index,
         grid=ops.grid,
         du=dlq.du,
-        beta=ops.beta,
         omega=ops.omega,
     )
 
@@ -200,20 +184,16 @@ def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
             "gain equation is singular; the coercivity assumptions are "
             "likely violated"
         ) from exc
-    return _solved(sys, M_flat, K, "direct")
+    return _solved(sys, M_flat, K)
 
 
-def _solved(sys: FredholmSystem, M_flat, K, method: str, galerkin=None) -> FeedbackKernel:
+def _solved(sys: FredholmSystem, M_flat, K) -> FeedbackKernel:
     """Gain table of a solver with its relative residual; K is sys.masked_Kmat()."""
     r = M_flat - K @ M_flat - sys.rhs
     scale = np.linalg.norm(sys.rhs)
     return FeedbackKernel(
         M=_table(M_flat, sys.n, sys.du),
-        method=method,
-        sigma_index=sys.sigma_index,
-        beta=sys.beta,
         residual=float(np.linalg.norm(r) / (scale if scale > 0 else 1.0)),
-        galerkin=galerkin,
     )
 
 
@@ -237,9 +217,7 @@ class _HatSpace:
             raise ValueError("subspace dimension must be >= 2")
         if subspace_dim > n:
             raise ValueError("subspace dimension exceeds the grid size")
-        self.dim = subspace_dim
-        self.H = _hat_basis(n, subspace_dim)
-        self.Hb = np.kron(self.H, np.eye(du))
+        self.Hb = np.kron(_hat_basis(n, subspace_dim), np.eye(du))
         self.wu = np.repeat(omega, du)
         self.gram = self.Hb.T @ (self.wu[:, None] * self.Hb)
         self.gram_factor = cho_factor(self.gram)
@@ -285,10 +263,6 @@ class _Projection:
         coeff = lu_solve(self._solve_factor, sp.Hb.T @ (sp.wu[:, None] * rhs))
         return sp.Hb @ coeff
 
-    def state(self) -> GalerkinState:
-        sp = self.space
-        return GalerkinState(subspace_dim=sp.dim, basis=sp.H, gram=sp.gram)
-
 
 def _sweep(proj: _Projection, f: np.ndarray):
     """Iterates of the projection family for the right side f.
@@ -314,7 +288,7 @@ def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> FeedbackKernel:
     """Projection solve on the piecewise-linear subspace."""
     proj = _Projection(sys, subspace_dim)
     M_flat = next(_sweep(proj, sys.rhs))
-    return _solved(sys, M_flat, proj.K, "galerkin", proj.state())
+    return _solved(sys, M_flat, proj.K)
 
 
 def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> FeedbackKernel:
@@ -324,33 +298,16 @@ def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> Fe
     """
     K = sys.masked_Kmat()
     M_flat = sys.rhs + K @ galerkin.flat()
-    return _solved(sys, M_flat, K, "iterated", galerkin.galerkin)
+    return _solved(sys, M_flat, K)
 
 
-def solve_superconvergent(
-    sys: FredholmSystem,
-    subspace_dim: int,
-    k_iters: int,
-    oracle: FeedbackKernel | None = None,
-) -> FeedbackKernel:
-    """Five-step refinement loop from the iterated-Galerkin start.
-
-    With an `oracle` (e.g. from `solve_direct`), records its distance
-    after every sweep in `galerkin.error_history` (index 0 is the
-    starting iterate); without one the history stays empty and no dense
-    solve is made.
-    """
+def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) -> FeedbackKernel:
+    """Five-step refinement loop: k_iters sweeps from the iterated-Galerkin start."""
     if k_iters < 0:
         raise ValueError("iteration count must be >= 0")
     proj = _Projection(sys, subspace_dim)
-    state = proj.state()
-    M_star = None if oracle is None else oracle.flat()
-    wu = proj.space.wu
-    for M in islice(_sweep(proj, sys.rhs), 1, k_iters + 2):
-        if M_star is not None:
-            dist = np.sqrt(np.einsum("i,ij,j->", wu, (M - M_star) ** 2, wu))
-            state.error_history.append(float(dist))
-    return _solved(sys, M, proj.K, "superconvergent", state)
+    M = next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None))
+    return _solved(sys, M, proj.K)
 
 
 def reconstruct_in_s(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
@@ -496,7 +453,7 @@ def crosscheck_kernel_samples(
     sep = min_separation if min_separation is not None else 6.0 * grid.T / n
     sc = dlq.cost_samples
     Rinv = sc.R_inverses()
-    beta = sys.beta
+    beta = dec.ops.beta
     B = dec.Psi.singular_coeff
     D = dec.Psi.regular_part
     scale = float(np.max(np.abs(sys.kernel)))

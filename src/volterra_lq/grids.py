@@ -148,9 +148,6 @@ class SingularWeights:
     interp: str
     w: np.ndarray
 
-    def row(self, i: int) -> np.ndarray:
-        return self.w[i]
-
 
 def product_weights(grid: Grid, beta: float, interp: str = "linear") -> SingularWeights:
     """Exact-moment product-integration weights on the grid.

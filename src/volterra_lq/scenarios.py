@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -411,17 +412,10 @@ def _series_error(problem, grid, kernel) -> float:
 
 
 def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    from .fredholm import (
-        assemble_fredholm,
-        solve_direct,
-        solve_galerkin,
-        solve_iterated_galerkin,
-        solve_superconvergent,
-    )
+    from .fredholm import _Projection, _sweep, assemble_fredholm, solve_direct
 
     report = ScenarioReport("fredholm-methods", cfg.problem)
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
-    omega = grid.trapezoid_weights()
     trials = 20
     rows = {"trial": [], "err_galerkin": [], "err_iterated": [], "err_super": [], "ordered": []}
     ordered_count = 0
@@ -430,19 +424,16 @@ def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed + trial)
         dlq = assemble_quadratic_form(decompose(entry.problem, grid, None), entry.cost)
         sys0 = assemble_fredholm(dlq, 0)
-        oracle = solve_direct(sys0)
-        gal = solve_galerkin(sys0, cfg.galerkin_dim)
-        it = solve_iterated_galerkin(sys0, gal)
-        sup = solve_superconvergent(sys0, cfg.galerkin_dim, max(cfg.iterations, 2), oracle=oracle)
-        wu = np.repeat(omega, dlq.du)
-
-        def dist(k):
-            return float(
-                np.sqrt(np.einsum("i,ij,j->", wu, (k.flat() - oracle.flat()) ** 2, wu))
-            )
-
-        e_gal, e_it = dist(gal), dist(it)
-        e_sup = sup.galerkin.error_history[min(2, len(sup.galerkin.error_history) - 1)]
+        M_star = solve_direct(sys0).flat()
+        wu = dlq.wu
+        # iterate 0 is the Galerkin table, 1 the iterated one, 1 + k the
+        # result of k five-step sweeps; trial 0 also records a third sweep
+        iterates = _sweep(_Projection(sys0, cfg.galerkin_dim), sys0.rhs)
+        errs = [
+            float(np.sqrt(np.einsum("i,ij,j->", wu, (M - M_star) ** 2, wu)))
+            for M in islice(iterates, 5 if trial == 0 else 4)
+        ]
+        e_gal, e_it, e_sup = errs[0], errs[1], errs[3]
         ordered = e_sup <= e_it <= e_gal
         ordered_count += ordered
         rows["trial"].append(trial)
@@ -451,13 +442,9 @@ def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         rows["err_super"].append(e_sup)
         rows["ordered"].append(float(ordered))
         if trial == 0:
-            sweeps = solve_superconvergent(sys0, cfg.galerkin_dim, 3, oracle=oracle)
-            sweep_rows = {
-                "k": list(range(len(sweeps.galerkin.error_history))),
-                "error": sweeps.galerkin.error_history,
-            }
-            floor = 1e-11 * max(1.0, float(np.abs(oracle.flat()).max()))
-            hist = sweeps.galerkin.error_history
+            hist = errs[1:]
+            sweep_rows = {"k": list(range(len(hist))), "error": hist}
+            floor = 1e-11 * max(1.0, float(np.abs(M_star).max()))
             monotone = all(
                 hist[k + 1] < hist[k] or hist[k + 1] <= floor for k in range(len(hist) - 1)
             )

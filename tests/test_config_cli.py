@@ -178,6 +178,7 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         "m_solver = superconvergent\niterations = -1\n",
         "grid = graded\ngrading_exponent = 40\n",
         "scenario = convergence\ngrid = graded\ngrading_exponent = 12\n",
+        "problem = inline\nscenario = fredholm-methods\n",
     ],
     ids=[
         "T-zero",
@@ -188,6 +189,7 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         "negative-iterations",
         "colliding-graded-nodes",
         "colliding-refined-nodes",
+        "inline-fredholm-methods",
     ],
 )
 def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
@@ -255,6 +257,48 @@ def test_byte_identical_reruns(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_fredholm_methods_builds_one_projection_per_trial(tmp_path, monkeypatch):
+    # every error is read off one projection sweep; no whole-table
+    # projection solver runs
+    import volterra_lq.fredholm as fredholm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-table projection solver called")
+
+    for name in ("solve_galerkin", "solve_iterated_galerkin", "solve_superconvergent"):
+        monkeypatch.setattr(fredholm, name, refuse)
+    builds = []
+    init = fredholm._Projection.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fredholm._Projection, "__init__", counting_init)
+    cfg = load_config(
+        write(
+            tmp_path,
+            "problem = random-smooth(100)\nscenario = fredholm-methods\nn = 24\n"
+            f"galerkin_dim = 8\noutdir = {tmp_path}/out\n",
+        )
+    )
+    assert run_scenario(cfg).passed
+    assert len(builds) == 20
+
+
+def test_fredholm_methods_on_graded_grid_reruns_byte_identically(tmp_path):
+    base = (
+        "problem = random-smooth(100)\nscenario = fredholm-methods\nn = 24\n"
+        "galerkin_dim = 8\ngrid = graded\n"
+    )
+    for run in ("a", "b"):
+        cfg = load_config(write(tmp_path, base + f"outdir = {tmp_path}/{run}\n", f"{run}.cfg"))
+        report = run_scenario(cfg)
+        assert report.checks and report.passed
+    for name in ("fredholm_methods.csv", "superconvergent_sweeps.csv", "residuals.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_environment_cache_override(tmp_path, monkeypatch):
