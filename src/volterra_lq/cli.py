@@ -8,13 +8,15 @@ Usage:
 
 `run` executes the configured scenario, writes CSV artifacts and a JSON
 report into the output directory, prints one line per check, and exits 0
-exactly when every check passed.
+exactly when every check passed; 1 means a check failed, 2 bad input (one
+`error:` line), 3 an unexpected error (traceback, then `internal error:`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .cache import cache_dir, clear_cache
 from .catalog import get_problem, problem_names
@@ -89,6 +91,10 @@ def main(argv=None) -> int:
     except (ConfigError, AssumptionError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import problem_names
 from .errors import ConfigError
 from .grids import build_grid
 
@@ -173,6 +174,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; valid scenarios: {', '.join(SCENARIOS)}"
         )
+    if cfg.problem != "inline" and cfg.problem not in problem_names():
+        raise ConfigError(
+            f"unknown catalog problem {cfg.problem!r}; valid names: "
+            f"{', '.join(problem_names())}"
+        )
     if not 0.0 < cfg.beta < 1.0:
         raise ConfigError(f"field 'beta': must lie in (0, 1), got {cfg.beta}")
     if cfg.scenario not in STATE_ONLY_SCENARIOS and not cfg.beta > 0.5:
@@ -209,6 +215,9 @@ def _validate(cfg: RunConfig):
             "field 'problem': scenario 'fredholm-methods' seeds its trials from "
             "the catalog and cannot run an inline problem"
         )
+    for key in ("state_dim", "control_dim"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"field {key!r}: must be >= 1, got {getattr(cfg, key)}")
     if cfg.problem != "inline" and cfg.inline:
         raise ConfigError(
             "inline coefficient keys are only valid with problem = inline"

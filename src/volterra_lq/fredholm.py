@@ -428,18 +428,17 @@ def crosscheck_kernel_samples(
     sys: FredholmSystem,
     dlq: DiscreteLQ,
     n_samples: int = 24,
-    min_separation: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Compare sampled kernel entries against direct quadrature.
 
     Re-evaluates K(t_i, xi_j) from the factored control kernel by product
     quadrature of the defining double integral and returns the largest
-    relative deviation over the sampled pairs.  Pairs are drawn away from
-    the diagonal (the folded singular factor must stay resolved) and away
-    from the terminal corner (where the integration domain degenerates to
-    a few segments); within that region the two routes agree to first
-    order in the step.  Requires the decomposition `dlq.dec` to carry the
+    relative deviation over the sampled pairs.  Pairs are drawn at least
+    6T/n from the diagonal (the folded singular factor must stay resolved)
+    and away from the terminal corner (where the integration domain
+    degenerates to a few segments); within that region the two routes
+    agree to first order in the step.  Requires the decomposition `dlq.dec` to carry the
     factored kernel.
     """
     dec = dlq.dec
@@ -450,7 +449,7 @@ def crosscheck_kernel_samples(
     n, du = sys.n, sys.du
     nodes = grid.nodes
     hi = max(int(0.85 * n), 3)
-    sep = min_separation if min_separation is not None else 6.0 * grid.T / n
+    sep = 6.0 * grid.T / n
     sc = dlq.cost_samples
     Rinv = sc.R_inverses()
     beta = dec.ops.beta

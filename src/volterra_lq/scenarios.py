@@ -1,10 +1,12 @@
 """Experiment scenarios: the pipelines behind the command-line interface.
 
-Each scenario builds a problem, runs one verification pipeline, writes
-deterministic CSV files (first line: a comment with the configuration
-hash and package version), and returns a ScenarioReport whose checks are
-the pass/fail gates.  The same configuration always produces byte
-identical CSV output.
+Each scenario runner builds a problem, runs one verification pipeline and
+returns a ScenarioReport: its checks are the pass/fail gates and its
+tables map CSV file names to columns in write order.  Runners compute;
+run_scenario alone writes.  It writes every table, then the residuals
+table (one row per check), each under a comment line with the package
+version and the configuration hash, and last the JSON report.  The same
+configuration always produces byte identical CSV output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .adjoint import control_from_adjoint, solve_adjoint
 from .cache import cached_resolvent
-from .catalog import example_2_1_control, get_problem, problem_names
+from .catalog import example_2_1_control, get_problem
 from .causal import (
     abstract_causal_control,
     build_cross_term_reduction,
@@ -29,7 +31,7 @@ from .causal import (
 )
 from .config import RunConfig, _validate
 from .errors import ConfigError
-from .fredholm import feedback_control
+from .fredholm import representation_terms
 from .grids import build_grid, integrate_singular, product_weights
 from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
 from .volterra import ProblemData, decompose, resolvent, solve_state
@@ -51,7 +53,7 @@ class ScenarioReport:
     problem: str
     checks: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
-    csv_paths: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -68,6 +70,10 @@ class ScenarioReport:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return f'"{x}"'
+    if isinstance(x, bool):
+        return str(int(x))
     return format(float(x), ".17g")
 
 
@@ -87,7 +93,11 @@ def _rel(omega: np.ndarray, diff: np.ndarray, ref: np.ndarray) -> float:
     return float(num / max(den, 1e-30))
 
 
-def _inline_problem(cfg: RunConfig):
+def _materialize(cfg: RunConfig):
+    """The problem and cost of a catalog entry or of the inline coefficients."""
+    if cfg.problem != "inline":
+        entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed)
+        return entry.problem, entry.cost
     dx, du = cfg.state_dim, cfg.control_dim
     shapes = {
         "A": (dx, dx), "B": (dx, du), "Q": (dx, dx), "S": (du, dx),
@@ -129,21 +139,9 @@ def _inline_problem(cfg: RunConfig):
     return problem, cost
 
 
-def _materialize(cfg: RunConfig):
-    if cfg.problem == "inline":
-        return _inline_problem(cfg)
-    entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed)
-    return entry.problem, entry.cost
-
-
 def run_scenario(cfg: RunConfig) -> ScenarioReport:
-    """Execute one scenario and write its CSV artifacts."""
+    """Execute one scenario and write its tables, its residuals and its report."""
     _validate(cfg)
-    if cfg.problem != "inline" and cfg.problem not in problem_names():
-        raise ConfigError(
-            f"unknown catalog problem {cfg.problem!r}; valid names: "
-            f"{', '.join(problem_names())}"
-        )
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -154,7 +152,16 @@ def run_scenario(cfg: RunConfig) -> ScenarioReport:
         "reduction": _run_reduction,
     }[cfg.scenario]
     t0 = time.perf_counter()
-    report = runner(cfg, outdir)
+    report = runner(cfg)
+    report.tables["residuals.csv"] = {
+        "check": [c.name for c in report.checks],
+        "value": [c.value for c in report.checks],
+        "tolerance": [c.tolerance for c in report.checks],
+        "passed": [c.passed for c in report.checks],
+    }
+    cfg_hash = cfg.config_hash()
+    for name, columns in report.tables.items():
+        _write_csv(outdir / name, columns, cfg_hash)
     report.timings["total_s"] = time.perf_counter() - t0
     (outdir / "report.json").write_text(
         json.dumps(
@@ -164,7 +171,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioReport:
                 "passed": report.passed,
                 "checks": [vars(c) for c in report.checks],
                 "timings": report.timings,
-                "csv_paths": [str(p) for p in report.csv_paths],
+                "csv_paths": [str(outdir / name) for name in report.tables],
             },
             indent=2,
             sort_keys=True,
@@ -178,20 +185,44 @@ def _tol(cfg: RunConfig, name: str, default: float) -> float:
     return float(cfg.tolerances.get(name, default))
 
 
+def _gain_method(cfg: RunConfig) -> dict:
+    """The gain-solver keywords of the causal representations."""
+    subspace_dim = cfg.galerkin_dim if cfg.m_solver != "direct" else None
+    return dict(method=cfg.m_solver, subspace_dim=subspace_dim, iterations=cfg.iterations)
+
+
+def _solved_lq(cfg: RunConfig):
+    """Grid, assembled problem, open-loop optimal control and its state."""
+    problem, cost = _materialize(cfg)
+    grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
+    dlq = assemble_quadratic_form(decompose(problem, grid, None), cost)
+    u_direct = solve_open_loop(dlq)
+    x_bar = (dlq.dec.psi.ravel() + dlq.dec.ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
+    return grid, dlq, u_direct, x_bar
+
+
+def _form_value(dlq, u) -> float:
+    """The quadratic form u' Lambda u + 2 rhs' u + lam0 of the assembled problem."""
+    return float(u.ravel() @ dlq.lam @ u.ravel() + 2.0 * dlq.rhs @ u.ravel() + dlq.lam0)
+
+
+def _columns(t, **trajectories) -> dict:
+    """CSV columns: t, then name_c for each component c of each trajectory."""
+    columns = {"t": t}
+    for name, values in trajectories.items():
+        for c in range(values.shape[1]):
+            columns[f"{name}_{c}"] = values[:, c]
+    return columns
+
+
 # ---------------------------------------------------------------------------
 
 
-def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    problem, cost = _materialize(cfg)
+def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("equivalence", cfg.problem)
-    grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
-    dec = decompose(problem, grid, None)
-    dlq = assemble_quadratic_form(dec, cost)
-    ops, sc = dec.ops, dlq.cost_samples
+    grid, dlq, u_direct, x_bar = _solved_lq(cfg)
+    ops, sc = dlq.dec.ops, dlq.cost_samples
     omega = grid.trapezoid_weights()
-
-    u_direct = solve_open_loop(dlq)
-    x_bar = (dec.psi.ravel() + ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
 
     adj = solve_adjoint(ops, sc, x_bar, u_direct)
     u_adjoint = control_from_adjoint(adj, ops, sc, x_bar)
@@ -201,7 +232,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         _tol(cfg, "adjoint", 1e-5),
     )
 
-    traj = causal_trajectories(dec, u_direct)
+    traj = causal_trajectories(dlq.dec, u_direct)
     u_causal = abstract_causal_control(dlq, traj)
     report.add(
         "control: causal reconstruction vs direct solve",
@@ -209,12 +240,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         _tol(cfg, "causal", 1e-8),
     )
 
-    u_feedback = feedback_control(
-        dlq,
-        method=cfg.m_solver,
-        subspace_dim=cfg.galerkin_dim if cfg.m_solver != "direct" else None,
-        iterations=cfg.iterations,
-    )
+    u_feedback = representation_terms(dlq, traj, **_gain_method(cfg))
     report.add(
         "control: feedback-gain representation vs direct solve",
         _rel(omega, u_feedback - u_direct, u_direct),
@@ -222,11 +248,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     )
 
     j_quad = evaluate_cost(ops, sc, u_direct)
-    j_form = float(
-        u_direct.ravel() @ dlq.lam @ u_direct.ravel()
-        + 2.0 * dlq.rhs @ u_direct.ravel()
-        + dlq.lam0
-    )
+    j_form = _form_value(dlq, u_direct)
     report.add(
         "cost: direct quadrature vs quadratic form",
         abs(j_quad - j_form) / (1.0 + abs(j_form)),
@@ -238,7 +260,7 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
     t_probe = grid.n // 2
     u_pert = u_direct.copy()
     u_pert[t_probe:] += rng.normal(size=u_pert[t_probe:].shape)
-    traj_pert = causal_trajectories(dec, u_pert)
+    traj_pert = causal_trajectories(dlq.dec, u_pert)
     drift = max(
         float(np.max(np.abs(traj_pert.x_trunc[t_probe] - traj.x_trunc[t_probe]))),
         float(np.max(np.abs(traj_pert.x_aux[t_probe] - traj.x_aux[t_probe]))),
@@ -260,23 +282,13 @@ def _run_equivalence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         larger_ok=True,
     )
 
-    cfg_hash = cfg.config_hash()
-    controls = {"t": grid.nodes}
-    for name, u in (
-        ("direct", u_direct),
-        ("adjoint", u_adjoint),
-        ("causal", u_causal),
-        ("feedback", u_feedback),
-    ):
-        for c in range(u.shape[1]):
-            controls[f"u_{name}_{c}"] = u[:, c]
-    _write_csv(outdir / "controls.csv", controls, cfg_hash)
-    state_cols = {"t": grid.nodes}
-    for c in range(x_bar.shape[1]):
-        state_cols[f"x_{c}"] = x_bar[:, c]
-    _write_csv(outdir / "state.csv", state_cols, cfg_hash)
-    _write_residuals_csv(outdir, report, cfg_hash)
-    report.csv_paths = [outdir / "controls.csv", outdir / "state.csv", outdir / "residuals.csv"]
+    report.tables = {
+        "controls.csv": _columns(
+            grid.nodes,
+            u_direct=u_direct, u_adjoint=u_adjoint, u_causal=u_causal, u_feedback=u_feedback,
+        ),
+        "state.csv": _columns(grid.nodes, x=x_bar),
+    }
     return report
 
 
@@ -304,25 +316,8 @@ def _optimality_gap(ops, sc, u_opt, j_opt, rng, trials=20) -> float:
     return float(worst)
 
 
-def _write_residuals_csv(outdir: Path, report: ScenarioReport, cfg_hash: str):
-    cols = {
-        "check": [c.name for c in report.checks],
-        "value": [c.value for c in report.checks],
-        "tolerance": [c.tolerance for c in report.checks],
-        "passed": [float(c.passed) for c in report.checks],
-    }
-    lines = [f"# volterra-lq {__version__} config={cfg_hash}"]
-    lines.append("check,value,tolerance,passed")
-    for i in range(len(cols["check"])):
-        lines.append(
-            f"\"{cols['check'][i]}\",{_fmt(cols['value'][i])},"
-            f"{_fmt(cols['tolerance'][i])},{int(cols['passed'][i])}"
-        )
-    (outdir / "residuals.csv").write_text("\n".join(lines) + "\n")
-
-
-def _run_convergence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    problem, cost = _materialize(cfg)
+def _run_convergence(cfg: RunConfig) -> ScenarioReport:
+    problem, _ = _materialize(cfg)
     report = ScenarioReport("convergence", cfg.problem)
     rows = {"n": [], "res_defining": [], "res_transposed": [], "varconst": [], "series_err": []}
     prev = None
@@ -368,8 +363,7 @@ def _run_convergence(cfg: RunConfig, outdir: Path) -> ScenarioReport:
                 larger_ok=True,
             )
         prev = kernel.residuals
-    _write_csv(outdir / "convergence.csv", rows, cfg.config_hash())
-    report.csv_paths = [outdir / "convergence.csv"]
+    report.tables = {"convergence.csv": rows}
     return report
 
 
@@ -411,7 +405,7 @@ def _series_error(problem, grid, kernel) -> float:
     return float(worst)
 
 
-def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
+def _run_fredholm_methods(cfg: RunConfig) -> ScenarioReport:
     from .fredholm import _Projection, _sweep, assemble_fredholm, solve_direct
 
     report = ScenarioReport("fredholm-methods", cfg.problem)
@@ -440,7 +434,7 @@ def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         rows["err_galerkin"].append(e_gal)
         rows["err_iterated"].append(e_it)
         rows["err_super"].append(e_sup)
-        rows["ordered"].append(float(ordered))
+        rows["ordered"].append(ordered)
         if trial == 0:
             hist = errs[1:]
             sweep_rows = {"k": list(range(len(hist))), "error": hist}
@@ -461,19 +455,11 @@ def _run_fredholm_methods(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         0.9,
         larger_ok=True,
     )
-    cfg_hash = cfg.config_hash()
-    _write_csv(outdir / "fredholm_methods.csv", rows, cfg_hash)
-    _write_csv(outdir / "superconvergent_sweeps.csv", sweep_rows, cfg_hash)
-    _write_residuals_csv(outdir, report, cfg_hash)
-    report.csv_paths = [
-        outdir / "fredholm_methods.csv",
-        outdir / "superconvergent_sweeps.csv",
-        outdir / "residuals.csv",
-    ]
+    report.tables = {"fredholm_methods.csv": rows, "superconvergent_sweeps.csv": sweep_rows}
     return report
 
 
-def _run_example_2_1(cfg: RunConfig, outdir: Path) -> ScenarioReport:
+def _run_example_2_1(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("example-2-1", "example-2-1")
     # control energy by plain quadrature on the graded mesh
     g_norm = build_grid(max(cfg.n, 4096), cfg.T, "graded", 4.5)
@@ -515,32 +501,22 @@ def _run_example_2_1(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         spread,
         _tol(cfg, "stability", 0.05),
     )
-    cfg_hash = cfg.config_hash()
-    _write_csv(outdir / "norm.csv", {"n": [g_norm.n], "energy": [energy], "reference": [reference]}, cfg_hash)
-    _write_csv(outdir / "example_2_1.csv", rows, cfg_hash)
-    _write_residuals_csv(outdir, report, cfg_hash)
-    report.csv_paths = [outdir / "norm.csv", outdir / "example_2_1.csv", outdir / "residuals.csv"]
+    report.tables = {
+        "norm.csv": {"n": [g_norm.n], "energy": [energy], "reference": [reference]},
+        "example_2_1.csv": rows,
+    }
     return report
 
 
-def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
-    problem, cost = _materialize(cfg)
+def _run_reduction(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("reduction", cfg.problem)
-    grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
+    grid, dlq, u_direct, x_bar = _solved_lq(cfg)
     omega = grid.trapezoid_weights()
-    dec = decompose(problem, grid, None)
-    dlq = assemble_quadratic_form(dec, cost)
-    u_direct = solve_open_loop(dlq)
-    x_bar = (dec.psi.ravel() + dec.ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
-    j_orig = evaluate_cost(dec.ops, dlq.cost_samples, u_direct)
+    j_orig = evaluate_cost(dlq.dec.ops, dlq.cost_samples, u_direct)
 
     reduced = build_cross_term_reduction(dlq)
     v_opt = solve_open_loop(reduced.dlq)
-    j_reduced = float(
-        v_opt.ravel() @ reduced.dlq.lam @ v_opt.ravel()
-        + 2.0 * reduced.dlq.rhs @ v_opt.ravel()
-        + reduced.dlq.lam0
-    )
+    j_reduced = _form_value(reduced.dlq, v_opt)
     report.add(
         "optimal values agree after the constant-offset correction",
         abs(j_orig - (j_reduced - reduced.value_offset)) / (1.0 + abs(j_orig)),
@@ -555,12 +531,7 @@ def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
 
     v_bar = reduced.to_reduced_control(u_direct, x_bar)
     traj = causal_trajectories(reduced.dlq.dec, v_bar)
-    u_general = general_causal_control(
-        reduced, traj, x_bar,
-        method=cfg.m_solver,
-        subspace_dim=cfg.galerkin_dim if cfg.m_solver != "direct" else None,
-        iterations=cfg.iterations,
-    )
+    u_general = general_causal_control(reduced, traj, x_bar, **_gain_method(cfg))
     report.add(
         "control: general causal representation vs direct solve",
         _rel(omega, u_general - u_direct, u_direct),
@@ -572,21 +543,14 @@ def _run_reduction(cfg: RunConfig, outdir: Path) -> ScenarioReport:
         1.0 - 1e-6,
         larger_ok=True,
     )
-    cfg_hash = cfg.config_hash()
-    controls = {"t": grid.nodes}
-    for name, u in (("direct", u_direct), ("mapped", u_mapped), ("general", u_general)):
-        for c in range(u.shape[1]):
-            controls[f"u_{name}_{c}"] = u[:, c]
-    _write_csv(outdir / "controls.csv", controls, cfg_hash)
-    _write_csv(
-        outdir / "reduction.csv",
-        {
+    report.tables = {
+        "controls.csv": _columns(
+            grid.nodes, u_direct=u_direct, u_mapped=u_mapped, u_general=u_general
+        ),
+        "reduction.csv": {
             "j_original": [j_orig],
             "j_reduced": [j_reduced],
             "offset": [reduced.value_offset],
         },
-        cfg_hash,
-    )
-    _write_residuals_csv(outdir, report, cfg_hash)
-    report.csv_paths = [outdir / "controls.csv", outdir / "reduction.csv", outdir / "residuals.csv"]
+    }
     return report

@@ -278,20 +278,15 @@ def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -
     return total
 
 
-def resolvent(
-    problem: ProblemData,
-    grid: Grid,
-    rtol: float = 1e-13,
-    max_levels: int = 120,
-    residual_stride: int | None = None,
-) -> FactoredKernel:
+def resolvent(problem: ProblemData, grid: Grid, max_levels: int = 120) -> FactoredKernel:
     """Resolvent kernel of A(t,s)/(t-s)^(1-beta), in factored form.
 
     Sums the iterated-kernel series with exact product moments for every
     (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  The returned kernel also
     carries residuals of its defining Volterra identity and of the
     transposed identity (kernel on the right), both measured by an
-    independent quadrature pass over sampled source columns.
+    independent quadrature pass over sampled source columns.  The series
+    stops at the first level below 1e-13 of the largest level so far.
     """
     beta = problem.beta
     n = grid.n
@@ -329,7 +324,7 @@ def resolvent(
         D[il] += F_next[il]
         level_scale = float(np.max(np.abs(F_next)))
         scale_ref = max(scale_ref, level_scale)
-        if level_scale <= rtol * max(scale_ref, 1e-300):
+        if level_scale <= 1e-13 * max(scale_ref, 1e-300):
             break
         G = Gnew
     else:
@@ -339,11 +334,11 @@ def resolvent(
             "large for this horizon"
         )
 
-    kernel.residuals = _resolvent_residuals(kernel, Asamp, F2, grid, residual_stride)
+    kernel.residuals = _resolvent_residuals(kernel, Asamp, F2, grid)
     return kernel
 
 
-def _resolvent_residuals(kernel, Asamp, first, grid, stride):
+def _resolvent_residuals(kernel, Asamp, first, grid):
     """Independent quadrature residuals of the two defining identities.
 
     defining:   D(t,s) = int A(t,tau) Phi(tau,s) (t-tau)^(b-1) dtau
@@ -359,9 +354,7 @@ def _resolvent_residuals(kernel, Asamp, first, grid, stride):
     sw = product_weights(grid, beta).w
     phi_vals = kernel.eval_offdiag(grid)
 
-    if stride is None:
-        stride = max(1, (n - 2) // 48)
-    cols = np.arange(0, n - 2, stride)
+    cols = np.arange(0, n - 2, max(1, (n - 2) // 48))  # about 48 source columns
     res_def = 0.0
     res_tr = 0.0
     for j in cols:

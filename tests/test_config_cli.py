@@ -1,3 +1,6 @@
+import csv
+import json
+
 import pytest
 
 from volterra_lq import ConfigError, RunConfig, StateOperator, load_config, run_scenario
@@ -87,9 +90,11 @@ def test_unknown_scenario_lists_valid_names(tmp_path):
 
 
 def test_unknown_problem_lists_catalog(tmp_path):
-    cfg = load_config(write(tmp_path, "problem = mystery\nscenario = equivalence\n"))
     with pytest.raises(ConfigError, match="zero-cost"):
-        run_scenario(cfg)
+        load_config(write(tmp_path, "problem = mystery\nscenario = equivalence\n"))
+    with pytest.raises(ConfigError, match="zero-cost"):
+        run_scenario(RunConfig(problem="mystery", outdir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
 
 
 def test_inline_problem_runs(tmp_path):
@@ -179,6 +184,8 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         "grid = graded\ngrading_exponent = 40\n",
         "scenario = convergence\ngrid = graded\ngrading_exponent = 12\n",
         "problem = inline\nscenario = fredholm-methods\n",
+        "problem = inline\nstate_dim = 0\nR = 1\n",
+        "problem = inline\ncontrol_dim = 0\nQ = 1\n",
     ],
     ids=[
         "T-zero",
@@ -190,6 +197,8 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         "colliding-graded-nodes",
         "colliding-refined-nodes",
         "inline-fredholm-methods",
+        "zero-state-dim",
+        "zero-control-dim",
     ],
 )
 def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
@@ -202,6 +211,77 @@ def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: field ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_unexpected_errors_with_exit_3(tmp_path, capsys, monkeypatch):
+    import volterra_lq.cli as cli
+
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    cfg_path = write(tmp_path, "problem = zero-cost\nscenario = equivalence\nn = 16\n")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err
+    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+    assert sum(line.startswith("internal error:") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "problem = random-smooth(1)\nscenario = equivalence\nn = 12\n",
+        "problem = cross-term(5)\nscenario = reduction\nn = 12\n",
+        "problem = random-smooth(3)\nscenario = convergence\nn = 9\n",
+        "problem = random-smooth(100)\nscenario = fredholm-methods\nn = 12\ngalerkin_dim = 4\n",
+        "problem = example-2-1\nscenario = example-2-1\n",
+    ],
+    ids=["equivalence", "reduction", "convergence", "fredholm-methods", "example-2-1"],
+)
+def test_report_lists_every_csv_and_residuals_match_checks(tmp_path, text):
+    outdir = tmp_path / "out"
+    cfg = load_config(
+        write(tmp_path, text + f"outdir = {outdir}\ncache_dir = {tmp_path}/cache\n")
+    )
+    report = run_scenario(cfg)
+    listed = json.loads((outdir / "report.json").read_text())["csv_paths"]
+    assert sorted(listed) == sorted(str(p) for p in outdir.glob("*.csv"))
+    assert listed == [str(outdir / name) for name in report.tables]
+    assert listed[-1] == str(outdir / "residuals.csv")
+    with open(outdir / "residuals.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0].startswith("# volterra-lq ")
+    assert rows[1] == ["check", "value", "tolerance", "passed"]
+    assert [
+        (name, float(value), float(tolerance), passed == "1")
+        for name, value, tolerance, passed in rows[2:]
+    ] == [(c.name, c.value, c.tolerance, c.passed) for c in report.checks]
+
+
+def test_equivalence_solves_the_open_loop_once(tmp_path, monkeypatch):
+    import volterra_lq.fredholm as fredholm
+    import volterra_lq.lq as lq
+    import volterra_lq.scenarios as scenarios
+
+    calls = []
+    solve = lq.solve_open_loop
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (lq, fredholm, scenarios):
+        monkeypatch.setattr(module, "solve_open_loop", counting_solve)
+    cfg = load_config(
+        write(
+            tmp_path,
+            "problem = random-smooth(7)\nscenario = equivalence\nn = 24\n"
+            f"outdir = {tmp_path}/out\n",
+        )
+    )
+    assert run_scenario(cfg).passed
+    assert len(calls) == 1
 
 
 def test_direct_runs_ignore_an_unread_subspace_dimension(tmp_path):
