@@ -30,7 +30,9 @@ Two complementary representations are built here.
     `_convolve_columns`, which differs only in its weight source: a slice
     of one offset table on a uniform grid, per-column incomplete-beta
     weights on a graded grid, or the lower-endpoint weights for the
-    regular part of Psi.
+    regular part of Psi.  The left factor is stored with the node axis
+    innermost, so each source column costs one contiguous weighted
+    product and one GEMM.
 
 The factored kernel feeds diagnostics and cross-checks; the discrete
 operator layer feeds the optimization modules.
@@ -204,14 +206,18 @@ def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray:
 
     Returns W[d, m] (m = 0..d) such that the integral from s_j to t_{j+d}
     of the doubly singular weight against a hat-interpolated coefficient g
-    is sum_m W[d, m] g(s_{j+m}).
+    is sum_m W[d, m] g(s_{j+m}).  A series level makes one
+    `_pair_hat_weights` call for every offset: each row d runs over all
+    n - 1 segments with the endpoints past t_{j+d} padded to x = 1, so the
+    padded segments and the entries m > d weigh exactly 0.
     """
     n = grid.n
     h = grid.spacings[0]
+    d = np.arange(1, n)[:, None]
+    m = np.arange(n)
+    lo = m[:-1] * h
     W = np.zeros((n, n))
-    for d in range(1, n):
-        lo = np.arange(d) * h
-        W[d, : d + 1] = _pair_hat_weights(np.arange(d + 1) / d, d * h, lo, lo + h, h, p, q)
+    W[1:] = _pair_hat_weights(np.minimum(m / d, 1.0), d * h, lo, lo + h, h, p, q)
     return W
 
 
@@ -245,19 +251,18 @@ def _convolve_columns(Fsamples, Gsamples, column_weights) -> np.ndarray:
     """out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j.
 
     Wj = column_weights(j) has shape (n-j-1, n-j) and carries whichever
-    singular factors the product integrates; each source column is one
-    weighted elementwise product and one GEMM.
+    singular factors the product integrates.  F is stored node-innermost,
+    (n, d1, dm, n), so each source column is one contiguous weighted
+    product over rows of length n - j and one GEMM against G's column.
     """
     n, _, d1, dm = Fsamples.shape
     d2 = Gsamples.shape[-1]
-    F = np.ascontiguousarray(Fsamples.transpose(0, 2, 1, 3))  # (n, d1, n, dm)
+    F = np.ascontiguousarray(Fsamples.transpose(0, 2, 3, 1))  # (n, d1, dm, n)
     out = np.zeros((n, n, d1, d2))
     for j in range(n - 1):
-        Wj = column_weights(j)
-        Fw = F[j + 1 :, :, j:] * Wj[:, None, :, None]
-        out[j + 1 :, j] = (
-            Fw.reshape(-1, (n - j) * dm) @ Gsamples[j:, j].reshape(-1, d2)
-        ).reshape(n - j - 1, d1, d2)
+        Fw = F[j + 1 :, :, :, j:] * column_weights(j)[:, None, None, :]
+        Gj = Gsamples[j:, j].transpose(1, 0, 2).reshape(-1, d2)  # rows (y, l)
+        out[j + 1 :, j] = (Fw.reshape(-1, dm * (n - j)) @ Gj).reshape(n - j - 1, d1, d2)
     return out
 
 
@@ -347,38 +352,36 @@ def _resolvent_residuals(kernel, Asamp, first, grid):
     regular part of each integrand is re-integrated by plain product
     quadrature (not the level-wise factored form used to build D), so the
     residual exercises a different discretization of the same identity.
+    Over about 48 sampled source columns, the defining identity is one GEMM
+    of the weighted A against those columns of D; the transposed one is,
+    per column, one weighted product of D's rows and one GEMM against A.
     """
     beta = kernel.beta
-    n = grid.n
+    n, _, dx, _ = Asamp.shape
     D = kernel.regular_part
     sw = product_weights(grid, beta).w
-    phi_vals = kernel.eval_offdiag(grid)
+    cols = np.arange(0, n - 2, max(1, (n - 2) // 48))
+    c = cols.size
+    # defining identity, kernel A on the left
+    WA = (sw[:, :, None, None] * Asamp).transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
+    Dc = D[:, cols].transpose(0, 2, 1, 3).reshape(n * dx, c * dx)
+    quad = (WA @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
+    # transposed identity, kernel A on the right; weights carry the
+    # (tau - s_j)^(beta-1) factor about the lower endpoint (rows i >= j)
+    Dt = np.ascontiguousarray(D.transpose(0, 2, 3, 1))  # (n, dx, dx, n)
+    quad_tr = np.zeros_like(quad)
+    for k, j in enumerate(cols):
+        Dw = Dt[j:, :, :, j:] * lower_product_weights(grid, beta, j)[:, None, None, :]
+        Aj = Asamp[j:, j].transpose(1, 0, 2).reshape(-1, dx)  # rows (y, l)
+        quad_tr[j:, k] = (Dw.reshape(-1, dx * (n - j)) @ Aj).reshape(n - j, dx, dx)
 
-    cols = np.arange(0, n - 2, max(1, (n - 2) // 48))  # about 48 source columns
-    res_def = 0.0
-    res_tr = 0.0
-    for j in cols:
-        denom = 1.0 + np.abs(phi_vals[:, j]).max(axis=(1, 2))
-        ii = np.arange(j + 2, n)
-        # defining identity, kernel A on the left
-        integrand = np.matmul(Asamp, D[None, :, j])
-        quad = np.einsum("it,itxz->ixz", sw, integrand)
-        rhs = first[:, j] + quad
-        res_def = max(
-            res_def,
-            float(np.max(np.abs(D[ii, j] - rhs[ii]).max(axis=(1, 2)) / denom[ii])),
-        )
-        # transposed identity, kernel A on the right; weights carry the
-        # (tau - s_j)^(beta-1) factor about the lower endpoint (rows i >= j)
-        Wlow = lower_product_weights(grid, beta, j)
-        integrand_tr = np.matmul(D[j:, j:], Asamp[None, j:, j])
-        quad_tr = np.einsum("it,itxz->ixz", Wlow, integrand_tr)
-        rhs_tr = first[j:, j] + quad_tr
-        res_tr = max(
-            res_tr,
-            float(np.max(np.abs(D[ii, j] - rhs_tr[ii - j]).max(axis=(1, 2)) / denom[ii])),
-        )
-    return {"defining": res_def, "transposed": res_tr}
+    denom = 1.0 + np.abs(kernel.eval_offdiag(grid)[:, cols]).max(axis=(2, 3))
+    rows = np.arange(n)[:, None] >= cols + 2  # targets i >= j + 2 of column j
+    residuals = {}
+    for name, q in (("defining", quad), ("transposed", quad_tr)):
+        err = np.abs(D[:, cols] - (first[:, cols] + q)).max(axis=(2, 3)) / denom
+        residuals[name] = float(np.max(err[rows]))
+    return residuals
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from volterra_lq.volterra import (
     sample_kernel,
 )
 from volterra_lq.grids import lower_product_weights
+from volterra_lq.scenarios import _series_error
 
 from conftest import rel_l2
 
@@ -35,6 +36,33 @@ def const_kernel(c):
     return lambda t, s: np.broadcast_to(
         c, np.broadcast_shapes(np.shape(t), np.shape(s))
     )[..., None, None]
+
+
+def column_loop_residuals(kernel, Asamp, first, grid):
+    """Reference residual pass: one batched matmul and einsum per column."""
+    beta = kernel.beta
+    n = grid.n
+    D = kernel.regular_part
+    sw = product_weights(grid, beta).w
+    phi_vals = kernel.eval_offdiag(grid)
+    res_def = res_tr = 0.0
+    for j in np.arange(0, n - 2, max(1, (n - 2) // 48)):
+        denom = 1.0 + np.abs(phi_vals[:, j]).max(axis=(1, 2))
+        ii = np.arange(j + 2, n)
+        quad = np.einsum("it,itxz->ixz", sw, np.matmul(Asamp, D[None, :, j]))
+        rhs = first[:, j] + quad
+        res_def = max(
+            res_def,
+            float(np.max(np.abs(D[ii, j] - rhs[ii]).max(axis=(1, 2)) / denom[ii])),
+        )
+        Wlow = lower_product_weights(grid, beta, j)
+        quad_tr = np.einsum("it,itxz->ixz", Wlow, np.matmul(D[j:, j:], Asamp[None, j:, j]))
+        rhs_tr = first[j:, j] + quad_tr
+        res_tr = max(
+            res_tr,
+            float(np.max(np.abs(D[ii, j] - rhs_tr[ii - j]).max(axis=(1, 2)) / denom[ii])),
+        )
+    return {"defining": res_def, "transposed": res_tr}
 
 
 def series_kernel(a, beta, dt, terms=80):
@@ -104,6 +132,44 @@ class TestResolvent:
         u1 = _convolve_columns(As, As, lambda j: W[1 : n - j, : n - j])
         u2 = _convolve_columns(As, As, lambda j: _pair_column(grid, 0.75, 0.75, j))
         assert np.allclose(u1, u2, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("q", [0.75, 3.0, 9.75])
+    def test_offset_table_matches_general_route(self, q):
+        # the one padded call per level against the per-column route at
+        # j = 0; row 0 and the padded entries m > d must weigh exactly 0
+        grid = build_grid(33, 1.0)
+        W = _pair_weight_matrix(grid, 0.75, q)
+        ref = _pair_column(grid, 0.75, q, 0)
+        row_scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(W[1:] - ref) <= 1e-13 * row_scale)
+        assert np.all(W[0] == 0.0)
+        assert np.all(W[np.triu_indices(grid.n, k=1)] == 0.0)
+
+    @pytest.mark.parametrize(
+        "name, seed, kind",
+        [
+            ("random-smooth", 3, "uniform"),
+            ("random-smooth", 3, "graded"),
+            ("constant-coeff", 0, "uniform"),
+        ],
+    )
+    def test_residual_pass_matches_column_loop(self, name, seed, kind):
+        grid = build_grid(33, 1.0, kind)
+        p = get_problem(name, 0.75, 1.0, seed=seed).problem
+        ker = resolvent(p, grid)
+        As = sample_kernel(p.A, grid, p.n_state, p.n_state)
+        first = _convolve_columns(As, As, _pair_column_weights(grid, 0.75, 0.75))
+        ref = column_loop_residuals(ker, As, first, grid)
+        for key in ("defining", "transposed"):
+            assert ref[key] > 0.0
+            assert abs(ker.residuals[key] - ref[key]) <= 1e-11 * ref[key]
+
+    @pytest.mark.parametrize("kind, n", [("uniform", 128), ("graded", 65)])
+    def test_constant_coefficient_series_to_machine_precision(self, kind, n):
+        # the README's claim; the convergence scenario keeps its own 1e-6 gate
+        p = get_problem("constant-coeff", 0.75, 1.0).problem
+        grid = build_grid(n, 1.0, kind)
+        assert _series_error(p, grid, resolvent(p, grid)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     def test_column_convolution_matches_triple_loop(self, kind):
