@@ -183,7 +183,7 @@ def _cross_term(beta, T, seed, dx=2, du=2):
     # square shifted by R^-1 S X); declare a floor with a 20% margin so
     # the operator bounds hold with room to spare across seeds.
     probe = np.linspace(0.0, T, 512)
-    rmin = float(min(np.linalg.eigvalsh(M).min() for M in R(probe)))
+    rmin = float(np.linalg.eigvalsh(R(probe)).min())
     cost = CostData(
         Q=Q, S=S, R=R, q=cost.q, rho=rho, G=cost.G, g=cost.g, delta=0.8 * rmin
     )

@@ -47,7 +47,12 @@ Solvers, from oracle to cheap:
 The last three are one sweep of linear maps of the right side f that act
 on it from the left, so the representation, which needs M_t(t, .) only
 against one vector v, runs that sweep per node on the single column f v
-and never forms a gain table.  Every solver returns the gain table `M`
+and never forms a gain table.  The sweep at sigma reads only the kernel
+columns of the nodes >= sigma: K_sigma M is the sliced product
+Kmat[:, sigma:] M[sigma:], and the projected matrix Gram - H' Wu K_sigma H
+is sliced from one product H' Wu Kmat shared by every sigma, so a node
+costs O((n - sigma) du (q du)^2) for its projected system plus a few
+sliced kernel-vector products.  Every solver returns the gain table `M`
 and its Fredholm `residual`; the `fredholm-methods` scenario walks the
 sweep itself and measures each iterate's distance to the direct oracle.
 """
@@ -58,7 +63,8 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .causal import (
     TruncationFactor,
@@ -118,6 +124,11 @@ class FredholmSystem:
     def masked_Kmat(self) -> np.ndarray:
         return self.Kmat * self.column_mask()[None, :]
 
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """K_sigma M, reading only the kernel columns of the nodes >= sigma."""
+        lo = self.sigma_index * self.du
+        return self.Kmat[:, lo:] @ M[lo:]
+
     def frobenius_norm(self) -> float:
         """Weighted L2(dt x dxi) norm of the kernel table."""
         wu = np.repeat(self.omega, self.du)
@@ -174,9 +185,7 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
 
 def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
     """Dense solve of the gain equation; oracle for the projection family."""
-    n, du = sys.n, sys.du
-    K = sys.masked_Kmat()
-    A = np.eye(n * du) - K
+    A = np.eye(sys.n * sys.du) - sys.masked_Kmat()
     try:
         M_flat = np.linalg.solve(A, sys.rhs)
     except np.linalg.LinAlgError as exc:
@@ -184,12 +193,12 @@ def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
             "gain equation is singular; the coercivity assumptions are "
             "likely violated"
         ) from exc
-    return _solved(sys, M_flat, K)
+    return _solved(sys, M_flat)
 
 
-def _solved(sys: FredholmSystem, M_flat, K) -> FeedbackKernel:
-    """Gain table of a solver with its relative residual; K is sys.masked_Kmat()."""
-    r = M_flat - K @ M_flat - sys.rhs
+def _solved(sys: FredholmSystem, M_flat) -> FeedbackKernel:
+    """Gain table of a solver with its relative residual."""
+    r = M_flat - sys.apply(M_flat) - sys.rhs
     scale = np.linalg.norm(sys.rhs)
     return FeedbackKernel(
         M=_table(M_flat, sys.n, sys.du),
@@ -210,7 +219,7 @@ def _hat_basis(n: int, q: int) -> np.ndarray:
 
 
 class _HatSpace:
-    """Hat subspace and its weighted Gram factor; independent of sigma."""
+    """Hat subspace H, its weighted transpose H' Wu and Gram factor; independent of sigma."""
 
     def __init__(self, n: int, subspace_dim: int, du: int, omega: np.ndarray):
         if subspace_dim < 2:
@@ -218,35 +227,46 @@ class _HatSpace:
         if subspace_dim > n:
             raise ValueError("subspace dimension exceeds the grid size")
         self.Hb = np.kron(_hat_basis(n, subspace_dim), np.eye(du))
-        self.wu = np.repeat(omega, du)
-        self.gram = self.Hb.T @ (self.wu[:, None] * self.Hb)
+        self.HtW = self.Hb.T * np.repeat(omega, du)[None, :]
+        self.gram = self.HtW @ self.Hb
         self.gram_factor = cho_factor(self.gram)
 
 
 class _Projection:
     """Orthogonal projection onto the hat subspace in the weighted product.
 
-    Builds the hat subspace unless the caller shares a prebuilt `space`
-    across truncation points.
+    Factors the projected system of the truncation point of `sys` from
+    the kernel columns of the nodes >= sigma only.  A caller sweeping
+    many truncation points shares a prebuilt `space` and the product
+    `HtWK = space.HtW @ sys.Kmat` across them; both are built here when
+    not given.
     """
 
-    def __init__(self, sys: FredholmSystem, subspace_dim: int, space: _HatSpace | None = None):
+    def __init__(
+        self,
+        sys: FredholmSystem,
+        subspace_dim: int,
+        space: _HatSpace | None = None,
+        HtWK: np.ndarray | None = None,
+    ):
         if space is None:
             space = _HatSpace(sys.n, subspace_dim, sys.du, sys.omega)
         self.space = space
-        self.K = K = sys.masked_Kmat()
-        # projected second-kind matrix (Gram - H' Wu K H)
-        Hb, wu = space.Hb, space.wu
-        proj_mat = space.gram - Hb.T @ (wu[:, None] * (K @ Hb))
-        try:
-            self._solve_factor = lu_factor(proj_mat)
-        except np.linalg.LinAlgError as exc:
+        self.sys = sys
+        lo = sys.sigma_index * sys.du
+        HtWK = space.HtW @ sys.Kmat[:, lo:] if HtWK is None else HtWK[:, lo:]
+        # projected second-kind matrix (Gram - H' Wu K_sigma H)
+        proj_mat = space.gram - HtWK @ space.Hb[lo:]
+        self._lu, self._piv, info = dgetrf(proj_mat)
+        if info > 0:
             raise NumericalError(
                 "projected gain system is singular; increase the subspace "
                 "dimension"
-            ) from exc
-        cond = np.linalg.cond(proj_mat)
-        if cond > 1e13:
+            )
+        # 1-norm condition estimate read off the LU factor
+        rcond, _ = dgecon(self._lu, np.abs(proj_mat).sum(axis=0).max())
+        if not rcond >= 1e-13:
+            cond = 1.0 / rcond if rcond > 0 else np.inf
             raise NumericalError(
                 f"projected gain system nearly singular (cond {cond:.2e}); "
                 "increase the subspace dimension"
@@ -254,13 +274,12 @@ class _Projection:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         sp = self.space
-        coeff = cho_solve(sp.gram_factor, sp.Hb.T @ (sp.wu[:, None] * v))
-        return sp.Hb @ coeff
+        return sp.Hb @ cho_solve(sp.gram_factor, sp.HtW @ v)
 
     def solve_projected(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of (I - P K) x = P rhs inside the subspace."""
         sp = self.space
-        coeff = lu_solve(self._solve_factor, sp.Hb.T @ (sp.wu[:, None] * rhs))
+        coeff, _ = dgetrs(self._lu, self._piv, sp.HtW @ rhs)
         return sp.Hb @ coeff
 
 
@@ -273,22 +292,21 @@ def _sweep(proj: _Projection, f: np.ndarray):
     flat right side or a single column f v (shape (n du, 1)), whose
     iterates are the tables' iterates applied to v.
     """
-    K = proj.K
+    K = proj.sys.apply
     M = proj.solve_projected(f)
     yield M
-    M = f + K @ M
+    M = f + K(M)
     while True:
         yield M
-        M_t = f + K @ M
-        M_tt = f + K @ M_t
-        M = K @ proj.solve_projected(M_tt - M_t) + M_tt
+        M_t = f + K(M)
+        M_tt = f + K(M_t)
+        M = K(proj.solve_projected(M_tt - M_t)) + M_tt
 
 
 def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> FeedbackKernel:
     """Projection solve on the piecewise-linear subspace."""
     proj = _Projection(sys, subspace_dim)
-    M_flat = next(_sweep(proj, sys.rhs))
-    return _solved(sys, M_flat, proj.K)
+    return _solved(sys, next(_sweep(proj, sys.rhs)))
 
 
 def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> FeedbackKernel:
@@ -296,9 +314,7 @@ def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> Fe
 
     The sweep's second step, f + K M, applied to the given Galerkin table.
     """
-    K = sys.masked_Kmat()
-    M_flat = sys.rhs + K @ galerkin.flat()
-    return _solved(sys, M_flat, K)
+    return _solved(sys, sys.rhs + sys.apply(galerkin.flat()))
 
 
 def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) -> FeedbackKernel:
@@ -306,8 +322,7 @@ def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) 
     if k_iters < 0:
         raise ValueError("iteration count must be >= 0")
     proj = _Projection(sys, subspace_dim)
-    M = next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None))
-    return _solved(sys, M, proj.K)
+    return _solved(sys, next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None)))
 
 
 def reconstruct_in_s(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
@@ -342,7 +357,8 @@ def _gain_integral(dlq: DiscreteLQ, method: str, subspace_dim: int | None, itera
 
     The direct method reads the gain row from the truncation factor.  The
     projection methods sweep at sigma = t the single column f v, with
-    v = w rg on the nodes j >= t and zero before t, and keep block t.
+    v = w rg on the nodes j >= t (the columns of f before t are never
+    read), and keep block t.
     """
     n, du = dlq.n, dlq.du
     w = dlq.dec.ops.omega
@@ -361,13 +377,14 @@ def _gain_integral(dlq: DiscreteLQ, method: str, subspace_dim: int | None, itera
     stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]
     sys0 = assemble_fredholm(dlq, 0)
     space = _HatSpace(n, subspace_dim, du, sys0.omega)
+    HtWK = space.HtW @ sys0.Kmat
 
     def integral(t, rg):
-        v = np.zeros((n, du))
-        v[t:] = w[t:, None] * rg[t:]
-        proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space)
-        M = next(islice(_sweep(proj, sys0.rhs @ v.reshape(-1, 1)), stage, None))
-        return M[t * du : (t + 1) * du, 0]
+        lo = t * du
+        proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space, HtWK)
+        f = sys0.rhs[:, lo:] @ (w[t:, None] * rg[t:]).reshape(-1, 1)
+        M = next(islice(_sweep(proj, f), stage, None))
+        return M[lo : lo + du, 0]
 
     return integral
 
@@ -387,7 +404,9 @@ def representation_terms(
     against it.  The direct gain rows come from one backward sweep
     through a single factor of the reversed quadratic form, O((n du)^3)
     for all t; the projection methods solve one right side per node,
-    O((n du)^2 q du) for its projected system.  The cost weights are
+    O((n - t) du (q du)^2) for its projected system, sliced from one
+    product of the hat basis with the kernel, plus a few sliced
+    O(n (n - t) du^2) kernel-vector products.  The cost weights are
     taken from the assembled problem (no cross terms).
     """
     sc = dlq.cost_samples

@@ -112,7 +112,7 @@ class CostData:
         G = np.zeros((dx, dx)) if self.G is None else np.asarray(self.G, dtype=float)
         g = np.zeros(dx) if self.g is None else np.asarray(self.g, dtype=float)
         if self.delta is None:
-            delta = float(min(np.linalg.eigvalsh(R).min() for R in Rs))
+            delta = float(np.linalg.eigvalsh(Rs).min())
         else:
             delta = float(self.delta)
         return SampledCost(Q=Qs, S=Ss, R=Rs, q=qs, rho=rhos, G=G, g=g, delta=delta)
@@ -148,7 +148,7 @@ def _sampled_cost(cost: CostData | SampledCost, ops: StateOperator) -> SampledCo
 def _validate_cost(sc: SampledCost):
     """Check the standard coercivity block: R >= delta, Q - S^T R^-1 S >= 0, G >= 0."""
     tol = 1e-10
-    rmin = min(np.linalg.eigvalsh(R).min() for R in sc.R)
+    rmin = np.linalg.eigvalsh(sc.R).min()
     if rmin < sc.delta * (1.0 - 1e-9) - tol:
         raise AssumptionError(
             f"violated: R(t) >= delta I (delta = {sc.delta:.3g}, "
@@ -158,7 +158,7 @@ def _validate_cost(sc: SampledCost):
         raise AssumptionError("violated: R(t) >= delta I with delta > 0")
     Rinv = sc.R_inverses()
     schur = sc.Q - np.einsum("iax,iab,iby->ixy", sc.S, Rinv, sc.S)
-    smin = min(np.linalg.eigvalsh(M).min() for M in schur)
+    smin = np.linalg.eigvalsh(schur).min()
     scale = max(1.0, float(np.max(np.abs(sc.Q))))
     if smin < -tol * scale:
         raise AssumptionError(
@@ -257,7 +257,10 @@ def assemble_quadratic_form(dec: StateDecomposition, cost: CostData | SampledCos
         + 2.0 * sc.g @ psi[-1]
     )
 
-    cond = np.linalg.cond(lam)
+    # lam is symmetric: its 2-norm condition number is max |eig| / min |eig|
+    eig = np.abs(np.linalg.eigvalsh(lam))
+    with np.errstate(divide="ignore"):
+        cond = eig.max() / eig.min()
     if cond > 1e12:
         warnings.warn(
             f"quadratic form condition number {cond:.2e} exceeds 1e12; "

@@ -52,6 +52,7 @@ class ScenarioReport:
     scenario: str
     problem: str
     checks: list = field(default_factory=list)
+    values: dict = field(default_factory=dict)  # measurements reported without a gate
     timings: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
 
@@ -67,6 +68,8 @@ class ScenarioReport:
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
             yield f"[{status}] {c.name}: value {c.value:.6g} vs tolerance {c.tolerance:.6g}"
+        for name, value in self.values.items():
+            yield f"[value] {name}: {value:.6g}"
 
 
 def _fmt(x) -> str:
@@ -170,6 +173,7 @@ def run_scenario(cfg: RunConfig) -> ScenarioReport:
                 "problem": report.problem,
                 "passed": report.passed,
                 "checks": [vars(c) for c in report.checks],
+                "values": report.values,
                 "timings": report.timings,
                 "csv_paths": [str(outdir / name) for name in report.tables],
             },
@@ -189,6 +193,44 @@ def _gain_method(cfg: RunConfig) -> dict:
     """The gain-solver keywords of the causal representations."""
     subspace_dim = cfg.galerkin_dim if cfg.m_solver != "direct" else None
     return dict(method=cfg.m_solver, subspace_dim=subspace_dim, iterations=cfg.iterations)
+
+
+def _gated_gain(report, cfg, name, tol_key, u_direct, omega, represent):
+    """The gain representation of the configured method, gated by what it promises.
+
+    `represent(**gain_keywords)` evaluates the representation for a gain
+    method and subspace.  The distance of the configured one to the direct
+    solve is reported for every method.  The direct and superconvergent
+    gains reproduce the optimizer, so that distance is gated at
+    tol_<tol_key> (1e-6).  A Galerkin or iterated
+    gain carries the projection error of subspace size q, which no fixed
+    tolerance fits, so its gates are what the method promises: the
+    distance falls when q doubles (capped at n), and the iterated gain is
+    no farther than the Galerkin one.
+    """
+    dist = lambda v: _rel(omega, v - u_direct, u_direct)  # noqa: E731
+    u = represent(**_gain_method(cfg))
+    err = report.values[name] = dist(u)
+    method, q = cfg.m_solver, cfg.galerkin_dim
+    if method in ("direct", "superconvergent"):
+        report.add(name, err, _tol(cfg, tol_key, 1e-6))
+        return u
+    q2 = min(2 * q, cfg.n)
+    err2 = dist(represent(**dict(_gain_method(cfg), subspace_dim=q2)))
+    report.add(
+        f"gain method: {method} distance to direct solve at q = {q2} within q = {q}",
+        err2,
+        err,
+    )
+    other = "iterated" if method == "galerkin" else "galerkin"
+    err_other = dist(represent(**dict(_gain_method(cfg), method=other)))
+    e_gal, e_it = (err, err_other) if method == "galerkin" else (err_other, err)
+    report.add(
+        f"gain method: iterated distance to direct solve within Galerkin's at q = {q}",
+        e_it,
+        e_gal,
+    )
+    return u
 
 
 def _solved_lq(cfg: RunConfig):
@@ -240,11 +282,9 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
         _tol(cfg, "causal", 1e-8),
     )
 
-    u_feedback = representation_terms(dlq, traj, **_gain_method(cfg))
-    report.add(
-        "control: feedback-gain representation vs direct solve",
-        _rel(omega, u_feedback - u_direct, u_direct),
-        _tol(cfg, "feedback", 1e-6),
+    u_feedback = _gated_gain(
+        report, cfg, "control: feedback-gain representation vs direct solve", "feedback",
+        u_direct, omega, lambda **kw: representation_terms(dlq, traj, **kw),
     )
 
     j_quad = evaluate_cost(ops, sc, u_direct)
@@ -531,11 +571,9 @@ def _run_reduction(cfg: RunConfig) -> ScenarioReport:
 
     v_bar = reduced.to_reduced_control(u_direct, x_bar)
     traj = causal_trajectories(reduced.dlq.dec, v_bar)
-    u_general = general_causal_control(reduced, traj, x_bar, **_gain_method(cfg))
-    report.add(
-        "control: general causal representation vs direct solve",
-        _rel(omega, u_general - u_direct, u_direct),
-        _tol(cfg, "general", 1e-6),
+    u_general = _gated_gain(
+        report, cfg, "control: general causal representation vs direct solve", "general",
+        u_direct, omega, lambda **kw: general_causal_control(reduced, traj, x_bar, **kw),
     )
     report.add(
         "coercivity: smallest generalized eigenvalue over delta",

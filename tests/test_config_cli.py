@@ -259,6 +259,44 @@ def test_report_lists_every_csv_and_residuals_match_checks(tmp_path, text):
     ] == [(c.name, c.value, c.tolerance, c.passed) for c in report.checks]
 
 
+# a Galerkin gain whose projection error (2.2e-4) no fixed tolerance fits
+GALERKIN_GRADED = (
+    "problem = random-smooth(4)\nscenario = equivalence\ngrid = graded\nn = 64\n"
+    "m_solver = galerkin\ngalerkin_dim = 12\n"
+)
+
+
+def test_galerkin_feedback_is_gated_by_what_the_method_promises(tmp_path, capsys):
+    cfg_path = write(tmp_path, GALERKIN_GRADED + f"outdir = {tmp_path}/out\n")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    distance = report["values"]["control: feedback-gain representation vs direct solve"]
+    assert 1e-6 < distance < 1e-2
+    gates = {c["name"]: c for c in report["checks"] if c["name"].startswith("gain method:")}
+    assert sorted(gates) == [
+        "gain method: galerkin distance to direct solve at q = 24 within q = 12",
+        "gain method: iterated distance to direct solve within Galerkin's at q = 12",
+    ]
+    assert all(c["tolerance"] == distance for c in gates.values())
+    assert "[value] control: feedback-gain representation vs direct solve" in capsys.readouterr().out
+
+
+def test_galerkin_error_that_does_not_fall_fails_its_check(tmp_path, monkeypatch):
+    import volterra_lq.scenarios as scenarios
+
+    real = scenarios.representation_terms
+
+    def coarser_at_2q(dlq, traj, **kwargs):
+        if kwargs["subspace_dim"] == 24:
+            kwargs["subspace_dim"] = 6
+        return real(dlq, traj, **kwargs)
+
+    monkeypatch.setattr(scenarios, "representation_terms", coarser_at_2q)
+    cfg = load_config(write(tmp_path, GALERKIN_GRADED + f"outdir = {tmp_path}/out\n"))
+    failed = [c.name for c in run_scenario(cfg).checks if not c.passed]
+    assert failed == ["gain method: galerkin distance to direct solve at q = 24 within q = 12"]
+
+
 def test_equivalence_solves_the_open_loop_once(tmp_path, monkeypatch):
     import volterra_lq.fredholm as fredholm
     import volterra_lq.lq as lq

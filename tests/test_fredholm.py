@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from itertools import islice
 
 import volterra_lq as vlq
 from volterra_lq import (
@@ -259,6 +260,46 @@ class TestProjectionFamily:
         with pytest.raises(ValueError):
             solve_galerkin(sys0, sys0.n + 1)
 
+    @pytest.mark.parametrize("t", [1, 9, 30])
+    def test_sweep_reads_no_kernel_column_before_sigma(self, gain_setup, t):
+        # NaN in the kernel columns of the nodes < sigma reaches no iterate,
+        # whether the projection forms H' Wu K itself or is handed it
+        from volterra_lq.fredholm import _HatSpace, _Projection, _sweep
+
+        _, sys0, _ = gain_setup
+        q = 12
+        space = _HatSpace(sys0.n, q, sys0.du, sys0.omega)
+        poisoned = sys0.Kmat.copy()
+        poisoned[:, : t * sys0.du] = np.nan
+        for shared in (False, True):
+            sweeps = []
+            for Kmat in (sys0.Kmat, poisoned):
+                HtWK = space.HtW @ Kmat if shared else None
+                sys_t = replace(sys0, Kmat=Kmat, sigma_index=t)
+                proj = _Projection(sys_t, q, space, HtWK)
+                sweeps.append(list(islice(_sweep(proj, sys0.rhs), 4)))
+            for clean, dirty in zip(*sweeps):
+                assert np.all(np.isfinite(dirty))
+                assert np.array_equal(clean, dirty)
+
+    def test_projection_gains_form_no_masked_kernel_and_no_svd(self, gain_setup, monkeypatch):
+        from volterra_lq.fredholm import FredholmSystem, representation_terms
+
+        pipe = gain_setup[0]
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        methods = ("galerkin", "iterated", "superconvergent")
+        refs = [representation_terms(pipe.dlq, traj, m, subspace_dim=12) for m in methods]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("masked kernel copy or SVD in the projection gains")
+
+        monkeypatch.setattr(FredholmSystem, "masked_Kmat", refuse)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for method, ref in zip(methods, refs):
+            u = representation_terms(pipe.dlq, traj, method, subspace_dim=12)
+            assert np.array_equal(u, ref)
+
     @pytest.mark.parametrize("method", ["galerkin", "iterated", "superconvergent"])
     def test_one_column_sweep_matches_gain_table(self, truncation_case, method):
         # at every node, the sweep of the single column f v equals the
@@ -385,15 +426,36 @@ class TestFeedbackControl:
 
 def test_projection_rejects_singular_projected_system(gain_setup):
     # a kernel engineered so (I - P K) collapses on the coarse subspace
-    import warnings
-
     _, sys0, _ = gain_setup
     from volterra_lq.errors import NumericalError
     from volterra_lq.fredholm import _Projection
 
     n, du = sys0.n, sys0.du
     rigged = replace(sys0, Kmat=np.eye(n * du), sigma_index=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy flags the rigged factorization
-        with pytest.raises(NumericalError, match="subspace"):
-            _Projection(rigged, 8)
+    with pytest.raises(NumericalError, match="subspace"):
+        _Projection(rigged, 8)
+
+
+def test_projection_rejects_nearly_singular_projected_system(gain_setup):
+    # nonzero pivots but condition ~1e15: only the condition estimate of the
+    # LU factor can refuse it
+    from scipy.linalg import lu_factor
+
+    from volterra_lq.errors import NumericalError
+    from volterra_lq.fredholm import _HatSpace, _Projection
+
+    _, sys0, _ = gain_setup
+    q = 8
+    space = _HatSpace(sys0.n, q, sys0.du, sys0.omega)
+    m = space.gram.shape[0]
+    rng = np.random.default_rng(4)
+    U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    target = U @ np.diag(np.r_[np.ones(m - 1), 1e-15]) @ U.T
+    # K = H X H' Wu gives the projected matrix Gram - Gram X Gram = target
+    ginv = np.linalg.inv(space.gram)
+    Kmat = space.Hb @ (ginv @ (space.gram - target) @ ginv) @ space.HtW
+    proj_mat = space.gram - (space.HtW @ Kmat) @ space.Hb
+    assert np.linalg.cond(proj_mat) > 1e14
+    assert np.all(np.diag(lu_factor(proj_mat)[0]) != 0.0)
+    with pytest.raises(NumericalError, match="nearly singular"):
+        _Projection(replace(sys0, Kmat=Kmat, sigma_index=0), q, space)

@@ -205,6 +205,17 @@ class TestControlRelation:
         assert res <= 1e-13
 
 
+@pytest.mark.parametrize("seed", [0, 7, 35289])
+def test_eigenvalue_floors_match_the_per_node_loop(seed):
+    # one stacked eigvalsh per floor, bit-identical to a loop over nodes
+    entry = get_problem("cross-term", 0.75, 1.0, seed)
+    probe = np.linspace(0.0, 1.0, 512)
+    R = entry.cost.R(probe)
+    assert entry.cost.delta == 0.8 * float(min(np.linalg.eigvalsh(M).min() for M in R))
+    sampled = CostData(R=entry.cost.R).sample(build_grid(64, 1.0), 2, 2)
+    assert sampled.delta == float(min(np.linalg.eigvalsh(M).min() for M in sampled.R))
+
+
 def test_ill_conditioned_form_warns():
     grid = build_grid(16, 1.0)
     p = ProblemData(A=None, B=None, phi=None, beta=0.75, T=1.0)
