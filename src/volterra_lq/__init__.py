@@ -22,12 +22,10 @@ from .grids import (
     product_weights,
 )
 from .volterra import (
-    ContinuityReport,
     FactoredKernel,
     ProblemData,
     StateDecomposition,
     StateOperator,
-    check_continuity_at_T,
     decompose,
     resolvent,
     solve_state,
@@ -43,7 +41,6 @@ from .lq import (
 )
 from .adjoint import AdjointTrajectory, control_from_adjoint, solve_adjoint
 from .causal import (
-    CausalProjection,
     CausalTrajectories,
     ReducedSystem,
     RestrictedOperator,
@@ -60,7 +57,6 @@ from .fredholm import (
     assemble_fredholm,
     crosscheck_kernel_samples,
     feedback_control,
-    reconstruct_in_s,
     solve_direct,
     solve_galerkin,
     solve_iterated_galerkin,

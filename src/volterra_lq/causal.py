@@ -1,12 +1,11 @@
-"""Causal projections, truncation trajectories, and non-anticipating control.
+"""Truncation trajectories and non-anticipating control.
 
 The direct optimality relation expresses u(t) through future state values.
 This module rebuilds u(t) from information available at time t only:
 
 *   the truncation trajectory X_sigma(.) (state evolving with the control
-    switched off from sigma on),
-*   the auxiliary trajectory X^a(t) (running forecast of the terminal
-    state from past control),
+    switched off from sigma on), whose terminal value is the running
+    forecast of X(T) from past control,
 *   and the restriction of the quadratic form to controls supported on
     [sigma, T].  Its trailing blocks Lam[sigma:, sigma:] are the leading
     blocks of the index-reversed form, so one Cholesky factor of the
@@ -47,7 +46,6 @@ from .volterra import (
 )
 
 __all__ = [
-    "CausalProjection",
     "CausalTrajectories",
     "RestrictedOperator",
     "TruncationFactor",
@@ -61,48 +59,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CausalProjection:
-    """Truncation of control samples at a grid node.
-
-    keep="past" zeroes samples at nodes >= sigma (the projection onto
-    controls supported before sigma); keep="future" zeroes samples at
-    nodes < sigma.  Closed-left convention: the sample at sigma itself
-    belongs to the future part.  Idempotent and commuting with nodewise
-    multiplications, exactly.
-    """
-
-    sigma_index: int
-    n: int
-    keep: str = "past"
-
-    def __post_init__(self):
-        if not 0 <= self.sigma_index < self.n:
-            raise ValueError(f"sigma index {self.sigma_index} out of range")
-        if self.keep not in ("past", "future"):
-            raise ValueError("keep must be 'past' or 'future'")
-
-    def mask(self) -> np.ndarray:
-        m = np.arange(self.n) < self.sigma_index
-        return m if self.keep == "past" else ~m
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = u.copy()
-        out[~self.mask()] = 0.0
-        return out
-
-
-@dataclass(frozen=True)
 class CausalTrajectories:
-    """Truncation family and terminal forecast for one control.
+    """Truncation family for one control.
 
     x_trunc[sigma, i] is the state at t_i with the control cut off from
-    node sigma on; x_aux[sigma] is the forecast of X(T) from the same
-    truncated control, and equals x_trunc[sigma, -1] identically.
+    node sigma on; x_trunc[sigma, -1] is the forecast of X(T) from the
+    same truncated control.
     """
 
     x_trunc: np.ndarray  # (n, n, dx)
-    x_aux: np.ndarray  # (n, dx)
 
 
 def causal_trajectories(dec: StateDecomposition, u) -> CausalTrajectories:
@@ -118,7 +83,7 @@ def causal_trajectories(dec: StateDecomposition, u) -> CausalTrajectories:
         j = sigma - 1
         acc = acc + theta[:, j * du : (j + 1) * du] @ u_s[j]
         x[sigma] = acc.reshape(n, dx)
-    return CausalTrajectories(x_trunc=x, x_aux=x[:, -1, :].copy())
+    return CausalTrajectories(x_trunc=x)
 
 
 @dataclass
@@ -211,12 +176,12 @@ def _require_no_cross_terms(sc: SampledCost, what: str):
         )
 
 
-def _running_gradient(dlq: DiscreteLQ, x_t: np.ndarray, x_aux_t: np.ndarray) -> np.ndarray:
-    """Flat weighted vector Wu [Theta* Q X_t + Theta_T* G X^a + Theta* q + Theta_T* g]."""
+def _running_gradient(dlq: DiscreteLQ, x_t: np.ndarray) -> np.ndarray:
+    """Flat weighted vector Wu [Theta* Q X_t + Theta_T* G X_t(T) + Theta* q + Theta_T* g]."""
     sc, ops = dlq.cost_samples, dlq.dec.ops
     qx = _apply_blocks(sc.Q, x_t) + sc.q
     b = ops.theta.T @ (ops.wx * qx.ravel())
-    b += ops.theta[-ops.dx :].T @ (sc.G @ x_aux_t + sc.g)
+    b += ops.theta[-ops.dx :].T @ (sc.G @ x_t[-1] + sc.g)
     return b
 
 
@@ -242,7 +207,7 @@ def abstract_causal_control(dlq: DiscreteLQ, traj: CausalTrajectories) -> np.nda
     factor = TruncationFactor(dlq)
     out = np.empty((n, du))
     for t in range(n):
-        b = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t])
+        b = _running_gradient(dlq, traj.x_trunc[t])
         out[t] = -factor.solve(t, b[t * du :])[:du]
     return out
 

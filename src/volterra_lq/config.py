@@ -170,6 +170,12 @@ def load_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    numbers = [(k, getattr(cfg, k)) for k, kind in _SCALAR_KEYS.items() if kind is float]
+    numbers += [(f"tol_{k}", v) for k, v in cfg.tolerances.items()]
+    numbers += list(cfg.inline.items())
+    for key, value in numbers:
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"field {key!r}: must be finite, got {value}")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; valid scenarios: {', '.join(SCENARIOS)}"

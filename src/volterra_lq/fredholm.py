@@ -84,7 +84,6 @@ __all__ = [
     "solve_galerkin",
     "solve_iterated_galerkin",
     "solve_superconvergent",
-    "reconstruct_in_s",
     "feedback_control",
     "representation_terms",
     "crosscheck_kernel_samples",
@@ -128,11 +127,6 @@ class FredholmSystem:
         """K_sigma M, reading only the kernel columns of the nodes >= sigma."""
         lo = self.sigma_index * self.du
         return self.Kmat[:, lo:] @ M[lo:]
-
-    def frobenius_norm(self) -> float:
-        """Weighted L2(dt x dxi) norm of the kernel table."""
-        wu = np.repeat(self.omega, self.du)
-        return float(np.sqrt(np.einsum("i,ij,j->", wu, self.kernel**2, wu)))
 
 
 @dataclass
@@ -325,18 +319,6 @@ def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) 
     return _solved(sys, next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None)))
 
 
-def reconstruct_in_s(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    """Piecewise-linear reconstruction between source nodes at s in [0, T)."""
-    if not 0.0 <= s < grid.T:
-        raise ValueError(f"s = {s} outside [0, T)")
-    nodes = grid.nodes
-    j = int(np.searchsorted(nodes, s, side="right") - 1)
-    if nodes[j] == s:
-        return np.asarray(values[j], dtype=float).copy()
-    lam = (s - nodes[j]) / (nodes[j + 1] - nodes[j])
-    return (1.0 - lam) * values[j] + lam * values[j + 1]
-
-
 def _direct_gain_row(factor, R: np.ndarray, w: np.ndarray, t: int) -> np.ndarray:
     """Gain blocks M_t(t, s_j), j >= t, from the truncation factor.
 
@@ -416,7 +398,7 @@ def representation_terms(
     integral = _gain_integral(dlq, method, subspace_dim, iterations)
     out = np.empty((n, du))
     for t in range(n):
-        b = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t])
+        b = _running_gradient(dlq, traj.x_trunc[t])
         gvec = (b / dlq.wu).reshape(n, du)
         rg = np.einsum("jab,jb->ja", Rinv, gvec)
         out[t] = -rg[t] - integral(t, rg)

@@ -7,8 +7,8 @@ The integrals handled here have the form
 where g is known only through its samples on the grid.  The weight
 (t_i - s)^(beta-1) is integrable but unbounded at s = t_i, so plain
 Newton-Cotes rules lose accuracy.  Product integration treats the weight
-exactly: g is replaced by its piecewise-linear (or piecewise-constant)
-interpolant and the moments
+exactly: g is replaced by its piecewise-linear interpolant and the
+moments
 
     mu0 = int_a^b (t - s)^(beta-1) ds = ((t-a)^beta - (t-b)^beta) / beta,
     mu1 = int_a^b (t - s)^(beta-1) (s - a) ds
@@ -35,7 +35,6 @@ __all__ = [
     "integrate_singular",
     "check_young_bound",
     "lower_product_weights",
-    "lower_singular_weights",
     "trapezoid_rule",
     "segment_moments",
 ]
@@ -138,28 +137,23 @@ class SingularWeights:
     """Product-integration weights against (t_i - s)^(beta-1).
 
     w[i, j] are node weights such that sum_j w[i, j] g(s_j) approximates
-    int_0^{t_i} (t_i - s)^(beta-1) g(s) ds for the chosen interpolation of
-    g.  Weights vanish for s_j > t_i ("linear") resp. s_j >= t_i
-    ("constant"); every row sums to t_i^beta / beta exactly.
+    int_0^{t_i} (t_i - s)^(beta-1) g(s) ds for the piecewise-linear
+    interpolant of g.  Weights vanish for s_j > t_i; every row sums to
+    t_i^beta / beta exactly.
     """
 
     grid: Grid
     beta: float
-    interp: str
     w: np.ndarray
 
 
-def product_weights(grid: Grid, beta: float, interp: str = "linear") -> SingularWeights:
+def product_weights(grid: Grid, beta: float) -> SingularWeights:
     """Exact-moment product-integration weights on the grid.
 
-    interp = "linear" uses hat functions (second order, includes a weight
-    at s_j = t_i); interp = "constant" uses left-endpoint values (first
-    order, nonnegative weights, strictly causal rows).
+    Hat functions interpolate g: second order, with a weight at s_j = t_i.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if interp not in ("linear", "constant"):
-        raise ValueError(f"unknown interpolation {interp!r}")
     nodes = grid.nodes
     n = grid.n
     w = np.zeros((n, n))
@@ -174,13 +168,10 @@ def product_weights(grid: Grid, beta: float, interp: str = "linear") -> Singular
         mask = hi <= t  # segment [s_j, s_{j+1}] fully inside [0, t_i]
         mu0, mu1 = segment_moments(t, beta, np.minimum(lo, t), np.minimum(hi, t))
         mu0 = np.where(mask, mu0, 0.0)
-        if interp == "constant":
-            w[i0:i1, :-1] += mu0
-        else:
-            mu1 = np.where(mask, mu1, 0.0)
-            w[i0:i1, :-1] += mu0 - mu1 / h
-            w[i0:i1, 1:] += mu1 / h
-    return SingularWeights(grid=grid, beta=beta, interp=interp, w=w)
+        mu1 = np.where(mask, mu1, 0.0)
+        w[i0:i1, :-1] += mu0 - mu1 / h
+        w[i0:i1, 1:] += mu1 / h
+    return SingularWeights(grid=grid, beta=beta, w=w)
 
 
 def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
@@ -205,16 +196,6 @@ def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
     W[:, :-1] += np.where(segs, wl[None, :], 0.0)
     W[:, 1:] += np.where(segs, wr[None, :], 0.0)
     return W
-
-
-def lower_singular_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
-    """Weights v[i] with sum_i v[i] g(t_i) ~ int_{s_j}^{T} (s - s_j)^(beta-1) g(s) ds.
-
-    The full-range row of `lower_product_weights`, zero before s_j.
-    """
-    v = np.zeros(grid.n)
-    v[j:] = lower_product_weights(grid, beta, j)[-1]
-    return v
 
 
 def integrate_singular(weights: SingularWeights, i: int, g: np.ndarray):

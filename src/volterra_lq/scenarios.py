@@ -303,7 +303,7 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     traj_pert = causal_trajectories(dlq.dec, u_pert)
     drift = max(
         float(np.max(np.abs(traj_pert.x_trunc[t_probe] - traj.x_trunc[t_probe]))),
-        float(np.max(np.abs(traj_pert.x_aux[t_probe] - traj.x_aux[t_probe]))),
+        float(np.max(np.abs(traj_pert.x_trunc[t_probe, -1] - traj.x_trunc[t_probe, -1]))),
     )
     u_causal_pert = abstract_causal_control(dlq, traj_pert)
     drift = max(drift, float(np.abs(u_causal_pert[t_probe] - u_causal[t_probe]).max()))

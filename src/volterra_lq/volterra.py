@@ -47,18 +47,16 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import betainc, beta as beta_function
 
 from .errors import AssumptionError, NumericalError
-from .grids import Grid, build_grid, lower_product_weights, product_weights
+from .grids import Grid, lower_product_weights, product_weights
 
 __all__ = [
     "ProblemData",
     "FactoredKernel",
     "StateOperator",
     "StateDecomposition",
-    "ContinuityReport",
     "resolvent",
     "solve_state",
     "decompose",
-    "check_continuity_at_T",
     "sample_kernel",
     "sample_trajectory",
 ]
@@ -575,77 +573,3 @@ def solve_state(problem: ProblemData, grid: Grid, xi) -> np.ndarray:
                 "the kernel magnitude"
             ) from exc
     return X
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Refinement study of |X(t) - X(T)| in shrinking windows at the horizon."""
-
-    grid_sizes: list
-    window_widths: list
-    tail_deviations: list
-    passed: bool
-
-
-def check_continuity_at_T(
-    problem: ProblemData,
-    grid: Grid,
-    u,
-    refinements: int = 3,
-    coefficients_continuous: bool = True,
-) -> ContinuityReport:
-    """Check that the controlled state is continuous at t = T.
-
-    Doubles the grid `refinements` times while halving a probe window at
-    the horizon (starting from the last tenth of [0, T]) and records
-    max |X(t) - X(T)| over the window, the terminal node excluded.
-    Continuity at T means these deviations shrink with the window; the
-    check passes when the sequence decreases monotonically.  The caller
-    declares that the coefficients satisfy a modulus-of-continuity
-    condition near T; without it the check is not meaningful.
-    """
-    problem.require_lq()
-    if not coefficients_continuous:
-        raise AssumptionError(
-            "continuity check requires coefficients continuous at t = T "
-            "(declared by caller)"
-        )
-    sizes = []
-    widths = []
-    tails = []
-    for k in range(refinements):
-        nk = (grid.n - 1) * 2**k + 1
-        gk = build_grid(nk, grid.T, grid.kind, grid.exponent or 2.0)
-        uk = _resample_control(u, grid, gk, problem.n_control)
-        sw = product_weights(gk, problem.beta).w
-        Bs = sample_kernel(problem.B, gk, problem.n_state, problem.n_control)
-        xi = sample_trajectory(problem.phi, gk, problem.n_state)
-        if not np.all(np.isfinite(xi[0])):
-            xi[0] = xi[1]
-        xi = xi + np.einsum("ij,ijxy,jy->ix", sw, Bs, uk)
-        X = solve_state(problem, gk, xi)
-        width = 0.1 * grid.T / 2**k
-        inside = np.nonzero(gk.nodes >= grid.T - width)[0]
-        inside = inside[inside < nk - 1]
-        tail = (
-            float(np.max(np.linalg.norm(X[inside] - X[-1], axis=1)))
-            if inside.size
-            else 0.0
-        )
-        sizes.append(nk)
-        widths.append(width)
-        tails.append(tail)
-    passed = all(tails[i + 1] < tails[i] for i in range(len(tails) - 1))
-    return ContinuityReport(
-        grid_sizes=sizes, window_widths=widths, tail_deviations=tails, passed=passed
-    )
-
-
-def _resample_control(u, grid_from: Grid, grid_to: Grid, du: int) -> np.ndarray:
-    if callable(u):
-        return sample_trajectory(u, grid_to, du)
-    u_arr = sample_trajectory(u, grid_from, du)
-    out = np.empty((grid_to.n, du))
-    for c in range(du):
-        out[:, c] = np.interp(grid_to.nodes, grid_from.nodes, u_arr[:, c])
-    return out

@@ -245,7 +245,7 @@ def test_criterion_10_non_anticipation(eq_pipeline):
         drift = max(
             drift,
             float(np.max(np.abs(traj_p.x_trunc[t] - traj.x_trunc[t]))),
-            float(np.max(np.abs(traj_p.x_aux[t] - traj.x_aux[t]))),
+            float(np.max(np.abs(traj_p.x_trunc[t, -1] - traj.x_trunc[t, -1]))),
             float(np.max(np.abs(u_p[t] - u_causal[t]))),
         )
     report(

@@ -6,7 +6,6 @@ import pytest
 import volterra_lq as vlq
 from volterra_lq import (
     AssumptionError,
-    CausalProjection,
     CostData,
     NumericalError,
     TruncationFactor,
@@ -24,34 +23,6 @@ from volterra_lq.causal import _running_gradient
 from volterra_lq.lq import _blockdiag
 
 from conftest import Pipeline, rel_l2
-
-
-class TestProjections:
-    def test_idempotent_and_complementary(self):
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=(12, 2))
-        for sigma in (0, 3, 11):
-            past = CausalProjection(sigma, 12, "past")
-            future = CausalProjection(sigma, 12, "future")
-            assert np.array_equal(past.apply(past.apply(u)), past.apply(u))
-            assert np.array_equal(future.apply(future.apply(u)), future.apply(u))
-            assert np.array_equal(past.apply(u) + future.apply(u), u)
-            assert np.all(past.apply(future.apply(u)) == 0.0)
-
-    def test_commutes_with_nodewise_multiplication(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=(10, 2))
-        M = rng.normal(size=(10, 2, 2))
-        proj = CausalProjection(4, 10, "past")
-        lhs = np.einsum("iab,ib->ia", M, proj.apply(u))
-        rhs = proj.apply(np.einsum("iab,ib->ia", M, u))
-        assert np.array_equal(lhs, rhs)
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            CausalProjection(12, 12, "past")
-        with pytest.raises(ValueError):
-            CausalProjection(0, 12, "sideways")
 
 
 class TestRestrictedOperator:
@@ -145,7 +116,7 @@ class TestTruncationFactor:
         traj = causal_trajectories(pipe.dec, pipe.u_opt)
         expected = np.empty((n, du))
         for t in range(n):
-            gvec = _running_gradient(dlq, traj.x_trunc[t], traj.x_aux[t]) / dlq.wu
+            gvec = _running_gradient(dlq, traj.x_trunc[t]) / dlq.wu
             y = lambda_sigma(dlq, t).solve_embedded(gvec)
             corrected = gvec - lam_op_minus_R @ y
             expected[t] = -Rinv[t] @ corrected[t * du : (t + 1) * du]
@@ -194,7 +165,7 @@ class TestCausalTrajectories:
         traj = causal_trajectories(pipe.dec, np.zeros_like(pipe.u_opt))
         for sigma in range(pipe.grid.n):
             assert np.array_equal(traj.x_trunc[sigma], pipe.dec.psi)
-        assert np.array_equal(traj.x_aux, np.tile(pipe.dec.psi_T, (pipe.grid.n, 1)))
+        assert np.array_equal(traj.x_trunc[:, -1], np.tile(pipe.dec.psi_T, (pipe.grid.n, 1)))
 
     def test_truncation_matches_state_strictly_before_sigma(self, rs_pipeline):
         pipe = rs_pipeline
@@ -221,13 +192,8 @@ class TestCausalTrajectories:
             future[:sigma] = 0.0
             rebuilt = traj.x_trunc[sigma] + (pipe.theta @ future.ravel()).reshape(n, -1)
             assert np.max(np.abs(rebuilt - pipe.x_opt)) <= 1e-12 * scale
-            rebuilt_T = traj.x_aux[sigma] + pipe.theta_T @ future.ravel()
+            rebuilt_T = traj.x_trunc[sigma, -1] + pipe.theta_T @ future.ravel()
             assert np.max(np.abs(rebuilt_T - pipe.x_opt[-1])) <= 1e-12 * scale
-
-    def test_terminal_forecast_is_terminal_slice(self, rs_pipeline):
-        pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
-        assert np.array_equal(traj.x_aux, traj.x_trunc[:, -1, :])
 
     def test_non_anticipation_exact(self, rs_pipeline):
         pipe = rs_pipeline
@@ -238,7 +204,6 @@ class TestCausalTrajectories:
         perturbed[t:] += rng.normal(size=perturbed[t:].shape)
         traj_p = causal_trajectories(pipe.dec, perturbed)
         assert np.array_equal(traj_p.x_trunc[t], traj.x_trunc[t])
-        assert np.array_equal(traj_p.x_aux[t], traj.x_aux[t])
 
 
 class TestAbstractCausalControl:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from volterra_lq import ConfigError, RunConfig, StateOperator, load_config, run_scenario
@@ -168,6 +169,43 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         outdir=str(tmp_path / "out"),
     )
     with pytest.raises(ConfigError, match="galerkin_dim"):
+        run_scenario(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("beta", "nan"),
+        ("T", "inf"),
+        ("grading_exponent", "-inf"),
+        ("tol_control", "nan"),
+        ("R", "inf"),
+        ("Q", "1, nan"),
+    ],
+)
+def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):
+    base = (
+        "problem = inline\nscenario = equivalence\nn = 16\nstate_dim = 1\n"
+        "control_dim = 1\nA = 0.5\nB = 1.0\nphi = 1.0\nQ = 1.0\nR = 1.0\nG = 1.0\n"
+        f"outdir = {tmp_path}/out\n"
+    )
+    match = f"field '{key}': must be finite"
+    bad = write(tmp_path, base + f"{key} = {value}\n", name="bad.cfg")
+    with pytest.raises(ConfigError, match=match):
+        load_config(bad)
+    assert main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {match}") and "Traceback" not in err
+    # the same value set on a config built in code
+    cfg = load_config(write(tmp_path, base))
+    if key.startswith("tol_"):
+        cfg.tolerances[key[4:]] = float(value)
+    elif key in cfg.inline:
+        cfg.inline[key] = np.array([float(x) for x in value.split(",")])
+    else:
+        setattr(cfg, key, float(value))
+    with pytest.raises(ConfigError, match=match):
         run_scenario(cfg)
     assert not (tmp_path / "out").exists()
 

@@ -9,7 +9,7 @@ from volterra_lq import (
     product_weights,
 )
 from volterra_lq.catalog import example_2_1_control
-from volterra_lq.grids import lower_product_weights, lower_singular_weights
+from volterra_lq.grids import lower_product_weights
 
 
 def test_uniform_nodes():
@@ -43,10 +43,9 @@ def test_build_grid_rejects_bad_arguments(kwargs):
 
 @pytest.mark.parametrize("beta", [0.4, 0.75, 0.95])
 @pytest.mark.parametrize("kind,exponent", [("uniform", 2.0), ("graded", 2.5)])
-@pytest.mark.parametrize("interp", ["linear", "constant"])
-def test_row_sums_reproduce_constants(beta, kind, exponent, interp):
+def test_row_sums_reproduce_constants(beta, kind, exponent):
     grid = build_grid(33, 1.5, kind, exponent)
-    w = product_weights(grid, beta, interp)
+    w = product_weights(grid, beta)
     for i in range(1, grid.n):
         exact = grid.nodes[i] ** beta / beta
         assert abs(w.w[i].sum() - exact) <= 1e-12 * exact
@@ -65,7 +64,6 @@ def test_lower_endpoint_weights_exact_for_linear_integrands(beta, kind, exponent
         assert np.all(W[0] == 0.0)
         assert np.allclose(W @ np.ones(off.size), off**beta / beta, **tol)
         assert np.allclose(W @ off, off ** (beta + 1.0) / (beta + 1.0), **tol)
-        assert np.array_equal(lower_singular_weights(grid, beta, j)[j:], W[-1])
 
 
 def test_linear_integrand_exact_moment():
@@ -98,15 +96,12 @@ def test_linearity_and_zero():
     assert integrate_singular(w, 12, np.zeros(grid.n)) == 0.0
 
 
-def test_causal_support_by_variant():
+def test_causal_support():
     grid = build_grid(12, 1.0)
-    wl = product_weights(grid, 0.7, "linear").w
-    wc = product_weights(grid, 0.7, "constant").w
+    w = product_weights(grid, 0.7).w
     for i in range(grid.n):
-        assert np.all(wl[i, i + 1 :] == 0.0)
-        assert np.all(wc[i, i:] == 0.0)
-    assert np.all(wc >= 0.0)
-    assert np.all(np.isfinite(wl))
+        assert np.all(w[i, i + 1 :] == 0.0)
+    assert np.all(np.isfinite(w))
 
 
 def test_second_order_convergence_for_smooth_integrand():

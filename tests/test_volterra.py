@@ -3,10 +3,8 @@ import pytest
 from scipy.special import beta as beta_function, gammaln
 
 from volterra_lq import (
-    AssumptionError,
     ProblemData,
     build_grid,
-    check_continuity_at_T,
     decompose,
     product_weights,
     resolvent,
@@ -380,29 +378,6 @@ class TestDecompose:
                 assert vals[2] > 1.5 * vals[0]
             else:
                 assert abs(vals[2] - vals[0]) < 0.05 * vals[0]
-
-
-class TestContinuityAtT:
-    def test_smooth_problem_passes(self):
-        grid = build_grid(33, 1.0)
-        p = scalar_problem(
-            const_kernel(0.5), const_kernel(1.0), lambda t: np.cos(t)[:, None]
-        )
-        report = check_continuity_at_T(p, grid, np.zeros((33, 1)))
-        assert report.passed
-        assert report.tail_deviations[-1] < report.tail_deviations[0]
-
-    def test_blow_up_control_still_continuous_above_half(self):
-        grid = build_grid(65, 1.0, "graded", 3.0)
-        p = scalar_problem(None, const_kernel(1.0), None, beta=0.75)
-        report = check_continuity_at_T(p, grid, lambda t: example_2_1_control(t)[:, None])
-        assert report.passed
-
-    def test_rejects_beta_at_half(self):
-        grid = build_grid(33, 1.0)
-        p = scalar_problem(None, const_kernel(1.0), None, beta=0.5)
-        with pytest.raises(AssumptionError, match="beta > 1/2"):
-            check_continuity_at_T(p, grid, np.zeros((33, 1)))
 
 
 class TestProblemData:
