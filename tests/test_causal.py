@@ -206,6 +206,41 @@ class TestCausalTrajectories:
         assert np.array_equal(traj_p.x_trunc[t], traj.x_trunc[t])
 
 
+    def test_sample_before_sigma_is_past(self, rs_pipeline):
+        # closed-left truncation: the sample at sigma - 1 enters x_trunc
+        # from sigma on, through its own column block of theta
+        pipe = rs_pipeline
+        n, du = pipe.grid.n, pipe.problem.n_control
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        t = n // 3
+        bump = np.random.default_rng(5).normal(size=du)
+        perturbed = pipe.u_opt.copy()
+        perturbed[t - 1] += bump
+        traj_p = causal_trajectories(pipe.dec, perturbed)
+        assert np.array_equal(traj_p.x_trunc[:t], traj.x_trunc[:t])
+        shift = (pipe.theta[:, (t - 1) * du : t * du] @ bump).reshape(n, -1)
+        scale = np.abs(pipe.x_opt).max()
+        for sigma in (t, n // 2, n - 1):
+            diff = traj_p.x_trunc[sigma] - traj.x_trunc[sigma]
+            assert np.max(np.abs(diff - shift)) <= 1e-12 * scale
+        assert np.abs(shift).max() > 1e-3 * scale
+
+    def test_running_gradient_is_form_gradient_at_truncated_control(self, rs_pipeline):
+        # on the rows from sigma on, the gradient built from the truncation
+        # trajectory and its terminal forecast equals Lam P u + Wu ell1
+        # with P u the control cut off from sigma on
+        pipe = rs_pipeline
+        dlq = pipe.dlq
+        n, du = dlq.n, dlq.du
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        for sigma in (0, 1, n // 2, n - 1):
+            past = pipe.u_opt.copy()
+            past[sigma:] = 0.0
+            expected = dlq.lam @ past.ravel() + dlq.wu * dlq.ell1
+            got = _running_gradient(dlq, traj.x_trunc[sigma])
+            k = sigma * du
+            assert np.max(np.abs(got[k:] - expected[k:])) <= 1e-12 * np.abs(expected).max()
+
 class TestAbstractCausalControl:
     def test_zero_affine_problem(self):
         entry = get_problem("zero-cost", 0.75, 1.0)

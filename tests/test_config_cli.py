@@ -182,6 +182,10 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         ("tol_control", "nan"),
         ("R", "inf"),
         ("Q", "1, nan"),
+        ("A", "nan"),
+        ("B", "-inf"),
+        ("phi", "inf"),
+        ("G", "nan"),
     ],
 )
 def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):

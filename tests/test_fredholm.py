@@ -57,6 +57,20 @@ class TestAssembly:
         sys0 = assemble_fredholm(dlq, 0)
         assert np.allclose(sys0.kernel, sys0.kernel.T, atol=1e-13)
 
+    @pytest.mark.parametrize("t", [0, 9, 30])
+    def test_apply_reads_no_row_before_sigma(self, gain_setup, t):
+        # K_sigma M equals the masked kernel times M, and NaN in the rows
+        # of the nodes < sigma reaches no entry
+        _, sys0, _ = gain_setup
+        sys_t = replace(sys0, sigma_index=t)
+        M = np.random.default_rng(t).normal(size=(sys0.n * sys0.du, 3))
+        expected = sys_t.masked_Kmat() @ M
+        poisoned = M.copy()
+        poisoned[: t * sys0.du] = np.nan
+        got = sys_t.apply(poisoned)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.abs(expected).max()
+
     def test_kernel_square_integrable_under_refinement(self):
         entry = get_problem("random-smooth", 0.75, 1.0, seed=2)
         norms = []

@@ -380,6 +380,35 @@ class TestDecompose:
                 assert abs(vals[2] - vals[0]) < 0.05 * vals[0]
 
 
+def horizon_tails(problem, n, u, kind="uniform", exponent=2.0, refinements=3):
+    """max |X(t) - X(T)| over a window at T that halves as the grid doubles."""
+    tails = []
+    for k in range(refinements):
+        grid = build_grid((n - 1) * 2**k + 1, problem.T, kind, exponent)
+        dec = decompose(problem, grid, None)
+        x = dec.psi + (dec.ops.theta @ u(grid.nodes)).reshape(grid.n, -1)
+        inside = grid.nodes[:-1] >= problem.T * (1.0 - 0.1 / 2**k)
+        tails.append(float(np.max(np.linalg.norm(x[:-1][inside] - x[-1], axis=1))))
+    return tails
+
+
+class TestContinuityAtT:
+    # the state is continuous at t = T for beta > 1/2: its deviation from
+    # X(T) shrinks with the probe window
+    def test_smooth_problem_passes(self):
+        p = scalar_problem(
+            const_kernel(0.5), const_kernel(1.0), lambda t: np.cos(t)[:, None]
+        )
+        tails = horizon_tails(p, 33, np.zeros_like)
+        assert tails[0] > tails[1] > tails[2]
+
+    def test_blow_up_control_still_continuous_above_half(self):
+        p = scalar_problem(None, const_kernel(1.0), None, beta=0.75)
+        tails = horizon_tails(p, 65, example_2_1_control, "graded", 3.0)
+        assert np.all(np.isfinite(tails))
+        assert tails[0] > tails[1] > tails[2]
+
+
 class TestProblemData:
     def test_validation(self):
         with pytest.raises(ValueError):
