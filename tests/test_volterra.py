@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_function, gammaln
@@ -21,7 +23,7 @@ from volterra_lq.volterra import (
     sample_kernel,
 )
 from volterra_lq.grids import lower_product_weights
-from volterra_lq.scenarios import _series_error
+from volterra_lq.scenarios import _series_error, _varconst_deviation
 
 from conftest import rel_l2
 
@@ -257,26 +259,70 @@ class TestSolveState:
         x_conv = xi + (rmat @ xi.ravel()).reshape(grid.n, p.n_state)
         assert rel_l2(grid.trapezoid_weights(), x_step, x_conv) < 1e-6
 
-    def test_stepping_consistent_with_factored_kernel_quadrature(self):
-        # loose continuum-level consistency of the kernel route
-        grid = build_grid(64, 1.0)
-        entry = get_problem("constant-coeff", 0.75, 1.0)
-        ker = resolvent(entry.problem, grid)
-        xi = np.cos(2.0 * grid.nodes)[:, None]
-        x_step = solve_state(entry.problem, grid, xi)
-        vals = ker.eval_offdiag(grid)[..., 0, 0]
-        omega = grid.trapezoid_weights()
-        x_kernel = xi.copy()
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_blocked_stepping_matches_per_node_loop(self, kind):
+        # reference: one implicit dx x dx solve per node against the past
+        grid = build_grid(65, 1.0, kind)
+        p = get_problem("random-smooth", 0.75, 1.0, 3).problem
+        xi = np.random.default_rng(2).normal(size=(grid.n, p.n_state))
         sw = product_weights(grid, 0.75).w
+        A = sample_kernel(p.A, grid, p.n_state, p.n_state)
+        X = xi.copy()
         for i in range(1, grid.n):
-            sing = sw[i, : i + 1] @ (ker.singular_coeff[i, : i + 1, 0, 0] * xi[: i + 1, 0])
-            reg = np.trapezoid(
-                ker.regular_part[i, : i + 1, 0, 0] * xi[: i + 1, 0],
-                grid.nodes[: i + 1],
+            rhs = xi[i] + np.einsum("j,jxy,jy->x", sw[i, :i], A[i, :i], X[:i])
+            X[i] = np.linalg.solve(np.eye(p.n_state) - sw[i, i] * A[i, i], rhs)
+        assert np.abs(solve_state(p, grid, xi) - X).max() <= 1e-14 * np.abs(X).max()
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    @pytest.mark.parametrize(
+        "name,seed", [("random-smooth", 3), ("constant-coeff", 0)], ids=["rs", "const"]
+    )
+    def test_stepping_consistent_with_factored_kernel_quadrature(self, name, seed, kind):
+        # reference for the convergence scenario's varconst check: x = xi +
+        # int Phi xi by a per-row loop, product weights on C (t-s)^(beta-1)
+        # and the trapezoid rule on D, against the stepping solve
+        grid = build_grid(65, 1.0, kind)
+        p = get_problem(name, 0.75, 1.0, seed).problem
+        ker = resolvent(p, grid)
+        # the scenario's seeded probe: a cos(w t + phase) per component
+        rng = np.random.default_rng(5)
+        amp, freq, phase = rng.uniform(
+            (0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(p.n_state, 3)
+        ).T
+        xi = amp * np.cos(freq * grid.nodes[:, None] + phase)
+        x_step = solve_state(p, grid, xi)
+        sw = product_weights(grid, 0.75).w
+        x_kernel = xi.copy()
+        for i in range(1, grid.n):
+            sing = np.einsum(
+                "j,jxy,jy->x", sw[i, : i + 1], ker.singular_coeff[i, : i + 1], xi[: i + 1]
             )
-            x_kernel[i, 0] += sing + reg
-        _ = vals
-        assert rel_l2(omega, x_step, x_kernel) < 2e-3
+            reg = np.trapezoid(
+                np.einsum("jxy,jy->jx", ker.regular_part[i, : i + 1], xi[: i + 1]),
+                grid.nodes[: i + 1],
+                axis=0,
+            )
+            x_kernel[i] += sing + reg
+        reference = rel_l2(grid.trapezoid_weights(), x_kernel, x_step)
+        assert reference < 2e-3
+        assert _varconst_deviation(p, grid, ker, 5) == pytest.approx(reference, rel=1e-12)
+
+    def test_varconst_check_reads_the_regular_part(self):
+        grid = build_grid(65, 1.0)
+        p = get_problem("random-smooth", 0.75, 1.0, 3).problem
+        ker = resolvent(p, grid)
+        perturbed = replace(ker, regular_part=1.01 * ker.regular_part)
+        value = _varconst_deviation(p, grid, ker, 0)
+        assert _varconst_deviation(p, grid, perturbed, 0) >= 3.0 * value
+
+    def test_singular_diagonal_block_raises(self):
+        # uniform grids share one diagonal weight, so A = 1 / w_11 makes
+        # every implicit step I - w_ii A singular
+        grid = build_grid(17, 1.0)
+        w11 = product_weights(grid, 0.75).w[1, 1]
+        p = scalar_problem(const_kernel(1.0 / w11), None, None)
+        with pytest.raises(vlq_errors.NumericalError, match="implicit step singular"):
+            solve_state(p, grid, np.ones((17, 1)))
 
     def test_superposition_of_controls(self, rs_pipeline):
         pipe = rs_pipeline
