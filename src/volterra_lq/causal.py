@@ -9,9 +9,15 @@ This module rebuilds u(t) from information available at time t only:
 *   and the restriction of the quadratic form to controls supported on
     [sigma, T].  Its trailing blocks Lam[sigma:, sigma:] are the leading
     blocks of the index-reversed form, so one Cholesky factor of the
-    reversed form, computed once, solves every truncation point: a
-    backward sweep that is the discrete analogue of integrating the
-    Riccati-like gain family once (`TruncationFactor`).
+    reversed form and one triangular inverse of it give the block row of
+    every truncation point at once: a backward sweep that is the
+    discrete analogue of integrating the Riccati-like gain family once
+    (`TruncationFactor`, built once per assembled problem and kept as
+    `dlq.truncation_factor`).
+
+The running gradients of all truncation points are one product with
+Theta (`_running_gradients`), so the causal control u(t) = -Z_t b_t is a
+single contraction over the nodes.
 
 With the weighted-adjoint discrete operators every identity used in the
 derivation is exact linear algebra, so the reconstruction matches the
@@ -33,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 
 from .errors import AssumptionError, NumericalError
-from .lq import CostData, DiscreteLQ, SampledCost, _apply_blocks, assemble_quadratic_form
+from .lq import CostData, DiscreteLQ, SampledCost, assemble_quadratic_form
 from .volterra import (
     FactoredKernel,
     ProblemData,
@@ -128,44 +135,42 @@ def lambda_sigma(dlq: DiscreteLQ, sigma_index: int) -> RestrictedOperator:
 
 
 class TruncationFactor:
-    """One Cholesky factor serving every truncation point of the form.
+    """Block rows of every truncation point from one triangular inverse.
 
-    With P the index reversal, P Lam P = L L' and the trailing block of
-    Lam on nodes >= sigma is P_k L_k L_k' P_k, where L_k is the leading
-    k x k block of L and k = (n - sigma) du.  `solve(sigma, v)` applies
-    Lam[sigma:, sigma:]^(-1) by two triangular solves of size k, and
-    `block_row(sigma)` returns Z_sigma, the block row of sigma in that
-    inverse, from the solve on du unit columns; all truncation points
-    together cost O((n du)^3 / 3).  `lambda_sigma` remains the per-node
+    With P the index reversal, P Lam P = L L', so Lam = U U' with
+    U = P L P upper triangular, and the trailing block of Lam on nodes
+    >= sigma is U_k U_k', U_k the trailing block of U.  With V = U^(-1)
+    its inverse is V_k' V_k, whose block row of sigma is
+    Z_sigma = V_{sigma sigma}' V[sigma, sigma:].  One Cholesky of the
+    reversed form and one LAPACK `dtrtri` of its factor therefore give
+    the whole block-row matrix `Z` = blockdiag(V)' V, shape
+    (n, du, n du), in O((n du)^3 / 3) each.  Z is exactly zero left of
+    its block diagonal, so no row reads a node before its own, and
+    `block_row(sigma)` is a slice.  `lambda_sigma` remains the per-node
     reference.
     """
 
     def __init__(self, dlq: DiscreteLQ):
-        self.n, self.du = dlq.n, dlq.du
+        n, du = self.n, self.du = dlq.n, dlq.du
         try:
-            self.L = cholesky(dlq.lam[::-1, ::-1], lower=True)
+            L = cholesky(dlq.lam[::-1, ::-1], lower=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "quadratic form is not positive definite on the truncated "
                 "control spaces; check the coercivity assumptions on the "
                 "cost weights"
             ) from exc
-
-    def _size(self, sigma_index: int) -> int:
-        if not 0 <= sigma_index < self.n:
-            raise ValueError(f"sigma index {sigma_index} out of range [0, {self.n})")
-        return (self.n - sigma_index) * self.du
-
-    def solve(self, sigma_index: int, v: np.ndarray) -> np.ndarray:
-        """Lam[sigma:, sigma:]^(-1) v for v (or its columns) on nodes >= sigma."""
-        k = self._size(sigma_index)
-        # L passed the finiteness check when it was factored
-        return cho_solve((self.L[:k, :k], True), v[::-1], check_finite=False)[::-1]
+        L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)  # nonsingular: diag(L) > 0
+        V = L_inv[::-1, ::-1].reshape(n, du, n * du)
+        nodes = np.arange(n)
+        V_diag = V.reshape(n, du, n, du)[nodes, :, nodes]  # V_{sigma sigma}
+        self.Z = V_diag.swapaxes(1, 2) @ V
 
     def block_row(self, sigma_index: int) -> np.ndarray:
         """Z_sigma, shape (du, (n - sigma) du); columns run over nodes >= sigma."""
-        k = self._size(sigma_index)
-        return self.solve(sigma_index, np.eye(k, self.du)).T
+        if not 0 <= sigma_index < self.n:
+            raise ValueError(f"sigma index {sigma_index} out of range [0, {self.n})")
+        return self.Z[sigma_index, :, sigma_index * self.du :]
 
 
 def _require_no_cross_terms(sc: SampledCost, what: str):
@@ -176,12 +181,21 @@ def _require_no_cross_terms(sc: SampledCost, what: str):
         )
 
 
-def _running_gradient(dlq: DiscreteLQ, x_t: np.ndarray) -> np.ndarray:
-    """Flat weighted vector Wu [Theta* Q X_t + Theta_T* G X_t(T) + Theta* q + Theta_T* g]."""
+def _running_gradients(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
+    """Running gradients of every truncation point, one flat row per sigma.
+
+    Row sigma is Wu [Theta* Q X_sigma + Theta_T* G X_sigma(T) + Theta* q
+    + Theta_T* g] for the truncation trajectory X_sigma = x_trunc[sigma];
+    all rows come from one product with Theta.
+    """
     sc, ops = dlq.cost_samples, dlq.dec.ops
-    qx = _apply_blocks(sc.Q, x_t) + sc.q
-    b = ops.theta.T @ (ops.wx * qx.ravel())
-    b += ops.theta[-ops.dx :].T @ (sc.G @ x_t[-1] + sc.g)
+    n, dx = ops.n, ops.dx
+    if np.shape(x_trunc) != (n, n, dx):
+        raise ValueError("trajectories do not match the grid and state dimension")
+    # one product per node i with the (dx, n) panel of every sigma
+    qx = (sc.Q @ np.transpose(x_trunc, (1, 2, 0))).transpose(2, 0, 1) + sc.q
+    b = (ops.wx * qx.reshape(n, n * dx)) @ ops.theta
+    b += (x_trunc[:, -1] @ sc.G.T + sc.g) @ ops.theta[-dx:]
     return b
 
 
@@ -196,20 +210,12 @@ def abstract_causal_control(dlq: DiscreteLQ, traj: CausalTrajectories) -> np.nda
 
     On row t the correction R^(-1)(Lam - R) of the trailing-block solve
     cancels exactly, leaving u(t) = -Z_t b_t[t:] with Z_t the block row
-    of `TruncationFactor` and b_t the running gradient; it is evaluated
-    as the first block of the trailing solve of b_t[t:].
+    of the problem's `TruncationFactor` and b_t the running gradient; all
+    nodes are one contraction of Z with the running gradients.
     """
-    sc = dlq.cost_samples
-    _require_no_cross_terms(sc, "the causal representation")
-    n, du = dlq.n, dlq.du
-    if traj.x_trunc.shape != (n, n, dlq.dx):
-        raise ValueError("trajectories do not match the grid and state dimension")
-    factor = TruncationFactor(dlq)
-    out = np.empty((n, du))
-    for t in range(n):
-        b = _running_gradient(dlq, traj.x_trunc[t])
-        out[t] = -factor.solve(t, b[t * du :])[:du]
-    return out
+    _require_no_cross_terms(dlq.cost_samples, "the causal representation")
+    b = _running_gradients(dlq, traj.x_trunc)
+    return -np.einsum("tak,tk->ta", dlq.truncation_factor.Z, b)
 
 
 @dataclass(frozen=True)

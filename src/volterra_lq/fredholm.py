@@ -26,11 +26,12 @@ Solvers, from oracle to cheap:
 *   `solve_direct`: one dense solve per source column (the oracle).
 *   the backward sweep behind `representation_terms(method="direct")`:
     I - K_sigma is R^(-1) Lam restricted to [sigma, T], so the gain row
-    M_sigma(sigma, .) is read off the block row of sigma in the inverse
-    trailing block, and one Cholesky factor of the index-reversed form
-    serves every sigma (`causal.TruncationFactor`).  The whole family
-    costs O((n du)^3), the discrete analogue of integrating the
-    Riccati-like family once, backward.
+    M_sigma(sigma, .) is read off the block row Z_sigma of sigma in the
+    inverse trailing block.  One reversed Cholesky plus one triangular
+    inverse per assembled problem give every Z_sigma, each read as a
+    slice (`causal.TruncationFactor`).  The whole family costs
+    O((n du)^3), the discrete analogue of integrating the Riccati-like
+    family once, backward.
 *   `solve_galerkin`: orthogonal projection onto continuous piecewise
     linear functions on a coarser node set (through the Gram system).
 *   `solve_iterated_galerkin`: one extra kernel application; the
@@ -66,12 +67,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .causal import (
-    TruncationFactor,
-    _require_no_cross_terms,
-    _running_gradient,
-    causal_trajectories,
-)
+from .causal import _require_no_cross_terms, _running_gradients, causal_trajectories
 from .errors import NumericalError
 from .grids import Grid, lower_product_weights, trapezoid_rule
 from .lq import DiscreteLQ, _blockdiag, solve_open_loop
@@ -319,37 +315,39 @@ def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) 
     return _solved(sys, next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None)))
 
 
-def _direct_gain_row(factor, R: np.ndarray, w: np.ndarray, t: int) -> np.ndarray:
-    """Gain blocks M_t(t, s_j), j >= t, from the truncation factor.
+def _direct_gain_rows(factor, R: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gain blocks M_t(t, s_j) of every node t, shape (n, n, du, du).
 
     M_t(t, s_j) = (Z_t (R W)[t:, t:] - E_t) / w_j with Z_t the factor's
     block row and E_t the unit block row of node t, evaluated blockwise
-    as Z_t(j) R_j minus I / w_t on the diagonal block.  The other rows of
-    the gain equation at sigma = t are never formed.
+    as Z_t(j) R_j minus I / w_t on the diagonal block.  The blocks with
+    j < t are exactly zero, as Z is; the other rows of the gain equation
+    at sigma = t are never formed.
     """
-    du = factor.du
-    Z = factor.block_row(t).reshape(du, -1, du).swapaxes(0, 1)  # blocks Z_t(j)
-    row = Z @ R[t:]
-    row[0] -= np.eye(du) / w[t]
-    return row
+    n, du = factor.n, factor.du
+    by_node = factor.Z.reshape(n * du, n, du).swapaxes(0, 1) @ R  # [j, (t, a), b]
+    rows = by_node.reshape(n, n, du, du).swapaxes(0, 1)
+    nodes = np.arange(n)
+    rows[nodes, nodes] -= np.eye(du) / w[:, None, None]
+    return rows
 
 
-def _gain_integral(dlq: DiscreteLQ, method: str, subspace_dim: int | None, iterations: int):
-    """The map (t, rg) -> sum_{j >= t} w_j M_t(t, s_j) rg_j of the representation.
+def _gain_integrals(
+    dlq: DiscreteLQ, rg: np.ndarray, method: str, subspace_dim: int | None, iterations: int
+) -> np.ndarray:
+    """The integrals sum_{j >= t} w_j M_t(t, s_j) rg[t, j] of the representation, per t.
 
-    The direct method reads the gain row from the truncation factor.  The
-    projection methods sweep at sigma = t the single column f v, with
-    v = w rg on the nodes j >= t (the columns of f before t are never
-    read), and keep block t.
+    rg[t] is the data of node t.  The direct method reads every gain row
+    from the problem's truncation factor.  The projection methods sweep
+    at sigma = t the single column f v, with v = w rg[t] on the nodes
+    j >= t (the columns of f before t are never read), and keep block t.
     """
     n, du = dlq.n, dlq.du
     w = dlq.dec.ops.omega
     if method == "direct":
-        factor = TruncationFactor(dlq)
-        R = dlq.cost_samples.R
-        return lambda t, rg: np.einsum(
-            "j,jab,jb->a", w[t:], _direct_gain_row(factor, R, w, t), rg[t:]
-        )
+        rows = _direct_gain_rows(dlq.truncation_factor, dlq.cost_samples.R, w)
+        rows = rows.swapaxes(1, 2).reshape(n, du, n * du)  # gain row of t, flat over j
+        return (rows @ (w[:, None] * rg).reshape(n, n * du, 1))[..., 0]
     if subspace_dim is None:
         raise ValueError(f"method {method!r} needs a subspace dimension")
     if method not in ("galerkin", "iterated", "superconvergent"):
@@ -360,15 +358,13 @@ def _gain_integral(dlq: DiscreteLQ, method: str, subspace_dim: int | None, itera
     sys0 = assemble_fredholm(dlq, 0)
     space = _HatSpace(n, subspace_dim, du, sys0.omega)
     HtWK = space.HtW @ sys0.Kmat
-
-    def integral(t, rg):
+    out = np.empty((n, du))
+    for t in range(n):
         lo = t * du
         proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space, HtWK)
-        f = sys0.rhs[:, lo:] @ (w[t:, None] * rg[t:]).reshape(-1, 1)
-        M = next(islice(_sweep(proj, f), stage, None))
-        return M[lo : lo + du, 0]
-
-    return integral
+        f = sys0.rhs[:, lo:] @ (w[t:, None] * rg[t, t:]).reshape(-1, 1)
+        out[t] = next(islice(_sweep(proj, f), stage, None))[lo : lo + du, 0]
+    return out
 
 
 def representation_terms(
@@ -394,15 +390,10 @@ def representation_terms(
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the gain representation")
     n, du = dlq.n, dlq.du
-    Rinv = sc.R_inverses()
-    integral = _gain_integral(dlq, method, subspace_dim, iterations)
-    out = np.empty((n, du))
-    for t in range(n):
-        b = _running_gradient(dlq, traj.x_trunc[t])
-        gvec = (b / dlq.wu).reshape(n, du)
-        rg = np.einsum("jab,jb->ja", Rinv, gvec)
-        out[t] = -rg[t] - integral(t, rg)
-    return out
+    gvec = (_running_gradients(dlq, traj.x_trunc) / dlq.wu).reshape(n, n, du)
+    rg = (sc.R_inverses() @ gvec.transpose(1, 2, 0)).transpose(2, 0, 1)  # [t, j] = R_j^-1 g_t(j)
+    nodes = np.arange(n)
+    return -rg[nodes, nodes] - _gain_integrals(dlq, rg, method, subspace_dim, iterations)
 
 
 def feedback_control(

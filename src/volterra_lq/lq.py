@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -179,7 +180,9 @@ class DiscreteLQ:
     grid weights and the free response psi.  lam is stored as the
     symmetric matrix of the quadratic form in plain coordinates, i.e.
     J(u) = u' lam u + 2 (Wu ell1)' u + lam0 with Wu the repeated trapezoid
-    weights; ell1 holds nodal values of the affine term.
+    weights; ell1 holds nodal values of the affine term.  The causal
+    reconstructions and the direct gain of one problem share one
+    `truncation_factor`, built on first use.
     """
 
     dec: StateDecomposition
@@ -208,6 +211,13 @@ class DiscreteLQ:
     def rhs(self) -> np.ndarray:
         """Flat right side Wu ell1 of the optimality system lam u = -rhs."""
         return self.wu * self.ell1
+
+    @cached_property
+    def truncation_factor(self):
+        """`causal.TruncationFactor` of lam, built on first use and kept."""
+        from .causal import TruncationFactor
+
+        return TruncationFactor(self)
 
 
 def assemble_quadratic_form(dec: StateDecomposition, cost: CostData | SampledCost) -> DiscreteLQ:

@@ -337,11 +337,13 @@ def _coercivity_ratio(dlq) -> float:
     The trailing blocks of W^(-1/2) Lambda W^(-1/2) (W the diagonal
     quadrature weights) are the truncations at each sigma; by Cauchy
     interlacing none has a smaller eigenvalue, so the full form bounds them.
+    Only that one eigenvalue of the scaled form is computed.
     """
     from scipy.linalg import eigh
 
-    delta = dlq.cost_samples.delta
-    return float(eigh(dlq.lam, np.diag(dlq.wu), eigvals_only=True)[0] / delta)
+    s = 1.0 / np.sqrt(dlq.wu)
+    lowest = eigh(s[:, None] * dlq.lam * s, eigvals_only=True, subset_by_index=[0, 0])[0]
+    return float(lowest / dlq.cost_samples.delta)
 
 
 def _optimality_gap(ops, sc, u_opt, j_opt, rng, trials=20) -> float:

@@ -19,10 +19,19 @@ from volterra_lq import (
     solve_open_loop,
 )
 from volterra_lq.catalog import get_problem
-from volterra_lq.causal import _running_gradient
-from volterra_lq.lq import _blockdiag
+from volterra_lq.causal import _running_gradients
+from volterra_lq.lq import _apply_blocks, _blockdiag
 
 from conftest import Pipeline, rel_l2
+
+
+def running_gradient(dlq, x_t):
+    """Per-node reference: Wu [Theta* Q X_t + Theta_T* G X_t(T) + Theta* q + Theta_T* g]."""
+    sc, ops = dlq.cost_samples, dlq.dec.ops
+    qx = _apply_blocks(sc.Q, x_t) + sc.q
+    b = ops.theta.T @ (ops.wx * qx.ravel())
+    b += ops.theta[-ops.dx :].T @ (sc.G @ x_t[-1] + sc.g)
+    return b
 
 
 class TestRestrictedOperator:
@@ -104,6 +113,12 @@ class TestTruncationFactor:
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
 
+    def test_block_rows_are_exactly_zero_left_of_the_diagonal(self, truncation_case):
+        dlq = truncation_case.dlq
+        factor = TruncationFactor(dlq)
+        for sigma in range(dlq.n):
+            assert np.all(factor.Z[sigma, :, : sigma * dlq.du] == 0.0)
+
     def test_causal_control_matches_per_node_restricted_solve(self, truncation_case):
         # the slow reference: restricted solve per node, then the
         # R^-1 (Lam - R) correction the block row lets cancel
@@ -116,31 +131,19 @@ class TestTruncationFactor:
         traj = causal_trajectories(pipe.dec, pipe.u_opt)
         expected = np.empty((n, du))
         for t in range(n):
-            gvec = _running_gradient(dlq, traj.x_trunc[t]) / dlq.wu
+            gvec = running_gradient(dlq, traj.x_trunc[t]) / dlq.wu
             y = lambda_sigma(dlq, t).solve_embedded(gvec)
             corrected = gvec - lam_op_minus_R @ y
             expected[t] = -Rinv[t] @ corrected[t * du : (t + 1) * du]
         rec = abstract_causal_control(dlq, traj)
         assert rel_l2(pipe.omega, rec, expected) <= 1e-12
 
-    def test_trailing_solve_matches_dense_solve(self, truncation_case):
-        dlq = truncation_case.dlq
-        n, du = dlq.n, dlq.du
-        factor = TruncationFactor(dlq)
-        rng = np.random.default_rng(4)
-        for sigma in (0, n // 2, n - 1):
-            k = sigma * du
-            v = rng.normal(size=dlq.lam.shape[0] - k)
-            expected = np.linalg.solve(dlq.lam[k:, k:], v)
-            got = factor.solve(sigma, v)
-            assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
-
     def test_out_of_range(self, rs_pipeline):
         factor = TruncationFactor(rs_pipeline.dlq)
         with pytest.raises(ValueError):
             factor.block_row(rs_pipeline.grid.n)
         with pytest.raises(ValueError):
-            factor.solve(-1, np.zeros(2))
+            factor.block_row(-1)
 
     def test_loss_of_positive_definiteness_is_a_numerical_error(self, rs_pipeline):
         from volterra_lq.fredholm import representation_terms
@@ -237,9 +240,19 @@ class TestCausalTrajectories:
             past = pipe.u_opt.copy()
             past[sigma:] = 0.0
             expected = dlq.lam @ past.ravel() + dlq.wu * dlq.ell1
-            got = _running_gradient(dlq, traj.x_trunc[sigma])
+            got = _running_gradients(dlq, traj.x_trunc)[sigma]
             k = sigma * du
             assert np.max(np.abs(got[k:] - expected[k:])) <= 1e-12 * np.abs(expected).max()
+
+    def test_running_gradients_match_per_node_reference(self, truncation_case):
+        # one product with Theta for every sigma, on uniform and graded grids
+        pipe = truncation_case
+        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        got = _running_gradients(pipe.dlq, traj.x_trunc)
+        expected = np.stack([running_gradient(pipe.dlq, x_t) for x_t in traj.x_trunc])
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.abs(expected).max()
+
 
 class TestAbstractCausalControl:
     def test_zero_affine_problem(self):
@@ -283,6 +296,21 @@ class TestAbstractCausalControl:
         traj = causal_trajectories(small.dec, small.u_opt)
         with pytest.raises(ValueError, match="trajectories do not match"):
             abstract_causal_control(rs_pipeline.dlq, traj)
+
+    @pytest.mark.parametrize("extra", [3, -3], ids=["long", "short"])
+    @pytest.mark.parametrize("method", ["direct", "superconvergent"])
+    def test_family_of_wrong_length_is_rejected(self, method, extra):
+        # both entry points read the family through the one shape check
+        from volterra_lq.fredholm import representation_terms
+
+        pipe = Pipeline("random-smooth", seed=7, n=16)
+        x = causal_trajectories(pipe.dec, pipe.u_opt).x_trunc
+        rows = np.concatenate([x, x[:extra]]) if extra > 0 else x[:extra]
+        bad = vlq.CausalTrajectories(x_trunc=rows)
+        with pytest.raises(ValueError, match="trajectories do not match"):
+            representation_terms(pipe.dlq, bad, method=method, subspace_dim=8)
+        with pytest.raises(ValueError, match="trajectories do not match"):
+            abstract_causal_control(pipe.dlq, bad)
 
 
 class TestCrossTermReduction:

@@ -364,6 +364,35 @@ def test_equivalence_solves_the_open_loop_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_equivalence_factors_the_form_once(tmp_path, monkeypatch):
+    # both causal reconstructions and the direct gain family share one
+    # reversed Cholesky and one triangular inverse
+    import volterra_lq.causal as causal
+
+    calls = {"cholesky": 0, "dtrtri": 0}
+
+    def counting(name):
+        real = getattr(causal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(causal, name, counting(name))
+    cfg = load_config(
+        write(
+            tmp_path,
+            "problem = random-smooth(7)\nscenario = equivalence\nn = 24\n"
+            f"m_solver = direct\noutdir = {tmp_path}/out\n",
+        )
+    )
+    assert run_scenario(cfg).passed
+    assert calls == {"cholesky": 1, "dtrtri": 1}
+
+
 def test_direct_runs_ignore_an_unread_subspace_dimension(tmp_path):
     cfg = load_config(
         write(tmp_path, "problem = random-smooth(1)\nscenario = equivalence\nn = 8\n")

@@ -149,16 +149,17 @@ class TestDirectSolve:
 
 class TestDirectGainSweep:
     def test_gain_rows_match_dense_oracle(self, truncation_case):
-        from volterra_lq.fredholm import _direct_gain_row
+        from volterra_lq.fredholm import _direct_gain_rows
 
         pipe = truncation_case
         dlq = pipe.dlq
         sys0 = assemble_fredholm(dlq, 0)
-        factor = TruncationFactor(dlq)
         R, w = dlq.cost_samples.R, dlq.dec.ops.omega
+        rows = _direct_gain_rows(TruncationFactor(dlq), R, w)
         for sigma in range(dlq.n):
             oracle = solve_direct(replace(sys0, sigma_index=sigma)).M[sigma, sigma:]
-            row = _direct_gain_row(factor, R, w, sigma)
+            assert np.all(rows[sigma, :sigma] == 0.0)
+            row = rows[sigma, sigma:]
             assert row.shape == oracle.shape
             assert np.max(np.abs(row - oracle)) <= 1e-12 * np.abs(oracle).max()
 
@@ -319,14 +320,14 @@ class TestProjectionFamily:
     def test_one_column_sweep_matches_gain_table(self, truncation_case, method):
         # at every node, the sweep of the single column f v equals the
         # whole-table solver's gain row M_t(t, .) contracted with v
-        from volterra_lq.fredholm import _gain_integral
+        from volterra_lq.fredholm import _gain_integrals
 
         dlq = truncation_case.dlq
         n, du, q = dlq.n, dlq.du, 8
         w = dlq.dec.ops.omega
         sys0 = assemble_fredholm(dlq, 0)
-        integral = _gain_integral(dlq, method, q, 2)
-        rng = np.random.default_rng(3)
+        rg_all = np.random.default_rng(3).normal(size=(n, n, du))
+        integrals = _gain_integrals(dlq, rg_all, method, q, 2)
         for t in range(n):
             sys_t = replace(sys0, sigma_index=t)
             if method == "superconvergent":
@@ -335,11 +336,11 @@ class TestProjectionFamily:
                 gain = solve_galerkin(sys_t, q)
                 if method == "iterated":
                     gain = solve_iterated_galerkin(sys_t, gain)
-            rg = rng.normal(size=(n, du))
+            rg = rg_all[t]
             ref = np.einsum("j,jab,jb->a", w[t:], gain.M[t, t:], rg[t:])
             # relative to the summands: the sum itself may cancel
             scale = np.einsum("j,jab,jb->a", w[t:], np.abs(gain.M[t, t:]), np.abs(rg[t:]))
-            assert np.all(np.abs(integral(t, rg) - ref) <= 1e-13 * scale)
+            assert np.all(np.abs(integrals[t] - ref) <= 1e-13 * scale)
 
 
 class TestReconstruction:
