@@ -24,9 +24,8 @@ from .grids import (
 from .volterra import (
     FactoredKernel,
     ProblemData,
-    StateDecomposition,
     StateOperator,
-    decompose,
+    control_kernel,
     resolvent,
     solve_state,
 )

@@ -25,9 +25,10 @@ The pointwise value at t = T involves 1/(T-t)^(1-beta) and is reported as
 the solver's algebraic value; pointwise assertions exclude the terminal
 node, norm comparisons are weighted-L2.
 
-Both steps reuse the operator bundle of the problem: `solve_adjoint(ops,
+Both steps reuse the state operator of the problem: `solve_adjoint(ops,
 cost, x_bar, u_bar)` and `control_from_adjoint(adjoint, ops, cost, x_bar)`
-with ops = `decompose(...).ops`; the cost may be already sampled.
+with ops the `StateOperator` of (problem, grid), as in `dlq.ops`; the
+cost may be already sampled.
 """
 
 from __future__ import annotations

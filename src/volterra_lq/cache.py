@@ -45,7 +45,7 @@ _EXT = ".vker"
 _MAGIC = "volterra-kernel v1 "
 # changes with the file format or the resolvent series, so that no kernel
 # computed by another version is read back
-_KEY_VERSION = "volterra-kernel v1; resolvent series v3"
+_KEY_VERSION = "volterra-kernel v1; resolvent series v4"
 
 
 def cache_dir(override: str | None = None) -> Path:

@@ -26,7 +26,7 @@ in the strict sense: control samples at nodes >= t have exactly zero
 influence on the value reconstructed at t.
 
 Every function here reads the assembled problem `dlq` (which carries its
-decomposition `dlq.dec` and sampled cost) or the decomposition alone.
+state operator `dlq.ops` and sampled cost) or the state operator alone.
 Cross terms S, rho are removed first by the substitution
 u = v - R^(-1) (S X + rho), which rewrites the problem with shifted
 coefficients (see `build_cross_term_reduction(dlq)`); the general
@@ -46,8 +46,7 @@ from .lq import CostData, DiscreteLQ, SampledCost, assemble_quadratic_form
 from .volterra import (
     FactoredKernel,
     ProblemData,
-    StateDecomposition,
-    decompose,
+    StateOperator,
     resolvent,
     sample_trajectory,
 )
@@ -77,14 +76,13 @@ class CausalTrajectories:
     x_trunc: np.ndarray  # (n, n, dx)
 
 
-def causal_trajectories(dec: StateDecomposition, u) -> CausalTrajectories:
+def causal_trajectories(ops: StateOperator, u) -> CausalTrajectories:
     """All truncation trajectories at once, by cumulative kernel-control sums."""
-    ops = dec.ops
     n, dx, du = ops.n, ops.dx, ops.du
     u_s = sample_trajectory(u, ops.grid, du)
     theta = ops.theta
     x = np.empty((n, n, dx))
-    acc = dec.psi.ravel().copy()
+    acc = ops.psi.ravel().copy()
     x[0] = acc.reshape(n, dx)
     for sigma in range(1, n):
         j = sigma - 1
@@ -188,7 +186,7 @@ def _running_gradients(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
     + Theta_T* g] for the truncation trajectory X_sigma = x_trunc[sigma];
     all rows come from one product with Theta.
     """
-    sc, ops = dlq.cost_samples, dlq.dec.ops
+    sc, ops = dlq.cost_samples, dlq.ops
     n, dx = ops.n, ops.dx
     if np.shape(x_trunc) != (n, n, dx):
         raise ValueError("trajectories do not match the grid and state dimension")
@@ -250,13 +248,14 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
 
     dlq is the assembled original problem.  The shifted kernels are built
     from the sampled originals nodewise, so the reduced discrete problem
-    (`reduced.dlq`, whose decomposition is `reduced.dlq.dec`) is exactly
+    (`reduced.dlq`, whose state operator is `reduced.dlq.ops`) is exactly
     equivalent to the original one: optimal controls map through
     u = v - R^(-1)(S X + rho) and optimal values differ by the recorded
-    constant.  With `with_kernels=True` the resolvent and factored control
-    kernel of the reduced system are recomputed as well.
+    constant.  With `with_kernels=True` the resolvent of the reduced
+    system is computed as well; its factored control kernel is
+    `control_kernel(reduced.dlq.ops, reduced.resolvent_kernel)`.
     """
-    ops, sc = dlq.dec.ops, dlq.cost_samples
+    ops, sc = dlq.ops, dlq.cost_samples
     problem, grid = ops.problem, ops.grid
     Rinv = sc.R_inverses()
     RS = np.einsum("iab,ibx->iax", Rinv, sc.S)  # R^-1 S per node
@@ -278,7 +277,7 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
         Q=Q_hat, S=None, R=sc.R, q=q_hat, rho=None, G=sc.G, g=sc.g, delta=sc.delta
     )
     kernel = resolvent(problem_hat, grid) if with_kernels else None
-    dlq_hat = assemble_quadratic_form(decompose(problem_hat, grid, kernel), cost_hat)
+    dlq_hat = assemble_quadratic_form(StateOperator(problem_hat, grid), cost_hat)
     offset = float(np.einsum("i,ia,ia->", ops.omega, rho_resp, sc.rho))
     return ReducedSystem(
         dlq=dlq_hat,

@@ -14,12 +14,13 @@ instantaneous terms and integrals of M_t(t, .) against non-anticipating
 data.
 
 Discretely K is assembled from the already-weighted operators of the
-assembled problem `dlq` (which carries its decomposition `dlq.dec`), which
+assembled problem `dlq` (which carries its state operator `dlq.ops`), which
 makes the kernel equal to -R^(-1)(Lam - R) up to the quadrature weights: the
 Fredholm solve, the trailing-block solve of the quadratic form, and the
 representation formula are then three views of the same linear algebra and
 agree to round-off.  A quadrature cross-check against the defining double
-integral (through the factored control kernel) guards the assembly.
+integral (through the factored control kernel `volterra.control_kernel`)
+guards the assembly.
 
 Solvers, from oracle to cheap:
 
@@ -71,6 +72,7 @@ from .causal import _require_no_cross_terms, _running_gradients, causal_trajecto
 from .errors import NumericalError
 from .grids import Grid, lower_product_weights, trapezoid_rule
 from .lq import DiscreteLQ, _blockdiag, solve_open_loop
+from .volterra import FactoredKernel
 
 __all__ = [
     "FredholmSystem",
@@ -162,7 +164,7 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
     lam_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
     Kmat = -Rinv_bd @ lam_minus_R
     kernel = Kmat / dlq.wu[None, :]
-    ops = dlq.dec.ops
+    ops = dlq.ops
     return FredholmSystem(
         kernel=kernel,
         Kmat=Kmat,
@@ -209,44 +211,42 @@ def _hat_basis(n: int, q: int) -> np.ndarray:
 
 
 class _HatSpace:
-    """Hat subspace H, its weighted transpose H' Wu and Gram factor; independent of sigma."""
+    """Hat subspace H of a gain equation, independent of sigma.
 
-    def __init__(self, n: int, subspace_dim: int, du: int, omega: np.ndarray):
+    Holds H, its weighted transpose H' Wu, the Gram factor and the product
+    HtWK = H' Wu Kmat of the equation `sys`, whose column slices serve
+    every truncation point.
+    """
+
+    def __init__(self, sys: FredholmSystem, subspace_dim: int):
         if subspace_dim < 2:
             raise ValueError("subspace dimension must be >= 2")
-        if subspace_dim > n:
+        if subspace_dim > sys.n:
             raise ValueError("subspace dimension exceeds the grid size")
-        self.Hb = np.kron(_hat_basis(n, subspace_dim), np.eye(du))
-        self.HtW = self.Hb.T * np.repeat(omega, du)[None, :]
+        self.Hb = np.kron(_hat_basis(sys.n, subspace_dim), np.eye(sys.du))
+        self.HtW = self.Hb.T * np.repeat(sys.omega, sys.du)[None, :]
         self.gram = self.HtW @ self.Hb
         self.gram_factor = cho_factor(self.gram)
+        self.HtWK = self.HtW @ sys.Kmat
 
 
 class _Projection:
     """Orthogonal projection onto the hat subspace in the weighted product.
 
     Factors the projected system of the truncation point of `sys` from
-    the kernel columns of the nodes >= sigma only.  A caller sweeping
-    many truncation points shares a prebuilt `space` and the product
-    `HtWK = space.HtW @ sys.Kmat` across them; both are built here when
-    not given.
+    the kernel columns of the nodes >= sigma only, sliced from the
+    space's HtWK.  A caller sweeping many truncation points of one
+    equation shares one prebuilt `space`; it is built here when not given.
     """
 
-    def __init__(
-        self,
-        sys: FredholmSystem,
-        subspace_dim: int,
-        space: _HatSpace | None = None,
-        HtWK: np.ndarray | None = None,
-    ):
+    def __init__(self, sys: FredholmSystem, subspace_dim: int, space: _HatSpace | None = None):
         if space is None:
-            space = _HatSpace(sys.n, subspace_dim, sys.du, sys.omega)
+            space = _HatSpace(sys, subspace_dim)
         self.space = space
         self.sys = sys
         lo = sys.sigma_index * sys.du
-        HtWK = space.HtW @ sys.Kmat[:, lo:] if HtWK is None else HtWK[:, lo:]
         # projected second-kind matrix (Gram - H' Wu K_sigma H)
-        proj_mat = space.gram - HtWK @ space.Hb[lo:]
+        proj_mat = space.gram - space.HtWK[:, lo:] @ space.Hb[lo:]
         self._lu, self._piv, info = dgetrf(proj_mat)
         if info > 0:
             raise NumericalError(
@@ -343,7 +343,7 @@ def _gain_integrals(
     j >= t (the columns of f before t are never read), and keep block t.
     """
     n, du = dlq.n, dlq.du
-    w = dlq.dec.ops.omega
+    w = dlq.ops.omega
     if method == "direct":
         rows = _direct_gain_rows(dlq.truncation_factor, dlq.cost_samples.R, w)
         rows = rows.swapaxes(1, 2).reshape(n, du, n * du)  # gain row of t, flat over j
@@ -356,12 +356,11 @@ def _gain_integrals(
         raise ValueError("iteration count must be >= 0")
     stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]
     sys0 = assemble_fredholm(dlq, 0)
-    space = _HatSpace(n, subspace_dim, du, sys0.omega)
-    HtWK = space.HtW @ sys0.Kmat
+    space = _HatSpace(sys0, subspace_dim)
     out = np.empty((n, du))
     for t in range(n):
         lo = t * du
-        proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space, HtWK)
+        proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space)
         f = sys0.rhs[:, lo:] @ (w[t:, None] * rg[t, t:]).reshape(-1, 1)
         out[t] = next(islice(_sweep(proj, f), stage, None))[lo : lo + du, 0]
     return out
@@ -410,7 +409,7 @@ def feedback_control(
     reduction and its representation.
     """
     _require_no_cross_terms(dlq.cost_samples, "the gain representation")
-    traj = causal_trajectories(dlq.dec, solve_open_loop(dlq))
+    traj = causal_trajectories(dlq.ops, solve_open_loop(dlq))
     return representation_terms(
         dlq, traj, method=method, subspace_dim=subspace_dim, iterations=iterations
     )
@@ -419,23 +418,21 @@ def feedback_control(
 def crosscheck_kernel_samples(
     sys: FredholmSystem,
     dlq: DiscreteLQ,
+    Psi: FactoredKernel,
     n_samples: int = 24,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Compare sampled kernel entries against direct quadrature.
 
-    Re-evaluates K(t_i, xi_j) from the factored control kernel by product
-    quadrature of the defining double integral and returns the largest
-    relative deviation over the sampled pairs.  Pairs are drawn at least
-    6T/n from the diagonal (the folded singular factor must stay resolved)
-    and away from the terminal corner (where the integration domain
-    degenerates to a few segments); within that region the two routes
-    agree to first order in the step.  Requires the decomposition `dlq.dec` to carry the
-    factored kernel.
+    Re-evaluates K(t_i, xi_j) from the factored control kernel Psi of the
+    same grid (`volterra.control_kernel`) by product quadrature of the
+    defining double integral and returns the largest relative deviation
+    over the sampled pairs.  Pairs are drawn at least 6T/n from the
+    diagonal (the folded singular factor must stay resolved) and away
+    from the terminal corner (where the integration domain degenerates to
+    a few segments); within that region the two routes agree to first
+    order in the step.
     """
-    dec = dlq.dec
-    if dec.Psi is None:
-        raise ValueError("decomposition lacks the factored control kernel")
     rng = rng or np.random.default_rng(0)
     grid = sys.grid
     n, du = sys.n, sys.du
@@ -444,9 +441,10 @@ def crosscheck_kernel_samples(
     sep = 6.0 * grid.T / n
     sc = dlq.cost_samples
     Rinv = sc.R_inverses()
-    beta = dec.ops.beta
-    B = dec.Psi.singular_coeff
-    D = dec.Psi.regular_part
+    beta = dlq.ops.beta
+    B = Psi.singular_coeff
+    D = Psi.regular_part
+    terminal_row = Psi.eval_offdiag(grid)[-1]  # Psi(T, s_j)
     scale = float(np.max(np.abs(sys.kernel)))
     worst = 0.0
     pairs = 0
@@ -480,7 +478,7 @@ def crosscheck_kernel_samples(
         integral = np.einsum("l,lcd->cd", sing, coeff_sing) + np.einsum(
             "l,lcd->cd", trapezoid_rule(taus), coeff_reg
         )
-        terminal = dec.Psi_T_row[i].T @ sc.G @ dec.Psi_T_row[j]
+        terminal = terminal_row[i].T @ sc.G @ terminal_row[j]
         K_quad = -Rinv[i] @ (integral + terminal)
         K_alg = sys.kernel[i * du : (i + 1) * du, j * du : (j + 1) * du]
         worst = max(worst, float(np.max(np.abs(K_quad - K_alg)) / scale))

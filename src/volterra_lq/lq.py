@@ -17,13 +17,13 @@ is an exact finite-dimensional statement.  The open-loop control solved
 here is the oracle against which the adjoint-equation, causal, and
 feedback-gain characterizations are verified.
 
-Everything here works on the one decomposition `decompose` builds per
-(problem, grid): `assemble_quadratic_form(dec, cost)` returns a
-`DiscreteLQ` that carries `dec`, so `verify_control_relation(dlq, u_bar)`
-and every layer above read the operator bundle as `dlq.dec.ops`.  The
-independent references `evaluate_cost(ops, cost, u)` and the adjoint pair
-take the bundle and the cost themselves; the cost may be a `CostData` or
-the weights already sampled on that grid (`dlq.cost_samples`).
+Everything here works on the one `StateOperator` built per (problem,
+grid): `assemble_quadratic_form(ops, cost)` returns a `DiscreteLQ` that
+carries it as `dlq.ops`, which `verify_control_relation(dlq, u_bar)` and
+every layer above read.  The independent references
+`evaluate_cost(ops, cost, u)` and the adjoint pair take the operator and
+the cost themselves; the cost may be a `CostData` or the weights already
+sampled on that grid (`dlq.cost_samples`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AssumptionError, NumericalError
 from .grids import Grid
-from .volterra import StateDecomposition, StateOperator, sample_trajectory
+from .volterra import StateOperator, sample_trajectory
 
 __all__ = [
     "CostData",
@@ -174,18 +174,18 @@ def _validate_cost(sc: SampledCost):
 class DiscreteLQ:
     """Grid-sampled quadratic problem min <Lam u, u> + 2 <ell1, u> + lam0.
 
-    dec is the decomposition the form was assembled on: its operator
-    bundle dec.ops holds the control-to-state map theta (quadrature
-    weights folded in; the terminal block row is its last dx rows), the
-    grid weights and the free response psi.  lam is stored as the
-    symmetric matrix of the quadratic form in plain coordinates, i.e.
+    ops is the state operator the form was assembled on: it holds the
+    control-to-state map theta (quadrature weights folded in; the
+    terminal block row is its last dx rows), the grid weights and the
+    free response psi.  lam is stored as the symmetric matrix of the
+    quadratic form in plain coordinates, i.e.
     J(u) = u' lam u + 2 (Wu ell1)' u + lam0 with Wu the repeated trapezoid
     weights; ell1 holds nodal values of the affine term.  The causal
     reconstructions and the direct gain of one problem share one
     `truncation_factor`, built on first use.
     """
 
-    dec: StateDecomposition
+    ops: StateOperator
     lam: np.ndarray
     ell1: np.ndarray
     lam0: float
@@ -193,19 +193,19 @@ class DiscreteLQ:
 
     @property
     def n(self) -> int:
-        return self.dec.ops.n
+        return self.ops.n
 
     @property
     def dx(self) -> int:
-        return self.dec.ops.dx
+        return self.ops.dx
 
     @property
     def du(self) -> int:
-        return self.dec.ops.du
+        return self.ops.du
 
     @property
     def wu(self) -> np.ndarray:
-        return self.dec.ops.wu
+        return self.ops.wu
 
     @property
     def rhs(self) -> np.ndarray:
@@ -220,23 +220,22 @@ class DiscreteLQ:
         return TruncationFactor(self)
 
 
-def assemble_quadratic_form(dec: StateDecomposition, cost: CostData | SampledCost) -> DiscreteLQ:
+def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) -> DiscreteLQ:
     """Assemble (Lam, ell1, lam0) from the state maps and cost weights.
 
-    The cost is sampled on the grid of `dec.ops`, whose control-to-state
-    map and quadrature weights are reused.  The adjoints used throughout
-    are weighted transposes, so <X, Theta u> = <Theta* X, u> holds exactly
-    on the grid.  Raises AssumptionError naming the violated inequality
+    The cost is sampled on the grid of `ops`, whose control-to-state map,
+    free response and quadrature weights are reused.  The adjoints used
+    throughout are weighted transposes, so <X, Theta u> = <Theta* X, u>
+    holds exactly on the grid.  Raises AssumptionError naming the violated inequality
     when the coercivity block fails.  Warns when Lam is severely
     ill-conditioned.
     """
-    ops = dec.ops
     sc = _sampled_cost(cost, ops)
     _validate_cost(sc)
     omega, wx, wu = ops.omega, ops.wx, ops.wu
     theta = ops.theta
     theta_T = theta[-ops.dx :]
-    psi = dec.psi
+    psi = ops.psi
     psi_flat = psi.ravel()
 
     Qbd = _blockdiag(sc.Q)
@@ -277,13 +276,13 @@ def assemble_quadratic_form(dec: StateDecomposition, cost: CostData | SampledCos
             "solves may lose accuracy",
             stacklevel=2,
         )
-    return DiscreteLQ(dec=dec, lam=lam, ell1=ell1, lam0=lam0, cost_samples=sc)
+    return DiscreteLQ(ops=ops, lam=lam, ell1=ell1, lam0=lam0, cost_samples=sc)
 
 
 def evaluate_cost(ops: StateOperator, cost: CostData | SampledCost, u) -> float:
     """Run the state and evaluate the cost by grid quadrature.
 
-    ops is the problem's operator bundle (`decompose(...).ops`).  Requires
+    ops is the problem's `StateOperator` on the grid of the cost.  Requires
     beta > 1/2 (the terminal term needs X(T)).
     """
     ops.problem.require_lq()
@@ -328,9 +327,9 @@ def verify_control_relation(dlq: DiscreteLQ, u_bar: np.ndarray) -> float:
     the resolvent-propagated running gradient) through the discrete
     operator algebra, and returns max_i |u_bar(t_i) - RHS(t_i)|.
     """
-    ops, sc = dlq.dec.ops, dlq.cost_samples
+    ops, sc = dlq.ops, dlq.cost_samples
     u = sample_trajectory(u_bar, ops.grid, ops.du)
-    X = (dlq.dec.psi.ravel() + ops.theta @ u.ravel()).reshape(ops.n, ops.dx)
+    X = (ops.psi.ravel() + ops.theta @ u.ravel()).reshape(ops.n, ops.dx)
     z = _apply_blocks(sc.Q, X) + np.einsum("ica,ic->ia", sc.S, u) + sc.q
     zeta = sc.G @ X[-1] + sc.g
     vterm = ops.terminal_unit(zeta)

@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .fredholm import representation_terms
 from .grids import build_grid, integrate_singular, product_weights
 from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
-from .volterra import ProblemData, decompose, resolvent, sample_kernel, solve_state
+from .volterra import ProblemData, StateOperator, resolvent, sample_kernel, solve_state
 
 __all__ = ["Check", "ScenarioReport", "run_scenario"]
 
@@ -237,9 +237,9 @@ def _solved_lq(cfg: RunConfig):
     """Grid, assembled problem, open-loop optimal control and its state."""
     problem, cost = _materialize(cfg)
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
-    dlq = assemble_quadratic_form(decompose(problem, grid, None), cost)
+    dlq = assemble_quadratic_form(StateOperator(problem, grid), cost)
     u_direct = solve_open_loop(dlq)
-    x_bar = (dlq.dec.psi.ravel() + dlq.dec.ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
+    x_bar = (dlq.ops.psi.ravel() + dlq.ops.theta @ u_direct.ravel()).reshape(grid.n, -1)
     return grid, dlq, u_direct, x_bar
 
 
@@ -263,7 +263,7 @@ def _columns(t, **trajectories) -> dict:
 def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("equivalence", cfg.problem)
     grid, dlq, u_direct, x_bar = _solved_lq(cfg)
-    ops, sc = dlq.dec.ops, dlq.cost_samples
+    ops, sc = dlq.ops, dlq.cost_samples
     omega = grid.trapezoid_weights()
 
     adj = solve_adjoint(ops, sc, x_bar, u_direct)
@@ -274,7 +274,7 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
         _tol(cfg, "adjoint", 1e-5),
     )
 
-    traj = causal_trajectories(dlq.dec, u_direct)
+    traj = causal_trajectories(ops, u_direct)
     u_causal = abstract_causal_control(dlq, traj)
     report.add(
         "control: causal reconstruction vs direct solve",
@@ -300,7 +300,7 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     t_probe = grid.n // 2
     u_pert = u_direct.copy()
     u_pert[t_probe:] += rng.normal(size=u_pert[t_probe:].shape)
-    traj_pert = causal_trajectories(dlq.dec, u_pert)
+    traj_pert = causal_trajectories(ops, u_pert)
     u_causal_pert = abstract_causal_control(dlq, traj_pert)
     drift = max(
         float(np.max(np.abs(traj_pert.x_trunc[t_probe] - traj.x_trunc[t_probe]))),
@@ -486,7 +486,7 @@ def _run_fredholm_methods(cfg: RunConfig) -> ScenarioReport:
     sweep_rows = None
     for trial in range(trials):
         entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed + trial)
-        dlq = assemble_quadratic_form(decompose(entry.problem, grid, None), entry.cost)
+        dlq = assemble_quadratic_form(StateOperator(entry.problem, grid), entry.cost)
         sys0 = assemble_fredholm(dlq, 0)
         M_star = solve_direct(sys0).flat()
         wu = dlq.wu
@@ -582,7 +582,7 @@ def _run_reduction(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("reduction", cfg.problem)
     grid, dlq, u_direct, x_bar = _solved_lq(cfg)
     omega = grid.trapezoid_weights()
-    j_orig = evaluate_cost(dlq.dec.ops, dlq.cost_samples, u_direct)
+    j_orig = evaluate_cost(dlq.ops, dlq.cost_samples, u_direct)
 
     reduced = build_cross_term_reduction(dlq)
     v_opt = solve_open_loop(reduced.dlq)
@@ -600,7 +600,7 @@ def _run_reduction(cfg: RunConfig) -> ScenarioReport:
     )
 
     v_bar = reduced.to_reduced_control(u_direct, x_bar)
-    traj = causal_trajectories(reduced.dlq.dec, v_bar)
+    traj = causal_trajectories(reduced.dlq.ops, v_bar)
     u_general = _gated_gain(
         report, cfg, "control: general causal representation vs direct solve", "general",
         u_direct, omega, lambda **kw: general_causal_control(reduced, traj, x_bar, **kw),

@@ -1,4 +1,4 @@
-"""State equation core: resolvent kernel, solver, and control decomposition.
+"""State equation core: resolvent kernel, solver, and factored control kernel.
 
 The state equation is the weakly singular linear Volterra equation
 
@@ -6,12 +6,13 @@ The state equation is the weakly singular linear Volterra equation
 
 Two complementary representations are built here.
 
-1.  A discrete operator layer (`StateOperator`): the product-integration
-    weights turn the equation into a block lower-triangular system
-    (I - WA) X = xi, solved by forward substitution.  The control-to-state
-    map Theta = (I - WA)^(-1) WB and the free response psi are *exact*
-    discrete objects; every operator identity used by the optimization
-    layers holds to round-off on the grid.
+1.  A discrete operator layer (`StateOperator`), one per (problem, grid):
+    the product-integration weights turn the equation into a block
+    lower-triangular system (I - WA) X = xi, solved by forward
+    substitution.  The control-to-state map Theta = (I - WA)^(-1) WB and
+    the free response psi, which split the state as X = psi + Theta u,
+    are *exact* discrete objects; every operator identity used by the
+    optimization layers holds to round-off on the grid.
 
 2.  A kernel layer (`FactoredKernel`): the resolvent Phi of the kernel
     A(t,s)/(t-s)^(1-beta), stored in factored form
@@ -24,17 +25,18 @@ Two complementary representations are built here.
     coefficient of each term is interpolated, the construction is exact
     (to round-off and series truncation) for constant coefficients, and
     the factorization gives structural access to the diagonal singularity.
+    `control_kernel(ops, resolvent_kernel)` derives the factored control
+    kernel Psi of the same grid from it.
 
-    Every kernel product (each series level, and both pieces of the
-    factored control kernel Psi) runs through one column loop,
-    `_convolve_columns`, which differs only in its weight source: a slice
-    of one offset table on a uniform grid, per-column incomplete-beta
-    weights on a graded grid, or the lower-endpoint weights for the
-    regular part of Psi.  The left factor is stored with the node axis
-    innermost, so each source column costs one contiguous weighted
-    product and one GEMM.
+    Every kernel product (each series level, and both pieces of Psi) runs
+    through one column loop, `_convolve_columns`, which differs only in
+    its weight source: the incomplete-beta weights of each source column
+    (`_pair_column`; on a uniform grid every column is a slice of column
+    0's), or the lower-endpoint weights for the regular part of Psi.  The
+    left factor is stored with the node axis innermost, so each source
+    column costs one contiguous weighted product and one GEMM.
 
-The factored kernel feeds diagnostics and cross-checks; the discrete
+The factored kernels feed diagnostics and cross-checks; the discrete
 operator layer feeds the optimization modules.
 """
 
@@ -53,10 +55,9 @@ __all__ = [
     "ProblemData",
     "FactoredKernel",
     "StateOperator",
-    "StateDecomposition",
     "resolvent",
     "solve_state",
-    "decompose",
+    "control_kernel",
     "sample_kernel",
     "sample_trajectory",
 ]
@@ -181,67 +182,41 @@ class FactoredKernel:
         )
 
 
-def _pair_hat_weights(x, L, lo, hi, h, p: float, q: float) -> np.ndarray:
-    """Hat node weights for int_base^{base+L} (t-s)^(p-1) (s-base)^(q-1) g(s) ds.
-
-    Both endpoint singularities are integrated exactly through the
-    regularized incomplete beta function; only g is interpolated.  x holds
-    the segment endpoints over L, lo/hi/h the segment offsets from base
-    and lengths, each as its caller computes them (so the uniform and
-    general kernels keep their own rounding).  Broadcasts over leading
-    axes; the last axis runs over segments.
-    """
-    nu0 = L ** (p + q - 1.0) * beta_function(q, p) * np.diff(betainc(q, p, x), axis=-1)
-    nu1 = L ** (p + q) * beta_function(q + 1.0, p) * np.diff(betainc(q + 1.0, p, x), axis=-1)
-    w = np.zeros(nu0.shape[:-1] + (nu0.shape[-1] + 1,))
-    w[..., :-1] += (hi * nu0 - nu1) / h
-    w[..., 1:] += (nu1 - lo * nu0) / h
-    return w
-
-
-def _pair_weight_matrix(grid: Grid, p: float, q: float) -> np.ndarray:
-    """Uniform-grid hat weights for int (t-s)^(p-1) (s-base)^(q-1), keyed by offset.
-
-    Returns W[d, m] (m = 0..d) such that the integral from s_j to t_{j+d}
-    of the doubly singular weight against a hat-interpolated coefficient g
-    is sum_m W[d, m] g(s_{j+m}).  A series level makes one
-    `_pair_hat_weights` call for every offset: each row d runs over all
-    n - 1 segments with the endpoints past t_{j+d} padded to x = 1, so the
-    padded segments and the entries m > d weigh exactly 0.
-    """
-    n = grid.n
-    h = grid.spacings[0]
-    d = np.arange(1, n)[:, None]
-    m = np.arange(n)
-    lo = m[:-1] * h
-    W = np.zeros((n, n))
-    W[1:] = _pair_hat_weights(np.minimum(m / d, 1.0), d * h, lo, lo + h, h, p, q)
-    return W
-
-
 def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
     """Doubly singular hat weights of source column j on any grid.
 
     Row i - j - 1 integrates (t_i-tau)^(p-1) (tau-s_j)^(q-1) g(tau) from
     s_j to t_i for the targets i > j; column l - j weighs g(s_l), l >= j.
+    Both endpoint singularities are integrated exactly through the
+    regularized incomplete beta function; only g is interpolated.  The
+    segments past t_i have x = 1 at both ends, so they and the entries
+    l > i weigh exactly 0.
     """
     nodes = grid.nodes
     tt = nodes[j + 1 :, None] - nodes[j]
     tau = nodes[j:] - nodes[j]
     x = np.clip(tau / tt, 0.0, 1.0)
     lo, hi = tau[:-1], tau[1:]
-    return _pair_hat_weights(x, tt, lo, hi, hi - lo, p, q)
+    h = hi - lo
+    nu0 = tt ** (p + q - 1.0) * beta_function(q, p) * np.diff(betainc(q, p, x), axis=-1)
+    nu1 = tt ** (p + q) * beta_function(q + 1.0, p) * np.diff(betainc(q + 1.0, p, x), axis=-1)
+    w = np.zeros((tau.size - 1, tau.size))
+    w[:, :-1] += (hi * nu0 - nu1) / h
+    w[:, 1:] += (nu1 - lo * nu0) / h
+    return w
 
 
 def _pair_column_weights(grid: Grid, p: float, q: float):
     """Column weight source of the doubly singular product, j -> (n-j-1, n-j).
 
-    A uniform grid slices one offset table shared by every column; a
-    graded grid computes each column's incomplete-beta weights.
+    A graded grid computes each column's weights.  On a uniform grid the
+    weights depend on offsets alone, so column j is the leading block of
+    column 0's.
     """
+    n = grid.n
     if grid.kind == "uniform":
-        W = _pair_weight_matrix(grid, p, q)
-        return lambda j: W[1 : grid.n - j, : grid.n - j]
+        W0 = _pair_column(grid, p, q, 0)
+        return lambda j: W0[: n - j - 1, : n - j]
     return lambda j: _pair_column(grid, p, q, j)
 
 
@@ -479,69 +454,25 @@ class StateOperator:
         return v
 
 
-@dataclass(frozen=True)
-class StateDecomposition:
-    """State split X = psi + (Theta u) with terminal data and kernel views.
+def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> FactoredKernel:
+    """Factored control kernel Psi of the operator's problem and grid.
 
-    psi is the control-free trajectory; Psi is the factored control kernel
-    B(t,s)(t-s)^(beta-1) + int Phi(t,tau) B(tau,s) (tau-s)^(beta-1) dtau,
-    available when a resolvent kernel was supplied.  Psi_T_row samples
-    Psi(T, s_j); the terminal source node carries no quadrature mass and
-    is stored as zero.
+    Psi(t,s) = B(t,s)(t-s)^(beta-1) + int_s^t Phi(t,tau) B(tau,s)
+    (tau-s)^(beta-1) dtau, with Phi the supplied resolvent of the same
+    grid: the singular coefficient is B itself, and the regular part
+    integrates the two pieces of Phi against B.  The piece C (t-tau)^(beta-1)
+    takes the doubly singular weights; the regular piece D takes the hat
+    weights of the lower-endpoint factor (tau-s)^(beta-1) alone.
     """
-
-    psi: np.ndarray
-    psi_T: np.ndarray
-    Psi: FactoredKernel | None
-    Psi_T_row: np.ndarray | None
-    ops: StateOperator
-
-
-def decompose(problem: ProblemData, grid: Grid, resolvent_kernel: FactoredKernel | None) -> StateDecomposition:
-    """Build the control decomposition of the state equation.
-
-    The discrete layer (psi and the operator bundle) is always built; the
-    factored kernel Psi is derived from the supplied resolvent and may be
-    omitted (None) when only the optimization layers are needed.
-    """
-    ops = StateOperator(problem, grid)
-    psi = ops.psi
-    Psi = None
-    Psi_T_row = None
-    if resolvent_kernel is not None:
-        beta = problem.beta
-        Bsamp = ops.B_samples
-        piece1 = _convolve_columns(
-            resolvent_kernel.singular_coeff, Bsamp, _pair_column_weights(grid, beta, beta)
-        )
-        piece2 = _lower_singular_convolution(
-            resolvent_kernel.regular_part, Bsamp, grid, beta
-        )
-        Psi = FactoredKernel(
-            singular_coeff=Bsamp.copy(),
-            regular_part=piece1 + piece2,
-            beta=beta,
-        )
-        n = grid.n
-        offs = grid.T - grid.nodes[:-1]
-        Psi_T_row = np.zeros((n, problem.n_state, problem.n_control))
-        Psi_T_row[:-1] = Bsamp[-1, :-1] * offs[:, None, None] ** (
-            beta - 1.0
-        ) + Psi.regular_part[-1, :-1]
-    return StateDecomposition(
-        psi=psi, psi_T=psi[-1].copy(), Psi=Psi, Psi_T_row=Psi_T_row, ops=ops
+    beta, grid = ops.beta, ops.grid
+    Bsamp = ops.B_samples
+    piece1 = _convolve_columns(
+        resolvent_kernel.singular_coeff, Bsamp, _pair_column_weights(grid, beta, beta)
     )
-
-
-def _lower_singular_convolution(Dsamples, Gsamples, grid: Grid, beta: float) -> np.ndarray:
-    """out[i,j] = int_{s_j}^{t_i} D(t_i,tau) G(tau,s_j) (tau-s_j)^(beta-1) dtau.
-
-    The column loop of the doubly singular products, with the hat weights
-    of the lower-endpoint factor alone as its weight source.
-    """
-    return _convolve_columns(
-        Dsamples, Gsamples, lambda j: lower_product_weights(grid, beta, j)[1:]
+    piece2 = _convolve_columns(
+        resolvent_kernel.regular_part, Bsamp, lambda j: lower_product_weights(grid, beta, j)[1:]
     )
+    return FactoredKernel(singular_coeff=Bsamp.copy(), regular_part=piece1 + piece2, beta=beta)
 
 
 def solve_state(problem: ProblemData, grid: Grid, xi) -> np.ndarray:

@@ -22,13 +22,14 @@ class Pipeline:
         self.cost = self.entry.cost
         self.grid = vlq.build_grid(n, T, grid_kind)
         self.kernel = vlq.resolvent(self.problem, self.grid) if with_kernel else None
-        self.dec = vlq.decompose(self.problem, self.grid, self.kernel)
-        self.theta = self.dec.ops.theta
-        self.theta_T = self.theta[-self.dec.ops.dx :]
-        self.dlq = vlq.assemble_quadratic_form(self.dec, self.cost)
+        self.ops = vlq.StateOperator(self.problem, self.grid)
+        self.Psi = vlq.control_kernel(self.ops, self.kernel) if with_kernel else None
+        self.theta = self.ops.theta
+        self.theta_T = self.theta[-self.ops.dx :]
+        self.dlq = vlq.assemble_quadratic_form(self.ops, self.cost)
         self.omega = self.grid.trapezoid_weights()
         self.u_opt = vlq.solve_open_loop(self.dlq)
-        self.x_opt = (self.dec.psi.ravel() + self.theta @ self.u_opt.ravel()).reshape(
+        self.x_opt = (self.ops.psi.ravel() + self.theta @ self.u_opt.ravel()).reshape(
             self.grid.n, -1
         )
 

@@ -116,9 +116,9 @@ def test_criterion_4_constant_coefficient_series():
 
 def test_criterion_5_three_way_equivalence(eq_pipeline):
     pipe = eq_pipeline
-    adj = vlq.solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
-    u_mp = vlq.control_from_adjoint(adj, pipe.dec.ops, pipe.cost, pipe.x_opt)
-    traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt)
+    adj = vlq.solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u_mp = vlq.control_from_adjoint(adj, pipe.ops, pipe.cost, pipe.x_opt)
+    traj = vlq.causal_trajectories(pipe.ops, pipe.u_opt)
     u_causal = vlq.abstract_causal_control(pipe.dlq, traj)
     u_fb = vlq.feedback_control(pipe.dlq)
     d_mp = rel_l2(pipe.omega, u_mp, pipe.u_opt)
@@ -135,7 +135,7 @@ def test_criterion_5_three_way_equivalence(eq_pipeline):
 
 def test_criterion_6_cross_term_equivalence(ct_pipeline64):
     pipe = ct_pipeline64
-    j_orig = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
+    j_orig = vlq.evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt)
     red = vlq.build_cross_term_reduction(pipe.dlq)
     v_opt = vlq.solve_open_loop(red.dlq)
     j_red = float(
@@ -145,7 +145,7 @@ def test_criterion_6_cross_term_equivalence(ct_pipeline64):
     )
     value_gap = abs(j_orig - (j_red - red.value_offset)) / (1.0 + abs(j_orig))
     v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
-    traj = vlq.causal_trajectories(red.dlq.dec, v_bar)
+    traj = vlq.causal_trajectories(red.dlq.ops, v_bar)
     u_general = vlq.general_causal_control(red, traj, pipe.x_opt)
     d_general = rel_l2(pipe.omega, u_general, pipe.u_opt)
     ok = d_general <= 1e-6 and value_gap <= 1e-8
@@ -159,18 +159,18 @@ def test_criterion_6_cross_term_equivalence(ct_pipeline64):
 
 def test_criterion_7_optimality(eq_pipeline):
     pipe = eq_pipeline
-    j_opt = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
+    j_opt = vlq.evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt)
     rng = np.random.default_rng(2024)
     worst_gap = 0.0
     worst_grad = 0.0
     for _ in range(100):
         v = rng.normal(size=pipe.u_opt.shape)
         for eps in (1e-2, -1e-2, 1e-1, -1e-1):
-            j = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
+            j = vlq.evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt + eps * v)
             worst_gap = min(worst_gap, j - j_opt)
         eps = 1e-4
-        jp = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
-        jm = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt - eps * v)
+        jp = vlq.evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt + eps * v)
+        jm = vlq.evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt - eps * v)
         vnorm = np.sqrt(np.einsum("i,ic,ic->", pipe.omega, v, v))
         worst_grad = max(worst_grad, abs(jp - jm) / (2 * eps) / vnorm)
     ok = worst_gap >= -1e-10 and worst_grad <= 1e-6
@@ -193,8 +193,8 @@ def test_criterion_8_coercivity_floor():
     ):
         entry = get_problem(name, 0.75, 1.0, seed=seed)
         grid = build_grid(48, 1.0)
-        dec = vlq.decompose(entry.problem, grid, None)
-        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+        ops = vlq.StateOperator(entry.problem, grid)
+        dlq = vlq.assemble_quadratic_form(ops, entry.cost)
         delta = dlq.cost_samples.delta
         ratio = eigh(dlq.lam, np.diag(dlq.wu), eigvals_only=True)[0] / delta
         worst = min(worst, ratio)
@@ -233,14 +233,14 @@ def test_criterion_9_gain_solver_hierarchy(tmp_path):
 
 def test_criterion_10_non_anticipation(eq_pipeline):
     pipe = eq_pipeline
-    traj = vlq.causal_trajectories(pipe.dec, pipe.u_opt)
+    traj = vlq.causal_trajectories(pipe.ops, pipe.u_opt)
     u_causal = vlq.abstract_causal_control(pipe.dlq, traj)
     rng = np.random.default_rng(99)
     drift = 0.0
     for t in (1, pipe.grid.n // 2, pipe.grid.n - 2):
         perturbed = pipe.u_opt.copy()
         perturbed[t:] += rng.normal(size=perturbed[t:].shape)
-        traj_p = vlq.causal_trajectories(pipe.dec, perturbed)
+        traj_p = vlq.causal_trajectories(pipe.ops, perturbed)
         u_p = vlq.abstract_causal_control(pipe.dlq, traj_p)
         drift = max(
             drift,

@@ -16,7 +16,7 @@ from conftest import rel_l2
 def test_homogeneous_forcing_gives_zero_adjoint(rs_pipeline):
     pipe = rs_pipeline
     cost = CostData(R=1.0)
-    adj = solve_adjoint(pipe.dec.ops, cost, pipe.x_opt, pipe.u_opt)
+    adj = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
     assert np.all(adj.Y == 0.0)
     assert np.all(adj.gamma == 0.0)
     assert np.all(adj.terminal_coeff == 0.0)
@@ -39,7 +39,7 @@ def test_resolvent_representation_of_adjoint(rs_pipeline):
     # system: two factorizations of the same discrete equation
     pipe = rs_pipeline
     sc = pipe.dlq.cost_samples
-    adj = solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
     ops = StateOperator(pipe.problem, pipe.grid)
     n, dx = pipe.grid.n, pipe.problem.n_state
     wx = np.repeat(pipe.omega, dx)
@@ -59,8 +59,8 @@ def test_resolvent_representation_of_adjoint(rs_pipeline):
 def test_control_vanishes_without_data(rs_pipeline):
     pipe = rs_pipeline
     cost = CostData(R=1.0)
-    adj = solve_adjoint(pipe.dec.ops, cost, pipe.x_opt, pipe.u_opt)
-    u = control_from_adjoint(adj, pipe.dec.ops, cost, pipe.x_opt)
+    adj = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
+    u = control_from_adjoint(adj, pipe.ops, cost, pipe.x_opt)
     assert np.all(u == 0.0)
 
 
@@ -82,7 +82,7 @@ def test_control_vanishes_without_control_kernel(rs_pipeline):
 def test_adjoint_satisfies_backward_equation(rs_pipeline):
     # residual of the discrete backward equation at the solved trajectory
     pipe = rs_pipeline
-    adj = solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
     ops = StateOperator(pipe.problem, pipe.grid)
     zeta = adj.zeta
     forcing = adj.gamma.ravel() + ops.apply_dual_A(ops.terminal_unit(zeta))
@@ -93,8 +93,8 @@ def test_adjoint_satisfies_backward_equation(rs_pipeline):
 
 def test_matches_direct_optimizer(rs_pipeline):
     pipe = rs_pipeline
-    adj = solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
-    u = control_from_adjoint(adj, pipe.dec.ops, pipe.cost, pipe.x_opt)
+    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u = control_from_adjoint(adj, pipe.ops, pipe.cost, pipe.x_opt)
     unorm = np.sqrt(np.einsum("i,ic,ic->", pipe.omega, pipe.u_opt, pipe.u_opt))
     assert rel_l2(pipe.omega, u, pipe.u_opt) <= 1e-5 * (1.0 + unorm)
 
@@ -107,12 +107,12 @@ def test_agreement_stays_at_round_off_under_refinement():
     tols = []
     for n in (16, 32, 64):
         grid = vlq.build_grid(n, 1.0)
-        dec = vlq.decompose(entry.problem, grid, None)
-        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+        ops = vlq.StateOperator(entry.problem, grid)
+        dlq = vlq.assemble_quadratic_form(ops, entry.cost)
         u = vlq.solve_open_loop(dlq)
-        x = (dec.psi.ravel() + dec.ops.theta @ u.ravel()).reshape(grid.n, -1)
-        adj = solve_adjoint(dec.ops, entry.cost, x, u)
-        u2 = control_from_adjoint(adj, dec.ops, entry.cost, x)
+        x = (ops.psi.ravel() + ops.theta @ u.ravel()).reshape(grid.n, -1)
+        adj = solve_adjoint(ops, entry.cost, x, u)
+        u2 = control_from_adjoint(adj, ops, entry.cost, x)
         tols.append(rel_l2(grid.trapezoid_weights(), u2, u))
     assert all(t < 1e-10 for t in tols)
 
@@ -130,7 +130,7 @@ def test_terminal_node_excluded_from_pointwise_claims(rs_pipeline):
     # the terminal value of the adjoint-based control is the solver's
     # algebraic value; interior nodes match the optimizer pointwise
     pipe = rs_pipeline
-    adj = solve_adjoint(pipe.dec.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
-    u = control_from_adjoint(adj, pipe.dec.ops, pipe.cost, pipe.x_opt)
+    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u = control_from_adjoint(adj, pipe.ops, pipe.cost, pipe.x_opt)
     interior = np.max(np.abs(u[:-1] - pipe.u_opt[:-1]))
     assert interior <= 1e-10 * (1.0 + np.max(np.abs(pipe.u_opt)))

@@ -8,12 +8,12 @@ from volterra_lq import (
     AssumptionError,
     CostData,
     NumericalError,
+    StateOperator,
     TruncationFactor,
     abstract_causal_control,
     build_cross_term_reduction,
     build_grid,
     causal_trajectories,
-    decompose,
     general_causal_control,
     lambda_sigma,
     solve_open_loop,
@@ -27,7 +27,7 @@ from conftest import Pipeline, rel_l2
 
 def running_gradient(dlq, x_t):
     """Per-node reference: Wu [Theta* Q X_t + Theta_T* G X_t(T) + Theta* q + Theta_T* g]."""
-    sc, ops = dlq.cost_samples, dlq.dec.ops
+    sc, ops = dlq.cost_samples, dlq.ops
     qx = _apply_blocks(sc.Q, x_t) + sc.q
     b = ops.theta.T @ (ops.wx * qx.ravel())
     b += ops.theta[-ops.dx :].T @ (sc.G @ x_t[-1] + sc.g)
@@ -43,10 +43,10 @@ class TestRestrictedOperator:
     def test_trailing_block_of_control_weight_only(self):
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(16, 1.0)
-        dec = decompose(entry.problem, grid, None)
-        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+        ops = StateOperator(entry.problem, grid)
+        dlq = vlq.assemble_quadratic_form(ops, entry.cost)
         r = lambda_sigma(dlq, 5)
-        expected = (np.repeat(dlq.dec.ops.omega, 1)[:, None] * _blockdiag(
+        expected = (np.repeat(dlq.ops.omega, 1)[:, None] * _blockdiag(
             dlq.cost_samples.R
         ))[5:, 5:]
         assert np.allclose(r.block, expected, rtol=1e-15)
@@ -128,7 +128,7 @@ class TestTruncationFactor:
         sc = dlq.cost_samples
         lam_op_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
         Rinv = sc.R_inverses()
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         expected = np.empty((n, du))
         for t in range(n):
             gvec = running_gradient(dlq, traj.x_trunc[t]) / dlq.wu
@@ -151,7 +151,7 @@ class TestTruncationFactor:
         pipe = rs_pipeline
         eig = np.linalg.eigvalsh(pipe.dlq.lam)
         bad = replace(pipe.dlq, lam=pipe.dlq.lam - np.median(eig) * np.eye(eig.size))
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         with pytest.raises(NumericalError, match="coercivity"):
             TruncationFactor(bad)
         with pytest.raises(NumericalError, match="coercivity"):
@@ -165,14 +165,14 @@ class TestTruncationFactor:
 class TestCausalTrajectories:
     def test_zero_control(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, np.zeros_like(pipe.u_opt))
+        traj = causal_trajectories(pipe.ops, np.zeros_like(pipe.u_opt))
         for sigma in range(pipe.grid.n):
-            assert np.array_equal(traj.x_trunc[sigma], pipe.dec.psi)
-        assert np.array_equal(traj.x_trunc[:, -1], np.tile(pipe.dec.psi_T, (pipe.grid.n, 1)))
+            assert np.array_equal(traj.x_trunc[sigma], pipe.ops.psi)
+        assert np.array_equal(traj.x_trunc[:, -1], np.tile(pipe.ops.psi[-1], (pipe.grid.n, 1)))
 
     def test_truncation_matches_state_strictly_before_sigma(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         n, du = pipe.grid.n, pipe.problem.n_control
         theta_blocks = pipe.theta.reshape(n, -1, n, du)
         for sigma in (1, n // 2, n - 1):
@@ -187,7 +187,7 @@ class TestCausalTrajectories:
 
     def test_decomposition_identity(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         n, du = pipe.grid.n, pipe.problem.n_control
         scale = np.abs(pipe.x_opt).max()
         for sigma in range(0, n, 5):
@@ -200,12 +200,12 @@ class TestCausalTrajectories:
 
     def test_non_anticipation_exact(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         rng = np.random.default_rng(3)
         t = pipe.grid.n // 3
         perturbed = pipe.u_opt.copy()
         perturbed[t:] += rng.normal(size=perturbed[t:].shape)
-        traj_p = causal_trajectories(pipe.dec, perturbed)
+        traj_p = causal_trajectories(pipe.ops, perturbed)
         assert np.array_equal(traj_p.x_trunc[t], traj.x_trunc[t])
 
 
@@ -214,12 +214,12 @@ class TestCausalTrajectories:
         # from sigma on, through its own column block of theta
         pipe = rs_pipeline
         n, du = pipe.grid.n, pipe.problem.n_control
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         t = n // 3
         bump = np.random.default_rng(5).normal(size=du)
         perturbed = pipe.u_opt.copy()
         perturbed[t - 1] += bump
-        traj_p = causal_trajectories(pipe.dec, perturbed)
+        traj_p = causal_trajectories(pipe.ops, perturbed)
         assert np.array_equal(traj_p.x_trunc[:t], traj.x_trunc[:t])
         shift = (pipe.theta[:, (t - 1) * du : t * du] @ bump).reshape(n, -1)
         scale = np.abs(pipe.x_opt).max()
@@ -235,7 +235,7 @@ class TestCausalTrajectories:
         pipe = rs_pipeline
         dlq = pipe.dlq
         n, du = dlq.n, dlq.du
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         for sigma in (0, 1, n // 2, n - 1):
             past = pipe.u_opt.copy()
             past[sigma:] = 0.0
@@ -247,7 +247,7 @@ class TestCausalTrajectories:
     def test_running_gradients_match_per_node_reference(self, truncation_case):
         # one product with Theta for every sigma, on uniform and graded grids
         pipe = truncation_case
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         got = _running_gradients(pipe.dlq, traj.x_trunc)
         expected = np.stack([running_gradient(pipe.dlq, x_t) for x_t in traj.x_trunc])
         assert got.shape == expected.shape
@@ -258,10 +258,10 @@ class TestAbstractCausalControl:
     def test_zero_affine_problem(self):
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(16, 1.0)
-        dec = decompose(entry.problem, grid, None)
-        dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+        ops = StateOperator(entry.problem, grid)
+        dlq = vlq.assemble_quadratic_form(ops, entry.cost)
         u = solve_open_loop(dlq)
-        traj = causal_trajectories(dec, u)
+        traj = causal_trajectories(ops, u)
         rec = abstract_causal_control(dlq, traj)
         assert np.all(rec == 0.0)
 
@@ -270,21 +270,21 @@ class TestAbstractCausalControl:
         # the trajectories yet must reproduce the optimizer
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R, q=pipe.cost.q, g=pipe.cost.g)
-        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
         u = solve_open_loop(dlq)
-        traj = causal_trajectories(pipe.dec, u)
+        traj = causal_trajectories(pipe.ops, u)
         rec = abstract_causal_control(dlq, traj)
         assert rel_l2(pipe.omega, rec, u) < 1e-8
 
     def test_reconstructs_optimizer(self, rs_pipeline):
         pipe = rs_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         rec = abstract_causal_control(pipe.dlq, traj)
         assert rel_l2(pipe.omega, rec, pipe.u_opt) < 1e-8
 
     def test_rejects_cross_terms(self, ct_pipeline):
         pipe = ct_pipeline
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         with pytest.raises(AssumptionError, match="cross"):
             abstract_causal_control(pipe.dlq, traj)
 
@@ -292,8 +292,8 @@ class TestAbstractCausalControl:
         # the form carries its own decomposition; trajectories built on a
         # coarser grid of the same problem cannot be paired with it
         small = Pipeline("random-smooth", seed=42, n=24)
-        assert vlq.assemble_quadratic_form(small.dec, small.cost).dec is small.dec
-        traj = causal_trajectories(small.dec, small.u_opt)
+        assert vlq.assemble_quadratic_form(small.ops, small.cost).ops is small.ops
+        traj = causal_trajectories(small.ops, small.u_opt)
         with pytest.raises(ValueError, match="trajectories do not match"):
             abstract_causal_control(rs_pipeline.dlq, traj)
 
@@ -304,7 +304,7 @@ class TestAbstractCausalControl:
         from volterra_lq.fredholm import representation_terms
 
         pipe = Pipeline("random-smooth", seed=7, n=16)
-        x = causal_trajectories(pipe.dec, pipe.u_opt).x_trunc
+        x = causal_trajectories(pipe.ops, pipe.u_opt).x_trunc
         rows = np.concatenate([x, x[:extra]]) if extra > 0 else x[:extra]
         bad = vlq.CausalTrajectories(x_trunc=rows)
         with pytest.raises(ValueError, match="trajectories do not match"):
@@ -317,8 +317,8 @@ class TestCrossTermReduction:
     def test_identity_when_no_cross_terms(self, rs_pipeline):
         pipe = rs_pipeline
         red = build_cross_term_reduction(pipe.dlq)
-        assert np.array_equal(red.dlq.dec.ops.A_samples, pipe.dec.ops.A_samples)
-        assert np.array_equal(red.dlq.dec.ops.phi, pipe.dec.ops.phi)
+        assert np.array_equal(red.dlq.ops.A_samples, pipe.ops.A_samples)
+        assert np.array_equal(red.dlq.ops.phi, pipe.ops.phi)
         assert np.array_equal(
             red.dlq.cost_samples.Q, pipe.dlq.cost_samples.Q
         )
@@ -331,17 +331,16 @@ class TestCrossTermReduction:
             A=p.A, B=None, phi=p.phi, beta=p.beta, T=p.T,
             n_state=p.n_state, n_control=p.n_control,
         )
-        dec = decompose(no_b, pipe.grid, None)
-        ops = dec.ops
-        red = build_cross_term_reduction(vlq.assemble_quadratic_form(dec, pipe.cost))
-        assert np.array_equal(red.dlq.dec.ops.A_samples, ops.A_samples)
-        assert np.array_equal(red.dlq.dec.ops.phi, ops.phi)
+        ops = StateOperator(no_b, pipe.grid)
+        red = build_cross_term_reduction(vlq.assemble_quadratic_form(ops, pipe.cost))
+        assert np.array_equal(red.dlq.ops.A_samples, ops.A_samples)
+        assert np.array_equal(red.dlq.ops.phi, ops.phi)
 
     def test_equivalence_of_optima(self, ct_pipeline):
         pipe = ct_pipeline
         red = build_cross_term_reduction(pipe.dlq)
         v_opt = solve_open_loop(red.dlq)
-        j_orig = vlq.evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
+        j_orig = vlq.evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt)
         j_red = float(
             v_opt.ravel() @ red.dlq.lam @ v_opt.ravel()
             + 2.0 * red.dlq.rhs @ v_opt.ravel()
@@ -361,13 +360,13 @@ class TestCrossTermReduction:
     def test_with_kernels_builds_factored_tables(self):
         entry = get_problem("cross-term", 0.75, 1.0, seed=3)
         grid = build_grid(24, 1.0)
-        dec = decompose(entry.problem, grid, None)
+        ops = StateOperator(entry.problem, grid)
         red = build_cross_term_reduction(
-            vlq.assemble_quadratic_form(dec, entry.cost), with_kernels=True
+            vlq.assemble_quadratic_form(ops, entry.cost), with_kernels=True
         )
-        assert red.resolvent_kernel is not None
-        assert red.dlq.dec.Psi is not None
-        assert red.dlq.dec.Psi.singular_coeff.shape == (24, 24, 2, 2)
+        assert red.resolvent_kernel.singular_coeff.shape == (24, 24, 2, 2)
+        Psi = vlq.control_kernel(red.dlq.ops, red.resolvent_kernel)
+        assert Psi.singular_coeff.shape == Psi.regular_part.shape == (24, 24, 2, 2)
 
 
 class TestGeneralRepresentation:
@@ -376,7 +375,7 @@ class TestGeneralRepresentation:
         red = build_cross_term_reduction(pipe.dlq)
         v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
         assert np.array_equal(v_bar, pipe.u_opt)
-        traj = causal_trajectories(red.dlq.dec, v_bar)
+        traj = causal_trajectories(red.dlq.ops, v_bar)
         u_gen = general_causal_control(red, traj, pipe.x_opt)
         u_fb = vlq.feedback_control(pipe.dlq)
         assert np.allclose(u_gen, u_fb, atol=1e-10)
@@ -390,12 +389,12 @@ class TestGeneralRepresentation:
         Q = np.einsum("icx,icd,idy->ixy", sc.S, Rinv, sc.S)
         q = np.einsum("icx,icd,id->ix", sc.S, Rinv, sc.rho)
         cost = CostData(Q=Q, S=sc.S, R=sc.R, q=q, rho=sc.rho)
-        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
         u = solve_open_loop(dlq)
-        x = (pipe.dec.psi.ravel() + pipe.theta @ u.ravel()).reshape(pipe.grid.n, -1)
+        x = (pipe.ops.psi.ravel() + pipe.theta @ u.ravel()).reshape(pipe.grid.n, -1)
         red = build_cross_term_reduction(dlq)
         v = red.to_reduced_control(u, x)
-        traj = causal_trajectories(red.dlq.dec, v)
+        traj = causal_trajectories(red.dlq.ops, v)
         u_gen = general_causal_control(red, traj, x)
         shift = np.einsum("icx,ix->ic", red.S_samples, x) + red.rho_samples
         expected = -np.einsum("iab,ib->ia", red.R_inv, shift)
@@ -406,6 +405,6 @@ class TestGeneralRepresentation:
         pipe = ct_pipeline
         red = build_cross_term_reduction(pipe.dlq)
         v_bar = red.to_reduced_control(pipe.u_opt, pipe.x_opt)
-        traj = causal_trajectories(red.dlq.dec, v_bar)
+        traj = causal_trajectories(red.dlq.ops, v_bar)
         u_gen = general_causal_control(red, traj, pipe.x_opt)
         assert rel_l2(pipe.omega, u_gen, pipe.u_opt) < 1e-6

@@ -7,10 +7,10 @@ import volterra_lq as vlq
 from volterra_lq import (
     AssumptionError,
     CostData,
+    StateOperator,
     assemble_fredholm,
     build_grid,
     crosscheck_kernel_samples,
-    decompose,
     feedback_control,
     solve_direct,
     solve_galerkin,
@@ -41,7 +41,7 @@ class TestAssembly:
     def test_zero_state_weights_give_zero_system(self, rs_pipeline):
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R)
-        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
         sys0 = assemble_fredholm(dlq, 0)
         assert np.all(sys0.kernel == 0.0)
         assert np.all(sys0.rhs == 0.0)
@@ -52,8 +52,8 @@ class TestAssembly:
         entry = get_problem("constant-coeff", 0.75, 1.0)
         cost = CostData(Q=1.0, R=1.0)
         grid = build_grid(32, 1.0)
-        dec = decompose(entry.problem, grid, None)
-        dlq = vlq.assemble_quadratic_form(dec, cost)
+        ops = StateOperator(entry.problem, grid)
+        dlq = vlq.assemble_quadratic_form(ops, cost)
         sys0 = assemble_fredholm(dlq, 0)
         assert np.allclose(sys0.kernel, sys0.kernel.T, atol=1e-13)
 
@@ -76,8 +76,8 @@ class TestAssembly:
         norms = []
         for n in (24, 48, 96):
             grid = build_grid(n, 1.0)
-            dec = decompose(entry.problem, grid, None)
-            dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+            ops = StateOperator(entry.problem, grid)
+            dlq = vlq.assemble_quadratic_form(ops, entry.cost)
             sys0 = assemble_fredholm(dlq, 0)
             # weighted L2(dt x dxi) norm of the kernel table
             wu = np.repeat(sys0.omega, sys0.du)
@@ -94,7 +94,7 @@ class TestAssembly:
         pipe = Pipeline("random-smooth", seed=42, n=96, with_kernel=True)
         sys0 = assemble_fredholm(pipe.dlq, 0)
         worst = crosscheck_kernel_samples(
-            sys0, pipe.dlq, n_samples=24, rng=np.random.default_rng(5)
+            sys0, pipe.dlq, pipe.Psi, n_samples=24, rng=np.random.default_rng(5)
         )
         assert worst <= 1e-4
 
@@ -154,7 +154,7 @@ class TestDirectGainSweep:
         pipe = truncation_case
         dlq = pipe.dlq
         sys0 = assemble_fredholm(dlq, 0)
-        R, w = dlq.cost_samples.R, dlq.dec.ops.omega
+        R, w = dlq.cost_samples.R, dlq.ops.omega
         rows = _direct_gain_rows(TruncationFactor(dlq), R, w)
         for sigma in range(dlq.n):
             oracle = solve_direct(replace(sys0, sigma_index=sigma)).M[sigma, sigma:]
@@ -178,7 +178,7 @@ class TestDirectGainSweep:
             monkeypatch.setattr(fredholm, name, refuse)
         u_fb = feedback_control(pipe.dlq, method="direct")
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-10
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         # each method at its own approximation order on this problem
         for method, tol in (("galerkin", 1e-2), ("iterated", 1e-3), ("superconvergent", 1e-6)):
             u_pr = fredholm.representation_terms(
@@ -239,8 +239,8 @@ class TestProjectionFamily:
         wins = 0
         for seed in range(10):
             entry = get_problem("random-smooth", 0.75, 1.0, seed=200 + seed)
-            dec = decompose(entry.problem, grid, None)
-            dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+            ops = StateOperator(entry.problem, grid)
+            dlq = vlq.assemble_quadratic_form(ops, entry.cost)
             sys0 = assemble_fredholm(dlq, 0)
             oracle = solve_direct(sys0)
             gal = solve_galerkin(sys0, 12)
@@ -278,31 +278,27 @@ class TestProjectionFamily:
 
     @pytest.mark.parametrize("t", [1, 9, 30])
     def test_sweep_reads_no_kernel_column_before_sigma(self, gain_setup, t):
-        # NaN in the kernel columns of the nodes < sigma reaches no iterate,
-        # whether the projection forms H' Wu K itself or is handed it
-        from volterra_lq.fredholm import _HatSpace, _Projection, _sweep
+        # NaN in the kernel columns of the nodes < sigma reaches no iterate:
+        # the space's H' Wu K carries them, its slice at sigma does not
+        from volterra_lq.fredholm import _Projection, _sweep
 
         _, sys0, _ = gain_setup
         q = 12
-        space = _HatSpace(sys0.n, q, sys0.du, sys0.omega)
         poisoned = sys0.Kmat.copy()
         poisoned[:, : t * sys0.du] = np.nan
-        for shared in (False, True):
-            sweeps = []
-            for Kmat in (sys0.Kmat, poisoned):
-                HtWK = space.HtW @ Kmat if shared else None
-                sys_t = replace(sys0, Kmat=Kmat, sigma_index=t)
-                proj = _Projection(sys_t, q, space, HtWK)
-                sweeps.append(list(islice(_sweep(proj, sys0.rhs), 4)))
-            for clean, dirty in zip(*sweeps):
-                assert np.all(np.isfinite(dirty))
-                assert np.array_equal(clean, dirty)
+        sweeps = []
+        for Kmat in (sys0.Kmat, poisoned):
+            proj = _Projection(replace(sys0, Kmat=Kmat, sigma_index=t), q)
+            sweeps.append(list(islice(_sweep(proj, sys0.rhs), 4)))
+        for clean, dirty in zip(*sweeps):
+            assert np.all(np.isfinite(dirty))
+            assert np.array_equal(clean, dirty)
 
     def test_projection_gains_form_no_masked_kernel_and_no_svd(self, gain_setup, monkeypatch):
         from volterra_lq.fredholm import FredholmSystem, representation_terms
 
         pipe = gain_setup[0]
-        traj = causal_trajectories(pipe.dec, pipe.u_opt)
+        traj = causal_trajectories(pipe.ops, pipe.u_opt)
         methods = ("galerkin", "iterated", "superconvergent")
         refs = [representation_terms(pipe.dlq, traj, m, subspace_dim=12) for m in methods]
 
@@ -324,7 +320,7 @@ class TestProjectionFamily:
 
         dlq = truncation_case.dlq
         n, du, q = dlq.n, dlq.du, 8
-        w = dlq.dec.ops.omega
+        w = dlq.ops.omega
         sys0 = assemble_fredholm(dlq, 0)
         rg_all = np.random.default_rng(3).normal(size=(n, n, du))
         integrals = _gain_integrals(dlq, rg_all, method, q, 2)
@@ -355,8 +351,8 @@ class TestReconstruction:
         assert s_star in ref_grid.nodes
 
         def gain_row(grid):
-            dec = decompose(entry.problem, grid, None)
-            dlq = vlq.assemble_quadratic_form(dec, entry.cost)
+            ops = StateOperator(entry.problem, grid)
+            dlq = vlq.assemble_quadratic_form(ops, entry.cost)
             sys0 = assemble_fredholm(dlq, 0)
             return solve_direct(sys0), grid
 
@@ -395,7 +391,7 @@ class TestFeedbackControl:
     def test_zero_state_weights(self, rs_pipeline):
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R)
-        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
         u = feedback_control(dlq)
         assert np.all(u == 0.0)
 
@@ -404,7 +400,7 @@ class TestFeedbackControl:
         # from the affine terms alone and must still match the optimizer
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R, q=pipe.cost.q, g=pipe.cost.g)
-        dlq = vlq.assemble_quadratic_form(pipe.dec, cost)
+        dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
         sys0 = assemble_fredholm(dlq, 0)
         assert np.all(sys0.kernel == 0.0)
         u_fb = feedback_control(dlq)
@@ -446,7 +442,7 @@ def test_projection_rejects_nearly_singular_projected_system(gain_setup):
 
     _, sys0, _ = gain_setup
     q = 8
-    space = _HatSpace(sys0.n, q, sys0.du, sys0.omega)
+    space = _HatSpace(sys0, q)
     m = space.gram.shape[0]
     rng = np.random.default_rng(4)
     U, _ = np.linalg.qr(rng.normal(size=(m, m)))
@@ -458,4 +454,4 @@ def test_projection_rejects_nearly_singular_projected_system(gain_setup):
     assert np.linalg.cond(proj_mat) > 1e14
     assert np.all(np.diag(lu_factor(proj_mat)[0]) != 0.0)
     with pytest.raises(NumericalError, match="nearly singular"):
-        _Projection(replace(sys0, Kmat=Kmat, sigma_index=0), q, space)
+        _Projection(replace(sys0, Kmat=Kmat, sigma_index=0), q)

@@ -10,7 +10,6 @@ from volterra_lq import (
     StateOperator,
     assemble_quadratic_form,
     build_grid,
-    decompose,
     evaluate_cost,
     solve_open_loop,
     verify_control_relation,
@@ -42,9 +41,9 @@ def test_zero_control_kernel_gives_zero_theta():
     grid = build_grid(17, 1.0)
     p = ProblemData(A=lambda t, s: np.full(np.broadcast_shapes(np.shape(t), np.shape(s)) + (1, 1), 0.4),
                     B=None, phi=None, beta=0.75, T=1.0)
-    dec = decompose(p, grid, None)
-    theta = dec.ops.theta
-    theta_T = theta[-dec.ops.dx :]
+    ops = StateOperator(p, grid)
+    theta = ops.theta
+    theta_T = theta[-ops.dx :]
     assert np.all(theta == 0.0)
     assert np.all(theta_T == 0.0)
 
@@ -53,7 +52,7 @@ def test_control_to_state_norm_bound(rs_pipeline):
     # ||Theta u|| <= K ||u|| with K from the kernel magnitude, the horizon
     # and the resolvent tail constant
     pipe = rs_pipeline
-    ops = pipe.dec.ops
+    ops = pipe.ops
     beta, T = pipe.problem.beta, pipe.problem.T
     norm_a = np.abs(ops.A_samples).max() * ops.dx
     norm_b = np.abs(ops.B_samples).max() * max(ops.dx, ops.du)
@@ -74,8 +73,8 @@ def test_control_to_state_norm_bound(rs_pipeline):
 def test_quadratic_form_degenerate_to_control_weight():
     entry = get_problem("zero-cost", 0.75, 1.0)
     grid = build_grid(24, 1.0)
-    dec = decompose(entry.problem, grid, None)
-    dlq = assemble_quadratic_form(dec, entry.cost)
+    ops = StateOperator(entry.problem, grid)
+    dlq = assemble_quadratic_form(ops, entry.cost)
     expected = np.repeat(grid.trapezoid_weights(), 1)[:, None] * _blockdiag(
         dlq.cost_samples.R
     )
@@ -86,7 +85,7 @@ def test_quadratic_form_degenerate_to_control_weight():
 
 def test_cost_at_zero_control_is_offset(rs_pipeline):
     pipe = rs_pipeline
-    j0 = evaluate_cost(pipe.dec.ops, pipe.cost, np.zeros_like(pipe.u_opt))
+    j0 = evaluate_cost(pipe.ops, pipe.cost, np.zeros_like(pipe.u_opt))
     assert abs(j0 - pipe.dlq.lam0) <= 1e-12 * (1 + abs(j0))
 
 
@@ -95,7 +94,7 @@ def test_cost_matches_quadratic_form(rs_pipeline):
     rng = np.random.default_rng(5)
     for _ in range(4):
         u = rng.normal(size=pipe.u_opt.shape)
-        jq = evaluate_cost(pipe.dec.ops, pipe.cost, u)
+        jq = evaluate_cost(pipe.ops, pipe.cost, u)
         jf = float(
             u.ravel() @ pipe.dlq.lam @ u.ravel()
             + 2.0 * pipe.dlq.rhs @ u.ravel()
@@ -118,20 +117,20 @@ class TestCoercivityValidation:
         pipe = rs_pipeline
         cost = CostData(Q=pipe.cost.Q, R=1e-8, delta=1.0)
         with pytest.raises(AssumptionError, match="R\\(t\\) >= delta"):
-            assemble_quadratic_form(pipe.dec, cost)
+            assemble_quadratic_form(pipe.ops, cost)
 
     def test_rejects_indefinite_terminal_weight(self, rs_pipeline):
         pipe = rs_pipeline
         cost = CostData(R=1.0, G=-np.eye(pipe.problem.n_state))
         with pytest.raises(AssumptionError, match="G >= 0"):
-            assemble_quadratic_form(pipe.dec, cost)
+            assemble_quadratic_form(pipe.ops, cost)
 
     def test_rejects_dominating_cross_weight(self, rs_pipeline):
         pipe = rs_pipeline
         dx, du = pipe.problem.n_state, pipe.problem.n_control
         cost = CostData(Q=None, S=np.ones((du, dx)), R=1.0)
         with pytest.raises(AssumptionError, match="S\\(t\\)"):
-            assemble_quadratic_form(pipe.dec, cost)
+            assemble_quadratic_form(pipe.ops, cost)
 
     def test_generalized_eigenvalue_floor(self, rs_pipeline):
         pipe = rs_pipeline
@@ -143,18 +142,18 @@ class TestOpenLoop:
     def test_zero_affine_term_gives_zero_control(self):
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(24, 1.0)
-        dec = decompose(entry.problem, grid, None)
-        dlq = assemble_quadratic_form(dec, entry.cost)
+        ops = StateOperator(entry.problem, grid)
+        dlq = assemble_quadratic_form(ops, entry.cost)
         assert np.all(solve_open_loop(dlq) == 0.0)
 
     def test_perturbations_increase_cost(self, rs_pipeline):
         pipe = rs_pipeline
-        j_opt = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt)
+        j_opt = evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt)
         rng = np.random.default_rng(17)
         for _ in range(10):
             v = rng.normal(size=pipe.u_opt.shape)
             for eps in (1e-2, -1e-2, 1e-1, -1e-1):
-                j = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
+                j = evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt + eps * v)
                 assert j - j_opt >= -1e-10
 
     def test_central_difference_gradient_vanishes(self, rs_pipeline):
@@ -163,8 +162,8 @@ class TestOpenLoop:
         eps = 1e-4
         for _ in range(5):
             v = rng.normal(size=pipe.u_opt.shape)
-            jp = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt + eps * v)
-            jm = evaluate_cost(pipe.dec.ops, pipe.cost, pipe.u_opt - eps * v)
+            jp = evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt + eps * v)
+            jm = evaluate_cost(pipe.ops, pipe.cost, pipe.u_opt - eps * v)
             vnorm = np.sqrt(np.einsum("i,ic,ic->", pipe.omega, v, v))
             assert abs(jp - jm) / (2 * eps) <= 1e-6 * vnorm
 
@@ -179,8 +178,8 @@ class TestControlRelation:
     def test_zero_for_homogeneous_problem(self):
         entry = get_problem("zero-cost", 0.75, 1.0)
         grid = build_grid(24, 1.0)
-        dec = decompose(entry.problem, grid, None)
-        dlq = assemble_quadratic_form(dec, entry.cost)
+        ops = StateOperator(entry.problem, grid)
+        dlq = assemble_quadratic_form(ops, entry.cost)
         u = solve_open_loop(dlq)
         assert verify_control_relation(dlq, u) == 0.0
 
@@ -196,8 +195,8 @@ class TestControlRelation:
         p = ProblemData(A=None, B=None, phi=lambda t: np.cos(t)[:, None], beta=0.75, T=1.0)
         rho = lambda t: np.stack([np.sin(t)], axis=1)  # noqa: E731
         cost = CostData(Q=1.0, R=2.0, rho=rho, G=np.eye(1))
-        dec = decompose(p, grid, None)
-        dlq = assemble_quadratic_form(dec, cost)
+        ops = StateOperator(p, grid)
+        dlq = assemble_quadratic_form(ops, cost)
         u = solve_open_loop(dlq)
         expected = -0.5 * np.sin(grid.nodes)[:, None]
         assert np.allclose(u, expected, atol=1e-13)
@@ -221,9 +220,9 @@ def test_ill_conditioned_form_warns():
     p = ProblemData(A=None, B=None, phi=None, beta=0.75, T=1.0)
     R = lambda t: (1e-10 + 1e3 * t**4)[:, None, None]  # noqa: E731
     cost = CostData(R=R, delta=1e-10)
-    dec = decompose(p, grid, None)
+    ops = StateOperator(p, grid)
     with pytest.warns(UserWarning, match="condition number"):
-        assemble_quadratic_form(dec, cost)
+        assemble_quadratic_form(ops, cost)
 
 def test_control_relation_with_cross_terms(ct_pipeline):
     pipe = ct_pipeline

@@ -7,7 +7,7 @@ from scipy.special import beta as beta_function, gammaln
 from volterra_lq import (
     ProblemData,
     build_grid,
-    decompose,
+    control_kernel,
     product_weights,
     resolvent,
     solve_state,
@@ -19,7 +19,6 @@ from volterra_lq.volterra import (
     _convolve_columns,
     _pair_column,
     _pair_column_weights,
-    _pair_weight_matrix,
     sample_kernel,
 )
 from volterra_lq.grids import lower_product_weights
@@ -109,7 +108,7 @@ class TestResolvent:
         ker = pipe.kernel
         beta = ker.beta
         grid = pipe.grid
-        ops = pipe.dec.ops
+        ops = pipe.ops
         norm_a = np.abs(ops.A_samples).max() * ops.dx
         K_run = ker.coeff_bound
         dt = grid.nodes[:, None] - grid.nodes[None, :]
@@ -122,28 +121,26 @@ class TestResolvent:
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_uniform_and_general_paths_agree(self):
-        # the offset-table slice against the per-column incomplete-beta
-        # weights on the same uniform grid
+        # the column-0 slices of the uniform route against the per-column
+        # incomplete-beta weights on the same uniform grid
         grid = build_grid(40, 1.0)
-        n = grid.n
         p = get_problem("random-smooth", 0.75, 1.0, seed=5).problem
         As = sample_kernel(p.A, grid, 2, 2)
-        W = _pair_weight_matrix(grid, 0.75, 0.75)
-        u1 = _convolve_columns(As, As, lambda j: W[1 : n - j, : n - j])
+        u1 = _convolve_columns(As, As, _pair_column_weights(grid, 0.75, 0.75))
         u2 = _convolve_columns(As, As, lambda j: _pair_column(grid, 0.75, 0.75, j))
         assert np.allclose(u1, u2, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("q", [0.75, 3.0, 9.75])
-    def test_offset_table_matches_general_route(self, q):
-        # the one padded call per level against the per-column route at
-        # j = 0; row 0 and the padded entries m > d must weigh exactly 0
+    def test_column_slices_weigh_nothing_past_the_target(self, q):
+        # every uniform column is a slice of column 0's weights: on dyadic
+        # nodes the slices equal each column's own weights bit for bit, and
+        # both weigh the samples past the target t_i exactly 0
         grid = build_grid(33, 1.0)
-        W = _pair_weight_matrix(grid, 0.75, q)
-        ref = _pair_column(grid, 0.75, q, 0)
-        row_scale = np.abs(ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(W[1:] - ref) <= 1e-13 * row_scale)
-        assert np.all(W[0] == 0.0)
-        assert np.all(W[np.triu_indices(grid.n, k=1)] == 0.0)
+        column = _pair_column_weights(grid, 0.75, q)
+        for j in range(grid.n - 1):
+            W = column(j)
+            assert np.array_equal(W, _pair_column(grid, 0.75, q, j))
+            assert np.all(np.triu(W, 2) == 0.0)
 
     @pytest.mark.parametrize(
         "name, seed, kind",
@@ -339,26 +336,25 @@ class TestSolveState:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-class TestDecompose:
+class TestControlKernel:
     def test_zero_control_kernel(self):
         grid = build_grid(17, 1.0)
         p = scalar_problem(const_kernel(0.5), None, lambda t: np.sin(t)[:, None])
-        ker = resolvent(p, grid)
-        dec = decompose(p, grid, ker)
-        assert np.all(dec.Psi.singular_coeff == 0.0)
-        assert np.all(dec.Psi.regular_part == 0.0)
+        ops = StateOperator(p, grid)
+        Psi = control_kernel(ops, resolvent(p, grid))
+        assert np.all(Psi.singular_coeff == 0.0)
+        assert np.all(Psi.regular_part == 0.0)
         # state independent of the control
-        ops = dec.ops
         assert np.all(ops.theta == 0.0)
 
     def test_degenerate_decomposition(self):
         grid = build_grid(17, 1.0)
         p = scalar_problem(None, const_kernel(1.0), None)
-        ker = resolvent(p, grid)
-        dec = decompose(p, grid, ker)
-        assert np.all(dec.psi == 0.0)
-        assert np.all(dec.Psi.regular_part == 0.0)
-        assert np.all(dec.Psi.singular_coeff[np.tril_indices(17, k=-1)] == 1.0)
+        ops = StateOperator(p, grid)
+        Psi = control_kernel(ops, resolvent(p, grid))
+        assert np.all(ops.psi == 0.0)
+        assert np.all(Psi.regular_part == 0.0)
+        assert np.all(Psi.singular_coeff[np.tril_indices(17, k=-1)] == 1.0)
 
     def test_free_response_consistent_with_kernel_route(self):
         # psi = phi + int Phi phi, the singular factor integrated by
@@ -366,8 +362,8 @@ class TestDecompose:
         grid = build_grid(64, 1.0)
         entry = get_problem("random-smooth", 0.75, 1.0, seed=3)
         ker = resolvent(entry.problem, grid)
-        dec = decompose(entry.problem, grid, ker)
-        phi = dec.ops.phi
+        ops = StateOperator(entry.problem, grid)
+        phi = ops.phi
         sw = product_weights(grid, 0.75).w
         psi_kernel = phi.copy()
         for i in range(1, grid.n):
@@ -377,7 +373,7 @@ class TestDecompose:
                 reg, grid.nodes[: i + 1], axis=0
             )
         omega = grid.trapezoid_weights()
-        assert rel_l2(omega, dec.psi, psi_kernel) < 1e-4
+        assert rel_l2(omega, ops.psi, psi_kernel) < 1e-4
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     @pytest.mark.parametrize("n", [33, 65])
@@ -387,23 +383,23 @@ class TestDecompose:
         beta, a, b = 0.75, 0.8, 1.3
         grid = build_grid(n, 1.0, kind)
         p = scalar_problem(const_kernel(a), const_kernel(b), None, beta=beta)
-        dec = decompose(p, grid, resolvent(p, grid))
+        Psi = control_kernel(StateOperator(p, grid), resolvent(p, grid))
         exact = (b / a) * series_kernel(a, beta, grid.T - grid.nodes[:-1])
-        for row in (dec.Psi.eval_offdiag(grid)[-1, :-1, 0, 0], dec.Psi_T_row[:-1, 0, 0]):
-            err = np.abs(row - exact)
-            assert err[-1] <= 2.0 * err[:-1].max()
+        err = np.abs(Psi.eval_offdiag(grid)[-1, :-1, 0, 0] - exact)
+        assert err[-1] <= 2.0 * err[:-1].max()
 
     def test_terminal_row_bound(self, rs_pipeline_kernel):
         pipe = rs_pipeline_kernel
-        dec = pipe.dec
+        ops = pipe.ops
         beta = pipe.problem.beta
         offs = pipe.grid.T - pipe.grid.nodes[:-1]
-        norm_b = np.abs(dec.ops.B_samples).max() * pipe.problem.n_state
+        norm_b = np.abs(ops.B_samples).max() * pipe.problem.n_state
         K_run = pipe.kernel.coeff_bound
-        norm_a = np.abs(dec.ops.A_samples).max() * pipe.problem.n_state
+        norm_a = np.abs(ops.A_samples).max() * pipe.problem.n_state
         coeff = norm_a + K_run * norm_a**2 * beta_function(beta, beta) * pipe.grid.T**beta
         bound_const = norm_b * (1.0 + coeff * pipe.grid.T**beta / beta)
-        lhs = np.abs(dec.Psi_T_row[:-1]).max(axis=(1, 2)) * offs ** (1.0 - beta)
+        terminal_row = pipe.Psi.eval_offdiag(pipe.grid)[-1, :-1]
+        lhs = np.abs(terminal_row).max(axis=(1, 2)) * offs ** (1.0 - beta)
         assert np.all(lhs <= bound_const + 1e-12)
 
     def test_terminal_blow_up_dichotomy(self):
@@ -431,8 +427,8 @@ def horizon_tails(problem, n, u, kind="uniform", exponent=2.0, refinements=3):
     tails = []
     for k in range(refinements):
         grid = build_grid((n - 1) * 2**k + 1, problem.T, kind, exponent)
-        dec = decompose(problem, grid, None)
-        x = dec.psi + (dec.ops.theta @ u(grid.nodes)).reshape(grid.n, -1)
+        ops = StateOperator(problem, grid)
+        x = ops.psi + (ops.theta @ u(grid.nodes)).reshape(grid.n, -1)
         inside = grid.nodes[:-1] >= problem.T * (1.0 - 0.1 / 2**k)
         tails.append(float(np.max(np.linalg.norm(x[:-1][inside] - x[-1], axis=1))))
     return tails
