@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .errors import AssumptionError, ConfigError, KernelFileError, NumericalError
 from .grids import (
     Grid,
-    SingularWeights,
     build_grid,
     check_young_bound,
     integrate_singular,
@@ -40,7 +39,6 @@ from .lq import (
 )
 from .adjoint import AdjointTrajectory, control_from_adjoint, solve_adjoint
 from .causal import (
-    CausalTrajectories,
     ReducedSystem,
     RestrictedOperator,
     TruncationFactor,

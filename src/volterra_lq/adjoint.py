@@ -45,18 +45,16 @@ __all__ = ["AdjointTrajectory", "solve_adjoint", "control_from_adjoint"]
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Adjoint solution Y with its forcing split into regular and singular parts.
+    """Adjoint solution Y with its forcing split into regular and terminal parts.
 
     gamma holds the regular forcing Q X + S' u + q; the terminal coupling
-    is kept factored as terminal_coeff(t) * (T - t)^(beta - 1) with
-    terminal_coeff(t) = A(T,t)' (G X(T) + g).  Y itself solves the
-    backward equation driven by both parts.
+    A(T,t)' zeta (T - t)^(beta - 1) is kept through zeta = G X(T) + g,
+    which enters the discrete equations as a unit-mass source at the last
+    node.  Y itself solves the backward equation driven by both parts.
     """
 
     Y: np.ndarray
     gamma: np.ndarray
-    terminal_coeff: np.ndarray
-    beta: float
     zeta: np.ndarray
 
 
@@ -80,11 +78,7 @@ def solve_adjoint(
     vterm = ops.terminal_unit(zeta)
     gamma_a = ops.apply_dual_A(vterm)  # quadrature image of A(T,t)' zeta (T-t)^(b-1)
     Y = ops.solve_dual(z.ravel() + gamma_a).reshape(ops.n, ops.dx)
-    # factored singular coefficient of the forcing, finite at every node < T
-    term = np.einsum("ixy,x->iy", ops.A_samples[-1], zeta)  # A(T, t_i)' zeta
-    return AdjointTrajectory(
-        Y=Y, gamma=z, terminal_coeff=term, beta=ops.beta, zeta=zeta
-    )
+    return AdjointTrajectory(Y=Y, gamma=z, zeta=zeta)
 
 
 def control_from_adjoint(

@@ -15,9 +15,11 @@ This module rebuilds u(t) from information available at time t only:
     (`TruncationFactor`, built once per assembled problem and kept as
     `dlq.truncation_factor`).
 
-The running gradients of all truncation points are one product with
-Theta (`_running_gradients`), so the causal control u(t) = -Z_t b_t is a
-single contraction over the nodes.
+`causal_trajectories(ops, u)` returns the whole truncation family as
+one (n, n, dx) array, row sigma holding X_sigma on the grid.  The running
+gradients of all truncation points are one product with Theta
+(`_running_gradients`, which checks that shape), so the causal control
+u(t) = -Z_t b_t is a single contraction over the nodes.
 
 With the weighted-adjoint discrete operators every identity used in the
 derivation is exact linear algebra, so the reconstruction matches the
@@ -52,7 +54,6 @@ from .volterra import (
 )
 
 __all__ = [
-    "CausalTrajectories",
     "RestrictedOperator",
     "TruncationFactor",
     "ReducedSystem",
@@ -64,20 +65,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CausalTrajectories:
-    """Truncation family for one control.
+def causal_trajectories(ops: StateOperator, u) -> np.ndarray:
+    """All truncation trajectories at once, by cumulative kernel-control sums.
 
+    Returns the truncation family x_trunc of shape (n, n, dx):
     x_trunc[sigma, i] is the state at t_i with the control cut off from
     node sigma on; x_trunc[sigma, -1] is the forecast of X(T) from the
     same truncated control.
     """
-
-    x_trunc: np.ndarray  # (n, n, dx)
-
-
-def causal_trajectories(ops: StateOperator, u) -> CausalTrajectories:
-    """All truncation trajectories at once, by cumulative kernel-control sums."""
     n, dx, du = ops.n, ops.dx, ops.du
     u_s = sample_trajectory(u, ops.grid, du)
     theta = ops.theta
@@ -88,7 +83,7 @@ def causal_trajectories(ops: StateOperator, u) -> CausalTrajectories:
         j = sigma - 1
         acc = acc + theta[:, j * du : (j + 1) * du] @ u_s[j]
         x[sigma] = acc.reshape(n, dx)
-    return CausalTrajectories(x_trunc=x)
+    return x
 
 
 @dataclass
@@ -197,14 +192,15 @@ def _running_gradients(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
     return b
 
 
-def abstract_causal_control(dlq: DiscreteLQ, traj: CausalTrajectories) -> np.ndarray:
+def abstract_causal_control(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
     """Reconstruct the optimal control from non-anticipating data.
 
     Evaluates, at every node t, the representation built from the
     truncation trajectory, the terminal forecast, and the trailing-block
     solve of the quadratic form; requires zero cross weights (general
-    problems go through the reduction).  The trajectories must come from
-    the optimal pair for the reconstruction to equal the optimizer.
+    problems go through the reduction).  x_trunc is the truncation family
+    of `causal_trajectories`; it must come from the optimal control for
+    the reconstruction to equal the optimizer.
 
     On row t the correction R^(-1)(Lam - R) of the trailing-block solve
     cancels exactly, leaving u(t) = -Z_t b_t[t:] with Z_t the block row
@@ -212,7 +208,7 @@ def abstract_causal_control(dlq: DiscreteLQ, traj: CausalTrajectories) -> np.nda
     nodes are one contraction of Z with the running gradients.
     """
     _require_no_cross_terms(dlq.cost_samples, "the causal representation")
-    b = _running_gradients(dlq, traj.x_trunc)
+    b = _running_gradients(dlq, x_trunc)
     return -np.einsum("tak,tk->ta", dlq.truncation_factor.Z, b)
 
 
@@ -291,7 +287,7 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
 
 def general_causal_control(
     reduced: ReducedSystem,
-    traj: CausalTrajectories,
+    x_trunc: np.ndarray,
     x_bar: np.ndarray,
     method: str = "direct",
     subspace_dim: int | None = None,
@@ -299,7 +295,7 @@ def general_causal_control(
 ) -> np.ndarray:
     """Non-anticipating representation for problems with cross terms.
 
-    `traj` must be the truncation family of the reduced system driven by
+    x_trunc must be the truncation family of the reduced system driven by
     the substituted control v = u + R^(-1)(S X + rho); x_bar is the
     optimal state.  Combines the instantaneous term -R^(-1)(S X + rho)
     with the feedback-gain representation of the reduced problem.
@@ -307,6 +303,6 @@ def general_causal_control(
     from .fredholm import representation_terms
 
     v_rep = representation_terms(
-        reduced.dlq, traj, method=method, subspace_dim=subspace_dim, iterations=iterations
+        reduced.dlq, x_trunc, method=method, subspace_dim=subspace_dim, iterations=iterations
     )
     return reduced.to_original_control(v_rep, np.asarray(x_bar, dtype=float))

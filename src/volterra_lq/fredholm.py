@@ -71,8 +71,8 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from .causal import _require_no_cross_terms, _running_gradients, causal_trajectories
 from .errors import NumericalError
 from .grids import Grid, lower_product_weights, trapezoid_rule
-from .lq import DiscreteLQ, _blockdiag, solve_open_loop
-from .volterra import FactoredKernel
+from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop
+from .volterra import FactoredKernel, _require_matching_kernel
 
 __all__ = [
     "FredholmSystem",
@@ -160,11 +160,10 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
     _require_no_cross_terms(sc, "the gain equation")
     if not 0 <= sigma_index < dlq.n:
         raise ValueError(f"sigma index {sigma_index} out of range")
-    Rinv_bd = _blockdiag(sc.R_inverses())
-    lam_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
-    Kmat = -Rinv_bd @ lam_minus_R
-    kernel = Kmat / dlq.wu[None, :]
     ops = dlq.ops
+    lam_minus_R = _plus_block_diagonal(dlq.lam, -(ops.omega[:, None, None] * sc.R))
+    Kmat = -_block_product(sc.R_inverses(), lam_minus_R / dlq.wu[:, None])
+    kernel = Kmat / dlq.wu[None, :]
     return FredholmSystem(
         kernel=kernel,
         Kmat=Kmat,
@@ -368,7 +367,7 @@ def _gain_integrals(
 
 def representation_terms(
     dlq: DiscreteLQ,
-    traj,
+    x_trunc: np.ndarray,
     method: str = "direct",
     subspace_dim: int | None = None,
     iterations: int = 2,
@@ -376,7 +375,8 @@ def representation_terms(
     """Evaluate the gain-kernel control representation nodewise.
 
     For each node t: form the non-anticipating gradient data from the
-    truncation trajectory and terminal forecast, and combine the
+    truncation trajectory x_trunc[t] (the family of
+    `causal_trajectories`) and its terminal forecast, and combine the
     instantaneous term with the integral of the gain row M_t(t, .)
     against it.  The direct gain rows come from one backward sweep
     through a single factor of the reversed quadratic form, O((n du)^3)
@@ -389,7 +389,7 @@ def representation_terms(
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the gain representation")
     n, du = dlq.n, dlq.du
-    gvec = (_running_gradients(dlq, traj.x_trunc) / dlq.wu).reshape(n, n, du)
+    gvec = (_running_gradients(dlq, x_trunc) / dlq.wu).reshape(n, n, du)
     rg = (sc.R_inverses() @ gvec.transpose(1, 2, 0)).transpose(2, 0, 1)  # [t, j] = R_j^-1 g_t(j)
     nodes = np.arange(n)
     return -rg[nodes, nodes] - _gain_integrals(dlq, rg, method, subspace_dim, iterations)
@@ -409,9 +409,9 @@ def feedback_control(
     reduction and its representation.
     """
     _require_no_cross_terms(dlq.cost_samples, "the gain representation")
-    traj = causal_trajectories(dlq.ops, solve_open_loop(dlq))
+    x_trunc = causal_trajectories(dlq.ops, solve_open_loop(dlq))
     return representation_terms(
-        dlq, traj, method=method, subspace_dim=subspace_dim, iterations=iterations
+        dlq, x_trunc, method=method, subspace_dim=subspace_dim, iterations=iterations
     )
 
 
@@ -431,8 +431,10 @@ def crosscheck_kernel_samples(
     diagonal (the folded singular factor must stay resolved) and away
     from the terminal corner (where the integration domain degenerates to
     a few segments); within that region the two routes agree to first
-    order in the step.
+    order in the step.  A Psi of another node count or beta raises
+    ValueError.
     """
+    _require_matching_kernel(Psi, dlq.ops, "the control kernel Psi")
     rng = rng or np.random.default_rng(0)
     grid = sys.grid
     n, du = sys.n, sys.du

@@ -16,6 +16,8 @@ moments
 
 are evaluated in closed form on every subinterval.  Constants are therefore
 reproduced exactly: the weights of row i always sum to t_i^beta / beta.
+`product_weights` returns the weights of every t_i as one plain (n, n)
+table, row i for t_i, which `integrate_singular` reads.
 `lower_product_weights` is the mirror image with the singularity at the
 lower endpoint, and `trapezoid_rule` the plain rule every module shares.
 The doubly singular moments behind the resolvent live in `volterra`.
@@ -29,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "SingularWeights",
     "build_grid",
     "product_weights",
     "integrate_singular",
@@ -132,25 +133,14 @@ def segment_moments(t, beta: float, lo, hi):
     return mu0, mu1
 
 
-@dataclass(frozen=True)
-class SingularWeights:
-    """Product-integration weights against (t_i - s)^(beta-1).
+def product_weights(grid: Grid, beta: float) -> np.ndarray:
+    """Exact-moment product-integration weights against (t_i - s)^(beta-1).
 
-    w[i, j] are node weights such that sum_j w[i, j] g(s_j) approximates
+    Returns W of shape (n, n): sum_j W[i, j] g(s_j) approximates
     int_0^{t_i} (t_i - s)^(beta-1) g(s) ds for the piecewise-linear
-    interpolant of g.  Weights vanish for s_j > t_i; every row sums to
+    interpolant of g.  Hat functions interpolate g: second order, with a
+    weight at s_j = t_i.  Weights vanish for s_j > t_i; every row sums to
     t_i^beta / beta exactly.
-    """
-
-    grid: Grid
-    beta: float
-    w: np.ndarray
-
-
-def product_weights(grid: Grid, beta: float) -> SingularWeights:
-    """Exact-moment product-integration weights on the grid.
-
-    Hat functions interpolate g: second order, with a weight at s_j = t_i.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -171,7 +161,7 @@ def product_weights(grid: Grid, beta: float) -> SingularWeights:
         mu1 = np.where(mask, mu1, 0.0)
         w[i0:i1, :-1] += mu0 - mu1 / h
         w[i0:i1, 1:] += mu1 / h
-    return SingularWeights(grid=grid, beta=beta, w=w)
+    return w
 
 
 def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
@@ -198,22 +188,22 @@ def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
     return W
 
 
-def integrate_singular(weights: SingularWeights, i: int, g: np.ndarray):
+def integrate_singular(w: np.ndarray, i: int, g: np.ndarray):
     """Evaluate int_0^{t_i} (t_i - s)^(beta-1) g(s) ds from grid samples of g.
 
-    Linear in g; g has shape (n,) or (n, d).
+    w is the (n, n) table of `product_weights`.  Linear in g; g has shape
+    (n,) or (n, d).
     """
     g = np.asarray(g, dtype=float)
-    if g.shape[0] != weights.grid.n:
-        raise ValueError(
-            f"sample count {g.shape[0]} does not match grid size {weights.grid.n}"
-        )
-    if not 0 <= i < weights.grid.n:
+    n = w.shape[0]
+    if g.shape[0] != n:
+        raise ValueError(f"sample count {g.shape[0]} does not match grid size {n}")
+    if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
-    return weights.w[i] @ g
+    return w[i] @ g
 
 
-def check_young_bound(weights: SingularWeights, theta0: np.ndarray, s: float) -> bool:
+def check_young_bound(grid: Grid, beta: float, theta0: np.ndarray, s: float) -> bool:
     """Check the convolution norm bounds on eta(t, s) = int_s^t theta0(tau) (t-tau)^(beta-1) dtau.
 
     Verifies ||eta(., s)||_{L2(s,T)} <= ((T-s)^beta / beta) ||theta0||_{L2(s,T)}
@@ -221,8 +211,8 @@ def check_young_bound(weights: SingularWeights, theta0: np.ndarray, s: float) ->
     (T-s)^(beta-1/2) / sqrt(2 beta - 1).  A 1% slack absorbs discretization
     error of the discrete norms.
     """
-    grid = weights.grid
-    beta = weights.beta
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (grid.n,):
         raise ValueError("theta0 must be sampled on the grid")

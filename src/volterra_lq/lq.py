@@ -71,13 +71,18 @@ def _sample_matrix(f, grid: Grid, d1: int, d2: int) -> np.ndarray:
     return out
 
 
-def _blockdiag(blocks: np.ndarray) -> np.ndarray:
+def _block_product(blocks: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """blockdiag(blocks) @ M for per-node blocks (n, a, b), as one batched product."""
     n, a, b = blocks.shape
-    out = np.zeros((n * a, n * b))
-    i = np.arange(n)[:, None, None]
-    rows = i * a + np.arange(a)[None, :, None]
-    cols = i * b + np.arange(b)[None, None, :]
-    out[rows, cols] = blocks
+    return (blocks @ M.reshape(n, b, -1)).reshape(n * a, -1)
+
+
+def _plus_block_diagonal(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """M + blockdiag(blocks), added through an (n, d, n, d) view of a copy of M."""
+    n, d, _ = blocks.shape
+    out = M.copy()  # C-contiguous, so the reshape below is a view
+    nodes = np.arange(n)
+    out.reshape(n, d, n, d)[nodes, :, nodes] += blocks
     return out
 
 
@@ -236,26 +241,22 @@ def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) ->
     theta = ops.theta
     theta_T = theta[-ops.dx :]
     psi = ops.psi
-    psi_flat = psi.ravel()
 
-    Qbd = _blockdiag(sc.Q)
-    Rbd = _blockdiag(sc.R)
-    Sbd = _blockdiag(sc.S) if sc.has_cross_terms else None
-    lam = theta.T @ (wx[:, None] * (Qbd @ theta))
-    lam += wu[:, None] * Rbd
+    lam = theta.T @ (wx[:, None] * _block_product(sc.Q, theta))
+    lam = _plus_block_diagonal(lam, omega[:, None, None] * sc.R)
     lam += theta_T.T @ sc.G @ theta_T
-    if Sbd is not None:
-        cross = wu[:, None] * (Sbd @ theta)
+    if sc.has_cross_terms:
+        cross = wu[:, None] * _block_product(sc.S, theta)
         lam += cross + cross.T
     asym = np.max(np.abs(lam - lam.T)) / max(1.0, np.max(np.abs(lam)))
     if asym > 1e-10:
         raise NumericalError(f"assembled quadratic form lost symmetry ({asym:.2e})")
     lam = 0.5 * (lam + lam.T)
 
-    b = theta.T @ (wx * (Qbd @ psi_flat + sc.q.ravel()))
+    b = theta.T @ (wx * (_apply_blocks(sc.Q, psi).ravel() + sc.q.ravel()))
     b += wu * sc.rho.ravel()
-    if Sbd is not None:
-        b += wu * (Sbd @ psi_flat)
+    if sc.has_cross_terms:
+        b += wu * _apply_blocks(sc.S, psi).ravel()
     b += theta_T.T @ (sc.G @ psi[-1] + sc.g)
     ell1 = b / wu
 

@@ -303,7 +303,7 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     traj_pert = causal_trajectories(ops, u_pert)
     u_causal_pert = abstract_causal_control(dlq, traj_pert)
     drift = max(
-        float(np.max(np.abs(traj_pert.x_trunc[t_probe] - traj.x_trunc[t_probe]))),
+        float(np.max(np.abs(traj_pert[t_probe] - traj[t_probe]))),
         float(np.max(np.abs(u_causal_pert[t_probe] - u_causal[t_probe]))),
     )
     report.add("non-anticipation: influence of future control samples", drift, 0.0)
@@ -438,7 +438,7 @@ def _varconst_deviation(problem, grid, kernel, seed) -> float:
     amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
     xi = amp * np.cos(freq * grid.nodes[:, None] + phase)
     x_step = solve_state(problem, grid, xi)
-    sw = product_weights(grid, problem.beta).w
+    sw = product_weights(grid, problem.beta)
     omega = grid.trapezoid_weights()
     # trapezoid rule over [0, t_i]: full weights left of t_i, half a spacing at t_i
     tau = np.tril(np.broadcast_to(omega, (n, n)), -1) + np.diag(

@@ -256,7 +256,10 @@ def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -
     return total
 
 
-def resolvent(problem: ProblemData, grid: Grid, max_levels: int = 120) -> FactoredKernel:
+_MAX_LEVELS = 120  # series levels summed before the resolvent is declared divergent
+
+
+def resolvent(problem: ProblemData, grid: Grid) -> FactoredKernel:
     """Resolvent kernel of A(t,s)/(t-s)^(1-beta), in factored form.
 
     Sums the iterated-kernel series with exact product moments for every
@@ -264,7 +267,8 @@ def resolvent(problem: ProblemData, grid: Grid, max_levels: int = 120) -> Factor
     carries residuals of its defining Volterra identity and of the
     transposed identity (kernel on the right), both measured by an
     independent quadrature pass over sampled source columns.  The series
-    stops at the first level below 1e-13 of the largest level so far.
+    stops at the first level below 1e-13 of the largest level so far and
+    raises NumericalError when `_MAX_LEVELS` levels do not get there.
     """
     beta = problem.beta
     n = grid.n
@@ -287,7 +291,7 @@ def resolvent(problem: ProblemData, grid: Grid, max_levels: int = 120) -> Factor
     D = kernel.regular_part
     diag_idx = np.arange(n)
     scale_ref = 0.0
-    for k in range(1, max_levels + 1):
+    for k in range(1, _MAX_LEVELS + 1):
         q = k * beta
         F_next = _convolve_columns(Asamp, G, _pair_column_weights(grid, beta, q))
         if k == 1:
@@ -308,7 +312,7 @@ def resolvent(problem: ProblemData, grid: Grid, max_levels: int = 120) -> Factor
     else:
         raise NumericalError(
             "resolvent series did not reach the requested tolerance within "
-            f"{max_levels} levels; coefficient norm {norm_a:.3g} may be too "
+            f"{_MAX_LEVELS} levels; coefficient norm {norm_a:.3g} may be too "
             "large for this horizon"
         )
 
@@ -332,7 +336,7 @@ def _resolvent_residuals(kernel, Asamp, first, grid):
     beta = kernel.beta
     n, _, dx, _ = Asamp.shape
     D = kernel.regular_part
-    sw = product_weights(grid, beta).w
+    sw = product_weights(grid, beta)
     cols = np.arange(0, n - 2, max(1, (n - 2) // 48))
     c = cols.size
     # defining identity, kernel A on the left
@@ -365,8 +369,9 @@ def _resolvent_residuals(kernel, Asamp, first, grid):
 class StateOperator:
     """Discrete state equation (I - WA) X = xi and its exact companions.
 
-    WA and WB are the kernel samples folded with the product-integration
-    weights.  All adjoints are taken in the trapezoid-weighted inner
+    WA_flat and WB_flat are the kernel samples folded with the
+    product-integration weights, as flat (n dx, n dx) and (n dx, n du)
+    block matrices.  All adjoints are taken in the trapezoid-weighted inner
     product of the grid, so that <Theta u, X> = <u, Theta* X> holds to
     round-off.  No method mutates problem data; the derived maps theta
     and psi are cached on first access, so touch them before handing the
@@ -384,15 +389,13 @@ class StateOperator:
         self.omega = grid.trapezoid_weights()
         self.wx = np.repeat(self.omega, dx)
         self.wu = np.repeat(self.omega, du)
-        sw = product_weights(grid, problem.beta).w
+        sw = product_weights(grid, problem.beta)
         Asamp = sample_kernel(problem.A, grid, dx, dx)
         Bsamp = sample_kernel(problem.B, grid, dx, du)
         self.A_samples = Asamp
         self.B_samples = Bsamp
-        self.WA = np.einsum("ij,ijxy->ijxy", sw, Asamp)
-        self.WB = np.einsum("ij,ijxy->ijxy", sw, Bsamp)
-        self.WA_flat = self.WA.transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
-        self.WB_flat = self.WB.transpose(0, 2, 1, 3).reshape(n * dx, n * du)
+        self.WA_flat = (sw[:, :, None, None] * Asamp).transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
+        self.WB_flat = (sw[:, :, None, None] * Bsamp).transpose(0, 2, 1, 3).reshape(n * dx, n * du)
         try:
             self._lu = lu_factor(np.eye(n * dx) - self.WA_flat)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -454,6 +457,18 @@ class StateOperator:
         return v
 
 
+def _require_matching_kernel(kernel: FactoredKernel, ops: StateOperator, what: str):
+    """Raise ValueError when a kernel's node count or beta is not the operator's.
+
+    A same-size kernel built on other nodes passes: it records no nodes.
+    """
+    for name, mine, theirs in (("n", kernel.n, ops.n), ("beta", kernel.beta, ops.beta)):
+        if mine != theirs:
+            raise ValueError(
+                f"{what} has {name} = {mine}, but the state operator has {name} = {theirs}"
+            )
+
+
 def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> FactoredKernel:
     """Factored control kernel Psi of the operator's problem and grid.
 
@@ -462,8 +477,10 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     grid: the singular coefficient is B itself, and the regular part
     integrates the two pieces of Phi against B.  The piece C (t-tau)^(beta-1)
     takes the doubly singular weights; the regular piece D takes the hat
-    weights of the lower-endpoint factor (tau-s)^(beta-1) alone.
+    weights of the lower-endpoint factor (tau-s)^(beta-1) alone.  A
+    resolvent of another node count or beta raises ValueError.
     """
+    _require_matching_kernel(resolvent_kernel, ops, "the resolvent kernel")
     beta, grid = ops.beta, ops.grid
     Bsamp = ops.B_samples
     piece1 = _convolve_columns(
@@ -490,7 +507,7 @@ def solve_state(problem: ProblemData, grid: Grid, xi) -> np.ndarray:
     if problem.A is None:
         return xi_s.copy()
     n = grid.n
-    sw = product_weights(grid, problem.beta).w
+    sw = product_weights(grid, problem.beta)
     Asamp = sample_kernel(problem.A, grid, dx, dx)
     WA = (sw[:, :, None, None] * Asamp).transpose(0, 2, 1, 3).reshape(n, dx, n * dx)
     diag = np.arange(n)

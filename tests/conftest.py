@@ -4,6 +4,17 @@ import pytest
 import volterra_lq as vlq
 
 
+def blockdiag(blocks):
+    """Dense block-diagonal matrix of per-node blocks (n, a, b): a test reference."""
+    n, a, b = blocks.shape
+    out = np.zeros((n * a, n * b))
+    i = np.arange(n)[:, None, None]
+    rows = i * a + np.arange(a)[None, :, None]
+    cols = i * b + np.arange(b)[None, None, :]
+    out[rows, cols] = blocks
+    return out
+
+
 def rel_l2(omega, a, b):
     """Weighted relative L2 distance of two trajectories."""
     num = np.sqrt(np.einsum("i,ic,ic->", omega, a - b, a - b))

@@ -244,8 +244,8 @@ def test_criterion_10_non_anticipation(eq_pipeline):
         u_p = vlq.abstract_causal_control(pipe.dlq, traj_p)
         drift = max(
             drift,
-            float(np.max(np.abs(traj_p.x_trunc[t] - traj.x_trunc[t]))),
-            float(np.max(np.abs(traj_p.x_trunc[t, -1] - traj.x_trunc[t, -1]))),
+            float(np.max(np.abs(traj_p[t] - traj[t]))),
+            float(np.max(np.abs(traj_p[t, -1] - traj[t, -1]))),
             float(np.max(np.abs(u_p[t] - u_causal[t]))),
         )
     report(

@@ -19,7 +19,7 @@ def test_homogeneous_forcing_gives_zero_adjoint(rs_pipeline):
     adj = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
     assert np.all(adj.Y == 0.0)
     assert np.all(adj.gamma == 0.0)
-    assert np.all(adj.terminal_coeff == 0.0)
+    assert np.all(adj.zeta == 0.0)
 
 
 def test_no_kernel_coupling_returns_forcing(rs_pipeline):

@@ -20,9 +20,9 @@ from volterra_lq import (
 )
 from volterra_lq.catalog import get_problem
 from volterra_lq.causal import _running_gradients
-from volterra_lq.lq import _apply_blocks, _blockdiag
+from volterra_lq.lq import _apply_blocks
 
-from conftest import Pipeline, rel_l2
+from conftest import Pipeline, blockdiag, rel_l2
 
 
 def running_gradient(dlq, x_t):
@@ -46,7 +46,7 @@ class TestRestrictedOperator:
         ops = StateOperator(entry.problem, grid)
         dlq = vlq.assemble_quadratic_form(ops, entry.cost)
         r = lambda_sigma(dlq, 5)
-        expected = (np.repeat(dlq.ops.omega, 1)[:, None] * _blockdiag(
+        expected = (np.repeat(dlq.ops.omega, 1)[:, None] * blockdiag(
             dlq.cost_samples.R
         ))[5:, 5:]
         assert np.allclose(r.block, expected, rtol=1e-15)
@@ -84,8 +84,8 @@ class TestRestrictedOperator:
         dlq = pipe.dlq
         n, du = dlq.n, dlq.du
         lam_op = dlq.lam / dlq.wu[:, None]
-        Rbd = _blockdiag(dlq.cost_samples.R)
-        Rinv_bd = _blockdiag(dlq.cost_samples.R_inverses())
+        Rbd = blockdiag(dlq.cost_samples.R)
+        Rinv_bd = blockdiag(dlq.cost_samples.R_inverses())
         eye = np.eye(n * du)
         for sigma in (0, n // 3, n - 2):
             r = lambda_sigma(dlq, sigma)
@@ -126,12 +126,12 @@ class TestTruncationFactor:
         dlq = pipe.dlq
         n, du = dlq.n, dlq.du
         sc = dlq.cost_samples
-        lam_op_minus_R = (dlq.lam - dlq.wu[:, None] * _blockdiag(sc.R)) / dlq.wu[:, None]
+        lam_op_minus_R = (dlq.lam - dlq.wu[:, None] * blockdiag(sc.R)) / dlq.wu[:, None]
         Rinv = sc.R_inverses()
         traj = causal_trajectories(pipe.ops, pipe.u_opt)
         expected = np.empty((n, du))
         for t in range(n):
-            gvec = running_gradient(dlq, traj.x_trunc[t]) / dlq.wu
+            gvec = running_gradient(dlq, traj[t]) / dlq.wu
             y = lambda_sigma(dlq, t).solve_embedded(gvec)
             corrected = gvec - lam_op_minus_R @ y
             expected[t] = -Rinv[t] @ corrected[t * du : (t + 1) * du]
@@ -167,8 +167,8 @@ class TestCausalTrajectories:
         pipe = rs_pipeline
         traj = causal_trajectories(pipe.ops, np.zeros_like(pipe.u_opt))
         for sigma in range(pipe.grid.n):
-            assert np.array_equal(traj.x_trunc[sigma], pipe.ops.psi)
-        assert np.array_equal(traj.x_trunc[:, -1], np.tile(pipe.ops.psi[-1], (pipe.grid.n, 1)))
+            assert np.array_equal(traj[sigma], pipe.ops.psi)
+        assert np.array_equal(traj[:, -1], np.tile(pipe.ops.psi[-1], (pipe.grid.n, 1)))
 
     def test_truncation_matches_state_strictly_before_sigma(self, rs_pipeline):
         pipe = rs_pipeline
@@ -177,12 +177,12 @@ class TestCausalTrajectories:
         theta_blocks = pipe.theta.reshape(n, -1, n, du)
         for sigma in (1, n // 2, n - 1):
             assert np.allclose(
-                traj.x_trunc[sigma][:sigma], pipe.x_opt[:sigma], atol=1e-13
+                traj[sigma][:sigma], pipe.x_opt[:sigma], atol=1e-13
             )
             # at the closure node the difference is exactly the diagonal
             # quadrature weight of the hat interpolation
             diag_term = theta_blocks[sigma, :, sigma] @ pipe.u_opt[sigma]
-            gap = pipe.x_opt[sigma] - traj.x_trunc[sigma][sigma]
+            gap = pipe.x_opt[sigma] - traj[sigma][sigma]
             assert np.allclose(gap, diag_term, atol=1e-14)
 
     def test_decomposition_identity(self, rs_pipeline):
@@ -193,9 +193,9 @@ class TestCausalTrajectories:
         for sigma in range(0, n, 5):
             future = pipe.u_opt.copy()
             future[:sigma] = 0.0
-            rebuilt = traj.x_trunc[sigma] + (pipe.theta @ future.ravel()).reshape(n, -1)
+            rebuilt = traj[sigma] + (pipe.theta @ future.ravel()).reshape(n, -1)
             assert np.max(np.abs(rebuilt - pipe.x_opt)) <= 1e-12 * scale
-            rebuilt_T = traj.x_trunc[sigma, -1] + pipe.theta_T @ future.ravel()
+            rebuilt_T = traj[sigma, -1] + pipe.theta_T @ future.ravel()
             assert np.max(np.abs(rebuilt_T - pipe.x_opt[-1])) <= 1e-12 * scale
 
     def test_non_anticipation_exact(self, rs_pipeline):
@@ -206,7 +206,7 @@ class TestCausalTrajectories:
         perturbed = pipe.u_opt.copy()
         perturbed[t:] += rng.normal(size=perturbed[t:].shape)
         traj_p = causal_trajectories(pipe.ops, perturbed)
-        assert np.array_equal(traj_p.x_trunc[t], traj.x_trunc[t])
+        assert np.array_equal(traj_p[t], traj[t])
 
 
     def test_sample_before_sigma_is_past(self, rs_pipeline):
@@ -220,11 +220,11 @@ class TestCausalTrajectories:
         perturbed = pipe.u_opt.copy()
         perturbed[t - 1] += bump
         traj_p = causal_trajectories(pipe.ops, perturbed)
-        assert np.array_equal(traj_p.x_trunc[:t], traj.x_trunc[:t])
+        assert np.array_equal(traj_p[:t], traj[:t])
         shift = (pipe.theta[:, (t - 1) * du : t * du] @ bump).reshape(n, -1)
         scale = np.abs(pipe.x_opt).max()
         for sigma in (t, n // 2, n - 1):
-            diff = traj_p.x_trunc[sigma] - traj.x_trunc[sigma]
+            diff = traj_p[sigma] - traj[sigma]
             assert np.max(np.abs(diff - shift)) <= 1e-12 * scale
         assert np.abs(shift).max() > 1e-3 * scale
 
@@ -240,7 +240,7 @@ class TestCausalTrajectories:
             past = pipe.u_opt.copy()
             past[sigma:] = 0.0
             expected = dlq.lam @ past.ravel() + dlq.wu * dlq.ell1
-            got = _running_gradients(dlq, traj.x_trunc)[sigma]
+            got = _running_gradients(dlq, traj)[sigma]
             k = sigma * du
             assert np.max(np.abs(got[k:] - expected[k:])) <= 1e-12 * np.abs(expected).max()
 
@@ -248,8 +248,8 @@ class TestCausalTrajectories:
         # one product with Theta for every sigma, on uniform and graded grids
         pipe = truncation_case
         traj = causal_trajectories(pipe.ops, pipe.u_opt)
-        got = _running_gradients(pipe.dlq, traj.x_trunc)
-        expected = np.stack([running_gradient(pipe.dlq, x_t) for x_t in traj.x_trunc])
+        got = _running_gradients(pipe.dlq, traj)
+        expected = np.stack([running_gradient(pipe.dlq, x_t) for x_t in traj])
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.abs(expected).max()
 
@@ -304,9 +304,8 @@ class TestAbstractCausalControl:
         from volterra_lq.fredholm import representation_terms
 
         pipe = Pipeline("random-smooth", seed=7, n=16)
-        x = causal_trajectories(pipe.ops, pipe.u_opt).x_trunc
-        rows = np.concatenate([x, x[:extra]]) if extra > 0 else x[:extra]
-        bad = vlq.CausalTrajectories(x_trunc=rows)
+        x = causal_trajectories(pipe.ops, pipe.u_opt)
+        bad = np.concatenate([x, x[:extra]]) if extra > 0 else x[:extra]
         with pytest.raises(ValueError, match="trajectories do not match"):
             representation_terms(pipe.dlq, bad, method=method, subspace_dim=8)
         with pytest.raises(ValueError, match="trajectories do not match"):

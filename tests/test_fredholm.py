@@ -10,19 +10,20 @@ from volterra_lq import (
     StateOperator,
     assemble_fredholm,
     build_grid,
+    control_kernel,
     crosscheck_kernel_samples,
     feedback_control,
     solve_direct,
     solve_galerkin,
     solve_iterated_galerkin,
+    resolvent,
     solve_open_loop,
     solve_superconvergent,
 )
 from volterra_lq.catalog import get_problem
 from volterra_lq.causal import TruncationFactor, causal_trajectories, lambda_sigma
-from volterra_lq.lq import _blockdiag
 
-from conftest import Pipeline, rel_l2
+from conftest import Pipeline, blockdiag, rel_l2
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,19 @@ class TestAssembly:
         )
         assert worst <= 1e-4
 
+    def test_crosscheck_rejects_kernel_of_another_beta_or_size(self, rs_pipeline):
+        pipe = rs_pipeline
+        sys0 = assemble_fredholm(pipe.dlq, 0)
+        other_beta = replace(pipe.problem, beta=0.6)
+        Psi = control_kernel(
+            StateOperator(other_beta, pipe.grid), resolvent(other_beta, pipe.grid)
+        )
+        with pytest.raises(ValueError, match=r"beta = 0\.6.*beta = 0\.75"):
+            crosscheck_kernel_samples(sys0, pipe.dlq, Psi)
+        small = Pipeline("random-smooth", seed=42, n=24, with_kernel=True)
+        with pytest.raises(ValueError, match="n = 24.*n = 48"):
+            crosscheck_kernel_samples(sys0, pipe.dlq, small.Psi)
+
 
 class TestDirectSolve:
     def test_zero_right_side(self, gain_setup):
@@ -124,8 +138,8 @@ class TestDirectSolve:
         n, du = dlq.n, dlq.du
         sc = dlq.cost_samples
         lam_op = dlq.lam / dlq.wu[:, None]
-        Rbd = _blockdiag(sc.R)
-        Rinv_bd = _blockdiag(sc.R_inverses())
+        Rbd = blockdiag(sc.R)
+        Rinv_bd = blockdiag(sc.R_inverses())
         sigma = n // 3
         restricted = lambda_sigma(dlq, sigma)
         M_def = np.empty_like(sys0.kernel)

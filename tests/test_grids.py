@@ -46,9 +46,10 @@ def test_build_grid_rejects_bad_arguments(kwargs):
 def test_row_sums_reproduce_constants(beta, kind, exponent):
     grid = build_grid(33, 1.5, kind, exponent)
     w = product_weights(grid, beta)
+    assert w.shape == (grid.n, grid.n)
     for i in range(1, grid.n):
         exact = grid.nodes[i] ** beta / beta
-        assert abs(w.w[i].sum() - exact) <= 1e-12 * exact
+        assert abs(w[i].sum() - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("beta", [0.4, 0.75])
@@ -98,7 +99,7 @@ def test_linearity_and_zero():
 
 def test_causal_support():
     grid = build_grid(12, 1.0)
-    w = product_weights(grid, 0.7).w
+    w = product_weights(grid, 0.7)
     for i in range(grid.n):
         assert np.all(w[i, i + 1 :] == 0.0)
     assert np.all(np.isfinite(w))
@@ -145,13 +146,11 @@ def test_integrate_singular_validates_input():
 class TestYoungBound:
     def test_zero_case(self):
         grid = build_grid(33, 1.0)
-        w = product_weights(grid, 0.75)
-        assert check_young_bound(w, np.zeros(grid.n), 0.0)
+        assert check_young_bound(grid, 0.75, np.zeros(grid.n), 0.0)
 
     def test_constant_theta_with_quadrature_oracle(self):
         grid = build_grid(65, 1.0)
-        w = product_weights(grid, 0.75)
-        assert check_young_bound(w, np.ones(grid.n), 0.0)
+        assert check_young_bound(grid, 0.75, np.ones(grid.n), 0.0)
         # oracle: eta(t, 0) = t^b / b, so ||eta||_L2^2 = T^(2b+1)/(b^2 (2b+1))
         beta = 0.75
         norm_exact = np.sqrt(1.0 / (beta**2 * (2 * beta + 1)))
@@ -160,23 +159,22 @@ class TestYoungBound:
 
     def test_midpoint_start(self):
         grid = build_grid(65, 1.0)
-        w = product_weights(grid, 0.6)
         rng = np.random.default_rng(11)
         theta0 = rng.uniform(0.0, 1.0, size=grid.n)
-        assert check_young_bound(w, theta0, 0.5)
+        assert check_young_bound(grid, 0.6, theta0, 0.5)
 
     @pytest.mark.parametrize("beta", [0.55, 0.75, 0.95])
     def test_random_nonnegative_profiles(self, beta):
         grid = build_grid(49, 1.0)
-        w = product_weights(grid, beta)
         rng = np.random.default_rng(int(beta * 100))
         for trial in range(100):
             theta0 = rng.uniform(0.0, 2.0, size=grid.n)
             s = float(rng.uniform(0.0, 0.8))
-            assert check_young_bound(w, theta0, s), f"trial {trial}"
+            assert check_young_bound(grid, beta, theta0, s), f"trial {trial}"
 
     def test_rejects_bad_start(self):
         grid = build_grid(9, 1.0)
-        w = product_weights(grid, 0.6)
         with pytest.raises(ValueError):
-            check_young_bound(w, np.zeros(grid.n), 1.0)
+            check_young_bound(grid, 0.6, np.zeros(grid.n), 1.0)
+        with pytest.raises(ValueError):
+            check_young_bound(grid, 1.2, np.zeros(grid.n), 0.0)

@@ -15,8 +15,8 @@ from volterra_lq import (
     verify_control_relation,
 )
 from volterra_lq.catalog import get_problem
-from volterra_lq.lq import _blockdiag
 
+from conftest import blockdiag
 
 
 def test_weighted_adjoint_exact(rs_pipeline):
@@ -75,7 +75,7 @@ def test_quadratic_form_degenerate_to_control_weight():
     grid = build_grid(24, 1.0)
     ops = StateOperator(entry.problem, grid)
     dlq = assemble_quadratic_form(ops, entry.cost)
-    expected = np.repeat(grid.trapezoid_weights(), 1)[:, None] * _blockdiag(
+    expected = np.repeat(grid.trapezoid_weights(), 1)[:, None] * blockdiag(
         dlq.cost_samples.R
     )
     assert np.allclose(dlq.lam, expected, rtol=1e-15, atol=0.0)

@@ -13,12 +13,10 @@ SRC = README.parent / "src" / "volterra_lq"
 # refers to, each with the reason it stays in the public surface
 UNREFERENCED_EXPORTS = {
     "AdjointTrajectory": "return type of solve_adjoint",
-    "CausalTrajectories": "return type of causal_trajectories",
     "FeedbackKernel": "return type of the whole-table gain solvers",
     "FredholmSystem": "return type of assemble_fredholm",
     "ReducedSystem": "return type of build_cross_term_reduction",
     "ScenarioReport": "return type of run_scenario",
-    "SingularWeights": "return type of product_weights",
     "RestrictedOperator": "acceptance criterion 8 sweeps truncations with it",
     "lambda_sigma": "acceptance criterion 8 sweeps truncations with it",
     "solve_galerkin": "test oracle, ROADMAP settled",

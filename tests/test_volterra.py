@@ -42,7 +42,7 @@ def column_loop_residuals(kernel, Asamp, first, grid):
     beta = kernel.beta
     n = grid.n
     D = kernel.regular_part
-    sw = product_weights(grid, beta).w
+    sw = product_weights(grid, beta)
     phi_vals = kernel.eval_offdiag(grid)
     res_def = res_tr = 0.0
     for j in np.arange(0, n - 2, max(1, (n - 2) // 48)):
@@ -262,7 +262,7 @@ class TestSolveState:
         grid = build_grid(65, 1.0, kind)
         p = get_problem("random-smooth", 0.75, 1.0, 3).problem
         xi = np.random.default_rng(2).normal(size=(grid.n, p.n_state))
-        sw = product_weights(grid, 0.75).w
+        sw = product_weights(grid, 0.75)
         A = sample_kernel(p.A, grid, p.n_state, p.n_state)
         X = xi.copy()
         for i in range(1, grid.n):
@@ -288,7 +288,7 @@ class TestSolveState:
         ).T
         xi = amp * np.cos(freq * grid.nodes[:, None] + phase)
         x_step = solve_state(p, grid, xi)
-        sw = product_weights(grid, 0.75).w
+        sw = product_weights(grid, 0.75)
         x_kernel = xi.copy()
         for i in range(1, grid.n):
             sing = np.einsum(
@@ -316,7 +316,7 @@ class TestSolveState:
         # uniform grids share one diagonal weight, so A = 1 / w_11 makes
         # every implicit step I - w_ii A singular
         grid = build_grid(17, 1.0)
-        w11 = product_weights(grid, 0.75).w[1, 1]
+        w11 = product_weights(grid, 0.75)[1, 1]
         p = scalar_problem(const_kernel(1.0 / w11), None, None)
         with pytest.raises(vlq_errors.NumericalError, match="implicit step singular"):
             solve_state(p, grid, np.ones((17, 1)))
@@ -356,6 +356,19 @@ class TestControlKernel:
         assert np.all(Psi.regular_part == 0.0)
         assert np.all(Psi.singular_coeff[np.tril_indices(17, k=-1)] == 1.0)
 
+    def test_rejects_resolvent_of_another_beta_or_size(self):
+        # a beta = 0.6 resolvent on the same grid would give a wrong Psi
+        # silently; a smaller one would fail inside numpy broadcasting
+        grid = build_grid(17, 1.0)
+        p = scalar_problem(const_kernel(0.5), const_kernel(1.0), None, beta=0.75)
+        ops = StateOperator(p, grid)
+        other_beta = resolvent(replace(p, beta=0.6), grid)
+        with pytest.raises(ValueError, match=r"beta = 0\.6.*beta = 0\.75"):
+            control_kernel(ops, other_beta)
+        smaller = resolvent(p, build_grid(9, 1.0))
+        with pytest.raises(ValueError, match="n = 9.*n = 17"):
+            control_kernel(ops, smaller)
+
     def test_free_response_consistent_with_kernel_route(self):
         # psi = phi + int Phi phi, the singular factor integrated by
         # product weights on the factored coefficient
@@ -364,7 +377,7 @@ class TestControlKernel:
         ker = resolvent(entry.problem, grid)
         ops = StateOperator(entry.problem, grid)
         phi = ops.phi
-        sw = product_weights(grid, 0.75).w
+        sw = product_weights(grid, 0.75)
         psi_kernel = phi.copy()
         for i in range(1, grid.n):
             coeff = np.einsum("jxy,jy->jx", ker.singular_coeff[i, : i + 1], phi[: i + 1])
@@ -412,7 +425,7 @@ class TestControlKernel:
                 u = example_2_1_control(grid.nodes)
                 sw = product_weights(grid, beta)
                 xi = np.array(
-                    [sw.w[i] @ u for i in range(grid.n)]
+                    [sw[i] @ u for i in range(grid.n)]
                 )[:, None]
                 x = solve_state(p, grid, xi)
                 vals.append(abs(x[-1, 0]))
@@ -476,8 +489,8 @@ class TestProblemData:
         assert np.all(np.isfinite(ops.psi))
 
 def test_resolvent_diverging_series_raises():
-    # a huge coefficient needs more series levels than allowed
+    # a huge coefficient needs more series levels than the cap allows
     grid = build_grid(17, 1.0)
     p = scalar_problem(const_kernel(60.0), None, None)
     with pytest.raises(vlq_errors.NumericalError, match="levels"):
-        resolvent(p, grid, max_levels=4)
+        resolvent(p, grid)
