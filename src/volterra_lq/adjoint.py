@@ -45,16 +45,15 @@ __all__ = ["AdjointTrajectory", "solve_adjoint", "control_from_adjoint"]
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Adjoint solution Y with its forcing split into regular and terminal parts.
+    """Adjoint solution Y and the terminal value zeta = G X(T) + g.
 
-    gamma holds the regular forcing Q X + S' u + q; the terminal coupling
-    A(T,t)' zeta (T - t)^(beta - 1) is kept through zeta = G X(T) + g,
-    which enters the discrete equations as a unit-mass source at the last
-    node.  Y itself solves the backward equation driven by both parts.
+    Y solves the backward equation driven by the regular forcing
+    Q X + S' u + q and the terminal coupling A(T,t)' zeta (T - t)^(beta - 1);
+    zeta enters the discrete equations as a unit-mass source at the last
+    node, and the control formula reads it again.
     """
 
     Y: np.ndarray
-    gamma: np.ndarray
     zeta: np.ndarray
 
 
@@ -78,7 +77,7 @@ def solve_adjoint(
     vterm = ops.terminal_unit(zeta)
     gamma_a = ops.apply_dual_A(vterm)  # quadrature image of A(T,t)' zeta (T-t)^(b-1)
     Y = ops.solve_dual(z.ravel() + gamma_a).reshape(ops.n, ops.dx)
-    return AdjointTrajectory(Y=Y, gamma=z, zeta=zeta)
+    return AdjointTrajectory(Y=Y, zeta=zeta)
 
 
 def control_from_adjoint(

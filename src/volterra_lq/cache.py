@@ -3,14 +3,16 @@
 Kernel files are flat binary with a single ASCII header line documenting
 the exact layout, e.g.
 
-    volterra-kernel v1 n=64 beta=0.75 d1=2 d2=2 res_def=1e-4 res_tr=2e-4 layout=row-major-float64-le C-then-D
+    volterra-kernel v1 n=64 beta=0.75 d1=2 d2=2 res_def=1e-4 res_tr=2e-4 bound=1.5 layout=row-major-float64-le C-then-D
 
 followed by the raw row-major float64 little-endian bytes of the singular
 coefficient table and then the regular part.  The cache directory
 defaults to ~/.cache/volterra-lq and is overridden by the
 VOLTERRA_LQ_CACHE environment variable.  A cached kernel is keyed by what
 it is computed from: a key version, beta, the grid nodes and the sampled
-state kernel A.
+state kernel A, read from the state operator as `ops.A_samples`; a miss
+computes `resolvent(ops)` from the same operator.  The header keeps the
+residuals and the coefficient bound, so a loaded kernel equals the fresh one.
 
 Files are written to a temporary name in the target directory and moved
 into place, so a reader never sees a partial file.  The loader checks the
@@ -24,14 +26,12 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import KernelFileError
-from .grids import Grid
-from .volterra import FactoredKernel, ProblemData, resolvent, sample_kernel
+from .volterra import FactoredKernel, StateOperator, resolvent
 
 __all__ = [
     "save_factored_kernel",
@@ -45,7 +45,7 @@ _EXT = ".vker"
 _MAGIC = "volterra-kernel v1 "
 # changes with the file format or the resolvent series, so that no kernel
 # computed by another version is read back
-_KEY_VERSION = "volterra-kernel v1; resolvent series v4"
+_KEY_VERSION = "volterra-kernel v1 with bound; resolvent series v4"
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -65,7 +65,7 @@ def save_factored_kernel(path, kernel: FactoredKernel):
     header = (
         f"{_MAGIC}n={n} beta={kernel.beta!r} d1={d1} d2={d2} "
         f"res_def={res.get('defining', float('nan'))!r} "
-        f"res_tr={res.get('transposed', float('nan'))!r} "
+        f"res_tr={res.get('transposed', float('nan'))!r} bound={float(kernel.coeff_bound)!r} "
         f"layout=row-major-float64-le C-then-D\n"
     )
     _write_atomic(path, header, C, D)
@@ -79,28 +79,32 @@ def load_factored_kernel(path) -> FactoredKernel:
     """
     with open(path, "rb") as fh:
         header = fh.readline()
-        body = fh.read()
-    try:
-        text = header.decode("ascii")
-        if not text.startswith(_MAGIC):
-            raise ValueError("header magic missing")
-        f = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
-        shape = (2, int(f["n"]), int(f["n"]), int(f["d1"]), int(f["d2"]))
-        beta = float(f["beta"])
-        residuals = {"defining": float(f["res_def"]), "transposed": float(f["res_tr"])}
-        if min(shape) < 1:
-            raise ValueError("nonpositive table dimension")
-    except (KeyError, ValueError) as exc:
-        raise KernelFileError(f"{path}: not a {_MAGIC.strip()} file ({exc})") from None
-    expected = 8 * int(np.prod(shape))
-    if len(body) != expected:
+        try:
+            text = header.decode("ascii")
+            if not text.startswith(_MAGIC):
+                raise ValueError("header magic missing")
+            f = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
+            shape = (2, int(f["n"]), int(f["n"]), int(f["d1"]), int(f["d2"]))
+            beta = float(f["beta"])
+            residuals = {"defining": float(f["res_def"]), "transposed": float(f["res_tr"])}
+            bound = float(f["bound"])
+            if min(shape) < 1:
+                raise ValueError("nonpositive table dimension")
+        except (KeyError, ValueError) as exc:
+            raise KernelFileError(f"{path}: not a {_MAGIC.strip()} file ({exc})") from None
+        expected = 8 * int(np.prod(shape))
+        found = os.fstat(fh.fileno()).st_size - len(header)
+        if found == expected:  # read straight into the tables: no bytes copy, no table copies
+            tables = np.empty(shape, dtype="<f8")
+            found = fh.readinto(tables.reshape(-1).view(np.uint8))
+    if found != expected:
         raise KernelFileError(
-            f"{path}: expected {expected} data bytes after the header, found {len(body)}"
+            f"{path}: expected {expected} data bytes after the header, found {found}"
         )
-    C, D = np.frombuffer(body, dtype="<f8").reshape(shape)
-    kernel = FactoredKernel(singular_coeff=C.copy(), regular_part=D.copy(), beta=beta)
-    kernel.residuals = residuals
-    return kernel
+    C, D = tables
+    return FactoredKernel(
+        singular_coeff=C, regular_part=D, beta=beta, coeff_bound=bound, residuals=residuals
+    )
 
 
 def _write_atomic(path, header: str, *tables: np.ndarray):
@@ -118,23 +122,21 @@ def _write_atomic(path, header: str, *tables: np.ndarray):
         raise
 
 
-def cached_resolvent(
-    problem: ProblemData, grid: Grid, directory: str | None = None
-) -> FactoredKernel:
-    """Resolvent with a file cache keyed by beta, the nodes and the sampled A."""
+def cached_resolvent(ops: StateOperator, directory: str | None = None) -> FactoredKernel:
+    """`resolvent(ops)` with a file cache keyed by beta, the nodes and the sampled A."""
     d = cache_dir(directory)
     d.mkdir(parents=True, exist_ok=True)
-    A = sample_kernel(problem.A, grid, problem.n_state, problem.n_state)
-    key = hashlib.sha256(f"{_KEY_VERSION}|beta={problem.beta!r}|A{A.shape}".encode())
-    key.update(np.ascontiguousarray(grid.nodes, dtype="<f8").tobytes())
-    key.update(np.ascontiguousarray(A, dtype="<f8").tobytes())
+    A = ops.A_samples
+    key = hashlib.sha256(f"{_KEY_VERSION}|beta={ops.beta!r}|A{A.shape}".encode())
+    key.update(np.ascontiguousarray(ops.grid.nodes, dtype="<f8"))
+    key.update(np.ascontiguousarray(A, dtype="<f8"))
     path = d / f"resolvent-{key.hexdigest()[:24]}{_EXT}"
     if path.exists():
         try:
             return load_factored_kernel(path)
         except KernelFileError:
             pass  # damaged or foreign file: a miss, overwritten below
-    kernel = resolvent(replace(problem, A=A), grid)
+    kernel = resolvent(ops)
     save_factored_kernel(path, kernel)
     return kernel
 

@@ -272,8 +272,9 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
     cost_hat = CostData(
         Q=Q_hat, S=None, R=sc.R, q=q_hat, rho=None, G=sc.G, g=sc.g, delta=sc.delta
     )
-    kernel = resolvent(problem_hat, grid) if with_kernels else None
-    dlq_hat = assemble_quadratic_form(StateOperator(problem_hat, grid), cost_hat)
+    ops_hat = StateOperator(problem_hat, grid)
+    kernel = resolvent(ops_hat) if with_kernels else None
+    dlq_hat = assemble_quadratic_form(ops_hat, cost_hat)
     offset = float(np.einsum("i,ia,ia->", ops.omega, rho_resp, sc.rho))
     return ReducedSystem(
         dlq=dlq_hat,

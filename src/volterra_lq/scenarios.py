@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -34,7 +34,8 @@ from .errors import ConfigError
 from .fredholm import representation_terms
 from .grids import build_grid, integrate_singular, product_weights
 from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
-from .volterra import ProblemData, StateOperator, resolvent, sample_kernel, solve_state
+# resolvent is unused here; perfbench/tests/test_perfbench.py pins this import site
+from .volterra import ProblemData, StateOperator, resolvent, solve_state  # noqa: F401
 
 __all__ = ["Check", "ScenarioReport", "run_scenario"]
 
@@ -364,47 +365,35 @@ def _run_convergence(cfg: RunConfig) -> ScenarioReport:
     prev = None
     for level in range(2):
         n_level = (cfg.n - 1) * 2**level + 1
-        grid = build_grid(n_level, cfg.T, cfg.grid, cfg.grading_exponent)
-        A = sample_kernel(problem.A, grid, problem.n_state, problem.n_state)
-        sampled = replace(problem, A=A)
-        kernel = cached_resolvent(sampled, grid, cfg.cache_dir)
+        ops = StateOperator(problem, build_grid(n_level, cfg.T, cfg.grid, cfg.grading_exponent))
+        kernel = cached_resolvent(ops, cfg.cache_dir)
         rows["n"].append(n_level)
-        rows["res_defining"].append(kernel.residuals["defining"])
-        rows["res_transposed"].append(kernel.residuals["transposed"])
-        rows["varconst"].append(_varconst_deviation(sampled, grid, kernel, cfg.seed))
-        rows["series_err"].append(
-            _series_error(problem, grid, kernel) if cfg.problem == "constant-coeff" else np.nan
-        )
-        if level == 0:
-            report.add(
-                "resolvent: defining identity residual",
-                kernel.residuals["defining"],
-                _tol(cfg, "resolvent", 1e-3),
-            )
-            report.add(
-                "resolvent: transposed identity residual",
-                kernel.residuals["transposed"],
-                _tol(cfg, "resolvent", 1e-3),
-            )
-            if cfg.problem == "constant-coeff":
+        for name in ("defining", "transposed"):
+            rows[f"res_{name}"].append(kernel.residuals[name])
+            if level == 0:
                 report.add(
-                    "resolvent: agreement with the constant-coefficient series",
-                    rows["series_err"][-1],
-                    _tol(cfg, "series", 1e-6),
+                    f"resolvent: {name} identity residual",
+                    kernel.residuals[name],
+                    _tol(cfg, "resolvent", 1e-3),
                 )
-        else:
+            else:
+                report.add(
+                    f"resolvent: {name} residual decreases under grid doubling",
+                    prev[name] - kernel.residuals[name],
+                    0.0,
+                    larger_ok=True,
+                )
+        rows["varconst"].append(_varconst_deviation(ops, kernel, cfg.seed))
+        rows["series_err"].append(
+            _series_error(ops, kernel) if cfg.problem == "constant-coeff" else np.nan
+        )
+        if level == 0 and cfg.problem == "constant-coeff":
             report.add(
-                "resolvent: defining residual decreases under grid doubling",
-                prev["defining"] - kernel.residuals["defining"],
-                0.0,
-                larger_ok=True,
+                "resolvent: agreement with the constant-coefficient series",
+                rows["series_err"][-1],
+                _tol(cfg, "series", 1e-6),
             )
-            report.add(
-                "resolvent: transposed residual decreases under grid doubling",
-                prev["transposed"] - kernel.residuals["transposed"],
-                0.0,
-                larger_ok=True,
-            )
+        elif level == 1:
             v_n, v_2n = rows["varconst"]
             report.add(
                 "varconst: stepping vs resolvent solve decreases under grid doubling",
@@ -416,11 +405,12 @@ def _run_convergence(cfg: RunConfig) -> ScenarioReport:
                 order = np.log2(np.divide(v_n, v_2n))
             report.values["varconst: observed order under grid doubling"] = float(order)
         prev = kernel.residuals
+        del ops, kernel  # free this level's tables before the finer grid's are built
     report.tables = {"convergence.csv": rows}
     return report
 
 
-def _varconst_deviation(problem, grid, kernel, seed) -> float:
+def _varconst_deviation(ops, kernel, seed) -> float:
     """Stepping solve vs the variation-of-constants formula through the kernel.
 
     For a seeded smooth xi (per component a cos(w t + p)), the factored
@@ -428,39 +418,39 @@ def _varconst_deviation(problem, grid, kernel, seed) -> float:
 
         x(t_i) = xi(t_i) + sum_j (sw_ij C_ij + tau_ij D_ij) xi(t_j),
 
-    with sw the product-integration weights of the singular part and tau
-    the trapezoid rule over [0, t_i] for the regular part.  The relative
-    distance to `solve_state` is a discretization error of both sides, so
-    it falls under grid doubling and moves with every entry of C and D.
+    with sw = ops.sw the product-integration weights of the singular
+    part and tau the trapezoid rule over [0, t_i] for the regular part.
+    The relative distance to `solve_state` is a discretization error of
+    both sides, so it falls under grid doubling and moves with every entry
+    of C and D.
     """
     rng = np.random.default_rng(seed)
-    n, dx = grid.n, problem.n_state
+    n, dx, nodes, omega = ops.n, ops.dx, ops.grid.nodes, ops.omega
     amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
-    xi = amp * np.cos(freq * grid.nodes[:, None] + phase)
-    x_step = solve_state(problem, grid, xi)
-    sw = product_weights(grid, problem.beta)
-    omega = grid.trapezoid_weights()
+    xi = amp * np.cos(freq * nodes[:, None] + phase)
+    x_step = solve_state(ops, xi)
     # trapezoid rule over [0, t_i]: full weights left of t_i, half a spacing at t_i
     tau = np.tril(np.broadcast_to(omega, (n, n)), -1) + np.diag(
-        np.insert(0.5 * np.diff(grid.nodes), 0, 0.0)
+        np.insert(0.5 * np.diff(nodes), 0, 0.0)
     )
-    weighted = (
-        sw[:, :, None, None] * kernel.singular_coeff + tau[:, :, None, None] * kernel.regular_part
-    )
-    x_conv = xi + (weighted.transpose(0, 2, 1, 3).reshape(n * dx, n * dx) @ xi.ravel()).reshape(
-        n, dx
-    )
+    # the weighted kernel is written in its flat (n dx, n dx) layout, tau D added
+    # in row blocks, so no full-size temporary is made
+    C = kernel.singular_coeff.transpose(0, 2, 1, 3)
+    D = kernel.regular_part.transpose(0, 2, 1, 3)
+    weighted = np.empty((n, dx, n, dx))
+    np.multiply(ops.sw[:, None, :, None], C, out=weighted)
+    for r in range(0, n, 16):
+        weighted[r : r + 16] += tau[r : r + 16, None, :, None] * D[r : r + 16]
+    x_conv = xi + (weighted.reshape(n * dx, n * dx) @ xi.ravel()).reshape(n, dx)
     return _rel(omega, x_step - x_conv, x_step)
 
 
-def _series_error(problem, grid, kernel) -> float:
+def _series_error(ops, kernel) -> float:
     """Constant-coefficient check against the closed-form series at offsets >= 4h."""
     from scipy.special import gammaln
 
-    a = float(np.asarray(problem.A(0.0, 0.0)).ravel()[0])
-    beta = problem.beta
+    a, beta, grid, n = float(ops.A_samples[0, 0, 0, 0]), ops.beta, ops.grid, ops.n
     worst = 0.0
-    n = grid.n
     for d in range(4, n, max(1, (n - 4) // 40)):
         dt = grid.nodes[d] - grid.nodes[0]
         exact = sum(

@@ -36,13 +36,17 @@ Two complementary representations are built here.
     left factor is stored with the node axis innermost, so each source
     column costs one contiguous weighted product and one GEMM.
 
-The factored kernels feed diagnostics and cross-checks; the discrete
-operator layer feeds the optimization modules.
+The discrete operator layer feeds the optimization modules and the
+kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
+kernel cache read the operator's sampled A, weights and weighted fold,
+so those are built once per (problem, grid).  The factored kernels feed
+diagnostics and cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -259,9 +263,10 @@ def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -
 _MAX_LEVELS = 120  # series levels summed before the resolvent is declared divergent
 
 
-def resolvent(problem: ProblemData, grid: Grid) -> FactoredKernel:
+def resolvent(ops: StateOperator) -> FactoredKernel:
     """Resolvent kernel of A(t,s)/(t-s)^(1-beta), in factored form.
 
+    Reads the sampled A, the grid and beta of the state operator `ops`.
     Sums the iterated-kernel series with exact product moments for every
     (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  The returned kernel also
     carries residuals of its defining Volterra identity and of the
@@ -270,10 +275,8 @@ def resolvent(problem: ProblemData, grid: Grid) -> FactoredKernel:
     stops at the first level below 1e-13 of the largest level so far and
     raises NumericalError when `_MAX_LEVELS` levels do not get there.
     """
-    beta = problem.beta
-    n = grid.n
-    dx = problem.n_state
-    Asamp = sample_kernel(problem.A, grid, dx, dx)
+    beta, grid, n, dx = ops.beta, ops.grid, ops.n, ops.dx
+    Asamp = ops.A_samples
     norm_a = float(np.max(np.abs(Asamp))) * dx
     kernel = FactoredKernel(
         singular_coeff=Asamp.copy(),
@@ -316,11 +319,11 @@ def resolvent(problem: ProblemData, grid: Grid) -> FactoredKernel:
             "large for this horizon"
         )
 
-    kernel.residuals = _resolvent_residuals(kernel, Asamp, F2, grid)
+    kernel.residuals = _resolvent_residuals(kernel, ops, F2)
     return kernel
 
 
-def _resolvent_residuals(kernel, Asamp, first, grid):
+def _resolvent_residuals(kernel, ops, first):
     """Independent quadrature residuals of the two defining identities.
 
     defining:   D(t,s) = int A(t,tau) Phi(tau,s) (t-tau)^(b-1) dtau
@@ -330,19 +333,18 @@ def _resolvent_residuals(kernel, Asamp, first, grid):
     quadrature (not the level-wise factored form used to build D), so the
     residual exercises a different discretization of the same identity.
     Over about 48 sampled source columns, the defining identity is one GEMM
-    of the weighted A against those columns of D; the transposed one is,
-    per column, one weighted product of D's rows and one GEMM against A.
+    of the operator's weighted A, `ops.WA_flat`, against those columns of
+    D; the transposed one is, per column, one weighted product of D's rows
+    and one GEMM against A.
     """
-    beta = kernel.beta
-    n, _, dx, _ = Asamp.shape
+    beta, grid, n, dx = kernel.beta, ops.grid, ops.n, ops.dx
+    Asamp = ops.A_samples
     D = kernel.regular_part
-    sw = product_weights(grid, beta)
     cols = np.arange(0, n - 2, max(1, (n - 2) // 48))
     c = cols.size
     # defining identity, kernel A on the left
-    WA = (sw[:, :, None, None] * Asamp).transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
     Dc = D[:, cols].transpose(0, 2, 1, 3).reshape(n * dx, c * dx)
-    quad = (WA @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
+    quad = (ops.WA_flat @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
     # transposed identity, kernel A on the right; weights carry the
     # (tau - s_j)^(beta-1) factor about the lower endpoint (rows i >= j)
     Dt = np.ascontiguousarray(D.transpose(0, 2, 3, 1))  # (n, dx, dx, n)
@@ -369,48 +371,58 @@ def _resolvent_residuals(kernel, Asamp, first, grid):
 class StateOperator:
     """Discrete state equation (I - WA) X = xi and its exact companions.
 
-    WA_flat and WB_flat are the kernel samples folded with the
-    product-integration weights, as flat (n dx, n dx) and (n dx, n du)
-    block matrices.  All adjoints are taken in the trapezoid-weighted inner
-    product of the grid, so that <Theta u, X> = <u, Theta* X> holds to
-    round-off.  No method mutates problem data; the derived maps theta
-    and psi are cached on first access, so touch them before handing the
-    operator to concurrent tasks.
+    sw is the product-integration weight table of the grid.  WA_flat and
+    WB_flat are the kernel samples folded with it, as flat (n dx, n dx)
+    and (n dx, n du) block matrices; the kernel layer (`resolvent`,
+    `solve_state`, the cache) reads the same A_samples, sw and WA_flat.
+    All adjoints are taken in the trapezoid-weighted inner product of the
+    grid, so that <Theta u, X> = <u, Theta* X> holds to round-off.  No
+    method mutates problem data.  The control side (B_samples, WB_flat),
+    the LU factor of I - WA, phi, theta and psi are built on first access
+    and kept, so a state-only caller never pays for them; touch theta and
+    psi before handing the operator to concurrent tasks.
     """
 
     def __init__(self, problem: ProblemData, grid: Grid):
         self.problem = problem
         self.grid = grid
         self.beta = problem.beta
-        n = grid.n
-        dx = problem.n_state
-        du = problem.n_control
-        self.n, self.dx, self.du = n, dx, du
+        self.n, self.dx, self.du = grid.n, problem.n_state, problem.n_control
         self.omega = grid.trapezoid_weights()
-        self.wx = np.repeat(self.omega, dx)
-        self.wu = np.repeat(self.omega, du)
-        sw = product_weights(grid, problem.beta)
-        Asamp = sample_kernel(problem.A, grid, dx, dx)
-        Bsamp = sample_kernel(problem.B, grid, dx, du)
-        self.A_samples = Asamp
-        self.B_samples = Bsamp
-        self.WA_flat = (sw[:, :, None, None] * Asamp).transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
-        self.WB_flat = (sw[:, :, None, None] * Bsamp).transpose(0, 2, 1, 3).reshape(n * dx, n * du)
-        try:
-            self._lu = lu_factor(np.eye(n * dx) - self.WA_flat)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(
-                "state stepping matrix is singular; the grid is too coarse "
-                "relative to the kernel magnitude"
-            ) from exc
-        phi = sample_trajectory(problem.phi, grid, dx)
+        self.wx = np.repeat(self.omega, self.dx)
+        self.wu = np.repeat(self.omega, self.du)
+        self.sw = product_weights(grid, problem.beta)
+        self.A_samples = sample_kernel(problem.A, grid, self.dx, self.dx)
+        self.WA_flat = self._fold(self.A_samples)
+
+    def _fold(self, samples: np.ndarray) -> np.ndarray:
+        """Kernel samples (n, n, d1, d2) times sw, as a flat (n d1, n d2) matrix."""
+        n, _, d1, d2 = samples.shape
+        out = np.empty((n, d1, n, d2))  # the product goes straight into the flat layout
+        np.multiply(self.sw[:, None, :, None], samples.transpose(0, 2, 1, 3), out=out)
+        return out.reshape(n * d1, n * d2)
+
+    @cached_property
+    def B_samples(self) -> np.ndarray:
+        return sample_kernel(self.problem.B, self.grid, self.dx, self.du)
+
+    @cached_property
+    def WB_flat(self) -> np.ndarray:
+        return self._fold(self.B_samples)
+
+    @cached_property
+    def _lu(self):
+        return lu_factor(np.eye(self.n * self.dx) - self.WA_flat)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Sampled free term, shape (n, dx)."""
+        phi = sample_trajectory(self.problem.phi, self.grid, self.dx)
         if not np.all(np.isfinite(phi[0])):
             # free term may blow up at t = 0; carry the first interior sample
             phi = phi.copy()
             phi[0] = phi[1]
-        self.phi = phi
-        self._theta = None
-        self._psi = None
+        return phi
 
     # -- basic solves -----------------------------------------------------
 
@@ -432,19 +444,15 @@ class StateOperator:
 
     # -- derived objects --------------------------------------------------
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
         """Control-to-state map (n dx, n du), quadrature weights included."""
-        if self._theta is None:
-            self._theta = lu_solve(self._lu, self.WB_flat)
-        return self._theta
+        return lu_solve(self._lu, self.WB_flat)
 
-    @property
+    @cached_property
     def psi(self) -> np.ndarray:
         """Free response (control switched off), shape (n, dx)."""
-        if self._psi is None:
-            self._psi = self.solve(self.phi.ravel()).reshape(self.n, self.dx)
-        return self._psi
+        return self.solve(self.phi.ravel()).reshape(self.n, self.dx)
 
     def terminal_unit(self, zeta: np.ndarray) -> np.ndarray:
         """Flat state vector carrying zeta at the last node with unit mass.
@@ -492,26 +500,22 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     return FactoredKernel(singular_coeff=Bsamp.copy(), regular_part=piece1 + piece2, beta=beta)
 
 
-def solve_state(problem: ProblemData, grid: Grid, xi) -> np.ndarray:
+def solve_state(ops: StateOperator, xi) -> np.ndarray:
     """Forward time-stepping solve of X = xi + int A X (t-s)^(beta-1) ds.
 
-    xi is a grid trajectory (array or callable).  Returns X with shape
-    (n, n_state).  The weighted rows sw * A are formed once, and every
-    diagonal block (I - w_ii A(t_i, t_i)) is inverted in one stacked call;
-    step i is then one matvec against the computed past and one dx x dx
-    product.  The blocks are nonsingular on any reasonable grid; a
-    singular one signals a grid far too coarse for the kernel magnitude.
+    xi is a grid trajectory (array or callable) on the grid of `ops`.
+    Returns X with shape (n, n_state).  The rows are the operator's
+    weighted A, `ops.WA_flat`, and every diagonal block (I - w_ii A(t_i, t_i))
+    is inverted in one stacked call; step i is then one matvec against the
+    computed past and one dx x dx product.  A zero A returns xi exactly.
+    The blocks are nonsingular on any reasonable grid; a singular one
+    signals a grid far too coarse for the kernel magnitude.
     """
-    dx = problem.n_state
-    xi_s = sample_trajectory(xi, grid, dx)
-    if problem.A is None:
-        return xi_s.copy()
-    n = grid.n
-    sw = product_weights(grid, problem.beta)
-    Asamp = sample_kernel(problem.A, grid, dx, dx)
-    WA = (sw[:, :, None, None] * Asamp).transpose(0, 2, 1, 3).reshape(n, dx, n * dx)
+    n, dx = ops.n, ops.dx
+    xi_s = sample_trajectory(xi, ops.grid, dx)
+    WA = ops.WA_flat.reshape(n, dx, n * dx)
     diag = np.arange(n)
-    blocks = np.eye(dx) - sw[diag, diag, None, None] * Asamp[diag, diag]
+    blocks = np.eye(dx) - WA.reshape(n, dx, n, dx)[diag, :, diag]
     try:
         step = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:

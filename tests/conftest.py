@@ -32,8 +32,8 @@ class Pipeline:
         self.problem = self.entry.problem
         self.cost = self.entry.cost
         self.grid = vlq.build_grid(n, T, grid_kind)
-        self.kernel = vlq.resolvent(self.problem, self.grid) if with_kernel else None
         self.ops = vlq.StateOperator(self.problem, self.grid)
+        self.kernel = vlq.resolvent(self.ops) if with_kernel else None
         self.Psi = vlq.control_kernel(self.ops, self.kernel) if with_kernel else None
         self.theta = self.ops.theta
         self.theta_T = self.theta[-self.ops.dx :]

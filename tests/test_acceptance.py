@@ -71,7 +71,7 @@ def test_criterion_3_resolvent_residuals():
     entry = get_problem("random-smooth", 0.75, 1.0, seed=42)
     res = []
     for n in (128, 256):
-        kernel = vlq.resolvent(entry.problem, build_grid(n, 1.0))
+        kernel = vlq.resolvent(vlq.StateOperator(entry.problem, build_grid(n, 1.0)))
         res.append(kernel.residuals)
     ok = (
         res[0]["defining"] <= 1e-3
@@ -92,7 +92,7 @@ def test_criterion_4_constant_coefficient_series():
     beta, a = 0.75, 1.0
     entry = get_problem("constant-coeff", beta, 1.0)
     grid = build_grid(128, 1.0)
-    kernel = vlq.resolvent(entry.problem, grid)
+    kernel = vlq.resolvent(vlq.StateOperator(entry.problem, grid))
     h = grid.spacings[0]
     worst = 0.0
     for d in range(4, grid.n):

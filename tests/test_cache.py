@@ -18,7 +18,7 @@ from volterra_lq.errors import KernelFileError
 def test_factored_kernel_round_trip(tmp_path):
     entry = get_problem("random-smooth", 0.75, 1.0, seed=8)
     grid = vlq.build_grid(24, 1.0)
-    kernel = vlq.resolvent(entry.problem, grid)
+    kernel = vlq.resolvent(vlq.StateOperator(entry.problem, grid))
     path = tmp_path / "k.vker"
     save_factored_kernel(path, kernel)
     loaded = load_factored_kernel(path)
@@ -26,6 +26,7 @@ def test_factored_kernel_round_trip(tmp_path):
     assert np.array_equal(loaded.regular_part, kernel.regular_part)
     assert loaded.beta == kernel.beta
     assert loaded.residuals == kernel.residuals
+    assert np.isfinite(kernel.coeff_bound) and loaded.coeff_bound == kernel.coeff_bound
     header = path.read_bytes().split(b"\n", 1)[0].decode()
     assert "volterra-kernel v1" in header
     assert "n=24" in header
@@ -34,15 +35,18 @@ def test_factored_kernel_round_trip(tmp_path):
 def test_cached_resolvent_hits_disk_once(tmp_path):
     entry = get_problem("constant-coeff", 0.75, 1.0)
     grid = vlq.build_grid(24, 1.0)
-    k1 = cached_resolvent(entry.problem, grid, str(tmp_path))
+    ops = vlq.StateOperator(entry.problem, grid)
+    k1 = cached_resolvent(ops, str(tmp_path))
     files = list(tmp_path.glob("*.vker"))
     assert len(files) == 1
     stamp = files[0].stat().st_mtime_ns
-    k2 = cached_resolvent(entry.problem, grid, str(tmp_path))
+    k2 = cached_resolvent(ops, str(tmp_path))
     assert files[0].stat().st_mtime_ns == stamp
     assert np.array_equal(k1.regular_part, k2.regular_part)
+    # a hit carries the fresh kernel's coefficient bound, not the default inf
+    assert np.isfinite(k1.coeff_bound) and k2.coeff_bound == k1.coeff_bound
     # a different grid gets its own entry
-    cached_resolvent(entry.problem, vlq.build_grid(12, 1.0), str(tmp_path))
+    cached_resolvent(vlq.StateOperator(entry.problem, vlq.build_grid(12, 1.0)), str(tmp_path))
     assert len(list(tmp_path.glob("*.vker"))) == 2
     assert clear_cache(str(tmp_path)) == 2
 
@@ -52,12 +56,14 @@ def test_cache_key_covers_the_state_kernel(tmp_path):
     # after a change to the catalog builder
     entry = get_problem("constant-coeff", 0.75, 1.0)
     grid = vlq.build_grid(16, 1.0)
-    other = replace(entry.problem, A=lambda t, s: 0.5 * entry.problem.A(t, s))
-    k1 = cached_resolvent(entry.problem, grid, str(tmp_path))
-    k2 = cached_resolvent(other, grid, str(tmp_path))
+    other = vlq.StateOperator(
+        replace(entry.problem, A=lambda t, s: 0.5 * entry.problem.A(t, s)), grid
+    )
+    k1 = cached_resolvent(vlq.StateOperator(entry.problem, grid), str(tmp_path))
+    k2 = cached_resolvent(other, str(tmp_path))
     assert len(list(tmp_path.glob("*.vker"))) == 2
     assert not np.array_equal(k1.singular_coeff, k2.singular_coeff)
-    assert np.array_equal(k2.singular_coeff, vlq.resolvent(other, grid).singular_coeff)
+    assert np.array_equal(k2.singular_coeff, vlq.resolvent(other).singular_coeff)
 
 
 def _damage(data: bytes, how: str) -> bytes:
@@ -67,11 +73,13 @@ def _damage(data: bytes, how: str) -> bytes:
         return data[: head + half + 3]
     if how == "truncated-even":
         return data[: head + half]
+    if how == "padded":
+        return data + bytes(8)
     # same fields and length under another format's magic
     return data.replace(b"volterra-kernel v1 ", b"some-other-format v1 ", 1)
 
 
-@pytest.mark.parametrize("how", ["truncated-odd", "truncated-even", "foreign-header"])
+@pytest.mark.parametrize("how", ["truncated-odd", "truncated-even", "padded", "foreign-header"])
 def test_damaged_cache_file_is_a_miss(tmp_path, how):
     cache = tmp_path / "cache"
     cfg = tmp_path / "run.cfg"

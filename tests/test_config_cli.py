@@ -1,10 +1,12 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from volterra_lq import ConfigError, RunConfig, StateOperator, load_config, run_scenario
+from volterra_lq import grids, volterra
 from volterra_lq.cli import main
 
 
@@ -422,6 +424,34 @@ def test_one_operator_build_per_problem(tmp_path, monkeypatch, problem, scenario
     )
     assert run_scenario(cfg).passed
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_cold_convergence_samples_and_weighs_once_per_grid(tmp_path, monkeypatch, kind):
+    # the two grids each build one state operator, which alone samples A and
+    # forms the weights; B, which convergence never reads, is not sampled
+    counts = {}
+    for original in (volterra.sample_kernel, grids.product_weights):
+        name = original.__name__
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("volterra_lq"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+    cfg = load_config(
+        write(
+            tmp_path,
+            f"problem = random-smooth(3)\nscenario = convergence\ngrid = {kind}\nn = 17\n"
+            f"outdir = {tmp_path}/out\ncache_dir = {tmp_path}/cache\n",
+        )
+    )
+    assert run_scenario(cfg).passed
+    assert len(list((tmp_path / "cache").glob("*.vker"))) == 2  # both grids missed
+    assert counts == {"sample_kernel": 2, "product_weights": 2}
 
 
 def test_cli_clear_cache(tmp_path, capsys):

@@ -103,9 +103,8 @@ class TestAssembly:
         pipe = rs_pipeline
         sys0 = assemble_fredholm(pipe.dlq, 0)
         other_beta = replace(pipe.problem, beta=0.6)
-        Psi = control_kernel(
-            StateOperator(other_beta, pipe.grid), resolvent(other_beta, pipe.grid)
-        )
+        ops = StateOperator(other_beta, pipe.grid)
+        Psi = control_kernel(ops, resolvent(ops))
         with pytest.raises(ValueError, match=r"beta = 0\.6.*beta = 0\.75"):
             crosscheck_kernel_samples(sys0, pipe.dlq, Psi)
         small = Pipeline("random-smooth", seed=42, n=24, with_kernel=True)

@@ -76,7 +76,7 @@ class TestResolvent:
     def test_zero_kernel(self):
         grid = build_grid(17, 1.0)
         p = scalar_problem(None, const_kernel(1.0), None)
-        ker = resolvent(p, grid)
+        ker = resolvent(StateOperator(p, grid))
         assert np.all(ker.singular_coeff == 0.0)
         assert np.all(ker.regular_part == 0.0)
         assert ker.residuals == {"defining": 0.0, "transposed": 0.0}
@@ -85,7 +85,7 @@ class TestResolvent:
         beta, a = 0.75, 1.0
         grid = build_grid(97, 1.0)
         p = scalar_problem(const_kernel(a), None, None, beta=beta)
-        ker = resolvent(p, grid)
+        ker = resolvent(StateOperator(p, grid))
         h = grid.spacings[0]
         for d in range(4, grid.n, 5):
             dt = d * h
@@ -153,7 +153,7 @@ class TestResolvent:
     def test_residual_pass_matches_column_loop(self, name, seed, kind):
         grid = build_grid(33, 1.0, kind)
         p = get_problem(name, 0.75, 1.0, seed=seed).problem
-        ker = resolvent(p, grid)
+        ker = resolvent(StateOperator(p, grid))
         As = sample_kernel(p.A, grid, p.n_state, p.n_state)
         first = _convolve_columns(As, As, _pair_column_weights(grid, 0.75, 0.75))
         ref = column_loop_residuals(ker, As, first, grid)
@@ -166,7 +166,8 @@ class TestResolvent:
         # the README's claim; the convergence scenario keeps its own 1e-6 gate
         p = get_problem("constant-coeff", 0.75, 1.0).problem
         grid = build_grid(n, 1.0, kind)
-        assert _series_error(p, grid, resolvent(p, grid)) <= 1e-13
+        ops = StateOperator(p, grid)
+        assert _series_error(ops, resolvent(ops)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     def test_column_convolution_matches_triple_loop(self, kind):
@@ -203,7 +204,7 @@ class TestResolvent:
             return out
 
         p = ProblemData(A=A, B=None, phi=None, beta=beta, T=1.0, n_state=2)
-        ker = resolvent(p, grid)
+        ker = resolvent(StateOperator(p, grid))
         h = grid.spacings[0]
         for d in (6, 20, 44):
             dt = d * h
@@ -215,14 +216,14 @@ class TestResolvent:
     def test_graded_grid_residuals_reported(self):
         grid = build_grid(40, 1.0, "graded", 2.0)
         p = get_problem("random-smooth", 0.75, 1.0, seed=5).problem
-        ker = resolvent(p, grid)
+        ker = resolvent(StateOperator(p, grid))
         assert 0.0 < ker.residuals["defining"] < 1e-2
         assert 0.0 < ker.residuals["transposed"] < 1e-2
 
     def test_residuals_vanish_under_refinement(self):
         p = get_problem("random-smooth", 0.75, 1.0, seed=5).problem
         res = [
-            resolvent(p, build_grid(n, 1.0)).residuals for n in (32, 64, 128)
+            resolvent(StateOperator(p, build_grid(n, 1.0))).residuals for n in (32, 64, 128)
         ]
         for key in ("defining", "transposed"):
             assert res[0][key] > res[1][key] > res[2][key]
@@ -234,13 +235,15 @@ class TestSolveState:
     def test_zero_inhomogeneity(self):
         grid = build_grid(17, 1.0)
         p = scalar_problem(const_kernel(0.8), None, None)
-        assert np.all(solve_state(p, grid, np.zeros((17, 1))) == 0.0)
+        assert np.all(solve_state(StateOperator(p, grid), np.zeros((17, 1))) == 0.0)
 
-    def test_zero_kernel_returns_inhomogeneity(self):
-        grid = build_grid(17, 1.0)
-        p = scalar_problem(None, None, None)
-        xi = np.sin(grid.nodes)[:, None]
-        assert np.array_equal(solve_state(p, grid, xi), xi)
+    @pytest.mark.parametrize("dx", [1, 2])
+    def test_zero_kernel_returns_inhomogeneity(self, dx):
+        # no special case: stepping with a zero WA returns xi bit for bit
+        grid = build_grid(17, 1.0, "graded")
+        p = ProblemData(A=None, B=None, phi=None, beta=0.75, T=1.0, n_state=dx)
+        xi = np.sin(grid.nodes[:, None] * np.arange(1, dx + 1))
+        assert np.array_equal(solve_state(StateOperator(p, grid), xi), xi)
 
     def test_stepping_matches_resolvent_convolution(self):
         # variation of constants: forward substitution vs the dense
@@ -249,8 +252,8 @@ class TestSolveState:
         p = get_problem("random-smooth", 0.75, 1.0, seed=9).problem
         rng = np.random.default_rng(1)
         xi = rng.normal(size=(grid.n, p.n_state))
-        x_step = solve_state(p, grid, xi)
         ops = StateOperator(p, grid)
+        x_step = solve_state(ops, xi)
         n = grid.n * p.n_state
         rmat = np.linalg.inv(np.eye(n) - ops.WA_flat) - np.eye(n)
         x_conv = xi + (rmat @ xi.ravel()).reshape(grid.n, p.n_state)
@@ -268,7 +271,8 @@ class TestSolveState:
         for i in range(1, grid.n):
             rhs = xi[i] + np.einsum("j,jxy,jy->x", sw[i, :i], A[i, :i], X[:i])
             X[i] = np.linalg.solve(np.eye(p.n_state) - sw[i, i] * A[i, i], rhs)
-        assert np.abs(solve_state(p, grid, xi) - X).max() <= 1e-14 * np.abs(X).max()
+        x_step = solve_state(StateOperator(p, grid), xi)
+        assert np.abs(x_step - X).max() <= 1e-14 * np.abs(X).max()
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     @pytest.mark.parametrize(
@@ -280,14 +284,15 @@ class TestSolveState:
         # and the trapezoid rule on D, against the stepping solve
         grid = build_grid(65, 1.0, kind)
         p = get_problem(name, 0.75, 1.0, seed).problem
-        ker = resolvent(p, grid)
+        ops = StateOperator(p, grid)
+        ker = resolvent(ops)
         # the scenario's seeded probe: a cos(w t + phase) per component
         rng = np.random.default_rng(5)
         amp, freq, phase = rng.uniform(
             (0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(p.n_state, 3)
         ).T
         xi = amp * np.cos(freq * grid.nodes[:, None] + phase)
-        x_step = solve_state(p, grid, xi)
+        x_step = solve_state(ops, xi)
         sw = product_weights(grid, 0.75)
         x_kernel = xi.copy()
         for i in range(1, grid.n):
@@ -302,15 +307,16 @@ class TestSolveState:
             x_kernel[i] += sing + reg
         reference = rel_l2(grid.trapezoid_weights(), x_kernel, x_step)
         assert reference < 2e-3
-        assert _varconst_deviation(p, grid, ker, 5) == pytest.approx(reference, rel=1e-12)
+        assert _varconst_deviation(ops, ker, 5) == pytest.approx(reference, rel=1e-12)
 
     def test_varconst_check_reads_the_regular_part(self):
         grid = build_grid(65, 1.0)
         p = get_problem("random-smooth", 0.75, 1.0, 3).problem
-        ker = resolvent(p, grid)
+        ops = StateOperator(p, grid)
+        ker = resolvent(ops)
         perturbed = replace(ker, regular_part=1.01 * ker.regular_part)
-        value = _varconst_deviation(p, grid, ker, 0)
-        assert _varconst_deviation(p, grid, perturbed, 0) >= 3.0 * value
+        value = _varconst_deviation(ops, ker, 0)
+        assert _varconst_deviation(ops, perturbed, 0) >= 3.0 * value
 
     def test_singular_diagonal_block_raises(self):
         # uniform grids share one diagonal weight, so A = 1 / w_11 makes
@@ -319,7 +325,7 @@ class TestSolveState:
         w11 = product_weights(grid, 0.75)[1, 1]
         p = scalar_problem(const_kernel(1.0 / w11), None, None)
         with pytest.raises(vlq_errors.NumericalError, match="implicit step singular"):
-            solve_state(p, grid, np.ones((17, 1)))
+            solve_state(StateOperator(p, grid), np.ones((17, 1)))
 
     def test_superposition_of_controls(self, rs_pipeline):
         pipe = rs_pipeline
@@ -341,7 +347,7 @@ class TestControlKernel:
         grid = build_grid(17, 1.0)
         p = scalar_problem(const_kernel(0.5), None, lambda t: np.sin(t)[:, None])
         ops = StateOperator(p, grid)
-        Psi = control_kernel(ops, resolvent(p, grid))
+        Psi = control_kernel(ops, resolvent(ops))
         assert np.all(Psi.singular_coeff == 0.0)
         assert np.all(Psi.regular_part == 0.0)
         # state independent of the control
@@ -351,7 +357,7 @@ class TestControlKernel:
         grid = build_grid(17, 1.0)
         p = scalar_problem(None, const_kernel(1.0), None)
         ops = StateOperator(p, grid)
-        Psi = control_kernel(ops, resolvent(p, grid))
+        Psi = control_kernel(ops, resolvent(ops))
         assert np.all(ops.psi == 0.0)
         assert np.all(Psi.regular_part == 0.0)
         assert np.all(Psi.singular_coeff[np.tril_indices(17, k=-1)] == 1.0)
@@ -362,10 +368,10 @@ class TestControlKernel:
         grid = build_grid(17, 1.0)
         p = scalar_problem(const_kernel(0.5), const_kernel(1.0), None, beta=0.75)
         ops = StateOperator(p, grid)
-        other_beta = resolvent(replace(p, beta=0.6), grid)
+        other_beta = resolvent(StateOperator(replace(p, beta=0.6), grid))
         with pytest.raises(ValueError, match=r"beta = 0\.6.*beta = 0\.75"):
             control_kernel(ops, other_beta)
-        smaller = resolvent(p, build_grid(9, 1.0))
+        smaller = resolvent(StateOperator(p, build_grid(9, 1.0)))
         with pytest.raises(ValueError, match="n = 9.*n = 17"):
             control_kernel(ops, smaller)
 
@@ -374,8 +380,8 @@ class TestControlKernel:
         # product weights on the factored coefficient
         grid = build_grid(64, 1.0)
         entry = get_problem("random-smooth", 0.75, 1.0, seed=3)
-        ker = resolvent(entry.problem, grid)
         ops = StateOperator(entry.problem, grid)
+        ker = resolvent(ops)
         phi = ops.phi
         sw = product_weights(grid, 0.75)
         psi_kernel = phi.copy()
@@ -396,7 +402,8 @@ class TestControlKernel:
         beta, a, b = 0.75, 0.8, 1.3
         grid = build_grid(n, 1.0, kind)
         p = scalar_problem(const_kernel(a), const_kernel(b), None, beta=beta)
-        Psi = control_kernel(StateOperator(p, grid), resolvent(p, grid))
+        ops = StateOperator(p, grid)
+        Psi = control_kernel(ops, resolvent(ops))
         exact = (b / a) * series_kernel(a, beta, grid.T - grid.nodes[:-1])
         err = np.abs(Psi.eval_offdiag(grid)[-1, :-1, 0, 0] - exact)
         assert err[-1] <= 2.0 * err[:-1].max()
@@ -427,7 +434,7 @@ class TestControlKernel:
                 xi = np.array(
                     [sw[i] @ u for i in range(grid.n)]
                 )[:, None]
-                x = solve_state(p, grid, xi)
+                x = solve_state(StateOperator(p, grid), xi)
                 vals.append(abs(x[-1, 0]))
             if expect_growth:
                 assert vals[2] > 1.5 * vals[0]
@@ -493,4 +500,4 @@ def test_resolvent_diverging_series_raises():
     grid = build_grid(17, 1.0)
     p = scalar_problem(const_kernel(60.0), None, None)
     with pytest.raises(vlq_errors.NumericalError, match="levels"):
-        resolvent(p, grid)
+        resolvent(StateOperator(p, grid))
