@@ -17,8 +17,8 @@ residuals and the coefficient bound, so a loaded kernel equals the fresh one.
 Files are written to a temporary name in the target directory and moved
 into place, so a reader never sees a partial file.  The loader checks the
 magic, the header fields and the exact data length and raises
-KernelFileError otherwise; a cached kernel that fails the check counts as a
-miss and is recomputed.
+KernelFileError otherwise; a cached kernel that fails the check, or whose
+shape or beta is not the operator's, counts as a miss and is recomputed.
 """
 
 from __future__ import annotations
@@ -133,9 +133,11 @@ def cached_resolvent(ops: StateOperator, directory: str | None = None) -> Factor
     path = d / f"resolvent-{key.hexdigest()[:24]}{_EXT}"
     if path.exists():
         try:
-            return load_factored_kernel(path)
+            kernel = load_factored_kernel(path)
+            if kernel.singular_coeff.shape == A.shape and kernel.beta == ops.beta:
+                return kernel
         except KernelFileError:
-            pass  # damaged or foreign file: a miss, overwritten below
+            pass  # damaged, foreign or of another grid: a miss, overwritten below
     kernel = resolvent(ops)
     save_factored_kernel(path, kernel)
     return kernel

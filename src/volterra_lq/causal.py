@@ -45,13 +45,8 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import AssumptionError, NumericalError
 from .lq import CostData, DiscreteLQ, SampledCost, assemble_quadratic_form
-from .volterra import (
-    FactoredKernel,
-    ProblemData,
-    StateOperator,
-    resolvent,
-    sample_trajectory,
-)
+# resolvent is unused here; perfbench/tests/test_perfbench.py pins this import site
+from .volterra import ProblemData, StateOperator, resolvent, sample_trajectory  # noqa: F401
 
 __all__ = [
     "RestrictedOperator",
@@ -228,7 +223,6 @@ class ReducedSystem:
     S_samples: np.ndarray
     rho_samples: np.ndarray
     R_inv: np.ndarray
-    resolvent_kernel: FactoredKernel | None
 
     def to_reduced_control(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         shift = np.einsum("icx,ix->ic", self.S_samples, x) + self.rho_samples
@@ -239,7 +233,7 @@ class ReducedSystem:
         return v - np.einsum("iab,ib->ia", self.R_inv, shift)
 
 
-def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> ReducedSystem:
+def build_cross_term_reduction(dlq: DiscreteLQ) -> ReducedSystem:
     """Fold the cross weights S, rho into shifted problem data.
 
     dlq is the assembled original problem.  The shifted kernels are built
@@ -247,9 +241,7 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
     (`reduced.dlq`, whose state operator is `reduced.dlq.ops`) is exactly
     equivalent to the original one: optimal controls map through
     u = v - R^(-1)(S X + rho) and optimal values differ by the recorded
-    constant.  With `with_kernels=True` the resolvent of the reduced
-    system is computed as well; its factored control kernel is
-    `control_kernel(reduced.dlq.ops, reduced.resolvent_kernel)`.
+    constant.
     """
     ops, sc = dlq.ops, dlq.cost_samples
     problem, grid = ops.problem, ops.grid
@@ -273,7 +265,6 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
         Q=Q_hat, S=None, R=sc.R, q=q_hat, rho=None, G=sc.G, g=sc.g, delta=sc.delta
     )
     ops_hat = StateOperator(problem_hat, grid)
-    kernel = resolvent(ops_hat) if with_kernels else None
     dlq_hat = assemble_quadratic_form(ops_hat, cost_hat)
     offset = float(np.einsum("i,ia,ia->", ops.omega, rho_resp, sc.rho))
     return ReducedSystem(
@@ -282,7 +273,6 @@ def build_cross_term_reduction(dlq: DiscreteLQ, with_kernels: bool = False) -> R
         S_samples=sc.S,
         rho_samples=sc.rho,
         R_inv=Rinv,
-        resolvent_kernel=kernel,
     )
 
 

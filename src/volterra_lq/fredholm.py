@@ -432,7 +432,7 @@ def crosscheck_kernel_samples(
     from the terminal corner (where the integration domain degenerates to
     a few segments); within that region the two routes agree to first
     order in the step.  A Psi of another node count or beta raises
-    ValueError.
+    ValueError, and so does a grid too coarse to hold such a pair.
     """
     _require_matching_kernel(Psi, dlq.ops, "the control kernel Psi")
     rng = rng or np.random.default_rng(0)
@@ -441,12 +441,14 @@ def crosscheck_kernel_samples(
     nodes = grid.nodes
     hi = max(int(0.85 * n), 3)
     sep = 6.0 * grid.T / n
+    if nodes[hi - 1] - nodes[1] < sep:  # the widest pair in range is (1, hi - 1)
+        raise ValueError(f"no pair of nodes 1 <= i, j < {hi} lies {sep:.3g} apart on n = {n}")
     sc = dlq.cost_samples
     Rinv = sc.R_inverses()
     beta = dlq.ops.beta
     B = Psi.singular_coeff
     D = Psi.regular_part
-    terminal_row = Psi.eval_offdiag(grid)[-1]  # Psi(T, s_j)
+    values = Psi.eval_offdiag(grid)  # Psi(t_l, s_i), zero for l <= i
     scale = float(np.max(np.abs(sys.kernel)))
     worst = 0.0
     pairs = 0
@@ -462,15 +464,9 @@ def crosscheck_kernel_samples(
         # the max argument is factored into exact lower-endpoint weights;
         # the other argument's kernel is finite on the whole domain and
         # evaluated from the factored table.
-        off_i = taus - nodes[i]
-        off_j = taus - nodes[j]
-        with np.errstate(divide="ignore"):
-            pow_i = np.where(off_i > 0, off_i ** (beta - 1.0), 0.0)
-            pow_j = np.where(off_j > 0, off_j ** (beta - 1.0), 0.0)
         Q_tau = sc.Q[m:]
-        psi_i = B[m:, i] * pow_i[:, None, None] + D[m:, i]
-        psi_j = B[m:, j] * pow_j[:, None, None] + D[m:, j]
-        sing = lower_product_weights(grid, beta, m)[-1]
+        psi_i, psi_j = values[m:, i], values[m:, j]
+        sing = lower_product_weights(grid, beta, m)
         if i >= j:
             coeff_sing = np.einsum("lxc,lxy,lyd->lcd", B[m:, i], Q_tau, psi_j)
             coeff_reg = np.einsum("lxc,lxy,lyd->lcd", D[m:, i], Q_tau, psi_j)
@@ -480,7 +476,7 @@ def crosscheck_kernel_samples(
         integral = np.einsum("l,lcd->cd", sing, coeff_sing) + np.einsum(
             "l,lcd->cd", trapezoid_rule(taus), coeff_reg
         )
-        terminal = terminal_row[i].T @ sc.G @ terminal_row[j]
+        terminal = values[-1, i].T @ sc.G @ values[-1, j]
         K_quad = -Rinv[i] @ (integral + terminal)
         K_alg = sys.kernel[i * du : (i + 1) * du, j * du : (j + 1) * du]
         worst = max(worst, float(np.max(np.abs(K_quad - K_alg)) / scale))

@@ -19,7 +19,9 @@ reproduced exactly: the weights of row i always sum to t_i^beta / beta.
 `product_weights` returns the weights of every t_i as one plain (n, n)
 table, row i for t_i, which `integrate_singular` reads.
 `lower_product_weights` is the mirror image with the singularity at the
-lower endpoint, and `trapezoid_rule` the plain rule every module shares.
+lower endpoint s_j: one row of weights over [s_j, T], which every target
+t_i > s_j shares because its callers weigh tables that vanish for s >= t_i.
+`trapezoid_rule` is the plain rule every module shares.
 The doubly singular moments behind the resolvent live in `volterra`.
 """
 
@@ -167,9 +169,12 @@ def product_weights(grid: Grid, beta: float) -> np.ndarray:
 def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
     """Hat weights against (s - s_j)^(beta-1), singular at the lower endpoint.
 
-    Returns W of shape (n - j, n - j): sum_l W[i - j, l] g(s_{j+l})
-    approximates int_{s_j}^{t_i} (s - s_j)^(beta-1) g(s) ds for i >= j,
-    exactly for piecewise-linear g.  Moments are taken in offsets from s_j.
+    Returns the row w of shape (n - j,): sum_l w[l] g(s_{j+l}) approximates
+    int_{s_j}^T (s - s_j)^(beta-1) g(s) ds, exactly for piecewise-linear g.
+    Moments are taken in offsets from s_j.  Integrating only up to an
+    earlier node t_i drops the segments past t_i, which changes the row
+    only at s_l >= t_i; every caller weighs tables that vanish there, so
+    all targets share the one row.
     """
     nodes = grid.nodes
     lo = nodes[j:-1] - nodes[j]
@@ -177,15 +182,10 @@ def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
     h = hi - lo
     mu0 = (hi**beta - lo**beta) / beta
     mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
-    wl = mu0 - mu1 / h
-    wr = mu1 / h
-    m = grid.n - j
-    # row i - j integrates over the segments l < i - j
-    segs = np.arange(m - 1)[None, :] < np.arange(m)[:, None]
-    W = np.zeros((m, m))
-    W[:, :-1] += np.where(segs, wl[None, :], 0.0)
-    W[:, 1:] += np.where(segs, wr[None, :], 0.0)
-    return W
+    w = np.zeros(grid.n - j)
+    w[:-1] += mu0 - mu1 / h
+    w[1:] += mu1 / h
+    return w
 
 
 def integrate_singular(w: np.ndarray, i: int, g: np.ndarray):
@@ -219,19 +219,14 @@ def check_young_bound(grid: Grid, beta: float, theta0: np.ndarray, s: float) -> 
     if not 0.0 <= s < grid.T:
         raise ValueError(f"s must lie in [0, T), got {s}")
     nodes = grid.nodes
-    later = np.nonzero(nodes > s)[0]
-    # eta at each node beyond s, singular weight integrated exactly per segment
-    pts = np.concatenate(([s], nodes[later]))
-    vals = np.concatenate(([np.interp(s, nodes, theta0)], theta0[later]))
-    eta = np.zeros(pts.size)
-    for k in range(1, pts.size):
-        t = pts[k]
-        lo, hi = pts[:k], pts[1 : k + 1]
-        mu0, mu1 = segment_moments(t, beta, lo, hi)
-        h = hi - lo
-        wl = mu0 - mu1 / h
-        wr = mu1 / h
-        eta[k] = wl @ vals[:k] + wr @ vals[1 : k + 1]
+    # eta at s and every node beyond it, by the product weights of those
+    # points shifted to start at 0; a single last segment is split in two,
+    # since a grid needs 3 nodes
+    pts = np.concatenate(([s], nodes[nodes > s]))
+    if pts.size < 3:
+        pts = np.array([s, 0.5 * (s + grid.T), grid.T])
+    vals = np.interp(pts, nodes, theta0)
+    eta = product_weights(Grid(nodes=pts - s, T=grid.T - s, kind="shifted"), beta) @ vals
     trap = trapezoid_rule(pts)
     norm_eta = np.sqrt(trap @ eta**2)
     norm_theta = np.sqrt(trap @ vals**2)

@@ -416,10 +416,11 @@ def _varconst_deviation(ops, kernel, seed) -> float:
     For a seeded smooth xi (per component a cos(w t + p)), the factored
     resolvent Phi = C (t-s)^(beta-1) + D gives
 
-        x(t_i) = xi(t_i) + sum_j (sw_ij C_ij + tau_ij D_ij) xi(t_j),
+        x(t_i) = xi(t_i) + sum_j (sw_ij C_ij + omega_j D_ij) xi(t_j),
 
-    with sw = ops.sw the product-integration weights of the singular
-    part and tau the trapezoid rule over [0, t_i] for the regular part.
+    with sw = ops.sw the product-integration weights of the singular part
+    and omega = ops.omega the trapezoid rule for the regular part: D is
+    zero for s_j >= t_i, so the sum is the trapezoid rule over [0, t_i].
     The relative distance to `solve_state` is a discretization error of
     both sides, so it falls under grid doubling and moves with every entry
     of C and D.
@@ -429,19 +430,14 @@ def _varconst_deviation(ops, kernel, seed) -> float:
     amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
     xi = amp * np.cos(freq * nodes[:, None] + phase)
     x_step = solve_state(ops, xi)
-    # trapezoid rule over [0, t_i]: full weights left of t_i, half a spacing at t_i
-    tau = np.tril(np.broadcast_to(omega, (n, n)), -1) + np.diag(
-        np.insert(0.5 * np.diff(nodes), 0, 0.0)
-    )
-    # the weighted kernel is written in its flat (n dx, n dx) layout, tau D added
-    # in row blocks, so no full-size temporary is made
-    C = kernel.singular_coeff.transpose(0, 2, 1, 3)
+    # sw C comes in its flat (n dx, n dx) layout, and omega D is added in row
+    # blocks, so no full-size temporary is made
+    weighted = ops._fold(kernel.singular_coeff)
+    blocks = weighted.reshape(n, dx, n, dx)
     D = kernel.regular_part.transpose(0, 2, 1, 3)
-    weighted = np.empty((n, dx, n, dx))
-    np.multiply(ops.sw[:, None, :, None], C, out=weighted)
     for r in range(0, n, 16):
-        weighted[r : r + 16] += tau[r : r + 16, None, :, None] * D[r : r + 16]
-    x_conv = xi + (weighted.reshape(n * dx, n * dx) @ xi.ravel()).reshape(n, dx)
+        blocks[r : r + 16] += omega[None, None, :, None] * D[r : r + 16]
+    x_conv = xi + (weighted @ xi.ravel()).reshape(n, dx)
     return _rel(omega, x_step - x_conv, x_step)
 
 

@@ -28,13 +28,15 @@ Two complementary representations are built here.
     `control_kernel(ops, resolvent_kernel)` derives the factored control
     kernel Psi of the same grid from it.
 
-    Every kernel product (each series level, and both pieces of Psi) runs
-    through one column loop, `_convolve_columns`, which differs only in
-    its weight source: the incomplete-beta weights of each source column
-    (`_pair_column`; on a uniform grid every column is a slice of column
-    0's), or the lower-endpoint weights for the regular part of Psi.  The
-    left factor is stored with the node axis innermost, so each source
-    column costs one contiguous weighted product and one GEMM.
+    Every kernel product (each series level, both pieces of Psi and the
+    transposed residual pass) runs through one column loop,
+    `_convolve_columns`, which differs only in its weight source: the
+    incomplete-beta weights of each source column (`_pair_column`; on a
+    uniform grid every column is a slice of column 0's), or the one row of
+    lower-endpoint weights that every target shares, for the regular part
+    D (zero on and above the diagonal) against A or B.  The left factor is
+    stored with the node axis innermost, so each source column costs one
+    contiguous weighted product and one GEMM.
 
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
@@ -159,7 +161,8 @@ class FactoredKernel:
     """Kernel K(t,s) = singular_coeff(t,s) (t-s)^(beta-1) + regular_part(t,s).
 
     Both parts are finite at every sampled off-diagonal point; the
-    singular coefficient extends continuously to the diagonal.  The
+    singular coefficient extends continuously to the diagonal, and
+    `regular_part` is zero on and above the diagonal.  The
     `residuals` dict records how well the kernel satisfies its defining
     equation (filled in by `resolvent`).
     """
@@ -181,9 +184,7 @@ class FactoredKernel:
         il = np.tril_indices(n, k=-1)
         fac = np.zeros((n, n))
         fac[il] = dt[il] ** (self.beta - 1.0)
-        return self.singular_coeff * fac[:, :, None, None] + np.where(
-            (fac != 0.0)[:, :, None, None], self.regular_part, 0.0
-        )
+        return self.singular_coeff * fac[:, :, None, None] + self.regular_part
 
 
 def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
@@ -224,19 +225,22 @@ def _pair_column_weights(grid: Grid, p: float, q: float):
     return lambda j: _pair_column(grid, p, q, j)
 
 
-def _convolve_columns(Fsamples, Gsamples, column_weights) -> np.ndarray:
+def _convolve_columns(Fsamples, Gsamples, column_weights, columns=None) -> np.ndarray:
     """out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j.
 
     Wj = column_weights(j) has shape (n-j-1, n-j) and carries whichever
-    singular factors the product integrates.  F is stored node-innermost,
-    (n, d1, dm, n), so each source column is one contiguous weighted
-    product over rows of length n - j and one GEMM against G's column.
+    singular factors the product integrates, or shape (1, n-j) for one
+    row that every target shares (the lower-endpoint weights, against an
+    F that is zero for l >= i).  F is stored node-innermost, (n, d1, dm, n),
+    so each source column is one contiguous weighted product over rows of
+    length n - j and one GEMM against G's column.  Only the source columns
+    j in `columns` are computed (default: all); the others stay zero.
     """
     n, _, d1, dm = Fsamples.shape
     d2 = Gsamples.shape[-1]
     F = np.ascontiguousarray(Fsamples.transpose(0, 2, 3, 1))  # (n, d1, dm, n)
     out = np.zeros((n, n, d1, d2))
-    for j in range(n - 1):
+    for j in range(n - 1) if columns is None else columns:
         Fw = F[j + 1 :, :, :, j:] * column_weights(j)[:, None, None, :]
         Gj = Gsamples[j:, j].transpose(1, 0, 2).reshape(-1, d2)  # rows (y, l)
         out[j + 1 :, j] = (Fw.reshape(-1, dm * (n - j)) @ Gj).reshape(n - j - 1, d1, d2)
@@ -334,11 +338,10 @@ def _resolvent_residuals(kernel, ops, first):
     residual exercises a different discretization of the same identity.
     Over about 48 sampled source columns, the defining identity is one GEMM
     of the operator's weighted A, `ops.WA_flat`, against those columns of
-    D; the transposed one is, per column, one weighted product of D's rows
-    and one GEMM against A.
+    D; the transposed one is the column loop `_convolve_columns` of D
+    against A over the same columns, weighted by the lower-endpoint row.
     """
     beta, grid, n, dx = kernel.beta, ops.grid, ops.n, ops.dx
-    Asamp = ops.A_samples
     D = kernel.regular_part
     cols = np.arange(0, n - 2, max(1, (n - 2) // 48))
     c = cols.size
@@ -346,13 +349,10 @@ def _resolvent_residuals(kernel, ops, first):
     Dc = D[:, cols].transpose(0, 2, 1, 3).reshape(n * dx, c * dx)
     quad = (ops.WA_flat @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
     # transposed identity, kernel A on the right; weights carry the
-    # (tau - s_j)^(beta-1) factor about the lower endpoint (rows i >= j)
-    Dt = np.ascontiguousarray(D.transpose(0, 2, 3, 1))  # (n, dx, dx, n)
-    quad_tr = np.zeros_like(quad)
-    for k, j in enumerate(cols):
-        Dw = Dt[j:, :, :, j:] * lower_product_weights(grid, beta, j)[:, None, None, :]
-        Aj = Asamp[j:, j].transpose(1, 0, 2).reshape(-1, dx)  # rows (y, l)
-        quad_tr[j:, k] = (Dw.reshape(-1, dx * (n - j)) @ Aj).reshape(n - j, dx, dx)
+    # (tau - s_j)^(beta-1) factor about the lower endpoint
+    quad_tr = _convolve_columns(
+        D, ops.A_samples, lambda j: lower_product_weights(grid, beta, j)[None], columns=cols
+    )[:, cols]
 
     denom = 1.0 + np.abs(kernel.eval_offdiag(grid)[:, cols]).max(axis=(2, 3))
     rows = np.arange(n)[:, None] >= cols + 2  # targets i >= j + 2 of column j
@@ -495,7 +495,7 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
         resolvent_kernel.singular_coeff, Bsamp, _pair_column_weights(grid, beta, beta)
     )
     piece2 = _convolve_columns(
-        resolvent_kernel.regular_part, Bsamp, lambda j: lower_product_weights(grid, beta, j)[1:]
+        resolvent_kernel.regular_part, Bsamp, lambda j: lower_product_weights(grid, beta, j)[None]
     )
     return FactoredKernel(singular_coeff=Bsamp.copy(), regular_part=piece1 + piece2, beta=beta)
 

@@ -15,6 +15,24 @@ def blockdiag(blocks):
     return out
 
 
+def lower_weight_table(grid, beta, j):
+    """Lower-endpoint hat weights of every target t_i, i >= j: a test reference.
+
+    Row i - j integrates (s - s_j)^(beta-1) g(s) over [s_j, t_i] only, so
+    it weighs exactly the segments left of t_i; shape (n - j, n - j).
+    """
+    off = grid.nodes[j:] - grid.nodes[j]
+    lo, hi = off[:-1], off[1:]
+    mu0 = (hi**beta - lo**beta) / beta
+    mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
+    m = off.size
+    segs = np.arange(m - 1)[None, :] < np.arange(m)[:, None]  # segment l < i - j
+    W = np.zeros((m, m))
+    W[:, :-1] += np.where(segs, mu0 - mu1 / (hi - lo), 0.0)
+    W[:, 1:] += np.where(segs, mu1 / (hi - lo), 0.0)
+    return W
+
+
 def rel_l2(omega, a, b):
     """Weighted relative L2 distance of two trajectories."""
     num = np.sqrt(np.einsum("i,ic,ic->", omega, a - b, a - b))

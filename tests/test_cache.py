@@ -66,6 +66,58 @@ def test_cache_key_covers_the_state_kernel(tmp_path):
     assert np.array_equal(k2.singular_coeff, vlq.resolvent(other).singular_coeff)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_regular_part_vanishes_on_and_above_the_diagonal(tmp_path, kind):
+    # the lower-endpoint row weighs every target alike, which is exact only
+    # because D(t_i, s_l) = 0 for l >= i: fresh, read back, and in Psi
+    entry = get_problem("random-smooth", 0.75, 1.0, seed=7)
+    ops = vlq.StateOperator(entry.problem, vlq.build_grid(17, 1.0, kind))
+    fresh = cached_resolvent(ops, str(tmp_path))
+    read = cached_resolvent(ops, str(tmp_path))
+    on_or_above = np.arange(ops.n)[:, None] <= np.arange(ops.n)
+    for kernel in (fresh, read, vlq.control_kernel(ops, read)):
+        assert np.any(kernel.regular_part != 0.0)
+        assert np.all(kernel.regular_part[on_or_above] == 0.0)
+
+
+def test_kernel_of_another_grid_is_a_miss(tmp_path):
+    # a well-formed file of another n, d1 x d2 or beta under this key is
+    # recomputed and overwritten, not handed to the caller
+    entry = get_problem("random-smooth", 0.75, 1.0, seed=3)
+    grid = vlq.build_grid(17, 1.0)
+    ops = vlq.StateOperator(entry.problem, grid)
+    good = cached_resolvent(ops, str(tmp_path))
+    (path,) = tmp_path.glob("*.vker")
+    good_bytes = path.read_bytes()
+    foreign = (
+        vlq.StateOperator(entry.problem, vlq.build_grid(9, 1.0)),
+        vlq.StateOperator(get_problem("constant-coeff", 0.75, 1.0).problem, grid),
+        vlq.StateOperator(replace(entry.problem, beta=0.6), grid),
+    )
+    for other in foreign:
+        save_factored_kernel(path, vlq.resolvent(other))
+        kernel = cached_resolvent(ops, str(tmp_path))
+        assert np.array_equal(kernel.singular_coeff, good.singular_coeff)
+        assert np.array_equal(kernel.regular_part, good.regular_part)
+        assert kernel.beta == good.beta
+        assert path.read_bytes() == good_bytes
+    # the same through the CLI: the coarse level's file under the fine one's key
+    cache = tmp_path / "cli-cache"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "problem = random-smooth(3)\nscenario = convergence\nn = 9\n"
+        f"outdir = {tmp_path / 'out'}\ncache_dir = {cache}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    first = (tmp_path / "out" / "convergence.csv").read_bytes()
+    small, large = sorted(cache.glob("*.vker"), key=lambda f: f.stat().st_size)
+    large_bytes = large.read_bytes()
+    large.write_bytes(small.read_bytes())
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert large.read_bytes() == large_bytes
+    assert (tmp_path / "out" / "convergence.csv").read_bytes() == first
+
+
 def _damage(data: bytes, how: str) -> bytes:
     head = data.index(b"\n") + 1
     half = (len(data) - head) // 16 * 8

@@ -356,15 +356,14 @@ class TestCrossTermReduction:
         back = red.to_original_control(v, pipe.x_opt)
         assert np.allclose(back, pipe.u_opt, atol=1e-14)
 
-    def test_with_kernels_builds_factored_tables(self):
+    def test_reduced_operator_builds_factored_kernels(self):
         entry = get_problem("cross-term", 0.75, 1.0, seed=3)
         grid = build_grid(24, 1.0)
         ops = StateOperator(entry.problem, grid)
-        red = build_cross_term_reduction(
-            vlq.assemble_quadratic_form(ops, entry.cost), with_kernels=True
-        )
-        assert red.resolvent_kernel.singular_coeff.shape == (24, 24, 2, 2)
-        Psi = vlq.control_kernel(red.dlq.ops, red.resolvent_kernel)
+        red = build_cross_term_reduction(vlq.assemble_quadratic_form(ops, entry.cost))
+        kernel = vlq.resolvent(red.dlq.ops)
+        assert kernel.singular_coeff.shape == (24, 24, 2, 2)
+        Psi = vlq.control_kernel(red.dlq.ops, kernel)
         assert Psi.singular_coeff.shape == Psi.regular_part.shape == (24, 24, 2, 2)
 
 

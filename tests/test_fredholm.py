@@ -111,6 +111,15 @@ class TestAssembly:
         with pytest.raises(ValueError, match="n = 24.*n = 48"):
             crosscheck_kernel_samples(sys0, pipe.dlq, small.Psi)
 
+    def test_crosscheck_needs_a_pair_six_steps_apart(self):
+        # on a uniform grid of 9 nodes no two of nodes 1..6 lie 6T/n apart:
+        # a ValueError naming n, not an endless search; 10 nodes hold a pair
+        nine, ten = (Pipeline("random-smooth", seed=42, n=n, with_kernel=True) for n in (9, 10))
+        with pytest.raises(ValueError, match="n = 9"):
+            crosscheck_kernel_samples(assemble_fredholm(nine.dlq, 0), nine.dlq, nine.Psi)
+        worst = crosscheck_kernel_samples(assemble_fredholm(ten.dlq, 0), ten.dlq, ten.Psi)
+        assert np.isfinite(worst)
+
 
 class TestDirectSolve:
     def test_zero_right_side(self, gain_setup):

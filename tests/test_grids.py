@@ -11,6 +11,8 @@ from volterra_lq import (
 from volterra_lq.catalog import example_2_1_control
 from volterra_lq.grids import lower_product_weights
 
+from conftest import lower_weight_table
+
 
 def test_uniform_nodes():
     assert np.allclose(build_grid(3, 1.0).nodes, [0.0, 0.5, 1.0])
@@ -55,16 +57,26 @@ def test_row_sums_reproduce_constants(beta, kind, exponent):
 @pytest.mark.parametrize("beta", [0.4, 0.75])
 @pytest.mark.parametrize("kind,exponent", [("uniform", 2.0), ("graded", 2.5)])
 def test_lower_endpoint_weights_exact_for_linear_integrands(beta, kind, exponent):
-    # int_{s_j}^{t_i} (s - s_j)^(beta-1) {1, s - s_j} ds for every i >= j
+    # int_{s_j}^T (s - s_j)^(beta-1) g(s) ds for g = 1, s - s_j and, for every
+    # target t_i > s_j, the piecewise-linear g = (t_i - s)_+
     grid = build_grid(33, 1.5, kind, exponent)
     nodes = grid.nodes
     for j in range(grid.n):
-        W = lower_product_weights(grid, beta, j)
+        w = lower_product_weights(grid, beta, j)
         off = nodes[j:] - nodes[j]
-        tol = dict(rtol=1e-12, atol=1e-14 * off[-1] ** beta / beta)
-        assert np.all(W[0] == 0.0)
-        assert np.allclose(W @ np.ones(off.size), off**beta / beta, **tol)
-        assert np.allclose(W @ off, off ** (beta + 1.0) / (beta + 1.0), **tol)
+        tol = dict(rel=1e-12, abs=1e-14 * off[-1] ** beta / beta)
+        assert w.shape == (grid.n - j,)
+        assert w @ np.ones(off.size) == pytest.approx(off[-1] ** beta / beta, **tol)
+        assert w @ off == pytest.approx(off[-1] ** (beta + 1.0) / (beta + 1.0), **tol)
+        for i in range(j + 1, grid.n):
+            exact = off[i - j] ** (beta + 1.0) / (beta * (beta + 1.0))
+            assert w @ np.maximum(off[i - j] - off, 0.0) == pytest.approx(exact, **tol)
+        # the target t_i's own weights are the row truncated: they differ
+        # only at s_l >= t_i, where every caller's table is zero
+        table = lower_weight_table(grid, beta, j)
+        assert np.array_equal(table[-1], w)
+        for r in range(table.shape[0]):
+            assert np.array_equal(table[r, :r], w[:r]) and np.all(table[r, r + 1 :] == 0.0)
 
 
 def test_linear_integrand_exact_moment():
@@ -171,6 +183,14 @@ class TestYoungBound:
             theta0 = rng.uniform(0.0, 2.0, size=grid.n)
             s = float(rng.uniform(0.0, 0.8))
             assert check_young_bound(grid, beta, theta0, s), f"trial {trial}"
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_start_in_the_last_segment(self, kind):
+        # at most one node lies past s: too few points for a grid of their own
+        grid = build_grid(9, 1.0, kind)
+        for s in (grid.nodes[-2], 0.5 * (grid.nodes[-2] + 1.0)):
+            assert check_young_bound(grid, 0.75, np.ones(grid.n), s) is True
+            assert check_young_bound(grid, 0.6, np.linspace(0.0, 1.0, grid.n), s) is True
 
     def test_rejects_bad_start(self):
         grid = build_grid(9, 1.0)

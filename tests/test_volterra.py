@@ -24,7 +24,7 @@ from volterra_lq.volterra import (
 from volterra_lq.grids import lower_product_weights
 from volterra_lq.scenarios import _series_error, _varconst_deviation
 
-from conftest import rel_l2
+from conftest import lower_weight_table, rel_l2
 
 
 def scalar_problem(A, B, phi, beta=0.75, T=1.0):
@@ -54,7 +54,7 @@ def column_loop_residuals(kernel, Asamp, first, grid):
             res_def,
             float(np.max(np.abs(D[ii, j] - rhs[ii]).max(axis=(1, 2)) / denom[ii])),
         )
-        Wlow = lower_product_weights(grid, beta, j)
+        Wlow = lower_weight_table(grid, beta, j)
         quad_tr = np.einsum("it,itxz->ixz", Wlow, np.matmul(D[j:, j:], Asamp[None, j:, j]))
         rhs_tr = first[j:, j] + quad_tr
         res_tr = max(
@@ -171,25 +171,38 @@ class TestResolvent:
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     def test_column_convolution_matches_triple_loop(self, kind):
-        # unequal block sizes, so a wrong reshape or block order fails
+        # unequal block sizes, so a wrong reshape or block order fails; the
+        # lower-endpoint row meets a strictly lower F, as the regular part is,
+        # and the reference weighs each target with its own table row
         grid = build_grid(9, 1.0, kind)
         n, d1, dm, d2 = grid.n, 2, 3, 1
         rng = np.random.default_rng(11)
         F = rng.normal(size=(n, n, d1, dm))
         G = rng.normal(size=(n, n, dm, d2))
+        F_lower = F * (np.arange(n)[:, None] > np.arange(n))[:, :, None, None]
+        pair = _pair_column_weights(grid, 0.75, 0.6)
         sources = (
-            _pair_column_weights(grid, 0.75, 0.6),
-            lambda j: lower_product_weights(grid, 0.75, j)[1:],
+            (F, pair, pair),
+            (
+                F_lower,
+                lambda j: lower_product_weights(grid, 0.75, j)[None],
+                lambda j: lower_weight_table(grid, 0.75, j)[1:],
+            ),
         )
-        for weights in sources:
+        for F, weights, ref_weights in sources:
             ref = np.zeros((n, n, d1, d2))
             for j in range(n - 1):
-                Wj = weights(j)
+                Wj = ref_weights(j)
                 for i in range(j + 1, n):
                     for l in range(j, n):
                         ref[i, j] += Wj[i - j - 1, l - j] * F[i, l] @ G[l, j]
             got = _convolve_columns(F, G, weights)
             assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+            # a subset of source columns: those columns alone, the others zero
+            cols = [0, 3, n - 2]
+            part = _convolve_columns(F, G, weights, columns=cols)
+            assert np.array_equal(part[:, cols], got[:, cols])
+            assert np.all(np.delete(part, cols, axis=1) == 0.0)
 
     def test_diagonal_matrix_coefficient_componentwise(self):
         beta = 0.8
