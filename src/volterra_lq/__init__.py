@@ -37,7 +37,7 @@ from .lq import (
     solve_open_loop,
     verify_control_relation,
 )
-from .adjoint import AdjointTrajectory, control_from_adjoint, solve_adjoint
+from .adjoint import control_from_adjoint, solve_adjoint
 from .causal import (
     ReducedSystem,
     RestrictedOperator,
@@ -49,7 +49,6 @@ from .causal import (
     lambda_sigma,
 )
 from .fredholm import (
-    FeedbackKernel,
     FredholmSystem,
     assemble_fredholm,
     crosscheck_kernel_samples,

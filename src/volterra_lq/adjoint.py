@@ -26,35 +26,20 @@ the solver's algebraic value; pointwise assertions exclude the terminal
 node, norm comparisons are weighted-L2.
 
 Both steps reuse the state operator of the problem: `solve_adjoint(ops,
-cost, x_bar, u_bar)` and `control_from_adjoint(adjoint, ops, cost, x_bar)`
-with ops the `StateOperator` of (problem, grid), as in `dlq.ops`; the
-cost may be already sampled.
+cost, x_bar, u_bar)` returns Y, shape (n, dx), and
+`control_from_adjoint(Y, ops, cost, x_bar)` forms the terminal value
+G X(T) + g again from its own x_bar; ops is the `StateOperator` of
+(problem, grid), as in `dlq.ops`, and the cost may be already sampled.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lq import CostData, SampledCost, _sampled_cost
 from .volterra import StateOperator, sample_trajectory
 
-__all__ = ["AdjointTrajectory", "solve_adjoint", "control_from_adjoint"]
-
-
-@dataclass(frozen=True)
-class AdjointTrajectory:
-    """Adjoint solution Y and the terminal value zeta = G X(T) + g.
-
-    Y solves the backward equation driven by the regular forcing
-    Q X + S' u + q and the terminal coupling A(T,t)' zeta (T - t)^(beta - 1);
-    zeta enters the discrete equations as a unit-mass source at the last
-    node, and the control formula reads it again.
-    """
-
-    Y: np.ndarray
-    zeta: np.ndarray
+__all__ = ["solve_adjoint", "control_from_adjoint"]
 
 
 def solve_adjoint(
@@ -62,11 +47,14 @@ def solve_adjoint(
     cost: CostData | SampledCost,
     x_bar: np.ndarray,
     u_bar: np.ndarray,
-) -> AdjointTrajectory:
-    """Solve the backward adjoint equation for a given state/control pair.
+) -> np.ndarray:
+    """Adjoint trajectory Y, shape (n, dx), of a given state/control pair.
 
-    Requires beta > 1/2 so that X(T), and with it the terminal coupling,
-    is defined.
+    Y solves the backward equation driven by the regular forcing
+    Q X + S' u + q and the terminal coupling A(T,t)' zeta (T - t)^(beta - 1)
+    with zeta = G X(T) + g, which enters the discrete equations as a
+    unit-mass source at the last node.  Requires beta > 1/2 so that X(T),
+    and with it the terminal coupling, is defined.
     """
     ops.problem.require_lq()
     sc = _sampled_cost(cost, ops)
@@ -76,12 +64,11 @@ def solve_adjoint(
     zeta = sc.G @ X[-1] + sc.g
     vterm = ops.terminal_unit(zeta)
     gamma_a = ops.apply_dual_A(vterm)  # quadrature image of A(T,t)' zeta (T-t)^(b-1)
-    Y = ops.solve_dual(z.ravel() + gamma_a).reshape(ops.n, ops.dx)
-    return AdjointTrajectory(Y=Y, zeta=zeta)
+    return ops.solve_dual(z.ravel() + gamma_a).reshape(ops.n, ops.dx)
 
 
 def control_from_adjoint(
-    adjoint: AdjointTrajectory,
+    Y: np.ndarray,
     ops: StateOperator,
     cost: CostData | SampledCost,
     x_bar: np.ndarray,
@@ -92,11 +79,14 @@ def control_from_adjoint(
     quadrature; the terminal coupling B(T,t)' (G X(T) + g) (T-t)^(beta-1)
     is integrated through its factored form (finite at all nodes t < T;
     the last node receives the one-sided quadrature contribution only).
+    Y and x_bar are read as (n, dx) trajectories; another shape raises
+    ValueError.
     """
     sc = _sampled_cost(cost, ops)
+    Y = sample_trajectory(Y, ops.grid, ops.dx)
     X = sample_trajectory(x_bar, ops.grid, ops.dx)
-    vterm = ops.terminal_unit(adjoint.zeta)
-    backward = ops.apply_dual_B(adjoint.Y.ravel()) + ops.apply_dual_B(vterm)
+    vterm = ops.terminal_unit(sc.G @ X[-1] + sc.g)
+    backward = ops.apply_dual_B(Y.ravel()) + ops.apply_dual_B(vterm)
     total = backward.reshape(ops.n, ops.du)
     total = total + np.einsum("ica,ia->ic", sc.S, X) + sc.rho
     Rinv = sc.R_inverses()

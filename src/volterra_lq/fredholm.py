@@ -54,9 +54,10 @@ columns of the nodes >= sigma: K_sigma M is the sliced product
 Kmat[:, sigma:] M[sigma:], and the projected matrix Gram - H' Wu K_sigma H
 is sliced from one product H' Wu Kmat shared by every sigma, so a node
 costs O((n - sigma) du (q du)^2) for its projected system plus a few
-sliced kernel-vector products.  Every solver returns the gain table `M`
-and its Fredholm `residual`; the `fredholm-methods` scenario walks the
-sweep itself and measures each iterate's distance to the direct oracle.
+sliced kernel-vector products.  Every whole-table solver returns the gain
+table flat, shape (n du, n du), in the layout of `rhs`; the
+`fredholm-methods` scenario walks the sweep itself and measures each
+iterate's distance to the direct oracle.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from .volterra import FactoredKernel, _require_matching_kernel
 
 __all__ = [
     "FredholmSystem",
-    "FeedbackKernel",
     "assemble_fredholm",
     "solve_direct",
     "solve_galerkin",
@@ -93,10 +93,11 @@ class FredholmSystem:
     """Discretized gain equation at one truncation index.
 
     `kernel` holds samples K(t_i, xi_j) as (du x du) blocks; `Kmat` folds
-    the integration weights so the equation reads
-    (I - Kmat . mask_sigma) M = f columnwise.  The right side coincides
-    with the kernel samples (zero-extension of the control kernel), so
-    `rhs` aliases `kernel`.
+    the integration weights so the equation reads M - K_sigma M = f
+    columnwise, with K_sigma M = `apply(M)` reading the kernel columns of
+    the nodes >= sigma only.  The right side coincides with the kernel
+    samples (zero-extension of the control kernel), so `rhs` aliases
+    `kernel`.
     """
 
     kernel: np.ndarray  # flat (n du, n du), kernel-normalized columns
@@ -114,37 +115,10 @@ class FredholmSystem:
     def n(self) -> int:
         return self.grid.n
 
-    def column_mask(self) -> np.ndarray:
-        keep = np.arange(self.n) >= self.sigma_index
-        return np.repeat(keep, self.du)
-
-    def masked_Kmat(self) -> np.ndarray:
-        return self.Kmat * self.column_mask()[None, :]
-
     def apply(self, M: np.ndarray) -> np.ndarray:
         """K_sigma M, reading only the kernel columns of the nodes >= sigma."""
         lo = self.sigma_index * self.du
         return self.Kmat[:, lo:] @ M[lo:]
-
-
-@dataclass
-class FeedbackKernel:
-    """Gain kernel table M[t_i, s_j] of a whole-table solver.
-
-    residual is the achieved Fredholm residual relative to the right
-    side.  Distances to the direct oracle are measured by the caller.
-    """
-
-    M: np.ndarray  # (n, n, du, du)
-    residual: float
-
-    def flat(self) -> np.ndarray:
-        n, _, du, _ = self.M.shape
-        return self.M.transpose(0, 2, 1, 3).reshape(n * du, n * du)
-
-
-def _table(flat: np.ndarray, n: int, du: int) -> np.ndarray:
-    return flat.reshape(n, du, n, du).transpose(0, 2, 1, 3)
 
 
 def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
@@ -174,27 +148,18 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
     )
 
 
-def solve_direct(sys: FredholmSystem) -> FeedbackKernel:
+def solve_direct(sys: FredholmSystem) -> np.ndarray:
     """Dense solve of the gain equation; oracle for the projection family."""
-    A = np.eye(sys.n * sys.du) - sys.masked_Kmat()
+    lo = sys.sigma_index * sys.du
+    A = np.eye(sys.n * sys.du)
+    A[:, lo:] -= sys.Kmat[:, lo:]
     try:
-        M_flat = np.linalg.solve(A, sys.rhs)
+        return np.linalg.solve(A, sys.rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "gain equation is singular; the coercivity assumptions are "
             "likely violated"
         ) from exc
-    return _solved(sys, M_flat)
-
-
-def _solved(sys: FredholmSystem, M_flat) -> FeedbackKernel:
-    """Gain table of a solver with its relative residual."""
-    r = M_flat - sys.apply(M_flat) - sys.rhs
-    scale = np.linalg.norm(sys.rhs)
-    return FeedbackKernel(
-        M=_table(M_flat, sys.n, sys.du),
-        residual=float(np.linalg.norm(r) / (scale if scale > 0 else 1.0)),
-    )
 
 
 def _hat_basis(n: int, q: int) -> np.ndarray:
@@ -292,26 +257,31 @@ def _sweep(proj: _Projection, f: np.ndarray):
         M = K(proj.solve_projected(M_tt - M_t)) + M_tt
 
 
-def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> FeedbackKernel:
+def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> np.ndarray:
     """Projection solve on the piecewise-linear subspace."""
     proj = _Projection(sys, subspace_dim)
-    return _solved(sys, next(_sweep(proj, sys.rhs)))
+    return next(_sweep(proj, sys.rhs))
 
 
-def solve_iterated_galerkin(sys: FredholmSystem, galerkin: FeedbackKernel) -> FeedbackKernel:
+def solve_iterated_galerkin(sys: FredholmSystem, galerkin: np.ndarray) -> np.ndarray:
     """One kernel application on top of the Galerkin solution.
 
-    The sweep's second step, f + K M, applied to the given Galerkin table.
+    The sweep's second step, f + K M, applied to the given flat Galerkin
+    table; a table of another shape than `sys.rhs` raises ValueError.
     """
-    return _solved(sys, sys.rhs + sys.apply(galerkin.flat()))
+    if galerkin.shape != sys.rhs.shape:
+        raise ValueError(
+            f"Galerkin table has shape {galerkin.shape}, expected {sys.rhs.shape}"
+        )
+    return sys.rhs + sys.apply(galerkin)
 
 
-def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) -> FeedbackKernel:
+def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) -> np.ndarray:
     """Five-step refinement loop: k_iters sweeps from the iterated-Galerkin start."""
     if k_iters < 0:
         raise ValueError("iteration count must be >= 0")
     proj = _Projection(sys, subspace_dim)
-    return _solved(sys, next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None)))
+    return next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None))
 
 
 def _direct_gain_rows(factor, R: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -288,10 +288,6 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
         beta=beta,
         coeff_bound=_coeff_bound_series(norm_a, beta, grid.T),
     )
-    if norm_a == 0.0:
-        kernel.residuals = {"defining": 0.0, "transposed": 0.0}
-        return kernel
-
     dt = grid.nodes[:, None] - grid.nodes[None, :]
     il = np.tril_indices(n, k=-1)
     G = Asamp.copy()  # coefficient of (t-s)^(k*beta - 1), level k = 1

@@ -33,6 +33,11 @@ def lower_weight_table(grid, beta, j):
     return W
 
 
+def gain_table(flat, n, du):
+    """Flat (n du, n du) gain table as blocks M[t_i, s_j], (n, n, du, du): a test reference."""
+    return flat.reshape(n, du, n, du).transpose(0, 2, 1, 3)
+
+
 def rel_l2(omega, a, b):
     """Weighted relative L2 distance of two trajectories."""
     num = np.sqrt(np.einsum("i,ic,ic->", omega, a - b, a - b))

@@ -116,8 +116,8 @@ def test_criterion_4_constant_coefficient_series():
 
 def test_criterion_5_three_way_equivalence(eq_pipeline):
     pipe = eq_pipeline
-    adj = vlq.solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
-    u_mp = vlq.control_from_adjoint(adj, pipe.ops, pipe.cost, pipe.x_opt)
+    Y = vlq.solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u_mp = vlq.control_from_adjoint(Y, pipe.ops, pipe.cost, pipe.x_opt)
     traj = vlq.causal_trajectories(pipe.ops, pipe.u_opt)
     u_causal = vlq.abstract_causal_control(pipe.dlq, traj)
     u_fb = vlq.feedback_control(pipe.dlq)

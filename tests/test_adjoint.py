@@ -26,9 +26,8 @@ def regular_forcing(pipe, cost_samples):
 def test_homogeneous_forcing_gives_zero_adjoint(rs_pipeline):
     pipe = rs_pipeline
     cost = CostData(R=1.0)
-    adj = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
-    assert np.all(adj.Y == 0.0)
-    assert np.all(adj.zeta == 0.0)
+    Y = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
+    assert np.all(Y == 0.0)
 
 
 def test_no_kernel_coupling_returns_forcing(rs_pipeline):
@@ -39,10 +38,10 @@ def test_no_kernel_coupling_returns_forcing(rs_pipeline):
         A=None, B=p.B, phi=p.phi, beta=p.beta, T=p.T,
         n_state=p.n_state, n_control=p.n_control,
     )
-    adj = solve_adjoint(StateOperator(decoupled, pipe.grid), pipe.cost, pipe.x_opt, pipe.u_opt)
+    Y = solve_adjoint(StateOperator(decoupled, pipe.grid), pipe.cost, pipe.x_opt, pipe.u_opt)
     forcing = regular_forcing(pipe, pipe.dlq.cost_samples)
     assert np.any(forcing != 0.0)
-    assert np.allclose(adj.Y, forcing, atol=1e-14)
+    assert np.allclose(Y, forcing, atol=1e-14)
 
 
 def test_resolvent_representation_of_adjoint(rs_pipeline):
@@ -50,7 +49,7 @@ def test_resolvent_representation_of_adjoint(rs_pipeline):
     # system: two factorizations of the same discrete equation
     pipe = rs_pipeline
     sc = pipe.dlq.cost_samples
-    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    Y = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
     ops = StateOperator(pipe.problem, pipe.grid)
     n, dx = pipe.grid.n, pipe.problem.n_state
     wx = np.repeat(pipe.omega, dx)
@@ -60,14 +59,14 @@ def test_resolvent_representation_of_adjoint(rs_pipeline):
     vterm = ops.terminal_unit(zeta)
     rmat = np.linalg.inv(np.eye(n * dx) - dual)
     y2 = rmat @ (z.ravel() + dual @ vterm)
-    assert rel_l2(pipe.omega, adj.Y, y2.reshape(n, dx)) < 1e-10
+    assert rel_l2(pipe.omega, Y, y2.reshape(n, dx)) < 1e-10
 
 
 def test_control_vanishes_without_data(rs_pipeline):
     pipe = rs_pipeline
     cost = CostData(R=1.0)
-    adj = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
-    u = control_from_adjoint(adj, pipe.ops, cost, pipe.x_opt)
+    Y = solve_adjoint(pipe.ops, cost, pipe.x_opt, pipe.u_opt)
+    u = control_from_adjoint(Y, pipe.ops, cost, pipe.x_opt)
     assert np.all(u == 0.0)
 
 
@@ -80,29 +79,39 @@ def test_control_vanishes_without_control_kernel(rs_pipeline):
     )
     cost = CostData(Q=pipe.cost.Q, R=1.0, q=pipe.cost.q, G=pipe.cost.G, g=pipe.cost.g)
     ops = StateOperator(no_b, pipe.grid)
-    adj = solve_adjoint(ops, cost, pipe.x_opt, pipe.u_opt)
-    assert np.any(adj.Y != 0.0)
-    u = control_from_adjoint(adj, ops, cost, pipe.x_opt)
+    Y = solve_adjoint(ops, cost, pipe.x_opt, pipe.u_opt)
+    assert np.any(Y != 0.0)
+    u = control_from_adjoint(Y, ops, cost, pipe.x_opt)
     assert np.all(u == 0.0)
+
+
+def test_control_rejects_adjoint_of_another_shape(rs_pipeline):
+    # Y is read like x_bar: a flat or transposed trajectory is refused
+    pipe = rs_pipeline
+    Y = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    for bad in (Y.ravel(), Y.T, Y[:-1]):
+        with pytest.raises(ValueError, match="trajectory has shape"):
+            control_from_adjoint(bad, pipe.ops, pipe.cost, pipe.x_opt)
 
 
 def test_adjoint_satisfies_backward_equation(rs_pipeline):
     # residual of the discrete backward equation at the solved trajectory
     pipe = rs_pipeline
-    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    Y = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
     ops = StateOperator(pipe.problem, pipe.grid)
-    zeta = adj.zeta
-    forcing = regular_forcing(pipe, pipe.dlq.cost_samples).ravel()
+    sc = pipe.dlq.cost_samples
+    zeta = sc.G @ pipe.x_opt[-1] + sc.g
+    forcing = regular_forcing(pipe, sc).ravel()
     forcing += ops.apply_dual_A(ops.terminal_unit(zeta))
-    residual = adj.Y.ravel() - forcing - ops.apply_dual_A(adj.Y.ravel())
-    scale = 1.0 + np.max(np.abs(adj.Y))
+    residual = Y.ravel() - forcing - ops.apply_dual_A(Y.ravel())
+    scale = 1.0 + np.max(np.abs(Y))
     assert np.max(np.abs(residual)) <= 1e-11 * scale
 
 
 def test_matches_direct_optimizer(rs_pipeline):
     pipe = rs_pipeline
-    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
-    u = control_from_adjoint(adj, pipe.ops, pipe.cost, pipe.x_opt)
+    Y = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u = control_from_adjoint(Y, pipe.ops, pipe.cost, pipe.x_opt)
     unorm = np.sqrt(np.einsum("i,ic,ic->", pipe.omega, pipe.u_opt, pipe.u_opt))
     assert rel_l2(pipe.omega, u, pipe.u_opt) <= 1e-5 * (1.0 + unorm)
 
@@ -119,8 +128,8 @@ def test_agreement_stays_at_round_off_under_refinement():
         dlq = vlq.assemble_quadratic_form(ops, entry.cost)
         u = vlq.solve_open_loop(dlq)
         x = (ops.psi.ravel() + ops.theta @ u.ravel()).reshape(grid.n, -1)
-        adj = solve_adjoint(ops, entry.cost, x, u)
-        u2 = control_from_adjoint(adj, ops, entry.cost, x)
+        Y = solve_adjoint(ops, entry.cost, x, u)
+        u2 = control_from_adjoint(Y, ops, entry.cost, x)
         tols.append(rel_l2(grid.trapezoid_weights(), u2, u))
     assert all(t < 1e-10 for t in tols)
 
@@ -138,7 +147,7 @@ def test_terminal_node_excluded_from_pointwise_claims(rs_pipeline):
     # the terminal value of the adjoint-based control is the solver's
     # algebraic value; interior nodes match the optimizer pointwise
     pipe = rs_pipeline
-    adj = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
-    u = control_from_adjoint(adj, pipe.ops, pipe.cost, pipe.x_opt)
+    Y = solve_adjoint(pipe.ops, pipe.cost, pipe.x_opt, pipe.u_opt)
+    u = control_from_adjoint(Y, pipe.ops, pipe.cost, pipe.x_opt)
     interior = np.max(np.abs(u[:-1] - pipe.u_opt[:-1]))
     assert interior <= 1e-10 * (1.0 + np.max(np.abs(pipe.u_opt)))

@@ -118,6 +118,35 @@ def test_kernel_of_another_grid_is_a_miss(tmp_path):
     assert (tmp_path / "out" / "convergence.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_zero_state_kernel_convergence_run(tmp_path, kind):
+    # no A: the series alone gives the zero kernel with zero residuals and
+    # coefficient bound 1, on both levels; two runs into two caches write
+    # the same tables and the same kernel files
+    runs = []
+    for run in ("a", "b"):
+        cfg = tmp_path / f"{run}.cfg"
+        cfg.write_text(
+            f"problem = inline\nscenario = convergence\ngrid = {kind}\nn = 17\n"
+            f"B = 1.0\nphi = 1.0\noutdir = {tmp_path / run}\n"
+            f"cache_dir = {tmp_path / run / 'cache'}\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        files = sorted((tmp_path / run / "cache").glob("*.vker"))
+        assert len(files) == 2
+        for path in files:
+            kernel = load_factored_kernel(path)
+            assert np.all(kernel.singular_coeff == 0.0)
+            assert np.all(kernel.regular_part == 0.0)
+            assert kernel.residuals == {"defining": 0.0, "transposed": 0.0}
+            assert kernel.coeff_bound == 1.0
+        rows = (tmp_path / run / "convergence.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[1:4] for r in rows] == [["0", "0", "0"]] * 2
+        tables = [tmp_path / run / name for name in ("convergence.csv", "residuals.csv")]
+        runs.append([path.read_bytes() for path in tables + files])
+    assert runs[0] == runs[1]
+
+
 def _damage(data: bytes, how: str) -> bytes:
     head = data.index(b"\n") + 1
     half = (len(data) - head) // 16 * 8

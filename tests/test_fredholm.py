@@ -23,7 +23,7 @@ from volterra_lq import (
 from volterra_lq.catalog import get_problem
 from volterra_lq.causal import TruncationFactor, causal_trajectories, lambda_sigma
 
-from conftest import Pipeline, blockdiag, rel_l2
+from conftest import Pipeline, blockdiag, gain_table, rel_l2
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ class TestAssembly:
         sys0 = assemble_fredholm(dlq, 0)
         assert np.all(sys0.kernel == 0.0)
         assert np.all(sys0.rhs == 0.0)
-        assert np.all(solve_direct(sys0).M == 0.0)
+        assert np.all(solve_direct(sys0) == 0.0)
 
     def test_kernel_symmetric_for_unit_control_weight(self):
         # scalar problem, R = I, G = 0: K(t, xi) = K(xi, t)
@@ -65,7 +65,8 @@ class TestAssembly:
         _, sys0, _ = gain_setup
         sys_t = replace(sys0, sigma_index=t)
         M = np.random.default_rng(t).normal(size=(sys0.n * sys0.du, 3))
-        expected = sys_t.masked_Kmat() @ M
+        mask = np.repeat(np.arange(sys0.n) >= t, sys0.du)
+        expected = (sys0.Kmat * mask[None, :]) @ M
         poisoned = M.copy()
         poisoned[: t * sys0.du] = np.nan
         got = sys_t.apply(poisoned)
@@ -125,17 +126,19 @@ class TestDirectSolve:
     def test_zero_right_side(self, gain_setup):
         pipe, sys0, _ = gain_setup
         hollow = replace(sys0, kernel=np.zeros_like(sys0.kernel))
-        assert np.all(solve_direct(hollow).M == 0.0)
+        assert np.all(solve_direct(hollow) == 0.0)
 
     def test_no_integral_term_returns_right_side(self, gain_setup):
         pipe, sys0, _ = gain_setup
         plain = replace(sys0, Kmat=np.zeros_like(sys0.Kmat))
         out = solve_direct(plain)
-        assert np.allclose(out.flat(), sys0.rhs, atol=1e-14)
+        assert np.allclose(out, sys0.rhs, atol=1e-14)
 
     def test_residual_is_round_off(self, gain_setup):
+        # relative Fredholm residual of the dense solve at sigma = 0
         _, sys0, oracle = gain_setup
-        assert oracle.residual <= 1e-10
+        r = oracle - sys0.Kmat @ oracle - sys0.rhs
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(sys0.rhs)
 
     def test_matches_definition_through_restricted_inverse(self, gain_setup):
         # gain table from its defining operator expression: the columns
@@ -156,7 +159,7 @@ class TestDirectSolve:
             y = restricted.solve_embedded(v)
             M_def[:, k] = -Rinv_bd @ (v - (lam_op - Rbd) @ y)
         sys_sigma = replace(sys0, sigma_index=sigma)
-        M_fred = solve_direct(sys_sigma).flat()
+        M_fred = solve_direct(sys_sigma)
         scale = np.abs(M_fred).max()
         assert np.max(np.abs(M_def - M_fred)) <= 1e-9 * scale
 
@@ -164,9 +167,7 @@ class TestDirectSolve:
         # a long superconvergent sweep forgets its starting iterate
         _, sys0, oracle = gain_setup
         out = solve_superconvergent(sys0, subspace_dim=12, k_iters=6)
-        assert weighted_table_dist(sys0, out.flat(), oracle.flat()) <= 1e-8 * (
-            1.0 + np.abs(oracle.flat()).max()
-        )
+        assert weighted_table_dist(sys0, out, oracle) <= 1e-8 * (1.0 + np.abs(oracle).max())
 
 
 class TestDirectGainSweep:
@@ -179,7 +180,8 @@ class TestDirectGainSweep:
         R, w = dlq.cost_samples.R, dlq.ops.omega
         rows = _direct_gain_rows(TruncationFactor(dlq), R, w)
         for sigma in range(dlq.n):
-            oracle = solve_direct(replace(sys0, sigma_index=sigma)).M[sigma, sigma:]
+            table = gain_table(solve_direct(replace(sys0, sigma_index=sigma)), dlq.n, dlq.du)
+            oracle = table[sigma, sigma:]
             assert np.all(rows[sigma, :sigma] == 0.0)
             row = rows[sigma, sigma:]
             assert row.shape == oracle.shape
@@ -213,14 +215,12 @@ class TestProjectionFamily:
     def test_full_subspace_equals_direct(self, gain_setup):
         _, sys0, oracle = gain_setup
         gal = solve_galerkin(sys0, sys0.n)
-        assert np.max(np.abs(gal.flat() - oracle.flat())) <= 1e-10 * np.abs(
-            oracle.flat()
-        ).max()
+        assert np.max(np.abs(gal - oracle)) <= 1e-10 * np.abs(oracle).max()
 
     def test_zero_right_side(self, gain_setup):
         _, sys0, _ = gain_setup
         hollow = replace(sys0, kernel=np.zeros_like(sys0.kernel))
-        assert np.all(solve_galerkin(hollow, 8).M == 0.0)
+        assert np.all(solve_galerkin(hollow, 8) == 0.0)
 
     def test_projection_is_orthogonal(self, gain_setup):
         _, sys0, _ = gain_setup
@@ -241,7 +241,7 @@ class TestProjectionFamily:
     def test_error_decreases_with_subspace(self, gain_setup):
         _, sys0, oracle = gain_setup
         errs = [
-            weighted_table_dist(sys0, solve_galerkin(sys0, q).flat(), oracle.flat())
+            weighted_table_dist(sys0, solve_galerkin(sys0, q), oracle)
             for q in (6, 12, 24)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -254,7 +254,7 @@ class TestProjectionFamily:
         gal = solve_galerkin(sys0, 12)
         it = solve_iterated_galerkin(sys0, gal)
         proj = _Projection(sys0, 12)
-        assert np.allclose(proj.project(it.flat()), gal.flat(), atol=1e-11)
+        assert np.allclose(proj.project(it), gal, atol=1e-11)
 
     def test_iterated_beats_projection_on_most_trials(self):
         grid = build_grid(48, 1.0)
@@ -267,21 +267,30 @@ class TestProjectionFamily:
             oracle = solve_direct(sys0)
             gal = solve_galerkin(sys0, 12)
             it = solve_iterated_galerkin(sys0, gal)
-            e_gal = weighted_table_dist(sys0, gal.flat(), oracle.flat())
-            e_it = weighted_table_dist(sys0, it.flat(), oracle.flat())
+            e_gal = weighted_table_dist(sys0, gal, oracle)
+            e_it = weighted_table_dist(sys0, it, oracle)
             wins += e_it <= e_gal
         assert wins >= 9
+
+    def test_iterated_rejects_a_table_of_another_shape(self, gain_setup):
+        # a 1-D vector would broadcast against the right side, and the
+        # blockwise (n, n, du, du) layout is not the flat one
+        _, sys0, _ = gain_setup
+        gal = solve_galerkin(sys0, 12)
+        for bad in (gal[:, 0], gain_table(gal, sys0.n, sys0.du)):
+            with pytest.raises(ValueError, match="Galerkin table has shape"):
+                solve_iterated_galerkin(sys0, bad)
 
     def test_superconvergent_start_and_monotone_sweeps(self, gain_setup):
         _, sys0, oracle = gain_setup
         it = solve_iterated_galerkin(sys0, solve_galerkin(sys0, 12))
         sup0 = solve_superconvergent(sys0, 12, 0)
-        assert np.array_equal(sup0.flat(), it.flat())
+        assert np.array_equal(sup0, it)
         hist = [
-            weighted_table_dist(sys0, solve_superconvergent(sys0, 12, k).flat(), oracle.flat())
+            weighted_table_dist(sys0, solve_superconvergent(sys0, 12, k), oracle)
             for k in range(4)
         ]
-        floor = 1e-11 * (1.0 + np.abs(oracle.flat()).max())
+        floor = 1e-11 * (1.0 + np.abs(oracle).max())
         for k in range(len(hist) - 1):
             assert hist[k + 1] < hist[k] or hist[k + 1] <= floor
 
@@ -289,7 +298,7 @@ class TestProjectionFamily:
         _, sys0, _ = gain_setup
         hollow = replace(sys0, kernel=np.zeros_like(sys0.kernel))
         out = solve_superconvergent(hollow, 8, 2)
-        assert np.all(out.M == 0.0)
+        assert np.all(out == 0.0)
 
     def test_projected_system_validates_dimension(self, gain_setup):
         _, sys0, _ = gain_setup
@@ -317,7 +326,7 @@ class TestProjectionFamily:
             assert np.array_equal(clean, dirty)
 
     def test_projection_gains_form_no_masked_kernel_and_no_svd(self, gain_setup, monkeypatch):
-        from volterra_lq.fredholm import FredholmSystem, representation_terms
+        from volterra_lq.fredholm import representation_terms
 
         pipe = gain_setup[0]
         traj = causal_trajectories(pipe.ops, pipe.u_opt)
@@ -325,9 +334,8 @@ class TestProjectionFamily:
         refs = [representation_terms(pipe.dlq, traj, m, subspace_dim=12) for m in methods]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("masked kernel copy or SVD in the projection gains")
+            raise AssertionError("condition number or SVD in the projection gains")
 
-        monkeypatch.setattr(FredholmSystem, "masked_Kmat", refuse)
         monkeypatch.setattr(np.linalg, "cond", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         for method, ref in zip(methods, refs):
@@ -355,9 +363,10 @@ class TestProjectionFamily:
                 if method == "iterated":
                     gain = solve_iterated_galerkin(sys_t, gain)
             rg = rg_all[t]
-            ref = np.einsum("j,jab,jb->a", w[t:], gain.M[t, t:], rg[t:])
+            row = gain_table(gain, n, du)[t, t:]
+            ref = np.einsum("j,jab,jb->a", w[t:], row, rg[t:])
             # relative to the summands: the sum itself may cancel
-            scale = np.einsum("j,jab,jb->a", w[t:], np.abs(gain.M[t, t:]), np.abs(rg[t:]))
+            scale = np.einsum("j,jab,jb->a", w[t:], np.abs(row), np.abs(rg[t:]))
             assert np.all(np.abs(integrals[t] - ref) <= 1e-13 * scale)
 
 
@@ -376,18 +385,18 @@ class TestReconstruction:
             ops = StateOperator(entry.problem, grid)
             dlq = vlq.assemble_quadratic_form(ops, entry.cost)
             sys0 = assemble_fredholm(dlq, 0)
-            return solve_direct(sys0), grid
+            return gain_table(solve_direct(sys0), grid.n, dlq.du), grid
 
         ref_kernel, _ = gain_row(ref_grid)
         i_ref = int(np.argmin(np.abs(ref_grid.nodes - t_probe)))
         j_ref = int(np.argmin(np.abs(ref_grid.nodes - s_star)))
-        reference = ref_kernel.M[i_ref, j_ref]
+        reference = ref_kernel[i_ref, j_ref]
         errs = []
         for n in (9, 17, 33):
             kernel, grid = gain_row(build_grid(n, 1.0))
             i = int(np.argmin(np.abs(grid.nodes - t_probe)))
             # piecewise-linear in the source variable, per gain component
-            row = kernel.M[i].reshape(grid.n, -1)
+            row = kernel[i].reshape(grid.n, -1)
             rec = np.array([np.interp(s_star, grid.nodes, c) for c in row.T])
             errs.append(np.max(np.abs(rec - reference.ravel())))
         assert errs[0] > errs[1] > errs[2]
@@ -399,10 +408,11 @@ class TestReconstruction:
         grid = pipe.grid
         s0 = grid.nodes[10]
         wu = np.repeat(sys0.omega, sys0.du)
+        table = gain_table(oracle, grid.n, sys0.du)
         diffs = []
         for gap in (8, 4, 2):
-            col_a = oracle.M[:, 10].reshape(grid.n, -1)
-            col_b = oracle.M[:, 10 + gap].reshape(grid.n, -1)
+            col_a = table[:, 10].reshape(grid.n, -1)
+            col_b = table[:, 10 + gap].reshape(grid.n, -1)
             d = col_a - col_b
             diffs.append(float(np.sqrt(np.einsum("i,ik,ik->", sys0.omega, d, d))))
         assert diffs[0] > diffs[1] > diffs[2]

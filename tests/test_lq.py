@@ -228,3 +228,27 @@ def test_control_relation_with_cross_terms(ct_pipeline):
     pipe = ct_pipeline
     res = verify_control_relation(pipe.dlq, pipe.u_opt)
     assert res <= 1e-6 * (1.0 + float(np.max(np.abs(pipe.u_opt))))
+
+
+def test_optimality_probe_reads_the_quadratic_form(rs_pipeline):
+    # off the optimizer some probe lowers the cost: the form-derived
+    # differences of the scenario's probe equal the quadrature differences
+    # J(u + eps v) - J(u), with v drawn one trial after another
+    from volterra_lq.scenarios import _optimality_gap
+
+    pipe = rs_pipeline
+    u = pipe.u_opt + 0.1 * np.random.default_rng(1).normal(size=pipe.u_opt.shape)
+    j_u = evaluate_cost(pipe.ops, pipe.cost, u)
+    lam, grad = pipe.dlq.lam, pipe.dlq.lam @ u.ravel() + pipe.dlq.rhs
+    rng = np.random.default_rng(9)
+    diffs = []
+    for _ in range(5):
+        v = rng.normal(size=u.shape)
+        for eps in (1e-2, -1e-2, 1e-1, -1e-1):
+            quad = evaluate_cost(pipe.ops, pipe.cost, u + eps * v) - j_u
+            form = 2.0 * eps * grad @ v.ravel() + eps**2 * v.ravel() @ lam @ v.ravel()
+            assert abs(form - quad) <= 1e-10 * abs(quad)
+            diffs.append(quad)
+    gap = _optimality_gap(pipe.dlq, u, np.random.default_rng(9), trials=5)
+    assert min(diffs) < 0.0
+    assert abs(gap - min(diffs)) <= 1e-10 * abs(min(diffs))

@@ -12,8 +12,6 @@ SRC = README.parent / "src" / "volterra_lq"
 # exported names that no module outside their own and no README line
 # refers to, each with the reason it stays in the public surface
 UNREFERENCED_EXPORTS = {
-    "AdjointTrajectory": "return type of solve_adjoint",
-    "FeedbackKernel": "return type of the whole-table gain solvers",
     "FredholmSystem": "return type of assemble_fredholm",
     "ReducedSystem": "return type of build_cross_term_reduction",
     "ScenarioReport": "return type of run_scenario",
