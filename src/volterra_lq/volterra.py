@@ -38,6 +38,15 @@ Two complementary representations are built here.
     stored with the node axis innermost, so each source column costs one
     contiguous weighted product and one GEMM.
 
+    The incomplete-beta weights depend on the grid, beta and the series
+    level only, so they are built once per process: `_pair_column_weights`
+    keeps them, read-only, in `_pair_memo` under (grid kind, node bytes,
+    p, q), column 0's table on a uniform grid and every column's on a
+    graded one, up to `_PAIR_MEMO_BYTES` (32 MiB) in all.  Later problems
+    on the same grid, and Psi's (beta, beta) piece, read level k's table
+    instead of computing it again; a table past the cap is computed and
+    not stored.
+
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
 kernel cache read the operator's sampled A, weights and weighted fold,
@@ -137,12 +146,12 @@ def sample_trajectory(f, grid: Grid, d: int) -> np.ndarray:
     if f is None:
         return np.zeros((n, d))
     if isinstance(f, np.ndarray):
-        arr = f.astype(float)
+        arr = f.astype(float, order="C")
         if arr.shape == (n,) and d == 1:
             arr = arr[:, None]
         if arr.shape != (n, d):
             raise ValueError(f"trajectory has shape {f.shape}, expected {(n, d)}")
-        return arr.copy()
+        return arr
     arr = np.asarray(f(grid.nodes), dtype=float)
     if arr.shape == (n,) and d == 1:
         arr = arr[:, None]
@@ -211,18 +220,46 @@ def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
     return w
 
 
+_PAIR_MEMO_BYTES = 32 * 2**20  # cap on the pair-weight tables kept in `_pair_memo`
+
+# The tables of `_pair_column_weights`, kept for the life of the process.
+# Nothing is evicted, so the low series levels, which every problem reads,
+# stay stored once the cap is reached.
+_pair_memo: dict = {}
+
+
 def _pair_column_weights(grid: Grid, p: float, q: float):
     """Column weight source of the doubly singular product, j -> (n-j-1, n-j).
 
-    A graded grid computes each column's weights.  On a uniform grid the
+    A graded grid uses each column's weights.  On a uniform grid the
     weights depend on offsets alone, so column j is the leading block of
-    column 0's.
+    column 0's.  The weights depend on the nodes, p and q only, never on
+    a problem, so the tables are kept in `_pair_memo` under (grid kind,
+    node bytes, p, q) and every later call on that grid reads them.  A
+    table that would take the stored bytes past `_PAIR_MEMO_BYTES` is
+    computed as before and not stored; a graded grid then computes each
+    column when it is asked for.  Stored tables are read-only.
     """
     n = grid.n
-    if grid.kind == "uniform":
-        W0 = _pair_column(grid, p, q, 0)
+    uniform = grid.kind == "uniform"
+    key = (grid.kind, grid.nodes.tobytes(), p, q)
+    tables = _pair_memo.get(key)
+    if tables is None:
+        cells = (n - 1) * n if uniform else (n - 1) * n * (n + 1) // 3
+        stored = sum(w.nbytes for ts in _pair_memo.values() for w in ts)
+        if stored + 8 * cells > _PAIR_MEMO_BYTES:
+            if not uniform:
+                return lambda j: _pair_column(grid, p, q, j)
+            tables = [_pair_column(grid, p, q, 0)]
+        else:
+            tables = [_pair_column(grid, p, q, j) for j in range(1 if uniform else n - 1)]
+            for w in tables:
+                w.flags.writeable = False
+            _pair_memo[key] = tables
+    if uniform:
+        W0 = tables[0]
         return lambda j: W0[: n - j - 1, : n - j]
-    return lambda j: _pair_column(grid, p, q, j)
+    return tables.__getitem__
 
 
 def _convolve_columns(Fsamples, Gsamples, column_weights, columns=None) -> np.ndarray:

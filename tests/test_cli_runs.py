@@ -1,0 +1,70 @@
+"""Whole `volterra-lq run` invocations through `cli.main`, in process.
+
+Each test writes its config files under `tmp_path`, runs them and compares
+the files the runs leave behind: reruns must be byte-identical, and the
+gate rows of `residuals.csv` must pass.
+"""
+
+import csv
+
+from volterra_lq import volterra
+from volterra_lq.cli import main
+
+
+def run_config(tmp_path, name, text):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    return main(["run", "--config", str(path)])
+
+
+def residual_row(outdir, check):
+    """The (value, tolerance, passed) fields of one named residuals.csv row."""
+    with open(outdir / "residuals.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and row[0] == check]
+    assert len(rows) == 1, f"{check!r} appears {len(rows)} times"
+    return rows[0][1:]
+
+
+def test_uniform_resolvent_through_column_0_slices(tmp_path, monkeypatch):
+    # n - 1 = 39 is not a power of two, so every column's weights are
+    # slices of column 0's and not bit-equal to their own; the series gate
+    # passes and a second run into the same cache reads back the same
+    # bytes.  A third run into an empty cache computes the kernels again
+    # from the pair weights the first run left in the process's memo, and
+    # writes the same tables and kernel files.
+    monkeypatch.setattr(volterra, "_pair_memo", {})
+    cache, fresh = tmp_path / "slice-cache", tmp_path / "fresh-cache"
+
+    def run(name, cache_dir):
+        text = (
+            "problem = constant-coeff\nscenario = convergence\nn = 40\n"
+            f"cache_dir = {cache_dir}\noutdir = {tmp_path / name}\n"
+        )
+        return run_config(tmp_path, name, text)
+
+    assert run("slice-a", cache) == 0
+    assert run("slice-b", cache) == 0
+    computed = []
+    pair_column = volterra._pair_column
+
+    def counted(*args):
+        computed.append(args)
+        return pair_column(*args)
+
+    monkeypatch.setattr(volterra, "_pair_column", counted)
+    assert run("slice-c", fresh) == 0
+    assert computed == []
+
+    _, _, passed = residual_row(
+        tmp_path / "slice-a", "resolvent: agreement with the constant-coefficient series"
+    )
+    assert passed == "1"
+    for f in ("convergence.csv", "residuals.csv"):
+        a = (tmp_path / "slice-a" / f).read_bytes()
+        assert (tmp_path / "slice-b" / f).read_bytes() == a
+        assert (tmp_path / "slice-c" / f).read_bytes() == a
+    kernels = sorted(p.name for p in cache.glob("*.vker"))
+    assert len(kernels) == 2
+    assert sorted(p.name for p in fresh.glob("*.vker")) == kernels
+    for name in kernels:
+        assert (fresh / name).read_bytes() == (cache / name).read_bytes()

@@ -14,14 +14,16 @@ from volterra_lq import (
 )
 from volterra_lq.catalog import example_2_1_control, get_problem
 from volterra_lq import errors as vlq_errors
+from volterra_lq import volterra
 from volterra_lq.volterra import (
     StateOperator,
     _convolve_columns,
     _pair_column,
     _pair_column_weights,
     sample_kernel,
+    sample_trajectory,
 )
-from volterra_lq.grids import lower_product_weights
+from volterra_lq.grids import Grid, lower_product_weights
 from volterra_lq.scenarios import _series_error, _varconst_deviation
 
 from conftest import lower_weight_table, rel_l2
@@ -244,6 +246,89 @@ class TestResolvent:
             assert res[0][key] / res[2][key] > 4.0
 
 
+@pytest.fixture
+def pair_memo(monkeypatch):
+    """An empty pair-weight memo for one test; the process's memo is restored after."""
+    memo = {}
+    monkeypatch.setattr(volterra, "_pair_memo", memo)
+    return memo
+
+
+def memo_key(grid, p, q):
+    return (grid.kind, grid.nodes.tobytes(), p, q)
+
+
+class TestPairMemo:
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_stored_tables_equal_fresh_columns(self, pair_memo, kind):
+        # n - 1 = 39 is not a power of two, so a uniform column's slice of
+        # column 0 is not its own weights: the memo keeps column 0's table
+        grid = build_grid(40, 1.0, kind)
+        first = _pair_column_weights(grid, 0.75, 1.5)
+        again = _pair_column_weights(grid, 0.75, 1.5)
+        stored = pair_memo[memo_key(grid, 0.75, 1.5)]
+        cols = [0] if kind == "uniform" else range(grid.n - 1)
+        assert len(stored) == len(cols)
+        for j in cols:
+            assert np.array_equal(stored[j], _pair_column(grid, 0.75, 1.5, j))
+        for j in range(grid.n - 1):
+            assert np.array_equal(first(j), again(j))
+            assert np.shares_memory(again(j), stored[0 if kind == "uniform" else j])
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_stored_tables_are_read_only(self, pair_memo, kind):
+        grid = build_grid(17, 1.0, kind)
+        column = _pair_column_weights(grid, 0.75, 0.75)
+        for W in (column(0), column(5), *pair_memo[memo_key(grid, 0.75, 0.75)]):
+            with pytest.raises(ValueError, match="read-only"):
+                W[0, 0] = 1.0
+
+    def test_graded_kind_on_uniform_nodes_has_its_own_entry(self, pair_memo):
+        # the kind selects slices of column 0 or each column's own weights,
+        # so equal nodes of another kind must not share the tables
+        uniform = build_grid(17, 1.0)
+        graded = Grid(nodes=uniform.nodes, T=1.0, kind="graded")
+        _pair_column_weights(uniform, 0.75, 0.75)
+        column = _pair_column_weights(graded, 0.75, 0.75)
+        assert len(pair_memo) == 2
+        assert len(pair_memo[memo_key(uniform, 0.75, 0.75)]) == 1
+        assert len(pair_memo[memo_key(graded, 0.75, 0.75)]) == graded.n - 1
+        for j in range(graded.n - 1):
+            assert np.array_equal(column(j), _pair_column(graded, 0.75, 0.75, j))
+
+    @pytest.mark.parametrize("kind, n", [("uniform", 17), ("graded", 9)])
+    def test_tables_past_the_cap_are_computed_not_stored(self, pair_memo, monkeypatch, kind, n):
+        grid = build_grid(n, 1.0, kind)
+        one = 8 * ((n - 1) * n if kind == "uniform" else (n - 1) * n * (n + 1) // 3)
+        cap = 2 * one + one // 2
+        monkeypatch.setattr(volterra, "_PAIR_MEMO_BYTES", cap)
+        levels = [k * 0.75 for k in range(1, 6)]
+        for q in levels:
+            column = _pair_column_weights(grid, 0.75, q)
+            assert sum(W.nbytes for tables in pair_memo.values() for W in tables) <= cap
+            W0 = _pair_column(grid, 0.75, q, 0)
+            for j in range(n - 1):
+                own = _pair_column(grid, 0.75, q, j)
+                fresh = W0[: n - j - 1, : n - j] if kind == "uniform" else own
+                assert np.array_equal(column(j), fresh)
+        # the first levels stay; nothing is evicted for the later ones
+        assert list(pair_memo) == [memo_key(grid, 0.75, q) for q in levels[:2]]
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_problems_sharing_the_memo_match_fresh_resolvents(self, pair_memo, kind):
+        grid = build_grid(33, 1.0, kind)
+        problems = [get_problem("random-smooth", 0.75, 1.0, seed=s).problem for s in (3, 8)]
+        shared = [resolvent(StateOperator(p, grid)) for p in problems]
+        assert pair_memo
+        for p, ker in zip(problems, shared):
+            pair_memo.clear()
+            fresh = resolvent(StateOperator(p, grid))
+            assert np.array_equal(ker.singular_coeff, fresh.singular_coeff)
+            assert np.array_equal(ker.regular_part, fresh.regular_part)
+            assert ker.residuals == fresh.residuals
+            assert ker.coeff_bound == fresh.coeff_bound
+
+
 class TestSolveState:
     def test_zero_inhomogeneity(self):
         grid = build_grid(17, 1.0)
@@ -421,6 +506,29 @@ class TestControlKernel:
         err = np.abs(Psi.eval_offdiag(grid)[-1, :-1, 0, 0] - exact)
         assert err[-1] <= 2.0 * err[:-1].max()
 
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_reads_the_level_one_table_of_the_resolvent(self, pair_memo, monkeypatch, kind):
+        # Psi's doubly singular piece weighs with (beta, beta), level 1 of
+        # the series: it reads the table resolvent stored, computing none
+        grid = build_grid(17, 1.0, kind)
+        ops = StateOperator(get_problem("random-smooth", 0.75, 1.0, seed=3).problem, grid)
+        ker = resolvent(ops)
+        stored = pair_memo[memo_key(grid, 0.75, 0.75)]
+        seen = []
+
+        def convolve(F, G, column_weights, columns=None):
+            seen.append(column_weights(0))
+            return _convolve_columns(F, G, column_weights, columns)
+
+        def no_new_weights(*args):
+            raise AssertionError("control_kernel computed pair weights")
+
+        monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+        monkeypatch.setattr(volterra, "_pair_column", no_new_weights)
+        control_kernel(ops, ker)
+        first_piece = seen[0]
+        assert first_piece is stored[0] or first_piece.base is stored[0]
+
     def test_terminal_row_bound(self, rs_pipeline_kernel):
         pipe = rs_pipeline_kernel
         ops = pipe.ops
@@ -507,6 +615,20 @@ class TestProblemData:
         ops = StateOperator(p, grid)
         assert np.all(np.isfinite(ops.phi))
         assert np.all(np.isfinite(ops.psi))
+
+    def test_sample_trajectory_returns_a_float_copy(self):
+        grid = build_grid(5, 1.0)
+        ints = np.arange(5)
+        got = sample_trajectory(ints, grid, 1)
+        assert got.dtype == float and got.shape == (5, 1)
+        got[:] = -1.0
+        assert np.array_equal(ints, np.arange(5))
+        floats = np.ones((2, 5)).T
+        got = sample_trajectory(floats, grid, 2)
+        assert got.flags.c_contiguous
+        got[0, 0] = 7.0
+        assert np.all(floats == 1.0)
+
 
 def test_resolvent_diverging_series_raises():
     # a huge coefficient needs more series levels than the cap allows
