@@ -53,10 +53,9 @@ def solve_adjoint(
     Y solves the backward equation driven by the regular forcing
     Q X + S' u + q and the terminal coupling A(T,t)' zeta (T - t)^(beta - 1)
     with zeta = G X(T) + g, which enters the discrete equations as a
-    unit-mass source at the last node.  Requires beta > 1/2 so that X(T),
-    and with it the terminal coupling, is defined.
+    unit-mass source at the last node.  A nonzero G or g needs X(T), and
+    so beta > 1/2; without them any beta in (0, 1) is accepted.
     """
-    ops.problem.require_lq()
     sc = _sampled_cost(cost, ops)
     X = sample_trajectory(x_bar, ops.grid, ops.dx)
     u = sample_trajectory(u_bar, ops.grid, ops.du)

@@ -5,7 +5,8 @@ Schema (all keys optional unless noted; '#' starts a comment):
     problem           catalog selector, e.g. random-smooth(42) or inline  [required]
     scenario          equivalence | convergence | fredholm-methods |
                       example-2-1 | reduction                             [required]
-    beta              singularity order in (0, 1); LQ scenarios need > 1/2
+    beta              singularity order in (0, 1) (default 0.75); a terminal
+                      weight G or g and the projection gain solvers need > 1/2
     T                 horizon (default 1.0)
     n                 grid size (default 64)
     grid              uniform | graded (default uniform)
@@ -38,7 +39,7 @@ from .catalog import problem_names
 from .errors import ConfigError
 from .grids import build_grid
 
-__all__ = ["RunConfig", "load_config", "SCENARIOS", "STATE_ONLY_SCENARIOS"]
+__all__ = ["RunConfig", "load_config", "SCENARIOS"]
 
 SCENARIOS = (
     "equivalence",
@@ -47,8 +48,6 @@ SCENARIOS = (
     "example-2-1",
     "reduction",
 )
-# scenarios that never evaluate X(T) inside a cost and accept any beta
-STATE_ONLY_SCENARIOS = ("example-2-1", "convergence")
 
 _SCALAR_KEYS = {
     "problem": str,
@@ -187,12 +186,6 @@ def _validate(cfg: RunConfig):
         )
     if not 0.0 < cfg.beta < 1.0:
         raise ConfigError(f"field 'beta': must lie in (0, 1), got {cfg.beta}")
-    if cfg.scenario not in STATE_ONLY_SCENARIOS and not cfg.beta > 0.5:
-        raise ConfigError(
-            f"field 'beta': scenario {cfg.scenario!r} solves an LQ problem, whose "
-            f"terminal cost needs the state continuous at T; this requires "
-            f"beta > 0.5, got {cfg.beta}"
-        )
     if not cfg.T > 0.0:
         raise ConfigError(f"field 'T': must be positive, got {cfg.T}")
     if cfg.n < 3:

@@ -8,7 +8,7 @@ class AssumptionError(ValueError):
 
     Raised when coercivity or positivity requirements on the cost weights
     fail, or when an operation is invoked outside its admissible parameter
-    range (e.g. an LQ solve with singularity order beta <= 1/2).
+    range (e.g. a terminal weight with singularity order beta <= 1/2).
     """
 
 

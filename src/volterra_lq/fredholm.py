@@ -70,7 +70,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .causal import _require_no_cross_terms, _running_gradients, causal_trajectories
-from .errors import NumericalError
+from .errors import AssumptionError, NumericalError
 from .grids import Grid, lower_product_weights, trapezoid_rule
 from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop
 from .volterra import FactoredKernel, _require_matching_kernel
@@ -106,6 +106,7 @@ class FredholmSystem:
     grid: Grid
     du: int
     omega: np.ndarray
+    beta: float
 
     @property
     def rhs(self) -> np.ndarray:
@@ -145,6 +146,7 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
         grid=ops.grid,
         du=dlq.du,
         omega=ops.omega,
+        beta=ops.beta,
     )
 
 
@@ -179,10 +181,16 @@ class _HatSpace:
 
     Holds H, its weighted transpose H' Wu, the Gram factor and the product
     HtWK = H' Wu Kmat of the equation `sys`, whose column slices serve
-    every truncation point.
+    every truncation point.  Every projection solve builds one, so it
+    refuses beta <= 1/2, where the gain kernel is unbounded on its
+    diagonal like |t - xi|^(2 beta - 1) and hats do not resolve it.
     """
 
     def __init__(self, sys: FredholmSystem, subspace_dim: int):
+        if not sys.beta > 0.5:
+            raise AssumptionError(
+                f"projection gain solvers need beta > 1/2; got beta = {sys.beta}"
+            )
         if subspace_dim < 2:
             raise ValueError("subspace dimension must be >= 2")
         if subspace_dim > sys.n:
@@ -317,10 +325,10 @@ def _gain_integrals(
         rows = _direct_gain_rows(dlq.truncation_factor, dlq.cost_samples.R, w)
         rows = rows.swapaxes(1, 2).reshape(n, du, n * du)  # gain row of t, flat over j
         return (rows @ (w[:, None] * rg).reshape(n, n * du, 1))[..., 0]
-    if subspace_dim is None:
-        raise ValueError(f"method {method!r} needs a subspace dimension")
     if method not in ("galerkin", "iterated", "superconvergent"):
         raise ValueError(f"unknown gain solver {method!r}")
+    if subspace_dim is None:
+        raise ValueError(f"method {method!r} needs a subspace dimension")
     if method == "superconvergent" and iterations < 0:
         raise ValueError("iteration count must be >= 0")
     stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]

@@ -147,8 +147,18 @@ class SampledCost:
 
 
 def _sampled_cost(cost: CostData | SampledCost, ops: StateOperator) -> SampledCost:
-    """Cost weights on the operator's grid; sampled weights pass through."""
-    return cost if isinstance(cost, SampledCost) else cost.sample(ops.grid, ops.dx, ops.du)
+    """Cost weights on the operator's grid; sampled weights pass through.
+
+    A terminal weight G or g is refused here at beta <= 1/2, where X(T) is undefined.
+    """
+    sc = cost if isinstance(cost, SampledCost) else cost.sample(ops.grid, ops.dx, ops.du)
+    terminal = [name for name in ("G", "g") if np.any(getattr(sc, name))]
+    if terminal and not ops.beta > 0.5:
+        raise AssumptionError(
+            f"the terminal cost in {' and '.join(terminal)} needs X(T), which requires "
+            f"beta > 1/2; got beta = {ops.beta}"
+        )
+    return sc
 
 
 def _validate_cost(sc: SampledCost):
@@ -199,10 +209,6 @@ class DiscreteLQ:
     @property
     def n(self) -> int:
         return self.ops.n
-
-    @property
-    def dx(self) -> int:
-        return self.ops.dx
 
     @property
     def du(self) -> int:
@@ -283,10 +289,9 @@ def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) ->
 def evaluate_cost(ops: StateOperator, cost: CostData | SampledCost, u) -> float:
     """Run the state and evaluate the cost by grid quadrature.
 
-    ops is the problem's `StateOperator` on the grid of the cost.  Requires
-    beta > 1/2 (the terminal term needs X(T)).
+    ops is the problem's `StateOperator` on the grid of the cost.  A
+    nonzero G or g needs X(T), and so beta > 1/2.
     """
-    ops.problem.require_lq()
     sc = _sampled_cost(cost, ops)
     u_s = sample_trajectory(u, ops.grid, ops.du)
     xi = ops.phi.ravel() + ops.WB_flat @ u_s.ravel()

@@ -63,7 +63,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import betainc, beta as beta_function
 
-from .errors import AssumptionError, NumericalError
+from .errors import NumericalError
 from .grids import Grid, lower_product_weights, product_weights
 
 __all__ = [
@@ -85,8 +85,8 @@ class ProblemData:
     A and B may be vectorized callables (t, s) -> matrix, pre-sampled
     arrays of shape (n, n, d1, d2), or None for a zero coefficient.
     phi may be a vectorized callable t -> vector or an (n, n_state) array.
-    LQ solves additionally require beta > 1/2 so that X(T) is defined;
-    state-only operations accept any beta in (0, 1).
+    Every beta in (0, 1) is accepted; a cost with a terminal weight
+    needs beta > 1/2, which the lq module checks where it meets the grid.
     """
 
     A: object
@@ -104,13 +104,6 @@ class ProblemData:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.n_state < 1 or self.n_control < 1:
             raise ValueError("state and control dimensions must be >= 1")
-
-    def require_lq(self):
-        if not self.beta > 0.5:
-            raise AssumptionError(
-                "this operation needs the state to be continuous at t = T, "
-                f"which requires beta > 1/2; got beta = {self.beta}"
-            )
 
 
 def sample_kernel(K, grid: Grid, d1: int, d2: int) -> np.ndarray:

@@ -275,7 +275,7 @@ def test_criterion_11_deterministic_output(tmp_path):
     for tag in ("c", "d"):
         cfg = RunConfig(problem="example-2-1", scenario="example-2-1",
                         outdir=str(tmp_path / tag))
-        run_scenario(cfg)
+        assert run_scenario(cfg).passed  # the CLI's exit 0
     identical = identical and all(
         (tmp_path / "c" / f).read_bytes() == (tmp_path / "d" / f).read_bytes()
         for f in ("norm.csv", "example_2_1.csv", "residuals.csv")

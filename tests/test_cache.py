@@ -109,13 +109,14 @@ def test_kernel_of_another_grid_is_a_miss(tmp_path):
         f"outdir = {tmp_path / 'out'}\ncache_dir = {cache}\n"
     )
     assert main(["run", "--config", str(cfg)]) == 0
-    first = (tmp_path / "out" / "convergence.csv").read_bytes()
+    tables = [tmp_path / "out" / name for name in ("convergence.csv", "residuals.csv")]
+    first = [path.read_bytes() for path in tables]
     small, large = sorted(cache.glob("*.vker"), key=lambda f: f.stat().st_size)
     large_bytes = large.read_bytes()
     large.write_bytes(small.read_bytes())
     assert main(["run", "--config", str(cfg)]) == 0
     assert large.read_bytes() == large_bytes
-    assert (tmp_path / "out" / "convergence.csv").read_bytes() == first
+    assert [path.read_bytes() for path in tables] == first
 
 
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
@@ -145,6 +146,13 @@ def test_zero_state_kernel_convergence_run(tmp_path, kind):
         tables = [tmp_path / run / name for name in ("convergence.csv", "residuals.csv")]
         runs.append([path.read_bytes() for path in tables + files])
     assert runs[0] == runs[1]
+    # a third run into the first cache hits both zero kernels: same tables
+    text = (tmp_path / "a.cfg").read_text()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text.replace(f"outdir = {tmp_path / 'a'}\n", f"outdir = {tmp_path / 'c'}\n"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    hit = [tmp_path / "c" / name for name in ("convergence.csv", "residuals.csv")]
+    assert [path.read_bytes() for path in hit] == runs[0][:2]
 
 
 def _damage(data: bytes, how: str) -> bytes:

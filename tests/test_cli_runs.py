@@ -7,6 +7,8 @@ gate rows of `residuals.csv` must pass.
 
 import csv
 
+import pytest
+
 from volterra_lq import volterra
 from volterra_lq.cli import main
 
@@ -68,3 +70,44 @@ def test_uniform_resolvent_through_column_0_slices(tmp_path, monkeypatch):
     assert sorted(p.name for p in fresh.glob("*.vker")) == kernels
     for name in kernels:
         assert (fresh / name).read_bytes() == (cache / name).read_bytes()
+
+
+INLINE_LQ = (
+    "problem = inline\nbeta = 0.4\nn = 32\nA = 0.5\nB = 1.0\nphi = 1.0\nQ = 1.0\nR = 1.0\n"
+)
+
+
+def passed_fields(outdir):
+    """The passed field of every residuals.csv row."""
+    with open(outdir / "residuals.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    return [row[-1] for row in rows[1:]]
+
+
+def test_equivalence_without_terminal_weight_at_small_beta(tmp_path, capsys):
+    # no G and no g: the cost never reads X(T), so beta = 0.4 runs through
+    # the direct gain with every check passing
+    out = tmp_path / "eq"
+    text = INLINE_LQ + f"scenario = equivalence\noutdir = {out}\n"
+    assert run_config(tmp_path, "eq", text) == 0
+    assert passed_fields(out) == ["1"] * 7
+    capsys.readouterr()
+    # a terminal weight, or a projection gain, is refused with its reason
+    for name, extra, reason in (
+        ("eq-G", "G = 1.0\n", "the terminal cost in G needs X(T)"),
+        ("eq-galerkin", "m_solver = galerkin\n", "projection gain solvers need"),
+    ):
+        assert run_config(tmp_path, name, text + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reason}")
+        assert "beta > 1/2; got beta = 0.4" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_reduction_without_terminal_weight_at_small_beta(tmp_path, kind):
+    # rho alone (S = 0) keeps the default delta = min eig R a valid floor
+    out = tmp_path / "red"
+    text = INLINE_LQ + f"scenario = reduction\ngrid = {kind}\nS = 0.0\nrho = 0.3\noutdir = {out}\n"
+    assert run_config(tmp_path, "red", text) == 0
+    assert passed_fields(out) == ["1"] * 4

@@ -49,11 +49,20 @@ def test_comments_and_blank_lines(tmp_path):
     assert cfg.problem == "zero-cost"
 
 
-def test_lq_scenario_rejects_small_beta(tmp_path):
-    with pytest.raises(ConfigError, match="beta > 0.5"):
-        load_config(
-            write(tmp_path, "problem = zero-cost\nbeta = 0.5\nscenario = equivalence\n")
-        )
+def test_lq_scenario_rejects_small_beta(tmp_path, capsys):
+    # random-smooth has a terminal weight, which needs X(T): the config
+    # loads, and the run stops where the cost meets the grid, with exit 2
+    path = write(
+        tmp_path,
+        f"problem = random-smooth(7)\nbeta = 0.5\nscenario = equivalence\nn = 16\n"
+        f"outdir = {tmp_path / 'out'}\n",
+    )
+    assert load_config(path).beta == 0.5
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the terminal cost in G and g needs X(T)")
+    assert "beta > 1/2; got beta = 0.5" in err
+    assert "Traceback" not in err
 
 
 def test_state_only_scenario_accepts_small_beta(tmp_path):

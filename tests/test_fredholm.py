@@ -452,6 +452,35 @@ class TestFeedbackControl:
         )
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-6
 
+    @pytest.mark.parametrize("method", ["bogus", "Direct"])
+    def test_unknown_method_is_named_before_the_subspace(self, rs_pipeline, method):
+        with pytest.raises(ValueError, match=f"unknown gain solver '{method}'"):
+            feedback_control(rs_pipeline.dlq, method=method)
+
+
+def test_projection_family_refuses_small_beta():
+    # at beta <= 1/2 the gain kernel is unbounded on its diagonal, like
+    # |t - xi|^(2 beta - 1), which no hat subspace resolves: every
+    # projection solve builds a hat space, and that refuses the system.
+    # The direct solve and the direct gain have no such limit.
+    from volterra_lq.fredholm import _Projection
+
+    entry = get_problem("random-smooth", 0.4, 1.0, seed=7)
+    ops = StateOperator(entry.problem, build_grid(32, 1.0))
+    dlq = vlq.assemble_quadratic_form(ops, replace(entry.cost, G=None, g=None))
+    sys0 = assemble_fredholm(dlq, 0)
+    calls = (
+        lambda: solve_galerkin(sys0, 8),
+        lambda: solve_superconvergent(sys0, 8, 2),
+        lambda: _Projection(sys0, 8),
+        lambda: feedback_control(dlq, method="iterated", subspace_dim=8),
+    )
+    for call in calls:
+        with pytest.raises(AssumptionError, match="projection gain solvers need beta > 1/2"):
+            call()
+    assert np.all(np.isfinite(solve_direct(sys0)))
+
+
 def test_projection_rejects_singular_projected_system(gain_setup):
     # a kernel engineered so (I - P K) collapses on the coarse subspace
     _, sys0, _ = gain_setup

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, solve
@@ -8,15 +10,20 @@ from volterra_lq import (
     CostData,
     ProblemData,
     StateOperator,
+    abstract_causal_control,
     assemble_quadratic_form,
     build_grid,
+    causal_trajectories,
+    control_from_adjoint,
     evaluate_cost,
+    feedback_control,
+    solve_adjoint,
     solve_open_loop,
     verify_control_relation,
 )
 from volterra_lq.catalog import get_problem
 
-from conftest import blockdiag
+from conftest import blockdiag, rel_l2
 
 
 def test_weighted_adjoint_exact(rs_pipeline):
@@ -104,12 +111,48 @@ def test_cost_matches_quadratic_form(rs_pipeline):
 
 
 def test_cost_requires_beta_above_half():
-    entry = get_problem("zero-cost", 0.6, 1.0)
-    p = entry.problem
-    bad = ProblemData(A=p.A, B=p.B, phi=p.phi, beta=0.45, T=1.0)
-    grid = build_grid(9, 1.0)
-    with pytest.raises(AssumptionError, match="beta > 1/2"):
-        evaluate_cost(StateOperator(bad, grid), entry.cost, np.zeros((9, 1)))
+    # a terminal weight needs X(T), which an L2 control need not have at
+    # beta <= 1/2.  The form, the cost, the adjoint and its control sample
+    # the cost through one funnel, and each refuses the G and g of
+    # random-smooth(7) at beta = 0.45; without them the cost is evaluated.
+    entry = get_problem("random-smooth", 0.45, 1.0, seed=7)
+    ops = StateOperator(entry.problem, build_grid(64, 1.0))
+    zeros = np.zeros((64, 2))
+    calls = (
+        lambda: assemble_quadratic_form(ops, entry.cost),
+        lambda: evaluate_cost(ops, entry.cost, zeros),
+        lambda: solve_adjoint(ops, entry.cost, zeros, zeros),
+        lambda: control_from_adjoint(zeros, ops, entry.cost, zeros),
+    )
+    reason = "in G and g needs X.*beta > 1/2; got beta = 0.45"
+    for call in calls:
+        with pytest.raises(AssumptionError, match=reason):
+            call()
+    running = replace(entry.cost, G=None, g=None)
+    assert np.isfinite(evaluate_cost(ops, running, zeros))
+
+
+@pytest.mark.parametrize("n", [64, 129])
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+@pytest.mark.parametrize("beta", [0.3, 0.4])
+def test_no_terminal_weight_characterizations_agree_at_small_beta(beta, kind, n):
+    # without G and g the cost never reads X(T), so every beta is an LQ
+    # problem; the discrete identities hold to round-off as for beta > 1/2
+    entry = get_problem("random-smooth", beta, 1.0, seed=7)
+    grid = build_grid(n, 1.0, kind)
+    ops = StateOperator(entry.problem, grid)
+    dlq = assemble_quadratic_form(ops, replace(entry.cost, G=None, g=None))
+    sc = dlq.cost_samples
+    u = solve_open_loop(dlq)
+    x = (ops.psi.ravel() + ops.theta @ u.ravel()).reshape(n, -1)
+    controls = {
+        "adjoint": control_from_adjoint(solve_adjoint(ops, sc, x, u), ops, sc, x),
+        "causal": abstract_causal_control(dlq, causal_trajectories(ops, u)),
+        "feedback": feedback_control(dlq),
+    }
+    for name, v in controls.items():
+        assert rel_l2(grid.trapezoid_weights(), v, u) <= 1e-12, name
+    assert verify_control_relation(dlq, u) <= 1e-12
 
 
 class TestCoercivityValidation:
