@@ -45,15 +45,8 @@ def _cmd_list_problems(_args) -> int:
 
 
 def _cmd_list_scenarios(_args) -> int:
-    descriptions = {
-        "equivalence": "all control characterizations against the direct solve",
-        "convergence": "resolvent identities under grid refinement",
-        "fredholm-methods": "projection solvers for the gain kernel vs the dense oracle",
-        "example-2-1": "terminal blow-up dichotomy and the closed-form control energy",
-        "reduction": "cross-term elimination and the general causal representation",
-    }
-    for name in SCENARIOS:
-        print(f"{name:18s} {descriptions[name]}")
+    for name, description in SCENARIOS.items():
+        print(f"{name:18s} {description}")
     return 0
 
 

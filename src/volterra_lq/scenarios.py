@@ -186,35 +186,30 @@ def run_scenario(cfg: RunConfig) -> ScenarioReport:
     return report
 
 
-def _tol(cfg: RunConfig, name: str, default: float) -> float:
-    return float(cfg.tolerances.get(name, default))
-
-
 def _gain_method(cfg: RunConfig) -> dict:
     """The gain-solver keywords of the causal representations."""
     subspace_dim = cfg.galerkin_dim if cfg.m_solver != "direct" else None
     return dict(method=cfg.m_solver, subspace_dim=subspace_dim, iterations=cfg.iterations)
 
 
-def _gated_gain(report, cfg, name, tol_key, u_direct, omega, represent):
+def _gated_gain(report, cfg, name, u_direct, omega, represent):
     """The gain representation of the configured method, gated by what it promises.
 
     `represent(**gain_keywords)` evaluates the representation for a gain
     method and subspace.  The distance of the configured one to the direct
     solve is reported for every method.  The direct and superconvergent
-    gains reproduce the optimizer, so that distance is gated at
-    tol_<tol_key> (1e-6).  A Galerkin or iterated
-    gain carries the projection error of subspace size q, which no fixed
-    tolerance fits, so its gates are what the method promises: the
-    distance falls when q doubles (capped at n), and the iterated gain is
-    no farther than the Galerkin one.
+    gains reproduce the optimizer, so that distance is gated at 1e-6.  A
+    Galerkin or iterated gain carries the projection error of subspace
+    size q, which no fixed tolerance fits, so its gates are what the
+    method promises: the distance falls when q doubles (capped at n), and
+    the iterated gain is no farther than the Galerkin one.
     """
     dist = lambda v: _rel(omega, v - u_direct, u_direct)  # noqa: E731
     u = represent(**_gain_method(cfg))
     err = report.values[name] = dist(u)
     method, q = cfg.m_solver, cfg.galerkin_dim
     if method in ("direct", "superconvergent"):
-        report.add(name, err, _tol(cfg, tol_key, 1e-6))
+        report.add(name, err, 1e-6)
         return u
     q2 = min(2 * q, cfg.n)
     err2 = dist(represent(**dict(_gain_method(cfg), subspace_dim=q2)))
@@ -272,7 +267,7 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     report.add(
         "control: adjoint-equation characterization vs direct solve",
         _rel(omega, u_adjoint - u_direct, u_direct),
-        _tol(cfg, "adjoint", 1e-5),
+        1e-5,
     )
 
     traj = causal_trajectories(ops, u_direct)
@@ -280,11 +275,11 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     report.add(
         "control: causal reconstruction vs direct solve",
         _rel(omega, u_causal - u_direct, u_direct),
-        _tol(cfg, "causal", 1e-8),
+        1e-8,
     )
 
     u_feedback = _gated_gain(
-        report, cfg, "control: feedback-gain representation vs direct solve", "feedback",
+        report, cfg, "control: feedback-gain representation vs direct solve",
         u_direct, omega, lambda **kw: representation_terms(dlq, traj, **kw),
     )
 
@@ -293,7 +288,7 @@ def _run_equivalence(cfg: RunConfig) -> ScenarioReport:
     report.add(
         "cost: direct quadrature vs quadratic form",
         abs(j_quad - j_form) / (1.0 + abs(j_form)),
-        _tol(cfg, "cost", 1e-8),
+        1e-8,
     )
 
     # non-anticipation: future samples must have exactly zero influence
@@ -377,7 +372,7 @@ def _run_convergence(cfg: RunConfig) -> ScenarioReport:
                 report.add(
                     f"resolvent: {name} identity residual",
                     kernel.residuals[name],
-                    _tol(cfg, "resolvent", 1e-3),
+                    1e-3,
                 )
             else:
                 report.add(
@@ -394,7 +389,7 @@ def _run_convergence(cfg: RunConfig) -> ScenarioReport:
             report.add(
                 "resolvent: agreement with the constant-coefficient series",
                 rows["series_err"][-1],
-                _tol(cfg, "series", 1e-6),
+                1e-6,
             )
         elif level == 1:
             v_n, v_2n = rows["varconst"]
@@ -528,7 +523,7 @@ def _run_example_2_1(cfg: RunConfig) -> ScenarioReport:
     report.add(
         "control energy matches the closed form within 2%",
         abs(energy - reference) / reference,
-        _tol(cfg, "energy", 0.02),
+        0.02,
     )
 
     # terminal-value dichotomy across three grid doublings
@@ -551,14 +546,14 @@ def _run_example_2_1(cfg: RunConfig) -> ScenarioReport:
     report.add(
         "terminal state grows at least 2x across doublings when beta = 0.4",
         terminal[0.4][-1] / terminal[0.4][0],
-        _tol(cfg, "growth", 2.0),
+        2.0,
         larger_ok=True,
     )
     spread = (max(terminal[0.75]) - min(terminal[0.75])) / terminal[0.75][0]
     report.add(
         "terminal state stable within 5% across doublings when beta = 0.75",
         spread,
-        _tol(cfg, "stability", 0.05),
+        0.05,
     )
     report.tables = {
         "norm.csv": {"n": [g_norm.n], "energy": [energy], "reference": [reference]},
@@ -579,19 +574,19 @@ def _run_reduction(cfg: RunConfig) -> ScenarioReport:
     report.add(
         "optimal values agree after the constant-offset correction",
         abs(j_orig - (j_reduced - reduced.value_offset)) / (1.0 + abs(j_orig)),
-        _tol(cfg, "value", 1e-8),
+        1e-8,
     )
     u_mapped = reduced.to_original_control(v_opt, x_bar)
     report.add(
         "optimal controls related by the substitution map",
         _rel(omega, u_mapped - u_direct, u_direct),
-        _tol(cfg, "map", 1e-6),
+        1e-6,
     )
 
     v_bar = reduced.to_reduced_control(u_direct, x_bar)
     traj = causal_trajectories(reduced.dlq.ops, v_bar)
     u_general = _gated_gain(
-        report, cfg, "control: general causal representation vs direct solve", "general",
+        report, cfg, "control: general causal representation vs direct solve",
         u_direct, omega, lambda **kw: general_causal_control(reduced, traj, x_bar, **kw),
     )
     report.add(

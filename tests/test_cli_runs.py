@@ -111,3 +111,75 @@ def test_reduction_without_terminal_weight_at_small_beta(tmp_path, kind):
     text = INLINE_LQ + f"scenario = reduction\ngrid = {kind}\nS = 0.0\nrho = 0.3\noutdir = {out}\n"
     assert run_config(tmp_path, "red", text) == 0
     assert passed_fields(out) == ["1"] * 4
+
+
+@pytest.mark.parametrize(
+    "text,tables,rows,kernels",
+    [
+        pytest.param(
+            "problem = cross-term(5)\nscenario = reduction\nn = 24\n"
+            "m_solver = superconvergent\ngalerkin_dim = 8\n",
+            ["controls.csv"], {}, 0, id="reduction-superconvergent",
+        ),
+        # a Galerkin gain is gated by what the method promises: its error
+        # falls when the subspace doubles and iterating does not raise it
+        pytest.param(
+            "problem = random-smooth(4)\nscenario = equivalence\ngrid = graded\nn = 64\n"
+            "m_solver = galerkin\ngalerkin_dim = 12\n",
+            ["controls.csv"], {}, 0, id="galerkin-graded",
+        ),
+        # the causal control reads no future control sample
+        pytest.param(
+            "problem = random-smooth(7)\nscenario = equivalence\nn = 64\nm_solver = direct\n",
+            ["controls.csv"],
+            {"non-anticipation: influence of future control samples": "0"},
+            0, id="direct",
+        ),
+        # the adjoint control passes and the optimality probe reads exactly 0
+        pytest.param(
+            "problem = random-smooth(4)\nscenario = equivalence\ngrid = graded\nn = 64\n"
+            "m_solver = direct\n",
+            ["controls.csv"],
+            {
+                "control: adjoint-equation characterization vs direct solve": None,
+                "optimality: worst seeded cost decrease at the optimizer": "0",
+            },
+            0, id="direct-graded",
+        ),
+        pytest.param(
+            "problem = random-smooth(100)\nscenario = fredholm-methods\nn = 24\n"
+            "galerkin_dim = 8\n",
+            ["fredholm_methods.csv", "superconvergent_sweeps.csv"], {}, 0,
+            id="fredholm-methods",
+        ),
+        # the first run misses the kernel cache and writes both grids'
+        # kernels; the second hits it, writes none and reads the same bytes,
+        # and the variation-of-constants check through them passes
+        pytest.param(
+            "problem = random-smooth(3)\nscenario = convergence\nn = 17\n",
+            ["convergence.csv", "residuals.csv"],
+            {"varconst: stepping vs resolvent solve decreases under grid doubling": None},
+            2, id="convergence-cache",
+        ),
+    ],
+)
+def test_rerun_is_byte_identical(tmp_path, text, tables, rows, kernels):
+    # rows maps a residuals.csv check to its exact value field, or None for
+    # any value; each must pass.  kernels is the number of kernel files the
+    # first run writes into an empty cache; the rerun writes none.
+    cache = tmp_path / "cache"
+    written = []
+    for run in ("a", "b"):
+        before = {p.name: p.stat().st_mtime_ns for p in cache.glob("*.vker")}
+        config = text + f"cache_dir = {cache}\noutdir = {tmp_path / run}\n"
+        assert run_config(tmp_path, run, config) == 0
+        after = {p.name: p.stat().st_mtime_ns for p in cache.glob("*.vker")}
+        written.append(len([k for k, t in after.items() if before.get(k) != t]))
+    assert written == [kernels, 0]
+    for f in tables:
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+    for check, expected in rows.items():
+        value, _, passed = residual_row(tmp_path / "a", check)
+        assert passed == "1"
+        if expected is not None:
+            assert value == expected

@@ -8,6 +8,7 @@ import pytest
 from volterra_lq import ConfigError, RunConfig, StateOperator, load_config, run_scenario
 from volterra_lq import grids, volterra
 from volterra_lq.cli import main
+from volterra_lq.config import SCENARIOS
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -72,11 +73,15 @@ def test_state_only_scenario_accepts_small_beta(tmp_path):
     assert cfg.beta == 0.4
 
 
-def test_unknown_key_rejected_with_line_number(tmp_path):
+@pytest.mark.parametrize("line", ["wibble = 3", "tol_adjoint = 1"])
+def test_unknown_key_rejected_with_line_number(tmp_path, capsys, line):
+    # a check's tolerance is fixed in code: no key loosens it
+    key = line.split()[0]
+    path = write(tmp_path, f"problem = zero-cost\n{line}\nscenario = equivalence\n")
     with pytest.raises(ConfigError, match="line 2"):
-        load_config(
-            write(tmp_path, "problem = zero-cost\nwibble = 3\nscenario = equivalence\n")
-        )
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: unknown key {key!r}\n"
 
 
 def test_malformed_matrix_row_names_key(tmp_path):
@@ -140,7 +145,8 @@ def test_cli_listings(capsys):
     assert main(["list-problems"]) == 0
     assert "random-smooth" in capsys.readouterr().out
     assert main(["list-scenarios"]) == 0
-    assert "fredholm-methods" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(SCENARIOS)
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -174,12 +180,17 @@ def test_cli_reports_unwritable_outdir(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_run_scenario_validates_configs_built_in_code(tmp_path):
-    cfg = RunConfig(
-        scenario="equivalence", n=8, m_solver="galerkin", galerkin_dim=16,
-        outdir=str(tmp_path / "out"),
-    )
-    with pytest.raises(ConfigError, match="galerkin_dim"):
+@pytest.mark.parametrize(
+    "fields,match",
+    [
+        (dict(n=8, m_solver="galerkin", galerkin_dim=16), "galerkin_dim"),
+        (dict(problem_seed=-1), "field 'problem_seed': must be >= 0"),
+    ],
+    ids=["galerkin-dim-above-n", "negative-problem-seed"],
+)
+def test_run_scenario_validates_configs_built_in_code(tmp_path, fields, match):
+    cfg = RunConfig(scenario="equivalence", outdir=str(tmp_path / "out"), **fields)
+    with pytest.raises(ConfigError, match=match):
         run_scenario(cfg)
     assert not (tmp_path / "out").exists()
 
@@ -190,7 +201,6 @@ def test_run_scenario_validates_configs_built_in_code(tmp_path):
         ("beta", "nan"),
         ("T", "inf"),
         ("grading_exponent", "-inf"),
-        ("tol_control", "nan"),
         ("R", "inf"),
         ("Q", "1, nan"),
         ("A", "nan"),
@@ -214,9 +224,7 @@ def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):
     assert err.startswith(f"error: {match}") and "Traceback" not in err
     # the same value set on a config built in code
     cfg = load_config(write(tmp_path, base))
-    if key.startswith("tol_"):
-        cfg.tolerances[key[4:]] = float(value)
-    elif key in cfg.inline:
+    if key in cfg.inline:
         cfg.inline[key] = np.array([float(x) for x in value.split(",")])
     else:
         setattr(cfg, key, float(value))
@@ -239,6 +247,7 @@ def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):
         "problem = inline\nscenario = fredholm-methods\n",
         "problem = inline\nstate_dim = 0\nR = 1\n",
         "problem = inline\ncontrol_dim = 0\nQ = 1\n",
+        "seed = -1\n",
     ],
     ids=[
         "T-zero",
@@ -252,6 +261,7 @@ def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):
         "inline-fredholm-methods",
         "zero-state-dim",
         "zero-control-dim",
+        "negative-seed",
     ],
 )
 def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
