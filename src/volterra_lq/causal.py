@@ -247,7 +247,7 @@ def build_cross_term_reduction(dlq: DiscreteLQ) -> ReducedSystem:
     problem, grid = ops.problem, ops.grid
     Rinv = sc.R_inverses()
     RS = np.einsum("iab,ibx->iax", Rinv, sc.S)  # R^-1 S per node
-    A_hat = ops.A_samples - np.einsum("ijxc,jcy->ijxy", ops.B_samples, RS)
+    A_hat = ops.A_samples - ops.B_samples @ RS  # B(t_i, s_j) R^-1 S(s_j) per pair
     rho_resp = np.einsum("iab,ib->ia", Rinv, sc.rho)
     phi_hat = (ops.phi.ravel() - ops.WB_flat @ rho_resp.ravel()).reshape(ops.n, ops.dx)
     problem_hat = ProblemData(

@@ -47,14 +47,18 @@ Solvers, from oracle to cheap:
     convergence order out of each sweep until the round-off floor.
 
 The last three are one sweep of linear maps of the right side f that act
-on it from the left, so the representation, which needs M_t(t, .) only
-against one vector v, runs that sweep per node on the single column f v
-and never forms a gain table.  The sweep at sigma reads only the kernel
-columns of the nodes >= sigma: K_sigma M is the sliced product
-Kmat[:, sigma:] M[sigma:], and the projected matrix Gram - H' Wu K_sigma H
-is sliced from one product H' Wu Kmat shared by every sigma, so a node
-costs O((n - sigma) du (q du)^2) for its projected system plus a few
-sliced kernel-vector products.  Every whole-table solver returns the gain
+on it from the left, column by column, so the representation, which needs
+M_t(t, .) only against one vector v per node, runs one sweep over all
+nodes at once (`_Projection` with `every_node`, then `_sweep`): column t
+of its (n du, n) right side is node t's column f v, and it never forms a
+gain table.  Column t reads only the kernel columns of the nodes >= t:
+K_sigma is applied to every column at once as Kmat @ (mask * M), the mask
+keeping the rows of the nodes >= t in column t, and the n projected
+matrices Gram - H' Wu K_sigma H come from one reverse cumulative sum over
+node blocks of the one product H' Wu Kmat, inverted in one stacked call.
+The whole family costs O(n (q du)^3) for the projected systems plus a few
+O(n^3 du^2) kernel products.  Every whole-table solver keeps a single
+sigma through the same `_Projection` and `_sweep` and returns the gain
 table flat, shape (n du, n du), in the layout of `rhs`; the
 `fredholm-methods` scenario walks the sweep itself and measures each
 iterate's distance to the direct oracle.
@@ -62,12 +66,11 @@ iterate's distance to the direct oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .causal import _require_no_cross_terms, _running_gradients, causal_trajectories
 from .errors import AssumptionError, NumericalError
@@ -202,47 +205,79 @@ class _HatSpace:
         self.HtWK = self.HtW @ sys.Kmat
 
 
+def _invert_projected(proj_mats: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of projected matrices Gram - H' Wu K_sigma H, one stacked call.
+
+    An exactly singular matrix, or one whose 1-norm condition number (read
+    off the inverse) exceeds 1e13, raises NumericalError: the subspace is
+    too small to resolve the gain equation at that truncation point.  The
+    stack is overwritten: it holds the absolute values for the norms.
+    """
+    try:
+        inv = np.linalg.inv(proj_mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "projected gain system is singular; increase the subspace dimension"
+        ) from exc
+    norms = np.abs(proj_mats, out=proj_mats).sum(axis=1).max(axis=1)
+    norms *= np.abs(inv, out=proj_mats).sum(axis=1).max(axis=1)
+    worst = norms.max()
+    if not worst <= 1e13:
+        raise NumericalError(
+            f"projected gain system nearly singular (cond {worst:.2e}); "
+            "increase the subspace dimension"
+        )
+    return inv
+
+
 class _Projection:
     """Orthogonal projection onto the hat subspace in the weighted product.
 
-    Factors the projected system of the truncation point of `sys` from
-    the kernel columns of the nodes >= sigma only, sliced from the
-    space's HtWK.  A caller sweeping many truncation points of one
-    equation shares one prebuilt `space`; it is built here when not given.
+    Solves the projected systems of one truncation point, or of all of
+    them at once.  By default every column of a right side belongs to the
+    truncation point of `sys`, whose projected matrix is sliced from the
+    space's HtWK over the nodes >= sigma and K_sigma is `sys.apply`.  With
+    `every_node`, a right side has n columns and column t belongs to
+    sigma = t: K_sigma is applied as Kmat @ (mask * M), `mask` keeping the
+    rows of the nodes >= t in column t, and the n projected matrices
+    P_sigma = Gram - sum_{s >= sigma} HtWK[:, s] Hb[s] (node blocks s) come
+    from one reverse cumulative sum over node blocks.  Either way the
+    matrices are inverted in one stacked call (`_invert_projected`).
     """
 
-    def __init__(self, sys: FredholmSystem, subspace_dim: int, space: _HatSpace | None = None):
-        if space is None:
-            space = _HatSpace(sys, subspace_dim)
-        self.space = space
+    def __init__(self, sys: FredholmSystem, subspace_dim: int, every_node: bool = False):
+        space = self.space = _HatSpace(sys, subspace_dim)
         self.sys = sys
-        lo = sys.sigma_index * sys.du
-        # projected second-kind matrix (Gram - H' Wu K_sigma H)
-        proj_mat = space.gram - space.HtWK[:, lo:] @ space.Hb[lo:]
-        self._lu, self._piv, info = dgetrf(proj_mat)
-        if info > 0:
-            raise NumericalError(
-                "projected gain system is singular; increase the subspace "
-                "dimension"
-            )
-        # 1-norm condition estimate read off the LU factor
-        rcond, _ = dgecon(self._lu, np.abs(proj_mat).sum(axis=0).max())
-        if not rcond >= 1e-13:
-            cond = 1.0 / rcond if rcond > 0 else np.inf
-            raise NumericalError(
-                f"projected gain system nearly singular (cond {cond:.2e}); "
-                "increase the subspace dimension"
-            )
+        n, du = sys.n, sys.du
+        if every_node:
+            m = space.gram.shape[0]
+            # node s's term HtWK[:, s] Hb[s], summed in place from the last node back
+            proj_mats = space.HtWK.reshape(m, n, du).swapaxes(0, 1) @ space.Hb.reshape(n, du, m)
+            for s in range(n - 2, -1, -1):
+                proj_mats[s] += proj_mats[s + 1]
+            np.subtract(space.gram, proj_mats, out=proj_mats)
+            self.mask = np.arange(n * du)[:, None] >= du * np.arange(n)
+        else:
+            lo = sys.sigma_index * du
+            proj_mats = (space.gram - space.HtWK[:, lo:] @ space.Hb[lo:])[None]
+            self.mask = None
+        self._inv = _invert_projected(proj_mats)
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """K_sigma M, with the truncation point of each column."""
+        if self.mask is None:
+            return self.sys.apply(M)
+        return self.sys.Kmat @ (self.mask * M)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         sp = self.space
         return sp.Hb @ cho_solve(sp.gram_factor, sp.HtW @ v)
 
     def solve_projected(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution of (I - P K) x = P rhs inside the subspace."""
+        """Solution of (I - P K_sigma) x = P rhs inside the subspace, column by column."""
         sp = self.space
-        coeff, _ = dgetrs(self._lu, self._piv, sp.HtW @ rhs)
-        return sp.Hb @ coeff
+        coeff = self._inv @ (sp.HtW @ rhs).T[:, :, None]  # one inverse per column, or one for all
+        return sp.Hb @ coeff[:, :, 0].T
 
 
 def _sweep(proj: _Projection, f: np.ndarray):
@@ -250,11 +285,12 @@ def _sweep(proj: _Projection, f: np.ndarray):
 
     Yields the Galerkin solution of (I - P K) M = P f, the iterated
     Galerkin solution f + K M, and then the result of one five-step sweep
-    after another.  Every step acts on f from the left, so f is the whole
-    flat right side or a single column f v (shape (n du, 1)), whose
-    iterates are the tables' iterates applied to v.
+    after another, K = `proj.apply`.  Every step acts on f from the left,
+    column by column, so f is the whole flat right side of one truncation
+    point, or one column f v per node (shape (n du, n), with `every_node`),
+    whose iterates are the tables' iterates applied to v.
     """
-    K = proj.sys.apply
+    K = proj.apply
     M = proj.solve_projected(f)
     yield M
     M = f + K(M)
@@ -315,9 +351,11 @@ def _gain_integrals(
     """The integrals sum_{j >= t} w_j M_t(t, s_j) rg[t, j] of the representation, per t.
 
     rg[t] is the data of node t.  The direct method reads every gain row
-    from the problem's truncation factor.  The projection methods sweep
-    at sigma = t the single column f v, with v = w rg[t] on the nodes
-    j >= t (the columns of f before t are never read), and keep block t.
+    from the problem's truncation factor.  The projection methods run one
+    sweep over all nodes at once: column t of its right side is the
+    column f v of sigma = t, with v = w rg[t] on the nodes j >= t (the
+    columns of f before t are never read), and node t keeps block t of
+    column t.
     """
     n, du = dlq.n, dlq.du
     w = dlq.ops.omega
@@ -333,14 +371,12 @@ def _gain_integrals(
         raise ValueError("iteration count must be >= 0")
     stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]
     sys0 = assemble_fredholm(dlq, 0)
-    space = _HatSpace(sys0, subspace_dim)
-    out = np.empty((n, du))
-    for t in range(n):
-        lo = t * du
-        proj = _Projection(replace(sys0, sigma_index=t), subspace_dim, space)
-        f = sys0.rhs[:, lo:] @ (w[t:, None] * rg[t, t:]).reshape(-1, 1)
-        out[t] = next(islice(_sweep(proj, f), stage, None))[lo : lo + du, 0]
-    return out
+    proj = _Projection(sys0, subspace_dim, every_node=True)
+    # column t of v: w_j rg[t, j] on the nodes j >= t, zero before
+    f = sys0.rhs @ np.where(proj.mask, (w[None, :, None] * rg).reshape(n, n * du).T, 0.0)
+    M = next(islice(_sweep(proj, f), stage, None))
+    nodes = np.arange(n)
+    return M.reshape(n, du, n)[nodes, :, nodes]
 
 
 def representation_terms(
@@ -358,11 +394,11 @@ def representation_terms(
     instantaneous term with the integral of the gain row M_t(t, .)
     against it.  The direct gain rows come from one backward sweep
     through a single factor of the reversed quadratic form, O((n du)^3)
-    for all t; the projection methods solve one right side per node,
-    O((n - t) du (q du)^2) for its projected system, sliced from one
-    product of the hat basis with the kernel, plus a few sliced
-    O(n (n - t) du^2) kernel-vector products.  The cost weights are
-    taken from the assembled problem (no cross terms).
+    for all t; the projection methods run one sweep over one right side
+    per node, all nodes stacked: O(n (q du)^3) for the projected systems,
+    from one product of the hat basis with the kernel, plus a few
+    O(n^3 du^2) kernel products.  The cost weights are taken from the
+    assembled problem (no cross terms).
     """
     sc = dlq.cost_samples
     _require_no_cross_terms(sc, "the gain representation")

@@ -71,6 +71,16 @@ def _sample_matrix(f, grid: Grid, d1: int, d2: int) -> np.ndarray:
     return out
 
 
+def _terminal_weight(value, shape: tuple, name: str) -> np.ndarray:
+    """A terminal weight G or g as a float array of exactly `shape`; None is zero."""
+    if value is None:
+        return np.zeros(shape)
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"terminal weight {name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def _block_product(blocks: np.ndarray, M: np.ndarray) -> np.ndarray:
     """blockdiag(blocks) @ M for per-node blocks (n, a, b), as one batched product."""
     n, a, b = blocks.shape
@@ -96,8 +106,8 @@ class CostData:
 
     Q, S, R may be callables of t, constant matrices, scalars, or
     pre-sampled (n, ., .) arrays; q, rho trajectories; G, g terminal
-    weights.  delta is the coercivity floor; when omitted it defaults to
-    the smallest eigenvalue of R over the grid.
+    weights of shapes (dx, dx) and (dx,).  delta is the coercivity floor;
+    when omitted it defaults to the smallest eigenvalue of R over the grid.
     """
 
     Q: object = None
@@ -115,8 +125,8 @@ class CostData:
         Rs = _sample_matrix(self.R, grid, du, du)
         qs = sample_trajectory(self.q, grid, dx)
         rhos = sample_trajectory(self.rho, grid, du)
-        G = np.zeros((dx, dx)) if self.G is None else np.asarray(self.G, dtype=float)
-        g = np.zeros(dx) if self.g is None else np.asarray(self.g, dtype=float)
+        G = _terminal_weight(self.G, (dx, dx), "G")
+        g = _terminal_weight(self.g, (dx,), "g")
         if self.delta is None:
             delta = float(np.linalg.eigvalsh(Rs).min())
         else:
@@ -197,7 +207,10 @@ class DiscreteLQ:
     J(u) = u' lam u + 2 (Wu ell1)' u + lam0 with Wu the repeated trapezoid
     weights; ell1 holds nodal values of the affine term.  The causal
     reconstructions and the direct gain of one problem share one
-    `truncation_factor`, built on first use.
+    `truncation_factor`, and the condition warning and the coercivity
+    probe share one `weighted_eigenvalues`; both are built on first use
+    and kept, so a copy with another lam (`dataclasses.replace`) builds
+    its own.
     """
 
     ops: StateOperator
@@ -230,6 +243,17 @@ class DiscreteLQ:
 
         return TruncationFactor(self)
 
+    @cached_property
+    def weighted_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of Wu^(-1/2) lam Wu^(-1/2), built on first use and kept.
+
+        They are the generalized eigenvalues of lam against the diagonal
+        quadrature weights Wu, i.e. the spectrum of the form in the
+        weighted inner product of the grid.
+        """
+        s = 1.0 / np.sqrt(self.wu)
+        return np.linalg.eigvalsh(s[:, None] * self.lam * s)
+
 
 def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) -> DiscreteLQ:
     """Assemble (Lam, ell1, lam0) from the state maps and cost weights.
@@ -238,8 +262,12 @@ def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) ->
     free response and quadrature weights are reused.  The adjoints used
     throughout are weighted transposes, so <X, Theta u> = <Theta* X, u>
     holds exactly on the grid.  Raises AssumptionError naming the violated inequality
-    when the coercivity block fails.  Warns when Lam is severely
-    ill-conditioned.
+    when the coercivity block fails.  Warns when the weighted form
+    Wu^(-1/2) Lam Wu^(-1/2) is severely ill-conditioned, read off
+    `DiscreteLQ.weighted_eigenvalues`, which the coercivity probe shares:
+    the accuracy of the Cholesky solves depends on the condition number of
+    this diagonally scaled form, which does not inherit the spread of the
+    grid weights.
     """
     sc = _sampled_cost(cost, ops)
     _validate_cost(sc)
@@ -273,17 +301,18 @@ def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) ->
         + 2.0 * sc.g @ psi[-1]
     )
 
-    # lam is symmetric: its 2-norm condition number is max |eig| / min |eig|
-    eig = np.abs(np.linalg.eigvalsh(lam))
+    dlq = DiscreteLQ(ops=ops, lam=lam, ell1=ell1, lam0=lam0, cost_samples=sc)
+    # the weighted form is symmetric: its 2-norm condition number is max |eig| / min |eig|
+    eig = np.abs(dlq.weighted_eigenvalues)
     with np.errstate(divide="ignore"):
         cond = eig.max() / eig.min()
     if cond > 1e12:
         warnings.warn(
-            f"quadratic form condition number {cond:.2e} exceeds 1e12; "
+            f"weighted quadratic form condition number {cond:.2e} exceeds 1e12; "
             "solves may lose accuracy",
             stacklevel=2,
         )
-    return DiscreteLQ(ops=ops, lam=lam, ell1=ell1, lam0=lam0, cost_samples=sc)
+    return dlq
 
 
 def evaluate_cost(ops: StateOperator, cost: CostData | SampledCost, u) -> float:

@@ -333,13 +333,10 @@ def _coercivity_ratio(dlq) -> float:
     The trailing blocks of W^(-1/2) Lambda W^(-1/2) (W the diagonal
     quadrature weights) are the truncations at each sigma; by Cauchy
     interlacing none has a smaller eigenvalue, so the full form bounds them.
-    Only that one eigenvalue of the scaled form is computed.
+    The scaled form's spectrum is the one the assembly already built for
+    its condition warning (`dlq.weighted_eigenvalues`).
     """
-    from scipy.linalg import eigh
-
-    s = 1.0 / np.sqrt(dlq.wu)
-    lowest = eigh(s[:, None] * dlq.lam * s, eigvals_only=True, subset_by_index=[0, 0])[0]
-    return float(lowest / dlq.cost_samples.delta)
+    return float(dlq.weighted_eigenvalues[0] / dlq.cost_samples.delta)
 
 
 def _optimality_gap(dlq, u_opt, rng, trials=20) -> float:

@@ -9,10 +9,14 @@ Two complementary representations are built here.
 1.  A discrete operator layer (`StateOperator`), one per (problem, grid):
     the product-integration weights turn the equation into a block
     lower-triangular system (I - WA) X = xi, solved by forward
-    substitution.  The control-to-state map Theta = (I - WA)^(-1) WB and
-    the free response psi, which split the state as X = psi + Theta u,
-    are *exact* discrete objects; every operator identity used by the
-    optimization layers holds to round-off on the grid.
+    substitution without any dense LU: the n diagonal blocks
+    D_i = I - w_ii A(t_i, t_i) are inverted in one stacked call, and every
+    solve is one unit-lower-triangular solve of blockdiag(D^(-1)) (I - WA)
+    (transposed for the dual).  The control-to-state map
+    Theta = (I - WA)^(-1) WB and the free response psi, which split the
+    state as X = psi + Theta u, are *exact* discrete objects; every
+    operator identity used by the optimization layers holds to round-off
+    on the grid.
 
 2.  A kernel layer (`FactoredKernel`): the resolvent Phi of the kernel
     A(t,s)/(t-s)^(1-beta), stored in factored form
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import solve_triangular
 from scipy.special import betainc, beta as beta_function
 
 from .errors import NumericalError
@@ -403,10 +407,17 @@ class StateOperator:
     `solve_state`, the cache) reads the same A_samples, sw and WA_flat.
     All adjoints are taken in the trapezoid-weighted inner product of the
     grid, so that <Theta u, X> = <u, Theta* X> holds to round-off.  No
-    method mutates problem data.  The control side (B_samples, WB_flat),
-    the LU factor of I - WA, phi, theta and psi are built on first access
-    and kept, so a state-only caller never pays for them; touch theta and
-    psi before handing the operator to concurrent tasks.
+    method mutates problem data.
+
+    I - WA is block lower triangular, so no dense factorization is formed:
+    `step_inverses` holds the inverses of its n diagonal dx x dx blocks,
+    built in one stacked call, and with them blockdiag(D^(-1)) (I - WA) is
+    unit lower triangular.  `solve` is one triangular solve of it, and
+    `solve_dual` one transposed triangular solve.  The control side
+    (B_samples, WB_flat), the step inverses, the triangular matrix, phi,
+    theta and psi are built on first access and kept, so a state-only
+    caller never pays for them; touch theta and psi before handing the
+    operator to concurrent tasks.
     """
 
     def __init__(self, problem: ProblemData, grid: Grid):
@@ -437,8 +448,37 @@ class StateOperator:
         return self._fold(self.B_samples)
 
     @cached_property
-    def _lu(self):
-        return lu_factor(np.eye(self.n * self.dx) - self.WA_flat)
+    def step_inverses(self) -> np.ndarray:
+        """Inverses of the diagonal blocks I - w_ii A(t_i, t_i), shape (n, dx, dx).
+
+        One stacked inversion.  A singular block raises NumericalError
+        naming its node: the grid is far too coarse for the kernel
+        magnitude there.
+        """
+        n, dx = self.n, self.dx
+        blocks = np.eye(dx) - self.WA_flat.reshape(n, dx, n, dx)[np.arange(n), :, np.arange(n)]
+        try:
+            return np.linalg.inv(blocks)
+        except np.linalg.LinAlgError as exc:
+            i = int(np.argmin(np.abs(np.linalg.det(blocks))))
+            raise NumericalError(
+                f"implicit step singular at node {i}; grid too coarse for "
+                "the kernel magnitude"
+            ) from exc
+
+    def _steps(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """blockdiag(D^(-1)) v, or blockdiag(D^(-T)) v, for flat state vectors or columns."""
+        steps = self.step_inverses.swapaxes(1, 2) if transpose else self.step_inverses
+        return (steps @ v.reshape(self.n, self.dx, -1)).reshape(v.shape)
+
+    @cached_property
+    def _unit_lower(self) -> np.ndarray:
+        """blockdiag(D^(-1)) (I - WA): unit lower triangular, identity diagonal blocks."""
+        n, dx = self.n, self.dx
+        L = self._steps(-self.WA_flat)
+        nodes = np.arange(n)
+        L.reshape(n, dx, n, dx)[nodes, :, nodes] = np.eye(dx)
+        return L
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -453,12 +493,15 @@ class StateOperator:
     # -- basic solves -----------------------------------------------------
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """(I - WA)^(-1) v for a flat state vector."""
-        return lu_solve(self._lu, v)
+        """(I - WA)^(-1) v for a flat state vector or a stack of columns."""
+        return solve_triangular(self._unit_lower, self._steps(v), lower=True, unit_diagonal=True)
 
     def solve_dual(self, v: np.ndarray) -> np.ndarray:
         """(I - WA*)^(-1) v in the weighted inner product (flat state vector)."""
-        return lu_solve(self._lu, self.wx * v, trans=1) / self.wx
+        z = solve_triangular(
+            self._unit_lower, self.wx * v, trans="T", lower=True, unit_diagonal=True
+        )
+        return self._steps(z, transpose=True) / self.wx
 
     def apply_dual_A(self, v: np.ndarray) -> np.ndarray:
         """WA* v, the weighted adjoint of the state kernel action."""
@@ -473,7 +516,7 @@ class StateOperator:
     @cached_property
     def theta(self) -> np.ndarray:
         """Control-to-state map (n dx, n du), quadrature weights included."""
-        return lu_solve(self._lu, self.WB_flat)
+        return self.solve(self.WB_flat)
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -531,25 +574,17 @@ def solve_state(ops: StateOperator, xi) -> np.ndarray:
 
     xi is a grid trajectory (array or callable) on the grid of `ops`.
     Returns X with shape (n, n_state).  The rows are the operator's
-    weighted A, `ops.WA_flat`, and every diagonal block (I - w_ii A(t_i, t_i))
-    is inverted in one stacked call; step i is then one matvec against the
-    computed past and one dx x dx product.  A zero A returns xi exactly.
-    The blocks are nonsingular on any reasonable grid; a singular one
-    signals a grid far too coarse for the kernel magnitude.
+    weighted A, `ops.WA_flat`, and the steps are the operator's inverted
+    diagonal blocks (I - w_ii A(t_i, t_i))^(-1), `ops.step_inverses`; step
+    i is then one matvec against the computed past and one dx x dx
+    product.  A zero A returns xi exactly.  The blocks are nonsingular on
+    any reasonable grid; a singular one raises NumericalError, a grid far
+    too coarse for the kernel magnitude.
     """
     n, dx = ops.n, ops.dx
     xi_s = sample_trajectory(xi, ops.grid, dx)
     WA = ops.WA_flat.reshape(n, dx, n * dx)
-    diag = np.arange(n)
-    blocks = np.eye(dx) - WA.reshape(n, dx, n, dx)[diag, :, diag]
-    try:
-        step = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError as exc:
-        i = int(np.argmin(np.abs(np.linalg.det(blocks))))
-        raise NumericalError(
-            f"implicit step singular at node {i}; grid too coarse for "
-            "the kernel magnitude"
-        ) from exc
+    step = ops.step_inverses
     X = np.zeros(n * dx)
     for i in range(n):
         X[i * dx : (i + 1) * dx] = step[i] @ (xi_s[i] + WA[i, :, : i * dx] @ X[: i * dx])

@@ -104,6 +104,26 @@ def test_equivalence_without_terminal_weight_at_small_beta(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_singular_implicit_step_exits_2(tmp_path, capsys):
+    # uniform grids share one diagonal weight, so A = 1 / w_11 makes every
+    # implicit step I - w_ii A exactly singular: a numerical error (exit 2)
+    # from the state operator, not non-finite states and a failed eigensolve
+    from volterra_lq import build_grid, product_weights
+
+    w11 = product_weights(build_grid(16, 1.0), 0.75)[1, 1]
+    A = float(1.0 / w11)
+    assert 1.0 - w11 * A == 0.0
+    text = (
+        f"problem = inline\nscenario = equivalence\nn = 16\nbeta = 0.75\nA = {A!r}\n"
+        f"B = 1.0\nphi = 1.0\nQ = 1.0\nR = 1.0\nG = 1.0\noutdir = {tmp_path / 'out'}\n"
+    )
+    capsys.readouterr()
+    assert run_config(tmp_path, "singular", text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: implicit step singular at node 1;")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
 def test_reduction_without_terminal_weight_at_small_beta(tmp_path, kind):
     # rho alone (S = 0) keeps the default delta = min eig R a valid floor

@@ -516,3 +516,89 @@ def test_projection_rejects_nearly_singular_projected_system(gain_setup):
     assert np.all(np.diag(lu_factor(proj_mat)[0]) != 0.0)
     with pytest.raises(NumericalError, match="nearly singular"):
         _Projection(replace(sys0, Kmat=Kmat, sigma_index=0), q)
+
+
+def dyadic_system(columns):
+    """A gain equation on n = 33 uniform nodes whose projected matrices are exact.
+
+    With q = 5 hats on every 8th node, the hats, the trapezoid weights and
+    so the Gram matrix are dyadic, and so are the kernels built here from
+    hat columns, so every P_sigma is computed without rounding.  `columns`
+    maps a node j to the flat kernel column Kmat[:, j].
+    """
+    from volterra_lq.fredholm import FredholmSystem
+
+    grid = build_grid(33, 1.0)
+    Kmat = np.zeros((33, 33))
+    for j, column in columns.items():
+        Kmat[:, j] = column
+    omega = grid.trapezoid_weights()
+    return FredholmSystem(
+        kernel=Kmat / omega, Kmat=Kmat, sigma_index=0, grid=grid, du=1, omega=omega, beta=0.75
+    )
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (0.0, r"^projected gain system is singular; increase the subspace dimension$"),
+        (
+            2.0**-50,
+            r"^projected gain system nearly singular \(cond .*\); increase the subspace dimension$",
+        ),
+    ],
+)
+def test_stacked_projection_refuses_one_singular_truncation_point(eps, message):
+    # Kmat[:, 8] = (1 - eps) h_1, hat 1 sampled, and Hb[8] = e_1 give
+    # P_sigma = Gram (I - (1 - eps) e_1 e_1') for 7 < sigma <= 8: column 1 is
+    # eps Gram e_1.  Kmat[:, 7] = -h_1 restores row 1 for every sigma <= 7,
+    # and sigma > 8 reads neither column, so only sigma = 8 is refused, with
+    # the message of the single truncation point
+    from volterra_lq.errors import NumericalError
+    from volterra_lq.fredholm import _HatSpace, _Projection
+
+    hat = _HatSpace(dyadic_system({}), 5).Hb[:, 1]
+    sys0 = dyadic_system({7: -hat, 8: (1.0 - eps) * hat})
+    space = _HatSpace(sys0, 5)
+    proj_8 = space.gram - space.HtWK[:, 8:] @ space.Hb[8:]
+    if eps == 0.0:
+        assert np.all(proj_8[:, 1] == 0.0)
+    else:
+        assert np.linalg.cond(proj_8) > 1e14
+    for sigma in (0, 7, 9, 32):
+        _Projection(replace(sys0, sigma_index=sigma), 5)
+    with pytest.raises(NumericalError, match=message):
+        _Projection(replace(sys0, sigma_index=8), 5)
+    with pytest.raises(NumericalError, match=message):
+        _Projection(sys0, 5, every_node=True)
+
+
+def test_projection_representation_factors_once(monkeypatch, truncation_case):
+    # every truncation point of the representation comes from one hat space
+    # and one stacked inversion of the n projected matrices
+    import volterra_lq.fredholm as fredholm
+
+    dlq = truncation_case.dlq
+    traj = causal_trajectories(dlq.ops, solve_open_loop(dlq))
+    spaces, stacks = [], []
+
+    class CountingSpace(fredholm._HatSpace):
+        def __init__(self, *args):
+            spaces.append(1)
+            super().__init__(*args)
+
+    invert = fredholm._invert_projected
+
+    def counting_invert(proj_mats):
+        stacks.append(proj_mats.shape)
+        return invert(proj_mats)
+
+    monkeypatch.setattr(fredholm, "_HatSpace", CountingSpace)
+    monkeypatch.setattr(fredholm, "_invert_projected", counting_invert)
+    q, du = 8, dlq.du
+    for method in ("galerkin", "iterated", "superconvergent"):
+        spaces.clear()
+        stacks.clear()
+        fredholm.representation_terms(dlq, traj, method, subspace_dim=q)
+        assert len(spaces) == 1
+        assert stacks == [(dlq.n, q * du, q * du)]

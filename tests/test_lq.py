@@ -258,6 +258,81 @@ def test_eigenvalue_floors_match_the_per_node_loop(seed):
     assert sampled.delta == float(min(np.linalg.eigvalsh(M).min() for M in sampled.R))
 
 
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("G", 1.0, "terminal weight G has shape (), expected (2, 2)"),
+        ("G", np.eye(3), "terminal weight G has shape (3, 3), expected (2, 2)"),
+        ("g", np.ones(3), "terminal weight g has shape (3,), expected (2,)"),
+        ("g", 0.5, "terminal weight g has shape (), expected (2,)"),
+    ],
+)
+def test_terminal_weight_of_the_wrong_shape_is_named(rs_pipeline, field, value, expected):
+    cost = replace(rs_pipeline.cost, **{field: value})
+    assert rs_pipeline.problem.n_state == 2
+    with pytest.raises(ValueError) as info:
+        assemble_quadratic_form(rs_pipeline.ops, cost)
+    assert str(info.value) == expected
+
+
+class TestWeightedSpectrum:
+    """One eigen-decomposition per assembled form, shared by its two readers."""
+
+    @staticmethod
+    def count_square_eigensolves(monkeypatch, size):
+        import scipy.linalg
+
+        calls = []
+        for module, name in (
+            (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "eigvals"),
+            (np.linalg, "eig"), (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+        ):
+            original = getattr(module, name)
+
+            def spy(a, *args, _original=original, **kwargs):
+                if np.shape(a) == (size, size):
+                    calls.append(1)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scenario, problem, expected",
+        [("equivalence", "random-smooth", 1), ("reduction", "cross-term", 2)],
+    )
+    def test_one_spectrum_per_assembled_form(
+        self, tmp_path, monkeypatch, scenario, problem, expected
+    ):
+        from volterra_lq.config import RunConfig
+        from volterra_lq.scenarios import run_scenario
+
+        n = 24
+        calls = self.count_square_eigensolves(monkeypatch, 2 * n)
+        cfg = RunConfig(
+            problem=problem, problem_seed=5, scenario=scenario, n=n, outdir=str(tmp_path)
+        )
+        assert run_scenario(cfg).passed
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("name, kind", [("random-smooth", "uniform"), ("cross-term", "graded")])
+    def test_coercivity_ratio_equals_the_lowest_subset_eigenvalue(self, name, kind):
+        from volterra_lq.scenarios import _coercivity_ratio
+
+        entry = get_problem(name, 0.75, 1.0, 7)
+        ops = StateOperator(entry.problem, build_grid(48, 1.0, kind))
+        dlq = assemble_quadratic_form(ops, entry.cost)
+        s = 1.0 / np.sqrt(dlq.wu)
+        lowest = eigh(s[:, None] * dlq.lam * s, eigvals_only=True, subset_by_index=[0, 0])[0]
+        reference = lowest / dlq.cost_samples.delta
+        assert abs(_coercivity_ratio(dlq) - reference) <= 1e-13 * abs(reference)
+
+    def test_copy_with_another_form_builds_its_own_spectrum(self, rs_pipeline):
+        dlq = rs_pipeline.dlq
+        scaled = replace(dlq, lam=2.0 * dlq.lam)
+        assert np.allclose(scaled.weighted_eigenvalues, 2.0 * dlq.weighted_eigenvalues, rtol=1e-13)
+
+
 def test_ill_conditioned_form_warns():
     grid = build_grid(16, 1.0)
     p = ProblemData(A=None, B=None, phi=None, beta=0.75, T=1.0)

@@ -440,6 +440,71 @@ class TestSolveState:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+class TestStateOperatorSolves:
+    """Block-triangular solves of I - WA against dense solves."""
+
+    @staticmethod
+    def operator(dx, kind, n):
+        name = "constant-coeff" if dx == 1 else "random-smooth"
+        entry = get_problem(name, 0.75, 1.0, 42)
+        assert entry.problem.n_state == dx
+        return StateOperator(entry.problem, build_grid(n, 1.0, kind))
+
+    @staticmethod
+    def rel(a, b):
+        return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("n", [33, 128])
+    @pytest.mark.parametrize("dx", [1, 2])
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_solves_match_dense_solve(self, kind, dx, n):
+        ops = self.operator(dx, kind, n)
+        dense = np.eye(n * dx) - ops.WA_flat
+        v = np.random.default_rng(n + dx).normal(size=(n * dx, 3))
+        assert self.rel(ops.theta, np.linalg.solve(dense, ops.WB_flat)) <= 1e-13
+        assert self.rel(ops.psi.ravel(), np.linalg.solve(dense, ops.phi.ravel())) <= 1e-13
+        assert self.rel(ops.solve(v), np.linalg.solve(dense, v)) <= 1e-13
+        for k in range(v.shape[1]):
+            dual = np.linalg.solve(dense.T, ops.wx * v[:, k]) / ops.wx
+            assert self.rel(ops.solve_dual(v[:, k]), dual) <= 1e-13
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_theta_is_block_lower_triangular(self, kind, dx):
+        # a control at node j never reaches the state at nodes before j
+        ops = self.operator(dx, kind, 33)
+        n, du = ops.n, ops.du
+        blocks = ops.theta.reshape(n, dx, n, du).swapaxes(1, 2)  # [i, j] is block (i, j)
+        above = np.arange(n)[:, None] < np.arange(n)[None, :]
+        assert np.all(blocks[above] == 0.0)
+        assert np.any(blocks[~above] != 0.0)
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_time_stepping_equals_operator_solve(self, kind, dx):
+        ops = self.operator(dx, kind, 65)
+        xi = np.random.default_rng(dx).normal(size=(ops.n, dx))
+        stepped = solve_state(ops, xi)
+        assert self.rel(stepped.ravel(), ops.solve(xi.ravel())) <= 1e-13
+
+    def test_singular_step_refuses_every_solve(self):
+        # the singular implicit step of `solve_state` is the operator's:
+        # theta, psi and both solves raise it instead of returning non-finite
+        # values
+        grid = build_grid(17, 1.0)
+        w11 = product_weights(grid, 0.75)[1, 1]
+        ops = StateOperator(scalar_problem(const_kernel(1.0 / w11), const_kernel(1.0), None), grid)
+        calls = (
+            lambda: ops.theta,
+            lambda: ops.psi,
+            lambda: ops.solve(np.ones(17)),
+            lambda: ops.solve_dual(np.ones(17)),
+        )
+        for call in calls:
+            with pytest.raises(vlq_errors.NumericalError, match="implicit step singular at node 1"):
+                call()
+
+
 class TestControlKernel:
     def test_zero_control_kernel(self):
         grid = build_grid(17, 1.0)
