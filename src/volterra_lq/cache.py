@@ -45,7 +45,7 @@ _EXT = ".vker"
 _MAGIC = "volterra-kernel v1 "
 # changes with the file format or the resolvent series, so that no kernel
 # computed by another version is read back
-_KEY_VERSION = "volterra-kernel v1 with bound; resolvent series v4"
+_KEY_VERSION = "volterra-kernel v1 with bound; resolvent series v5"
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -108,14 +108,18 @@ def load_factored_kernel(path) -> FactoredKernel:
 
 
 def _write_atomic(path, header: str, *tables: np.ndarray):
-    """Write header and tables to a temporary file, then move it onto path."""
+    """Write header and tables to a temporary file, then move it onto path.
+
+    Each table must be C-contiguous: its buffer is written as it lies in
+    memory, without a bytes copy.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header.encode())
             for table in tables:
-                fh.write(table.tobytes())
+                fh.write(table.data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

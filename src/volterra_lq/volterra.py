@@ -32,15 +32,18 @@ Two complementary representations are built here.
     `control_kernel(ops, resolvent_kernel)` derives the factored control
     kernel Psi of the same grid from it.
 
-    Every kernel product (each series level, both pieces of Psi and the
-    transposed residual pass) runs through one column loop,
-    `_convolve_columns`, which differs only in its weight source: the
-    incomplete-beta weights of each source column (`_pair_column`; on a
-    uniform grid every column is a slice of column 0's), or the one row of
-    lower-endpoint weights that every target shares, for the regular part
-    D (zero on and above the diagonal) against A or B.  The left factor is
-    stored with the node axis innermost, so each source column costs one
-    contiguous weighted product and one GEMM.
+    Every kernel product (each series level and both pieces of Psi) runs
+    through one column loop, `_convolve_columns`, which differs only in
+    its weight source: the incomplete-beta weights of each source column
+    (`_pair_column`; on a uniform grid every column is a slice of column
+    0's), or the one row of lower-endpoint weights that every target
+    shares, for the regular part D (zero on and above the diagonal)
+    against B.  The left factor is taken with the node axis innermost
+    (`_node_inner`; `resolvent` lays A out so once for all levels), and
+    each source column costs one weighted product into a scratch buffer
+    allocated once per call, and one GEMM.  Every level product is
+    exactly zero on and above the diagonal, so the series adds it to D
+    and divides out its power of (t-s) as whole arrays.
 
     The incomplete-beta weights depend on the grid, beta and the series
     level only, so they are built once per process: `_pair_column_weights`
@@ -113,9 +116,9 @@ class ProblemData:
 def sample_kernel(K, grid: Grid, d1: int, d2: int) -> np.ndarray:
     """Sample a two-variable kernel coefficient at node pairs t_i >= s_j.
 
-    Returns an (n, n, d1, d2) array; entries above the diagonal are zero
-    (the kernel acts only on the past).  Accepts callables, pre-sampled
-    arrays, or None (zero kernel).
+    Returns an (n, n, d1, d2) float64 array; entries above the diagonal
+    are zero (the kernel acts only on the past).  Accepts callables,
+    pre-sampled arrays of any real dtype, or None (zero kernel).
     """
     n = grid.n
     if K is None:
@@ -125,7 +128,7 @@ def sample_kernel(K, grid: Grid, d1: int, d2: int) -> np.ndarray:
             raise ValueError(
                 f"pre-sampled kernel has shape {K.shape}, expected {(n, n, d1, d2)}"
             )
-        out = K.copy()
+        out = K.astype(np.float64)
     else:
         t = grid.nodes[:, None]
         s = grid.nodes[None, :]
@@ -183,14 +186,19 @@ class FactoredKernel:
     def n(self) -> int:
         return self.singular_coeff.shape[0]
 
-    def eval_offdiag(self, grid: Grid) -> np.ndarray:
-        """Kernel values at node pairs i > j; zero on and above the diagonal."""
-        n = self.n
-        dt = grid.nodes[:, None] - grid.nodes[None, :]
-        il = np.tril_indices(n, k=-1)
-        fac = np.zeros((n, n))
-        fac[il] = dt[il] ** (self.beta - 1.0)
-        return self.singular_coeff * fac[:, :, None, None] + self.regular_part
+    def eval_offdiag(self, grid: Grid, columns=slice(None)) -> np.ndarray:
+        """Kernel values at node pairs i > j; zero on and above the diagonal.
+
+        Only the source columns j in `columns` (default: all) are evaluated.
+        """
+        nodes = grid.nodes
+        below = np.arange(self.n)[:, None] > np.arange(self.n)[columns]
+        fac = np.zeros(below.shape)
+        fac[below] = (nodes[:, None] - nodes[columns])[below] ** (self.beta - 1.0)
+        return (
+            self.singular_coeff[:, columns] * fac[:, :, None, None]
+            + self.regular_part[:, columns]
+        )
 
 
 def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
@@ -259,25 +267,40 @@ def _pair_column_weights(grid: Grid, p: float, q: float):
     return tables.__getitem__
 
 
-def _convolve_columns(Fsamples, Gsamples, column_weights, columns=None) -> np.ndarray:
+def _node_inner(samples: np.ndarray) -> np.ndarray:
+    """Kernel samples (n, n, d1, dm) as the left factor of `_convolve_columns`.
+
+    The source node goes innermost, (n, d1, dm, n), so that a source
+    column's weighted block is contiguous along the integration node.
+    """
+    return np.ascontiguousarray(samples.transpose(0, 2, 3, 1))
+
+
+def _convolve_columns(F, Gsamples, column_weights, columns=None) -> np.ndarray:
     """out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j.
 
-    Wj = column_weights(j) has shape (n-j-1, n-j) and carries whichever
+    F is the left factor in the node-innermost layout of `_node_inner`,
+    (n, d1, dm, n), and G plain samples (n, n, dm, d2).  Wj =
+    column_weights(j) has shape (n-j-1, n-j) and carries whichever
     singular factors the product integrates, or shape (1, n-j) for one
     row that every target shares (the lower-endpoint weights, against an
-    F that is zero for l >= i).  F is stored node-innermost, (n, d1, dm, n),
-    so each source column is one contiguous weighted product over rows of
-    length n - j and one GEMM against G's column.  Only the source columns
-    j in `columns` are computed (default: all); the others stay zero.
+    F that is zero for l >= i).  Each source column's weighted block
+    F[j+1:, :, :, j:] * Wj is written into one scratch buffer, allocated
+    once per call at the size of column 0's block, and multiplied by G's
+    column in one GEMM.  Only the source columns j in `columns` are
+    computed (default: all, in any order); the others stay exactly zero,
+    as does every entry on and above the diagonal.
     """
-    n, _, d1, dm = Fsamples.shape
+    n, d1, dm, _ = F.shape
     d2 = Gsamples.shape[-1]
-    F = np.ascontiguousarray(Fsamples.transpose(0, 2, 3, 1))  # (n, d1, dm, n)
+    scratch = np.empty((n - 1) * d1 * dm * n)
     out = np.zeros((n, n, d1, d2))
     for j in range(n - 1) if columns is None else columns:
-        Fw = F[j + 1 :, :, :, j:] * column_weights(j)[:, None, None, :]
+        m = n - j  # source nodes l = j, ..., n-1
+        Fw = scratch[: (m - 1) * d1 * dm * m].reshape(m - 1, d1, dm, m)
+        np.multiply(F[j + 1 :, :, :, j:], column_weights(j)[:, None, None, :], out=Fw)
         Gj = Gsamples[j:, j].transpose(1, 0, 2).reshape(-1, d2)  # rows (y, l)
-        out[j + 1 :, j] = (Fw.reshape(-1, dm * (n - j)) @ Gj).reshape(n - j - 1, d1, d2)
+        out[j + 1 :, j] = (Fw.reshape(-1, dm * m) @ Gj).reshape(m - 1, d1, d2)
     return out
 
 
@@ -306,42 +329,59 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
 
     Reads the sampled A, the grid and beta of the state operator `ops`.
     Sums the iterated-kernel series with exact product moments for every
-    (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  The returned kernel also
-    carries residuals of its defining Volterra identity and of the
-    transposed identity (kernel on the right), both measured by an
-    independent quadrature pass over sampled source columns.  The series
-    stops at the first level below 1e-13 of the largest level so far and
-    raises NumericalError when `_MAX_LEVELS` levels do not get there.
+    (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  A is laid out
+    node-innermost once, for every level.  Each level product F_{k+1} is
+    exactly zero on and above the diagonal, so it is added to D, and its
+    coefficient F_{k+1} / (t-s)^((k+1) beta - 1) formed, as whole arrays
+    (the power table is 1 on and above the diagonal); the diagonal limit
+    of the coefficient is set apart.  The returned kernel also carries
+    residuals of its defining Volterra identity and of the transposed
+    identity (kernel on the right), both measured by an independent
+    quadrature pass over sampled source columns.  The series stops at the
+    first level below 1e-13 of the largest level so far.  NumericalError
+    is raised for a non-finite A sample (naming its first node pair)
+    before any level, for a level whose scale is not finite, and when
+    `_MAX_LEVELS` levels do not reach the stopping ratio.
     """
     beta, grid, n, dx = ops.beta, ops.grid, ops.n, ops.dx
     Asamp = ops.A_samples
+    bad = ~np.isfinite(Asamp).all(axis=(2, 3))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NumericalError(
+            f"state kernel A is not finite at node pair ({i}, {j}), "
+            f"t = {grid.nodes[i]:.6g}, s = {grid.nodes[j]:.6g}; no resolvent exists"
+        )
     norm_a = float(np.max(np.abs(Asamp))) * dx
     kernel = FactoredKernel(
-        singular_coeff=Asamp.copy(),
-        regular_part=np.zeros_like(Asamp),
-        beta=beta,
-        coeff_bound=_coeff_bound_series(norm_a, beta, grid.T),
+        singular_coeff=Asamp.copy(), regular_part=np.zeros_like(Asamp), beta=beta
     )
-    dt = grid.nodes[:, None] - grid.nodes[None, :]
-    il = np.tril_indices(n, k=-1)
+    # t - s below the diagonal and 1 on and above it, where every level is 0
+    dt = np.where(np.tri(n, k=-1, dtype=bool), grid.nodes[:, None] - grid.nodes, 1.0)
+    A_inner = _node_inner(Asamp)
     G = Asamp.copy()  # coefficient of (t-s)^(k*beta - 1), level k = 1
     D = kernel.regular_part
     diag_idx = np.arange(n)
+    A_diag = Asamp[diag_idx, diag_idx]
     scale_ref = 0.0
     for k in range(1, _MAX_LEVELS + 1):
         q = k * beta
-        F_next = _convolve_columns(Asamp, G, _pair_column_weights(grid, beta, q))
+        F_next = _convolve_columns(A_inner, G, _pair_column_weights(grid, beta, q))
         if k == 1:
             F2 = F_next
-        e = (k + 1) * beta - 1.0
-        Gnew = np.zeros_like(G)
-        Gnew[il] = F_next[il] / dt[il][:, None, None] ** e
+        level_scale = float(np.max(np.abs(F_next)))
+        if not np.isfinite(level_scale):
+            raise NumericalError(
+                f"resolvent series level {k} is not finite (largest entry "
+                f"{level_scale}); coefficient norm {norm_a:.3g} is too large "
+                "for this horizon"
+            )
+        Gnew = F_next / (dt ** ((k + 1) * beta - 1.0))[:, :, None, None]
         # diagonal limit of the next coefficient
         Gnew[diag_idx, diag_idx] = beta_function(q, beta) * np.einsum(
-            "ixy,iyz->ixz", Asamp[diag_idx, diag_idx], G[diag_idx, diag_idx]
+            "ixy,iyz->ixz", A_diag, G[diag_idx, diag_idx]
         )
-        D[il] += F_next[il]
-        level_scale = float(np.max(np.abs(F_next)))
+        D += F_next
         scale_ref = max(scale_ref, level_scale)
         if level_scale <= 1e-13 * max(scale_ref, 1e-300):
             break
@@ -353,6 +393,8 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
             "large for this horizon"
         )
 
+    # after the series, so that an overflowing level stops before the bound's product
+    kernel.coeff_bound = _coeff_bound_series(norm_a, beta, grid.T)
     kernel.residuals = _resolvent_residuals(kernel, ops, F2)
     return kernel
 
@@ -366,10 +408,14 @@ def _resolvent_residuals(kernel, ops, first):
     regular part of each integrand is re-integrated by plain product
     quadrature (not the level-wise factored form used to build D), so the
     residual exercises a different discretization of the same identity.
-    Over about 48 sampled source columns, the defining identity is one GEMM
-    of the operator's weighted A, `ops.WA_flat`, against those columns of
-    D; the transposed one is the column loop `_convolve_columns` of D
-    against A over the same columns, weighted by the lower-endpoint row.
+    Over about 48 sampled source columns s_j, each identity is one GEMM.
+    The defining one multiplies the operator's weighted A, `ops.WA_flat`,
+    against those columns of D.  In the transposed one the lower-endpoint
+    weights of (tau - s_j)^(beta-1) depend on (j, tau) alone, because D
+    vanishes for tau >= t; so D's flat (n dx, n dx) table multiplies A's
+    sampled columns, each node row weighted by its column's row of
+    `lower_product_weights`.  The denominator evaluates Phi at the
+    sampled columns only.
     """
     beta, grid, n, dx = kernel.beta, ops.grid, ops.n, ops.dx
     D = kernel.regular_part
@@ -378,13 +424,18 @@ def _resolvent_residuals(kernel, ops, first):
     # defining identity, kernel A on the left
     Dc = D[:, cols].transpose(0, 2, 1, 3).reshape(n * dx, c * dx)
     quad = (ops.WA_flat @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
-    # transposed identity, kernel A on the right; weights carry the
-    # (tau - s_j)^(beta-1) factor about the lower endpoint
-    quad_tr = _convolve_columns(
-        D, ops.A_samples, lambda j: lower_product_weights(grid, beta, j)[None], columns=cols
-    )[:, cols]
+    # transposed identity, kernel A on the right: weight w_j(tau_l) of
+    # column j at node l, zero for l < j
+    wlow = np.zeros((n, c))
+    for col, j in enumerate(cols):
+        wlow[j:, col] = lower_product_weights(grid, beta, j)
+    Aw = (wlow[:, None, :, None] * ops.A_samples[:, cols].transpose(0, 2, 1, 3)).reshape(
+        n * dx, c * dx
+    )  # rows (l, y), columns (j, z)
+    D_flat = D.transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
+    quad_tr = (D_flat @ Aw).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
 
-    denom = 1.0 + np.abs(kernel.eval_offdiag(grid)[:, cols]).max(axis=(2, 3))
+    denom = 1.0 + np.abs(kernel.eval_offdiag(grid, cols)).max(axis=(2, 3))
     rows = np.arange(n)[:, None] >= cols + 2  # targets i >= j + 2 of column j
     residuals = {}
     for name, q in (("defining", quad), ("transposed", quad_tr)):
@@ -561,10 +612,14 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     beta, grid = ops.beta, ops.grid
     Bsamp = ops.B_samples
     piece1 = _convolve_columns(
-        resolvent_kernel.singular_coeff, Bsamp, _pair_column_weights(grid, beta, beta)
+        _node_inner(resolvent_kernel.singular_coeff),
+        Bsamp,
+        _pair_column_weights(grid, beta, beta),
     )
     piece2 = _convolve_columns(
-        resolvent_kernel.regular_part, Bsamp, lambda j: lower_product_weights(grid, beta, j)[None]
+        _node_inner(resolvent_kernel.regular_part),
+        Bsamp,
+        lambda j: lower_product_weights(grid, beta, j)[None],
     )
     return FactoredKernel(singular_coeff=Bsamp.copy(), regular_part=piece1 + piece2, beta=beta)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import beta as beta_function
 
 import volterra_lq as vlq
+from volterra_lq.volterra import _pair_column_weights
 
 
 def blockdiag(blocks):
@@ -97,3 +99,51 @@ def truncation_case(request):
     """Small pipelines covering du = 1 and du = 2 on uniform and graded grids."""
     name, kind = request.param
     return Pipeline(name, seed=5, n=24, grid_kind=kind)
+
+
+def reference_convolve(Fsamples, Gsamples, column_weights):
+    """Column loop with a fresh weighted temporary per column: a test reference.
+
+    out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j, with F
+    in sample layout (n, n, d1, dm), transposed node-innermost on each call.
+    """
+    n, _, d1, dm = Fsamples.shape
+    d2 = Gsamples.shape[-1]
+    F = np.ascontiguousarray(Fsamples.transpose(0, 2, 3, 1))
+    out = np.zeros((n, n, d1, d2))
+    for j in range(n - 1):
+        Fw = F[j + 1 :, :, :, j:] * column_weights(j)[:, None, None, :]
+        Gj = Gsamples[j:, j].transpose(1, 0, 2).reshape(-1, d2)
+        out[j + 1 :, j] = (Fw.reshape(-1, dm * (n - j)) @ Gj).reshape(n - j - 1, d1, d2)
+    return out
+
+
+def reference_series(ops):
+    """Resolvent series with strictly-lower fancy-index updates: a test reference.
+
+    Returns the singular coefficient C and the regular part D, summed
+    level by level until a level falls below 1e-13 of the largest one.
+    """
+    beta, grid, n = ops.beta, ops.grid, ops.n
+    A = ops.A_samples
+    dt = grid.nodes[:, None] - grid.nodes[None, :]
+    il = np.tril_indices(n, k=-1)
+    diag = np.arange(n)
+    G = A.copy()
+    D = np.zeros_like(A)
+    scale_ref = 0.0
+    for k in range(1, 121):
+        q = k * beta
+        F_next = reference_convolve(A, G, _pair_column_weights(grid, beta, q))
+        Gnew = np.zeros_like(G)
+        Gnew[il] = F_next[il] / dt[il][:, None, None] ** ((k + 1) * beta - 1.0)
+        Gnew[diag, diag] = beta_function(q, beta) * np.einsum(
+            "ixy,iyz->ixz", A[diag, diag], G[diag, diag]
+        )
+        D[il] += F_next[il]
+        level_scale = float(np.max(np.abs(F_next)))
+        scale_ref = max(scale_ref, level_scale)
+        if level_scale <= 1e-13 * max(scale_ref, 1e-300):
+            return A.copy(), D
+        G = Gnew
+    raise AssertionError("reference series did not converge")

@@ -32,6 +32,17 @@ def test_factored_kernel_round_trip(tmp_path):
     assert "n=24" in header
 
 
+def test_kernel_file_is_the_header_then_the_raw_tables(tmp_path):
+    # the tables' buffers go to disk as they lie in memory, C then D
+    entry = get_problem("random-smooth", 0.75, 1.0, seed=8)
+    kernel = vlq.resolvent(vlq.StateOperator(entry.problem, vlq.build_grid(24, 1.0, "graded")))
+    path = tmp_path / "k.vker"
+    save_factored_kernel(path, kernel)
+    header, data = path.read_bytes().split(b"\n", 1)
+    assert header.startswith(b"volterra-kernel v1 n=24 ")
+    assert data == kernel.singular_coeff.tobytes() + kernel.regular_part.tobytes()
+
+
 def test_cached_resolvent_hits_disk_once(tmp_path):
     entry = get_problem("constant-coeff", 0.75, 1.0)
     grid = vlq.build_grid(24, 1.0)

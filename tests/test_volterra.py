@@ -12,12 +12,14 @@ from volterra_lq import (
     resolvent,
     solve_state,
 )
+from volterra_lq.cache import cached_resolvent
 from volterra_lq.catalog import example_2_1_control, get_problem
 from volterra_lq import errors as vlq_errors
 from volterra_lq import volterra
 from volterra_lq.volterra import (
     StateOperator,
     _convolve_columns,
+    _node_inner,
     _pair_column,
     _pair_column_weights,
     sample_kernel,
@@ -26,7 +28,7 @@ from volterra_lq.volterra import (
 from volterra_lq.grids import Grid, lower_product_weights
 from volterra_lq.scenarios import _series_error, _varconst_deviation
 
-from conftest import lower_weight_table, rel_l2
+from conftest import lower_weight_table, reference_convolve, reference_series, rel_l2
 
 
 def scalar_problem(A, B, phi, beta=0.75, T=1.0):
@@ -128,8 +130,8 @@ class TestResolvent:
         grid = build_grid(40, 1.0)
         p = get_problem("random-smooth", 0.75, 1.0, seed=5).problem
         As = sample_kernel(p.A, grid, 2, 2)
-        u1 = _convolve_columns(As, As, _pair_column_weights(grid, 0.75, 0.75))
-        u2 = _convolve_columns(As, As, lambda j: _pair_column(grid, 0.75, 0.75, j))
+        u1 = _convolve_columns(_node_inner(As), As, _pair_column_weights(grid, 0.75, 0.75))
+        u2 = _convolve_columns(_node_inner(As), As, lambda j: _pair_column(grid, 0.75, 0.75, j))
         assert np.allclose(u1, u2, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("q", [0.75, 3.0, 9.75])
@@ -157,7 +159,7 @@ class TestResolvent:
         p = get_problem(name, 0.75, 1.0, seed=seed).problem
         ker = resolvent(StateOperator(p, grid))
         As = sample_kernel(p.A, grid, p.n_state, p.n_state)
-        first = _convolve_columns(As, As, _pair_column_weights(grid, 0.75, 0.75))
+        first = _convolve_columns(_node_inner(As), As, _pair_column_weights(grid, 0.75, 0.75))
         ref = column_loop_residuals(ker, As, first, grid)
         for key in ("defining", "transposed"):
             assert ref[key] > 0.0
@@ -198,13 +200,64 @@ class TestResolvent:
                 for i in range(j + 1, n):
                     for l in range(j, n):
                         ref[i, j] += Wj[i - j - 1, l - j] * F[i, l] @ G[l, j]
-            got = _convolve_columns(F, G, weights)
+            got = _convolve_columns(_node_inner(F), G, weights)
             assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
             # a subset of source columns: those columns alone, the others zero
             cols = [0, 3, n - 2]
-            part = _convolve_columns(F, G, weights, columns=cols)
+            part = _convolve_columns(_node_inner(F), G, weights, columns=cols)
             assert np.array_equal(part[:, cols], got[:, cols])
             assert np.all(np.delete(part, cols, axis=1) == 0.0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_column_order_does_not_matter(self, kind):
+        # the scratch buffer serves columns of every size in any order: a
+        # small column before a large one must not read stale entries
+        grid = build_grid(17, 1.0, kind)
+        n = grid.n
+        rng = np.random.default_rng(4)
+        F = _node_inner(rng.normal(size=(n, n, 2, 3)))
+        G = rng.normal(size=(n, n, 3, 2))
+        weights = _pair_column_weights(grid, 0.75, 1.5)
+        full = _convolve_columns(F, G, weights)
+        for cols in (list(range(n - 2, -1, -1)), list(rng.permutation(n - 1)[: n // 2])):
+            part = _convolve_columns(F, G, weights, columns=cols)
+            assert np.array_equal(part[:, cols], full[:, cols])
+            assert np.all(np.delete(part, cols, axis=1) == 0.0)
+
+    @pytest.mark.parametrize("n", [17, 40])
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    @pytest.mark.parametrize("name", ["random-smooth", "constant-coeff"])  # dx = 2 and 1
+    def test_series_and_psi_match_the_fancy_index_reference(self, name, kind, n):
+        ops = StateOperator(get_problem(name, 0.75, 1.0, seed=3).problem, build_grid(n, 1.0, kind))
+        ker = resolvent(ops)
+        C, D = reference_series(ops)
+        assert np.array_equal(ker.singular_coeff, C)
+        assert np.array_equal(ker.regular_part, D)
+        lower = lambda j: lower_product_weights(ops.grid, 0.75, j)[None]  # noqa: E731
+        pair = _pair_column_weights(ops.grid, 0.75, 0.75)
+        Psi = control_kernel(ops, ker)
+        ref = reference_convolve(C, ops.B_samples, pair) + reference_convolve(
+            D, ops.B_samples, lower
+        )
+        assert np.array_equal(Psi.regular_part, ref)
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_every_level_product_vanishes_on_and_above_the_diagonal(self, monkeypatch, kind):
+        # the whole-array updates of D and of the next coefficient rely on it
+        problem = get_problem("random-smooth", 0.75, 1.0, seed=3).problem
+        ops = StateOperator(problem, build_grid(33, 1.0, kind))
+        levels = []
+
+        def convolve(F, G, column_weights, columns=None):
+            levels.append(_convolve_columns(F, G, column_weights, columns))
+            return levels[-1]
+
+        monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+        resolvent(ops)
+        assert len(levels) > 5
+        upper = np.triu(np.ones((33, 33), dtype=bool))
+        for F in levels:
+            assert np.all(F[upper] == 0.0)
 
     def test_diagonal_matrix_coefficient_componentwise(self):
         beta = 0.8
@@ -693,6 +746,73 @@ class TestProblemData:
         assert got.flags.c_contiguous
         got[0, 0] = 7.0
         assert np.all(floats == 1.0)
+
+
+def no_levels(*args):
+    raise AssertionError("a series level ran")
+
+
+def test_non_finite_kernel_is_refused_before_the_first_level(monkeypatch):
+    # A(t, s) = log t is -inf at t = 0; the series would otherwise run all
+    # its levels before giving up
+    grid = build_grid(129, 1.0)
+
+    def log_t(t, s):
+        return np.broadcast_to(np.log(t), np.broadcast_shapes(np.shape(t), np.shape(s)))[
+            ..., None, None
+        ]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ops = StateOperator(scalar_problem(log_t, None, None), grid)
+    monkeypatch.setattr(volterra, "_convolve_columns", no_levels)
+    with pytest.raises(vlq_errors.NumericalError, match=r"node pair \(0, 0\)"):
+        resolvent(ops)
+
+
+def test_first_non_finite_node_pair_is_named(monkeypatch):
+    grid = build_grid(17, 1.0)
+    A = np.full((17, 17, 1, 1), 0.5)
+    A[9, 4] = A[7, 3] = np.nan
+    with np.errstate(invalid="ignore"):
+        ops = StateOperator(scalar_problem(A, None, None), grid)
+    monkeypatch.setattr(volterra, "_convolve_columns", no_levels)
+    with pytest.raises(vlq_errors.NumericalError, match=r"node pair \(7, 3\)"):
+        resolvent(ops)
+
+
+def test_overflowing_level_stops_the_series(monkeypatch):
+    grid = build_grid(17, 1.0)
+    ops = StateOperator(scalar_problem(const_kernel(1e160), None, None), grid)
+    levels = []
+
+    def convolve(*args):
+        levels.append(_convolve_columns(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+    with np.errstate(over="ignore"):
+        with pytest.raises(vlq_errors.NumericalError, match="level 1 is not finite"):
+            resolvent(ops)
+    assert len(levels) == 1
+
+
+def test_integer_presampled_kernel_is_cast_to_float(tmp_path):
+    grid = build_grid(17, 1.0)
+    A = np.random.default_rng(2).integers(-2, 3, size=(17, 17, 1, 1))
+    ops_int, ops_float = (
+        StateOperator(scalar_problem(samples, const_kernel(1.0), None), grid)
+        for samples in (A, A.astype(float))
+    )
+    assert ops_int.A_samples.dtype == np.float64
+    k_int, k_float = resolvent(ops_int), resolvent(ops_float)
+    assert np.array_equal(k_int.singular_coeff, k_float.singular_coeff)
+    assert np.array_equal(k_int.regular_part, k_float.regular_part)
+    assert k_int.residuals == k_float.residuals
+    assert np.array_equal(ops_int.theta, ops_float.theta)
+    # one cache key: the float copy reads the file the integer kernel wrote
+    cached_resolvent(ops_int, str(tmp_path))
+    cached_resolvent(ops_float, str(tmp_path))
+    assert len(list(tmp_path.glob("*.vker"))) == 1
 
 
 def test_resolvent_diverging_series_raises():
