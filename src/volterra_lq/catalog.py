@@ -35,12 +35,12 @@ def _trig_kernel(rng, d1, d2, amplitude):
     def K(t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        base = np.broadcast_to(np.ones_like(t * s), np.broadcast_shapes(t.shape, s.shape))
-        osc = np.sin(w * t + p) * np.cos(v * s + c)
-        osc = np.broadcast_to(osc, base.shape)
-        return scale * (
-            base[..., None, None] * a0[None, ...] + osc[..., None, None] * a1[None, ...]
-        )
+        osc = np.atleast_1d(np.sin(w * t + p) * np.cos(v * s + c))  # scalars: (1, d1, d2)
+        # one contiguous plane per component (a, b), the component axes moved last
+        out = np.moveaxis(np.multiply.outer(a1, osc), (0, 1), (-2, -1))
+        out += a0
+        out *= scale
+        return out
 
     return K
 

@@ -425,13 +425,16 @@ def _varconst_deviation(ops, kernel, seed) -> float:
     amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
     xi = amp * np.cos(freq * nodes[:, None] + phase)
     x_step = solve_state(ops, xi)
-    # sw C comes in its flat (n dx, n dx) layout, and omega D is added in row
-    # blocks, so no full-size temporary is made
+    # sw C comes in its flat (n dx, n dx) layout, and omega D is added one
+    # component plane at a time through one (n, n) scratch, so no full-size
+    # temporary is made
     weighted = ops._fold(kernel.singular_coeff)
     blocks = weighted.reshape(n, dx, n, dx)
-    D = kernel.regular_part.transpose(0, 2, 1, 3)
-    for r in range(0, n, 16):
-        blocks[r : r + 16] += omega[None, None, :, None] * D[r : r + 16]
+    plane = np.empty((n, n))
+    for a in range(dx):
+        for b in range(dx):
+            np.multiply(omega, kernel.regular_part[:, :, a, b], out=plane)
+            blocks[:, a, :, b] += plane
     x_conv = xi + (weighted @ xi.ravel()).reshape(n, dx)
     return _rel(omega, x_step - x_conv, x_step)
 

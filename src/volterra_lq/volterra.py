@@ -47,18 +47,21 @@ Two complementary representations are built here.
 
     The incomplete-beta weights depend on the grid, beta and the series
     level only, so they are built once per process: `_pair_column_weights`
-    keeps them, read-only, in `_pair_memo` under (grid kind, node bytes,
+    keeps them, read-only, in `_weight_memo` under (grid kind, node bytes,
     p, q), column 0's table on a uniform grid and every column's on a
-    graded one, up to `_PAIR_MEMO_BYTES` (32 MiB) in all.  Later problems
-    on the same grid, and Psi's (beta, beta) piece, read level k's table
-    instead of computing it again; a table past the cap is computed and
-    not stored.
+    graded one.  Later problems on the same grid, and Psi's (beta, beta)
+    piece, read level k's table instead of computing it again.
 
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
 kernel cache read the operator's sampled A, weights and weighted fold,
-so those are built once per (problem, grid).  The factored kernels feed
-diagnostics and cross-checks.
+so those are built once per (problem, grid).  The product-integration
+weights depend on the grid and beta only, so every operator on a grid
+the process has seen reads them from the same memo, `_weight_memo`,
+under (grid kind, node bytes, beta).  The memo holds at most
+`_WEIGHT_MEMO_BYTES` (32 MiB) of tables in all; a table past the cap is
+computed and not stored, and nothing is evicted.  The factored kernels
+feed diagnostics and cross-checks.
 """
 
 from __future__ import annotations
@@ -116,28 +119,46 @@ class ProblemData:
 def sample_kernel(K, grid: Grid, d1: int, d2: int) -> np.ndarray:
     """Sample a two-variable kernel coefficient at node pairs t_i >= s_j.
 
-    Returns an (n, n, d1, d2) float64 array; entries above the diagonal
-    are zero (the kernel acts only on the past).  Accepts callables,
-    pre-sampled arrays of any real dtype, or None (zero kernel).
+    Returns a new (n, n, d1, d2) float64 array; entries above the diagonal
+    are zero whatever the kernel gives there (the kernel acts only on the
+    past).  Accepts callables, pre-sampled arrays of any real dtype, or
+    None (zero kernel).  A callable is evaluated once on the node table
+    and may return anything that broadcasts to (n, n, d1, d2).  Each
+    (n, n) component plane is copied on and below the diagonal only, so
+    the input is never written and its values above the diagonal, finite
+    or not, are never read.
     """
     n = grid.n
+    out = np.zeros((n, n, d1, d2))
     if K is None:
-        return np.zeros((n, n, d1, d2))
+        return out
     if isinstance(K, np.ndarray):
         if K.shape != (n, n, d1, d2):
             raise ValueError(
                 f"pre-sampled kernel has shape {K.shape}, expected {(n, n, d1, d2)}"
             )
-        out = K.astype(np.float64)
+        values = K
     else:
-        t = grid.nodes[:, None]
-        s = grid.nodes[None, :]
-        out = np.array(
-            np.broadcast_to(np.asarray(K(t, s), dtype=float), (n, n, d1, d2))
+        values = np.broadcast_to(
+            np.asarray(K(grid.nodes[:, None], grid.nodes[None, :]), dtype=float),
+            (n, n, d1, d2),
         )
-    iu = np.triu_indices(n, k=1)
-    out[iu] = 0.0
+    lower = np.tri(n, dtype=bool)
+    for a in range(d1):
+        for b in range(d2):
+            np.copyto(out[:, :, a, b], values[:, :, a, b], casting="unsafe", where=lower)
     return out
+
+
+def _require_finite(samples: np.ndarray, grid: Grid, what: str):
+    """Raise NumericalError naming the first node pair where samples are not finite."""
+    if np.isfinite(samples).all():
+        return
+    i, j = np.argwhere(~np.isfinite(samples).all(axis=(2, 3)))[0]
+    raise NumericalError(
+        f"{what} is not finite at node pair ({i}, {j}), "
+        f"t = {grid.nodes[i]:.6g}, s = {grid.nodes[j]:.6g}"
+    )
 
 
 def sample_trajectory(f, grid: Grid, d: int) -> np.ndarray:
@@ -225,12 +246,35 @@ def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
     return w
 
 
-_PAIR_MEMO_BYTES = 32 * 2**20  # cap on the pair-weight tables kept in `_pair_memo`
+_WEIGHT_MEMO_BYTES = 32 * 2**20  # cap on the tables kept in `_weight_memo`
 
-# The tables of `_pair_column_weights`, kept for the life of the process.
-# Nothing is evicted, so the low series levels, which every problem reads,
-# stay stored once the cap is reached.
-_pair_memo: dict = {}
+# The tables of `_product_weight_table` and `_pair_column_weights`, kept for
+# the life of the process.  Nothing is evicted, so the product weights and
+# the low series levels, which every problem reads first, stay stored once
+# the cap is reached.
+_weight_memo: dict = {}
+
+
+def _memo_has_room(nbytes: int) -> bool:
+    """Whether nbytes more stay within `_WEIGHT_MEMO_BYTES`."""
+    stored = sum(w.nbytes for tables in _weight_memo.values() for w in tables)
+    return stored + nbytes <= _WEIGHT_MEMO_BYTES
+
+
+def _product_weight_table(grid: Grid, beta: float) -> np.ndarray:
+    """`product_weights(grid, beta)`, read-only and kept in `_weight_memo`.
+
+    The key is (grid kind, node bytes, beta).  A table that would take the
+    stored bytes past `_WEIGHT_MEMO_BYTES` is computed and not stored.
+    """
+    key = (grid.kind, grid.nodes.tobytes(), beta)
+    if key in _weight_memo:
+        return _weight_memo[key][0]
+    sw = product_weights(grid, beta)
+    sw.flags.writeable = False
+    if _memo_has_room(sw.nbytes):
+        _weight_memo[key] = [sw]
+    return sw
 
 
 def _pair_column_weights(grid: Grid, p: float, q: float):
@@ -239,20 +283,19 @@ def _pair_column_weights(grid: Grid, p: float, q: float):
     A graded grid uses each column's weights.  On a uniform grid the
     weights depend on offsets alone, so column j is the leading block of
     column 0's.  The weights depend on the nodes, p and q only, never on
-    a problem, so the tables are kept in `_pair_memo` under (grid kind,
+    a problem, so the tables are kept in `_weight_memo` under (grid kind,
     node bytes, p, q) and every later call on that grid reads them.  A
-    table that would take the stored bytes past `_PAIR_MEMO_BYTES` is
+    table that would take the stored bytes past `_WEIGHT_MEMO_BYTES` is
     computed as before and not stored; a graded grid then computes each
     column when it is asked for.  Stored tables are read-only.
     """
     n = grid.n
     uniform = grid.kind == "uniform"
     key = (grid.kind, grid.nodes.tobytes(), p, q)
-    tables = _pair_memo.get(key)
+    tables = _weight_memo.get(key)
     if tables is None:
         cells = (n - 1) * n if uniform else (n - 1) * n * (n + 1) // 3
-        stored = sum(w.nbytes for ts in _pair_memo.values() for w in ts)
-        if stored + 8 * cells > _PAIR_MEMO_BYTES:
+        if not _memo_has_room(8 * cells):
             if not uniform:
                 return lambda j: _pair_column(grid, p, q, j)
             tables = [_pair_column(grid, p, q, 0)]
@@ -260,7 +303,7 @@ def _pair_column_weights(grid: Grid, p: float, q: float):
             tables = [_pair_column(grid, p, q, j) for j in range(1 if uniform else n - 1)]
             for w in tables:
                 w.flags.writeable = False
-            _pair_memo[key] = tables
+            _weight_memo[key] = tables
     if uniform:
         W0 = tables[0]
         return lambda j: W0[: n - j - 1, : n - j]
@@ -338,20 +381,13 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     residuals of its defining Volterra identity and of the transposed
     identity (kernel on the right), both measured by an independent
     quadrature pass over sampled source columns.  The series stops at the
-    first level below 1e-13 of the largest level so far.  NumericalError
-    is raised for a non-finite A sample (naming its first node pair)
-    before any level, for a level whose scale is not finite, and when
-    `_MAX_LEVELS` levels do not reach the stopping ratio.
+    first level below 1e-13 of the largest level so far.  The operator's
+    A is finite (its build refuses anything else); NumericalError is
+    raised for a level whose scale is not finite, and when `_MAX_LEVELS`
+    levels do not reach the stopping ratio.
     """
     beta, grid, n, dx = ops.beta, ops.grid, ops.n, ops.dx
     Asamp = ops.A_samples
-    bad = ~np.isfinite(Asamp).all(axis=(2, 3))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NumericalError(
-            f"state kernel A is not finite at node pair ({i}, {j}), "
-            f"t = {grid.nodes[i]:.6g}, s = {grid.nodes[j]:.6g}; no resolvent exists"
-        )
     norm_a = float(np.max(np.abs(Asamp))) * dx
     kernel = FactoredKernel(
         singular_coeff=Asamp.copy(), regular_part=np.zeros_like(Asamp), beta=beta
@@ -452,10 +488,15 @@ def _resolvent_residuals(kernel, ops, first):
 class StateOperator:
     """Discrete state equation (I - WA) X = xi and its exact companions.
 
-    sw is the product-integration weight table of the grid.  WA_flat and
+    sw is the product-integration weight table of the grid, read-only and
+    shared by every operator on that grid and beta through `_weight_memo`
+    (`grids.product_weights` is the uncached reference).  WA_flat and
     WB_flat are the kernel samples folded with it, as flat (n dx, n dx)
     and (n dx, n du) block matrices; the kernel layer (`resolvent`,
     `solve_state`, the cache) reads the same A_samples, sw and WA_flat.
+    A sample of A or B that is not finite raises NumericalError naming
+    its first node pair, A's when the operator is built and B's when
+    B_samples is first read, before either is folded.
     All adjoints are taken in the trapezoid-weighted inner product of the
     grid, so that <Theta u, X> = <u, Theta* X> holds to round-off.  No
     method mutates problem data.
@@ -479,20 +520,29 @@ class StateOperator:
         self.omega = grid.trapezoid_weights()
         self.wx = np.repeat(self.omega, self.dx)
         self.wu = np.repeat(self.omega, self.du)
-        self.sw = product_weights(grid, problem.beta)
+        self.sw = _product_weight_table(grid, problem.beta)
         self.A_samples = sample_kernel(problem.A, grid, self.dx, self.dx)
+        _require_finite(self.A_samples, grid, "state kernel A")
         self.WA_flat = self._fold(self.A_samples)
 
     def _fold(self, samples: np.ndarray) -> np.ndarray:
-        """Kernel samples (n, n, d1, d2) times sw, as a flat (n d1, n d2) matrix."""
+        """Kernel samples (n, n, d1, d2) times sw, as a flat (n d1, n d2) matrix.
+
+        Each (n, n) component plane's product with sw goes straight into
+        its place in the flat layout.
+        """
         n, _, d1, d2 = samples.shape
-        out = np.empty((n, d1, n, d2))  # the product goes straight into the flat layout
-        np.multiply(self.sw[:, None, :, None], samples.transpose(0, 2, 1, 3), out=out)
+        out = np.empty((n, d1, n, d2))
+        for a in range(d1):
+            for b in range(d2):
+                np.multiply(self.sw, samples[:, :, a, b], out=out[:, a, :, b])
         return out.reshape(n * d1, n * d2)
 
     @cached_property
     def B_samples(self) -> np.ndarray:
-        return sample_kernel(self.problem.B, self.grid, self.dx, self.du)
+        samples = sample_kernel(self.problem.B, self.grid, self.dx, self.du)
+        _require_finite(samples, self.grid, "control kernel B")
+        return samples
 
     @cached_property
     def WB_flat(self) -> np.ndarray:

@@ -3,7 +3,16 @@ import pytest
 from scipy.special import beta as beta_function
 
 import volterra_lq as vlq
+from volterra_lq import volterra
 from volterra_lq.volterra import _pair_column_weights
+
+
+@pytest.fixture
+def weight_memo(monkeypatch):
+    """An empty weight memo for one test; the process's memo is restored after."""
+    memo = {}
+    monkeypatch.setattr(volterra, "_weight_memo", memo)
+    return memo
 
 
 def blockdiag(blocks):
@@ -147,3 +156,51 @@ def reference_series(ops):
             return A.copy(), D
         G = Gnew
     raise AssertionError("reference series did not converge")
+
+
+def reference_sample_kernel(K, grid, d1, d2):
+    """Kernel samples through one (n, n, d1, d2) broadcast copy: a test reference.
+
+    The whole table is copied with the component axes innermost and the
+    upper triangle is zeroed afterwards by fancy index.
+    """
+    n = grid.n
+    if K is None:
+        return np.zeros((n, n, d1, d2))
+    if isinstance(K, np.ndarray):
+        out = K.astype(np.float64)
+    else:
+        values = K(grid.nodes[:, None], grid.nodes[None, :])
+        out = np.array(np.broadcast_to(np.asarray(values, dtype=float), (n, n, d1, d2)))
+    out[np.triu_indices(n, k=1)] = 0.0
+    return out
+
+
+def reference_fold(sw, samples):
+    """Samples (n, n, d1, d2) times sw in one broadcast product: a test reference."""
+    n, _, d1, d2 = samples.shape
+    return (sw[:, None, :, None] * samples.transpose(0, 2, 1, 3)).reshape(n * d1, n * d2)
+
+
+def reference_trig_kernel(rng, d1, d2, amplitude):
+    """The catalog's trigonometric kernel with the component axes innermost: a test reference.
+
+    Draws the same parameters from rng as `catalog._trig_kernel` and
+    evaluates scale (1 a0 + osc a1) over (..., d1, d2) broadcast temporaries.
+    """
+    a0 = rng.uniform(-1.0, 1.0, size=(d1, d2))
+    a1 = rng.uniform(-1.0, 1.0, size=(d1, d2))
+    w, v = rng.uniform(0.5, 2.5, size=2)
+    p, c = rng.uniform(0.0, 2 * np.pi, size=2)
+    scale = amplitude / max(np.abs(a0).sum(axis=1).max() + np.abs(a1).sum(axis=1).max(), 1e-9)
+
+    def K(t, s):
+        t = np.asarray(t, dtype=float)
+        s = np.asarray(s, dtype=float)
+        base = np.broadcast_to(np.ones_like(t * s), np.broadcast_shapes(t.shape, s.shape))
+        osc = np.broadcast_to(np.sin(w * t + p) * np.cos(v * s + c), base.shape)
+        return scale * (
+            base[..., None, None] * a0[None, ...] + osc[..., None, None] * a1[None, ...]
+        )
+
+    return K

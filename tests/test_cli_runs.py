@@ -27,14 +27,13 @@ def residual_row(outdir, check):
     return rows[0][1:]
 
 
-def test_uniform_resolvent_through_column_0_slices(tmp_path, monkeypatch):
+def test_uniform_resolvent_through_column_0_slices(tmp_path, monkeypatch, weight_memo):
     # n - 1 = 39 is not a power of two, so every column's weights are
     # slices of column 0's and not bit-equal to their own; the series gate
     # passes and a second run into the same cache reads back the same
     # bytes.  A third run into an empty cache computes the kernels again
     # from the pair weights the first run left in the process's memo, and
     # writes the same tables and kernel files.
-    monkeypatch.setattr(volterra, "_pair_memo", {})
     cache, fresh = tmp_path / "slice-cache", tmp_path / "fresh-cache"
 
     def run(name, cache_dir):

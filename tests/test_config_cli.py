@@ -446,9 +446,13 @@ def test_one_operator_build_per_problem(tmp_path, monkeypatch, problem, scenario
 
 
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
-def test_cold_convergence_samples_and_weighs_once_per_grid(tmp_path, monkeypatch, kind):
+def test_cold_convergence_samples_and_weighs_once_per_grid(
+    tmp_path, monkeypatch, weight_memo, kind
+):
     # the two grids each build one state operator, which alone samples A and
-    # forms the weights; B, which convergence never reads, is not sampled
+    # forms the weights; B, which convergence never reads, is not sampled.  A
+    # second cold run in the same process samples A again but reads both
+    # weight tables from the memo, and writes the same bytes.
     counts = {}
     for original in (volterra.sample_kernel, grids.product_weights):
         name = original.__name__
@@ -461,16 +465,25 @@ def test_cold_convergence_samples_and_weighs_once_per_grid(tmp_path, monkeypatch
             if module is not None and module.__name__.startswith("volterra_lq"):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-    cfg = load_config(
-        write(
-            tmp_path,
-            f"problem = random-smooth(3)\nscenario = convergence\ngrid = {kind}\nn = 17\n"
-            f"outdir = {tmp_path}/out\ncache_dir = {tmp_path}/cache\n",
+
+    def run(name):
+        cfg = load_config(
+            write(
+                tmp_path,
+                f"problem = random-smooth(3)\nscenario = convergence\ngrid = {kind}\nn = 17\n"
+                f"outdir = {tmp_path}/{name}\ncache_dir = {tmp_path}/{name}-cache\n",
+            )
         )
-    )
-    assert run_scenario(cfg).passed
-    assert len(list((tmp_path / "cache").glob("*.vker"))) == 2  # both grids missed
+        assert run_scenario(cfg).passed
+        files = sorted((tmp_path / f"{name}-cache").glob("*.vker"))
+        files += sorted((tmp_path / name).glob("*.csv"))
+        return {f.name: f.read_bytes() for f in files}
+
+    first = run("first")
+    assert sum(name.endswith(".vker") for name in first) == 2  # both grids missed
     assert counts == {"sample_kernel": 2, "product_weights": 2}
+    assert run("second") == first
+    assert counts == {"sample_kernel": 4, "product_weights": 2}
 
 
 def test_cli_clear_cache(tmp_path, capsys):

@@ -299,27 +299,19 @@ class TestResolvent:
             assert res[0][key] / res[2][key] > 4.0
 
 
-@pytest.fixture
-def pair_memo(monkeypatch):
-    """An empty pair-weight memo for one test; the process's memo is restored after."""
-    memo = {}
-    monkeypatch.setattr(volterra, "_pair_memo", memo)
-    return memo
-
-
 def memo_key(grid, p, q):
     return (grid.kind, grid.nodes.tobytes(), p, q)
 
 
 class TestPairMemo:
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_stored_tables_equal_fresh_columns(self, pair_memo, kind):
+    def test_stored_tables_equal_fresh_columns(self, weight_memo, kind):
         # n - 1 = 39 is not a power of two, so a uniform column's slice of
         # column 0 is not its own weights: the memo keeps column 0's table
         grid = build_grid(40, 1.0, kind)
         first = _pair_column_weights(grid, 0.75, 1.5)
         again = _pair_column_weights(grid, 0.75, 1.5)
-        stored = pair_memo[memo_key(grid, 0.75, 1.5)]
+        stored = weight_memo[memo_key(grid, 0.75, 1.5)]
         cols = [0] if kind == "uniform" else range(grid.n - 1)
         assert len(stored) == len(cols)
         for j in cols:
@@ -329,52 +321,52 @@ class TestPairMemo:
             assert np.shares_memory(again(j), stored[0 if kind == "uniform" else j])
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_stored_tables_are_read_only(self, pair_memo, kind):
+    def test_stored_tables_are_read_only(self, weight_memo, kind):
         grid = build_grid(17, 1.0, kind)
         column = _pair_column_weights(grid, 0.75, 0.75)
-        for W in (column(0), column(5), *pair_memo[memo_key(grid, 0.75, 0.75)]):
+        for W in (column(0), column(5), *weight_memo[memo_key(grid, 0.75, 0.75)]):
             with pytest.raises(ValueError, match="read-only"):
                 W[0, 0] = 1.0
 
-    def test_graded_kind_on_uniform_nodes_has_its_own_entry(self, pair_memo):
+    def test_graded_kind_on_uniform_nodes_has_its_own_entry(self, weight_memo):
         # the kind selects slices of column 0 or each column's own weights,
         # so equal nodes of another kind must not share the tables
         uniform = build_grid(17, 1.0)
         graded = Grid(nodes=uniform.nodes, T=1.0, kind="graded")
         _pair_column_weights(uniform, 0.75, 0.75)
         column = _pair_column_weights(graded, 0.75, 0.75)
-        assert len(pair_memo) == 2
-        assert len(pair_memo[memo_key(uniform, 0.75, 0.75)]) == 1
-        assert len(pair_memo[memo_key(graded, 0.75, 0.75)]) == graded.n - 1
+        assert len(weight_memo) == 2
+        assert len(weight_memo[memo_key(uniform, 0.75, 0.75)]) == 1
+        assert len(weight_memo[memo_key(graded, 0.75, 0.75)]) == graded.n - 1
         for j in range(graded.n - 1):
             assert np.array_equal(column(j), _pair_column(graded, 0.75, 0.75, j))
 
     @pytest.mark.parametrize("kind, n", [("uniform", 17), ("graded", 9)])
-    def test_tables_past_the_cap_are_computed_not_stored(self, pair_memo, monkeypatch, kind, n):
+    def test_tables_past_the_cap_are_computed_not_stored(self, weight_memo, monkeypatch, kind, n):
         grid = build_grid(n, 1.0, kind)
         one = 8 * ((n - 1) * n if kind == "uniform" else (n - 1) * n * (n + 1) // 3)
         cap = 2 * one + one // 2
-        monkeypatch.setattr(volterra, "_PAIR_MEMO_BYTES", cap)
+        monkeypatch.setattr(volterra, "_WEIGHT_MEMO_BYTES", cap)
         levels = [k * 0.75 for k in range(1, 6)]
         for q in levels:
             column = _pair_column_weights(grid, 0.75, q)
-            assert sum(W.nbytes for tables in pair_memo.values() for W in tables) <= cap
+            assert sum(W.nbytes for tables in weight_memo.values() for W in tables) <= cap
             W0 = _pair_column(grid, 0.75, q, 0)
             for j in range(n - 1):
                 own = _pair_column(grid, 0.75, q, j)
                 fresh = W0[: n - j - 1, : n - j] if kind == "uniform" else own
                 assert np.array_equal(column(j), fresh)
         # the first levels stay; nothing is evicted for the later ones
-        assert list(pair_memo) == [memo_key(grid, 0.75, q) for q in levels[:2]]
+        assert list(weight_memo) == [memo_key(grid, 0.75, q) for q in levels[:2]]
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_problems_sharing_the_memo_match_fresh_resolvents(self, pair_memo, kind):
+    def test_problems_sharing_the_memo_match_fresh_resolvents(self, weight_memo, kind):
         grid = build_grid(33, 1.0, kind)
         problems = [get_problem("random-smooth", 0.75, 1.0, seed=s).problem for s in (3, 8)]
         shared = [resolvent(StateOperator(p, grid)) for p in problems]
-        assert pair_memo
+        assert weight_memo
         for p, ker in zip(problems, shared):
-            pair_memo.clear()
+            weight_memo.clear()
             fresh = resolvent(StateOperator(p, grid))
             assert np.array_equal(ker.singular_coeff, fresh.singular_coeff)
             assert np.array_equal(ker.regular_part, fresh.regular_part)
@@ -625,13 +617,13 @@ class TestControlKernel:
         assert err[-1] <= 2.0 * err[:-1].max()
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_reads_the_level_one_table_of_the_resolvent(self, pair_memo, monkeypatch, kind):
+    def test_reads_the_level_one_table_of_the_resolvent(self, weight_memo, monkeypatch, kind):
         # Psi's doubly singular piece weighs with (beta, beta), level 1 of
         # the series: it reads the table resolvent stored, computing none
         grid = build_grid(17, 1.0, kind)
         ops = StateOperator(get_problem("random-smooth", 0.75, 1.0, seed=3).problem, grid)
         ker = resolvent(ops)
-        stored = pair_memo[memo_key(grid, 0.75, 0.75)]
+        stored = weight_memo[memo_key(grid, 0.75, 0.75)]
         seen = []
 
         def convolve(F, G, column_weights, columns=None):
@@ -748,36 +740,56 @@ class TestProblemData:
         assert np.all(floats == 1.0)
 
 
-def no_levels(*args):
-    raise AssertionError("a series level ran")
+def no_fold(self, samples):
+    raise AssertionError("kernel samples were folded")
 
 
-def test_non_finite_kernel_is_refused_before_the_first_level(monkeypatch):
-    # A(t, s) = log t is -inf at t = 0; the series would otherwise run all
-    # its levels before giving up
-    grid = build_grid(129, 1.0)
-
-    def log_t(t, s):
+def log_t(t, s):
+    # -inf at t = 0, computed without a warning of its own
+    with np.errstate(divide="ignore"):
         return np.broadcast_to(np.log(t), np.broadcast_shapes(np.shape(t), np.shape(s)))[
             ..., None, None
         ]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ops = StateOperator(scalar_problem(log_t, None, None), grid)
-    monkeypatch.setattr(volterra, "_convolve_columns", no_levels)
-    with pytest.raises(vlq_errors.NumericalError, match=r"node pair \(0, 0\)"):
-        resolvent(ops)
+
+@pytest.mark.parametrize("n", [17, 129])
+def test_non_finite_state_kernel_is_refused_when_the_operator_is_built(monkeypatch, n):
+    # folded, the -inf at (0, 0) would be NaN (0 * inf, with a RuntimeWarning):
+    # solve_state would return NaN and theta raise scipy's bare ValueError
+    monkeypatch.setattr(StateOperator, "_fold", no_fold)
+    with pytest.raises(
+        vlq_errors.NumericalError, match=r"state kernel A .* node pair \(0, 0\), t = 0, s = 0"
+    ):
+        StateOperator(scalar_problem(log_t, const_kernel(1.0), None), build_grid(n, 1.0))
 
 
 def test_first_non_finite_node_pair_is_named(monkeypatch):
     grid = build_grid(17, 1.0)
     A = np.full((17, 17, 1, 1), 0.5)
     A[9, 4] = A[7, 3] = np.nan
-    with np.errstate(invalid="ignore"):
-        ops = StateOperator(scalar_problem(A, None, None), grid)
-    monkeypatch.setattr(volterra, "_convolve_columns", no_levels)
-    with pytest.raises(vlq_errors.NumericalError, match=r"node pair \(7, 3\)"):
-        resolvent(ops)
+    A[2, 5] = np.inf  # above the diagonal: never read
+    monkeypatch.setattr(StateOperator, "_fold", no_fold)
+    named = r"state kernel A is not finite at node pair \(7, 3\), t = 0.4375, s = 0.1875"
+    with pytest.raises(vlq_errors.NumericalError, match=named):
+        StateOperator(scalar_problem(A, None, None), grid)
+
+
+def test_non_finite_control_kernel_is_refused_before_it_is_folded(monkeypatch):
+    grid = build_grid(17, 1.0)
+    B = np.full((17, 17, 2, 1), 0.5)
+    B[6, 6, 1, 0] = np.nan
+    B[8, 2, 0, 0] = -np.inf
+    B[3, 9] = np.nan  # above the diagonal: never read
+    problem = ProblemData(
+        A=const_kernel(0.3), B=B, phi=None, beta=0.75, T=1.0, n_state=2, n_control=1
+    )
+    ops = StateOperator(problem, grid)
+    monkeypatch.setattr(StateOperator, "_fold", no_fold)
+    for read in (lambda: ops.B_samples, lambda: ops.WB_flat, lambda: ops.theta):
+        with pytest.raises(
+            vlq_errors.NumericalError, match=r"control kernel B .* node pair \(6, 6\)"
+        ):
+            read()
 
 
 def test_overflowing_level_stops_the_series(monkeypatch):
