@@ -35,9 +35,8 @@ from .lq import (
     assemble_quadratic_form,
     evaluate_cost,
     solve_open_loop,
-    verify_control_relation,
 )
-from .adjoint import control_from_adjoint, solve_adjoint
+from .adjoint import control_from_adjoint, reduced_gradient, solve_adjoint
 from .causal import (
     ReducedSystem,
     RestrictedOperator,

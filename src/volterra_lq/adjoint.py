@@ -30,6 +30,8 @@ cost, x_bar, u_bar)` returns Y, shape (n, dx), and
 `control_from_adjoint(Y, ops, cost, x_bar)` forms the terminal value
 G X(T) + g again from its own x_bar; ops is the `StateOperator` of
 (problem, grid), as in `dlq.ops`, and the cost may be already sampled.
+`reduced_gradient(ops, cost, u)` composes the two at the state
+`ops.state(u)` of any control u, so it forms no theta.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .lq import CostData, SampledCost, _sampled_cost
 from .volterra import StateOperator, sample_trajectory
 
-__all__ = ["solve_adjoint", "control_from_adjoint"]
+__all__ = ["solve_adjoint", "control_from_adjoint", "reduced_gradient"]
 
 
 def solve_adjoint(
@@ -90,3 +92,17 @@ def control_from_adjoint(
     total = total + np.einsum("ica,ia->ic", sc.S, X) + sc.rho
     Rinv = sc.R_inverses()
     return -np.einsum("iab,ib->ia", Rinv, total)
+
+
+def reduced_gradient(ops: StateOperator, cost: CostData | SampledCost, u) -> np.ndarray:
+    """Reduced gradient g = R (u - u_adj) of a control u, shape (n, du).
+
+    u_adj is `control_from_adjoint` of the adjoint of (`ops.state(u)`, u).
+    g is the weighted gradient of J(u)/2, Wu g = Lam u + rhs, and R^(-1) g
+    is the distance of u to the control its adjoint gives.
+    """
+    sc = _sampled_cost(cost, ops)
+    u = sample_trajectory(u, ops.grid, ops.du)
+    X = ops.state(u)
+    u_adj = control_from_adjoint(solve_adjoint(ops, sc, X, u), ops, sc, X)
+    return np.einsum("iab,ib->ia", sc.R, u - u_adj)

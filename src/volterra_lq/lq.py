@@ -19,11 +19,11 @@ feedback-gain characterizations are verified.
 
 Everything here works on the one `StateOperator` built per (problem,
 grid): `assemble_quadratic_form(ops, cost)` returns a `DiscreteLQ` that
-carries it as `dlq.ops`, which `verify_control_relation(dlq, u_bar)` and
-every layer above read.  The independent references
-`evaluate_cost(ops, cost, u)` and the adjoint pair take the operator and
-the cost themselves; the cost may be a `CostData` or the weights already
-sampled on that grid (`dlq.cost_samples`).
+carries it as `dlq.ops`, which every layer above reads.  The independent
+references `evaluate_cost(ops, cost, u)`, the adjoint pair and the
+`reduced_gradient(ops, cost, u)` built from it take the operator and the
+cost themselves and form no theta; the cost may be a `CostData` or the
+weights already sampled on that grid (`dlq.cost_samples`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "assemble_quadratic_form",
     "evaluate_cost",
     "solve_open_loop",
-    "verify_control_relation",
 ]
 
 
@@ -323,8 +322,7 @@ def evaluate_cost(ops: StateOperator, cost: CostData | SampledCost, u) -> float:
     """
     sc = _sampled_cost(cost, ops)
     u_s = sample_trajectory(u, ops.grid, ops.du)
-    xi = ops.phi.ravel() + ops.WB_flat @ u_s.ravel()
-    X = ops.solve(xi).reshape(ops.n, ops.dx)
+    X = ops.state(u_s)
     omega = ops.omega
     running = (
         np.einsum("i,ia,ia->", omega, _apply_blocks(sc.Q, X), X)
@@ -353,27 +351,3 @@ def solve_open_loop(dlq: DiscreteLQ) -> np.ndarray:
     u = cho_solve(factor, -dlq.rhs)
     return u.reshape(dlq.n, dlq.du)
 
-
-def verify_control_relation(dlq: DiscreteLQ, u_bar: np.ndarray) -> float:
-    """Pointwise residual of the expanded optimality relation.
-
-    Reconstructs the right side of the relation the optimizer must satisfy
-    (terminal coupling, instantaneous terms, and the backward integral of
-    the resolvent-propagated running gradient) through the discrete
-    operator algebra, and returns max_i |u_bar(t_i) - RHS(t_i)|.
-    """
-    ops, sc = dlq.ops, dlq.cost_samples
-    u = sample_trajectory(u_bar, ops.grid, ops.du)
-    X = (ops.psi.ravel() + ops.theta @ u.ravel()).reshape(ops.n, ops.dx)
-    z = _apply_blocks(sc.Q, X) + np.einsum("ica,ic->ia", sc.S, u) + sc.q
-    zeta = sc.G @ X[-1] + sc.g
-    vterm = ops.terminal_unit(zeta)
-    # resolvent-propagated gradient: z + Phi'-convolution of z, plus the
-    # terminal coupling propagated through the same dual solve
-    y = z.ravel() + ops.apply_dual_A(ops.solve_dual(z.ravel()))
-    y = y + ops.solve_dual(ops.apply_dual_A(vterm))
-    backward = ops.apply_dual_B(y) + ops.apply_dual_B(vterm)
-    rhs_flat = backward.reshape(ops.n, ops.du) + np.einsum("ica,ia->ic", sc.S, X) + sc.rho
-    Rinv = sc.R_inverses()
-    rhs = -np.einsum("iab,ib->ia", Rinv, rhs_flat)
-    return float(np.max(np.abs(u - rhs)))

@@ -71,7 +71,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import betainc, beta as beta_function
+from scipy.special import betainc, beta as beta_function, gamma
 
 from .errors import NumericalError
 from .grids import Grid, lower_product_weights, product_weights
@@ -367,6 +367,11 @@ def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -
 _MAX_LEVELS = 120  # series levels summed before the resolvent is declared divergent
 
 
+def _series_size(norm_a: float, beta: float, T: float) -> str:
+    """The size |A| Gamma(beta) T^beta that governs the series, as its errors name it."""
+    return f"|A| Gamma(beta) T^beta = {norm_a * gamma(beta) * T**beta:.3g}"
+
+
 def resolvent(ops: StateOperator) -> FactoredKernel:
     """Resolvent kernel of A(t,s)/(t-s)^(1-beta), in factored form.
 
@@ -384,7 +389,7 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     first level below 1e-13 of the largest level so far.  The operator's
     A is finite (its build refuses anything else); NumericalError is
     raised for a level whose scale is not finite, and when `_MAX_LEVELS`
-    levels do not reach the stopping ratio.
+    levels do not reach the stopping ratio; both name |A| Gamma(beta) T^beta.
     """
     beta, grid, n, dx = ops.beta, ops.grid, ops.n, ops.dx
     Asamp = ops.A_samples
@@ -409,8 +414,7 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
         if not np.isfinite(level_scale):
             raise NumericalError(
                 f"resolvent series level {k} is not finite (largest entry "
-                f"{level_scale}); coefficient norm {norm_a:.3g} is too large "
-                "for this horizon"
+                f"{level_scale}); {_series_size(norm_a, beta, grid.T)} is too large"
             )
         Gnew = F_next / (dt ** ((k + 1) * beta - 1.0))[:, :, None, None]
         # diagonal limit of the next coefficient
@@ -425,8 +429,7 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     else:
         raise NumericalError(
             "resolvent series did not reach the requested tolerance within "
-            f"{_MAX_LEVELS} levels; coefficient norm {norm_a:.3g} may be too "
-            "large for this horizon"
+            f"{_MAX_LEVELS} levels; {_series_size(norm_a, beta, grid.T)} may be too large"
         )
 
     # after the series, so that an overflowing level stops before the bound's product
@@ -613,6 +616,11 @@ class StateOperator:
         return (self.WB_flat.T @ (self.wx * v)) / self.wu
 
     # -- derived objects --------------------------------------------------
+
+    def state(self, u) -> np.ndarray:
+        """State X = (I - WA)^(-1) (phi + WB u) of a control u, (n, dx), without theta."""
+        u = sample_trajectory(u, self.grid, self.du)
+        return self.solve(self.phi.ravel() + self.WB_flat @ u.ravel()).reshape(self.n, self.dx)
 
     @cached_property
     def theta(self) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,14 @@ from volterra_lq import (
     AssumptionError,
     CostData,
     ProblemData,
+    assemble_quadratic_form,
+    build_grid,
     control_from_adjoint,
+    reduced_gradient,
     solve_adjoint,
+    solve_open_loop,
 )
+from volterra_lq.catalog import get_problem
 from volterra_lq.volterra import StateOperator
 
 from conftest import rel_l2
@@ -118,7 +125,6 @@ def test_matches_direct_optimizer(rs_pipeline):
 
 def test_agreement_stays_at_round_off_under_refinement():
     import volterra_lq as vlq
-    from volterra_lq.catalog import get_problem
 
     entry = get_problem("random-smooth", 0.75, 1.0, seed=13)
     tols = []
@@ -151,3 +157,37 @@ def test_terminal_node_excluded_from_pointwise_claims(rs_pipeline):
     u = control_from_adjoint(Y, pipe.ops, pipe.cost, pipe.x_opt)
     interior = np.max(np.abs(u[:-1] - pipe.u_opt[:-1]))
     assert interior <= 1e-10 * (1.0 + np.max(np.abs(pipe.u_opt)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("random-smooth", 42, 0.75, "uniform", True),
+        ("random-smooth", 42, 0.75, "graded", True),
+        ("cross-term", 7, 0.75, "uniform", True),
+        ("random-smooth", 7, 0.3, "graded", False),
+    ],
+    ids=["uniform", "graded", "cross-terms", "small-beta-no-terminal"],
+)
+def test_reduced_gradient_is_the_weighted_form_gradient(case):
+    # Wu g = Lam u + rhs of the assembled form, at the optimizer (both
+    # sides vanish) and at a random control
+    name, seed, beta, kind, terminal = case
+    entry = get_problem(name, beta, 1.0, seed)
+    cost = entry.cost if terminal else replace(entry.cost, G=None, g=None)
+    ops = StateOperator(entry.problem, build_grid(48, 1.0, kind))
+    dlq = assemble_quadratic_form(ops, cost)
+    u_opt = solve_open_loop(dlq)
+    rng = np.random.default_rng(5)
+    for u in (u_opt, rng.normal(size=u_opt.shape)):
+        g = reduced_gradient(ops, dlq.cost_samples, u)
+        assert g.shape == u.shape
+        form = dlq.lam @ u.ravel()
+        scale = np.max(np.abs(form)) + np.max(np.abs(dlq.rhs))
+        assert np.max(np.abs(dlq.wu * g.ravel() - form - dlq.rhs)) <= 1e-14 * scale
+
+
+def test_reduced_gradient_forms_no_theta(rs_pipeline):
+    ops = StateOperator(rs_pipeline.problem, rs_pipeline.grid)
+    reduced_gradient(ops, rs_pipeline.cost, rs_pipeline.u_opt)
+    assert "theta" not in ops.__dict__

@@ -17,13 +17,19 @@ from volterra_lq import (
     control_from_adjoint,
     evaluate_cost,
     feedback_control,
+    reduced_gradient,
     solve_adjoint,
     solve_open_loop,
-    verify_control_relation,
 )
 from volterra_lq.catalog import get_problem
 
 from conftest import blockdiag, rel_l2
+
+
+def relation_residual(dlq, u):
+    """max |R^-1 g| of the reduced gradient: the distance of u to its adjoint control."""
+    g = reduced_gradient(dlq.ops, dlq.cost_samples, u)
+    return float(np.max(np.abs(np.einsum("iab,ib->ia", dlq.cost_samples.R_inverses(), g))))
 
 
 def test_weighted_adjoint_exact(rs_pipeline):
@@ -152,7 +158,34 @@ def test_no_terminal_weight_characterizations_agree_at_small_beta(beta, kind, n)
     }
     for name, v in controls.items():
         assert rel_l2(grid.trapezoid_weights(), v, u) <= 1e-12, name
-    assert verify_control_relation(dlq, u) <= 1e-12
+    assert relation_residual(dlq, u) <= 1e-12
+
+
+def test_state_is_the_free_response_plus_theta_u(rs_pipeline):
+    pipe = rs_pipeline
+    u = np.random.default_rng(3).normal(size=pipe.u_opt.shape)
+    reference = pipe.ops.psi + (pipe.theta @ u.ravel()).reshape(pipe.grid.n, -1)
+    X = pipe.ops.state(u)
+    assert X.shape == reference.shape
+    assert np.max(np.abs(X - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_evaluate_cost_keeps_its_bits(rs_pipeline):
+    # the quadrature formula of evaluate_cost, with the state solved inline
+    pipe = rs_pipeline
+    ops, sc = pipe.ops, pipe.dlq.cost_samples
+    u = pipe.u_opt + 0.1 * np.random.default_rng(4).normal(size=pipe.u_opt.shape)
+    X = ops.solve(ops.phi.ravel() + ops.WB_flat @ u.ravel()).reshape(ops.n, ops.dx)
+    w = ops.omega
+    running = (
+        np.einsum("i,ia,ia->", w, np.einsum("iab,ib->ia", sc.Q, X), X)
+        + 2.0 * np.einsum("i,ia,ia->", w, np.einsum("iab,ib->ia", sc.S, X), u)
+        + np.einsum("i,ia,ia->", w, np.einsum("iab,ib->ia", sc.R, u), u)
+        + 2.0 * np.einsum("i,ia,ia->", w, sc.q, X)
+        + 2.0 * np.einsum("i,ia,ia->", w, sc.rho, u)
+    )
+    terminal = X[-1] @ sc.G @ X[-1] + 2.0 * sc.g @ X[-1]
+    assert evaluate_cost(ops, pipe.cost, u) == float(running + terminal)
 
 
 class TestCoercivityValidation:
@@ -224,11 +257,11 @@ class TestControlRelation:
         ops = StateOperator(entry.problem, grid)
         dlq = assemble_quadratic_form(ops, entry.cost)
         u = solve_open_loop(dlq)
-        assert verify_control_relation(dlq, u) == 0.0
+        assert relation_residual(dlq, u) == 0.0
 
     def test_residual_small_on_random_problem(self, rs_pipeline):
         pipe = rs_pipeline
-        res = verify_control_relation(pipe.dlq, pipe.u_opt)
+        res = relation_residual(pipe.dlq, pipe.u_opt)
         unorm = float(np.max(np.abs(pipe.u_opt)))
         assert res <= 1e-6 * (1.0 + unorm)
 
@@ -243,7 +276,7 @@ class TestControlRelation:
         u = solve_open_loop(dlq)
         expected = -0.5 * np.sin(grid.nodes)[:, None]
         assert np.allclose(u, expected, atol=1e-13)
-        res = verify_control_relation(dlq, u)
+        res = relation_residual(dlq, u)
         assert res <= 1e-13
 
 
@@ -344,7 +377,7 @@ def test_ill_conditioned_form_warns():
 
 def test_control_relation_with_cross_terms(ct_pipeline):
     pipe = ct_pipeline
-    res = verify_control_relation(pipe.dlq, pipe.u_opt)
+    res = relation_residual(pipe.dlq, pipe.u_opt)
     assert res <= 1e-6 * (1.0 + float(np.max(np.abs(pipe.u_opt))))
 
 

@@ -2,6 +2,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import volterra_lq as vlq
 
 from conftest import rel_l2
@@ -20,7 +21,6 @@ UNREFERENCED_EXPORTS = {
     "solve_galerkin": "test oracle, ROADMAP settled",
     "solve_iterated_galerkin": "test oracle, ROADMAP settled",
     "solve_superconvergent": "test oracle, ROADMAP settled",
-    "verify_control_relation": "the paper's expanded optimality relation, a test oracle",
     "check_young_bound": "convolution bound meant for the cross-term delta floor",
 }
 
@@ -37,6 +37,7 @@ def test_library_sketch_runs_and_controls_agree():
     omega = ns["grid"].trapezoid_weights()
     assert rel_l2(omega, ns["u_causal"], ns["u"]) <= 1e-10
     assert rel_l2(omega, ns["u_fb"], ns["u"]) <= 1e-10
+    assert np.max(np.abs(ns["g"])) <= 1e-12 * (1.0 + np.max(np.abs(ns["u"])))
 
 
 def test_every_export_has_a_consumer_or_a_reason():

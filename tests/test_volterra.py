@@ -803,9 +803,10 @@ def test_overflowing_level_stops_the_series(monkeypatch):
 
     monkeypatch.setattr(volterra, "_convolve_columns", convolve)
     with np.errstate(over="ignore"):
-        with pytest.raises(vlq_errors.NumericalError, match="level 1 is not finite"):
+        with pytest.raises(vlq_errors.NumericalError, match="level 1 is not finite") as info:
             resolvent(ops)
     assert len(levels) == 1
+    assert "|A| Gamma(beta) T^beta = 1.23e+160 is too large" in str(info.value)
 
 
 def test_integer_presampled_kernel_is_cast_to_float(tmp_path):
@@ -827,9 +828,20 @@ def test_integer_presampled_kernel_is_cast_to_float(tmp_path):
     assert len(list(tmp_path.glob("*.vker"))) == 1
 
 
-def test_resolvent_diverging_series_raises():
-    # a huge coefficient needs more series levels than the cap allows
-    grid = build_grid(17, 1.0)
-    p = scalar_problem(const_kernel(60.0), None, None)
-    with pytest.raises(vlq_errors.NumericalError, match="levels"):
-        resolvent(StateOperator(p, grid))
+@pytest.mark.parametrize(
+    "problem, T, size",
+    [
+        # a huge coefficient: 60 Gamma(0.75) = 73.5
+        (scalar_problem(const_kernel(60.0), None, None), 1.0, "73.5"),
+        # a modest |A| = 0.405 on a tiny horizon, where Gamma(0.001) = 999.4 governs
+        (get_problem("cross-term", 1e-3, 1e-6, seed=5).problem, 1e-6, "400"),
+    ],
+    ids=["large-A", "small-beta"],
+)
+def test_resolvent_diverging_series_raises(problem, T, size):
+    # the series needs more levels than the cap allows; the message names
+    # the quantity that governs it, |A| Gamma(beta) T^beta
+    grid = build_grid(17, T)
+    with pytest.raises(vlq_errors.NumericalError, match="levels") as info:
+        resolvent(StateOperator(problem, grid))
+    assert f"|A| Gamma(beta) T^beta = {size} may be too large" in str(info.value)
