@@ -43,9 +43,9 @@ __all__ = [
 
 _EXT = ".vker"
 _MAGIC = "volterra-kernel v1 "
-# changes with the file format or the resolvent series, so that no kernel
-# computed by another version is read back
-_KEY_VERSION = "volterra-kernel v1 with bound; resolvent series v5"
+# changes with the file format, the resolvent series or the kernels it refuses,
+# so that no kernel computed by another version is read back
+_KEY_VERSION = "volterra-kernel v1 with bound; resolvent series v6"
 
 
 def cache_dir(override: str | None = None) -> Path:

@@ -47,19 +47,19 @@ Solvers, from oracle to cheap:
     convergence order out of each sweep until the round-off floor.
 
 The last three are one sweep of linear maps of the right side f that act
-on it from the left, column by column, so the representation, which needs
-M_t(t, .) only against one vector v per node, runs one sweep over all
-nodes at once (`_Projection` with `every_node`, then `_sweep`): column t
-of its (n du, n) right side is node t's column f v, and it never forms a
-gain table.  Column t reads only the kernel columns of the nodes >= t:
-K_sigma is applied to every column at once as Kmat @ (mask * M), the mask
-keeping the rows of the nodes >= t in column t, and the n projected
-matrices Gram - H' Wu K_sigma H come from one reverse cumulative sum over
-node blocks of the one product H' Wu Kmat, inverted in one stacked call.
-The whole family costs O(n (q du)^3) for the projected systems plus a few
-O(n^3 du^2) kernel products.  Every whole-table solver keeps a single
-sigma through the same `_Projection` and `_sweep` and returns the gain
-table flat, shape (n du, n du), in the layout of `rhs`; the
+on it from the left, column by column, through one `_Projection` that
+takes the truncation index of each column, and `_sweep`.  A whole-table
+solver gives all its columns the one sigma and returns the gain table flat,
+shape (n du, n du), in the layout of `rhs`.  The representation, which
+needs M_t(t, .) only against one vector v per node, gives column t of its
+(n du, n) right side, node t's column f v, sigma = t, and never forms a
+gain table.  Either way K_sigma is applied to every column at once as
+Kmat[:, lo:] @ (mask * M[lo:]), lo = du min sigma, the mask keeping the
+rows of the nodes >= sigma of each column, and the projected matrices
+Gram - H' Wu K_sigma H come from one reverse cumulative sum over the node
+blocks >= sigma of H' Wu Kmat, inverted in one stacked call, so no
+column's result depends on a kernel column before its sigma.  For every node at once this costs O(n (q du)^3) for the
+projected systems plus a few O(n^3 du^2) kernel products.  The
 `fredholm-methods` scenario walks the sweep itself and measures each
 iterate's distance to the direct oracle.
 """
@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .causal import _require_no_cross_terms, _running_gradients, causal_trajectories
 from .errors import AssumptionError, NumericalError
@@ -179,32 +178,6 @@ def _hat_basis(n: int, q: int) -> np.ndarray:
     return H
 
 
-class _HatSpace:
-    """Hat subspace H of a gain equation, independent of sigma.
-
-    Holds H, its weighted transpose H' Wu, the Gram factor and the product
-    HtWK = H' Wu Kmat of the equation `sys`, whose column slices serve
-    every truncation point.  Every projection solve builds one, so it
-    refuses beta <= 1/2, where the gain kernel is unbounded on its
-    diagonal like |t - xi|^(2 beta - 1) and hats do not resolve it.
-    """
-
-    def __init__(self, sys: FredholmSystem, subspace_dim: int):
-        if not sys.beta > 0.5:
-            raise AssumptionError(
-                f"projection gain solvers need beta > 1/2; got beta = {sys.beta}"
-            )
-        if subspace_dim < 2:
-            raise ValueError("subspace dimension must be >= 2")
-        if subspace_dim > sys.n:
-            raise ValueError("subspace dimension exceeds the grid size")
-        self.Hb = np.kron(_hat_basis(sys.n, subspace_dim), np.eye(sys.du))
-        self.HtW = self.Hb.T * np.repeat(sys.omega, sys.du)[None, :]
-        self.gram = self.HtW @ self.Hb
-        self.gram_factor = cho_factor(self.gram)
-        self.HtWK = self.HtW @ sys.Kmat
-
-
 def _invert_projected(proj_mats: np.ndarray) -> np.ndarray:
     """Inverses of a stack of projected matrices Gram - H' Wu K_sigma H, one stacked call.
 
@@ -233,51 +206,55 @@ def _invert_projected(proj_mats: np.ndarray) -> np.ndarray:
 class _Projection:
     """Orthogonal projection onto the hat subspace in the weighted product.
 
-    Solves the projected systems of one truncation point, or of all of
-    them at once.  By default every column of a right side belongs to the
-    truncation point of `sys`, whose projected matrix is sliced from the
-    space's HtWK over the nodes >= sigma and K_sigma is `sys.apply`.  With
-    `every_node`, a right side has n columns and column t belongs to
-    sigma = t: K_sigma is applied as Kmat @ (mask * M), `mask` keeping the
-    rows of the nodes >= t in column t, and the n projected matrices
-    P_sigma = Gram - sum_{s >= sigma} HtWK[:, s] Hb[s] (node blocks s) come
-    from one reverse cumulative sum over node blocks.  Either way the
-    matrices are inverted in one stacked call (`_invert_projected`).
+    `sigma` is the truncation index of the right side's columns: one index
+    for every column, or one per column (`np.arange(n)` for the
+    representation, column t at sigma = t).  K_sigma is applied to every
+    column at once as Kmat[:, lo:] @ (mask * M[lo:]), lo = du min sigma,
+    `mask` keeping the rows of the nodes >= sigma of each column.  The
+    projected matrices P_sigma = Gram - sum_{s >= sigma} H' Wu Kmat[:, s] Hb[s]
+    (node blocks s) come from one reverse cumulative sum over the nodes
+    >= min sigma and are inverted in one stacked call (`_invert_projected`),
+    so no column's result depends on a kernel column before its sigma.
+    Beta <= 1/2 is refused: the gain kernel is unbounded on its diagonal
+    like |t - xi|^(2 beta - 1), and hats do not resolve it.
     """
 
-    def __init__(self, sys: FredholmSystem, subspace_dim: int, every_node: bool = False):
-        space = self.space = _HatSpace(sys, subspace_dim)
+    def __init__(self, sys: FredholmSystem, subspace_dim: int, sigma):
+        if not sys.beta > 0.5:
+            raise AssumptionError(
+                f"projection gain solvers need beta > 1/2; got beta = {sys.beta}"
+            )
+        if subspace_dim < 2:
+            raise ValueError("subspace dimension must be >= 2")
+        if subspace_dim > sys.n:
+            raise ValueError("subspace dimension exceeds the grid size")
         self.sys = sys
         n, du = sys.n, sys.du
-        if every_node:
-            m = space.gram.shape[0]
-            # node s's term HtWK[:, s] Hb[s], summed in place from the last node back
-            proj_mats = space.HtWK.reshape(m, n, du).swapaxes(0, 1) @ space.Hb.reshape(n, du, m)
-            for s in range(n - 2, -1, -1):
-                proj_mats[s] += proj_mats[s + 1]
-            np.subtract(space.gram, proj_mats, out=proj_mats)
-            self.mask = np.arange(n * du)[:, None] >= du * np.arange(n)
-        else:
-            lo = sys.sigma_index * du
-            proj_mats = (space.gram - space.HtWK[:, lo:] @ space.Hb[lo:])[None]
-            self.mask = None
-        self._inv = _invert_projected(proj_mats)
+        sigma = np.atleast_1d(sigma)
+        first = sigma.min()
+        self.lo = lo = du * first
+        self.Hb = np.kron(_hat_basis(n, subspace_dim), np.eye(du))
+        self.HtW = self.Hb.T * np.repeat(sys.omega, du)[None, :]
+        m = self.Hb.shape[1]
+        # node s's term H' Wu Kmat[:, s] Hb[s], summed in place from the last node back;
+        # H' Wu Kmat is one product for every sigma, so one sigma's matrix is
+        # bit for bit its entry of the every-node stack
+        proj_mats = (self.HtW @ sys.Kmat)[:, lo:].reshape(m, n - first, du).swapaxes(0, 1)
+        proj_mats = proj_mats @ self.Hb[lo:].reshape(n - first, du, m)
+        for s in range(n - first - 2, -1, -1):
+            proj_mats[s] += proj_mats[s + 1]
+        np.subtract(self.HtW @ self.Hb, proj_mats, out=proj_mats)
+        self.mask = np.arange(lo, n * du)[:, None] >= du * sigma
+        self._inv = _invert_projected(proj_mats[sigma - first])
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """K_sigma M, with the truncation point of each column."""
-        if self.mask is None:
-            return self.sys.apply(M)
-        return self.sys.Kmat @ (self.mask * M)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        sp = self.space
-        return sp.Hb @ cho_solve(sp.gram_factor, sp.HtW @ v)
+        return self.sys.Kmat[:, self.lo :] @ (self.mask * M[self.lo :])
 
     def solve_projected(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of (I - P K_sigma) x = P rhs inside the subspace, column by column."""
-        sp = self.space
-        coeff = self._inv @ (sp.HtW @ rhs).T[:, :, None]  # one inverse per column, or one for all
-        return sp.Hb @ coeff[:, :, 0].T
+        coeff = self._inv @ (self.HtW @ rhs).T[:, :, None]  # one inverse per column, or one for all
+        return self.Hb @ coeff[:, :, 0].T
 
 
 def _sweep(proj: _Projection, f: np.ndarray):
@@ -287,8 +264,8 @@ def _sweep(proj: _Projection, f: np.ndarray):
     Galerkin solution f + K M, and then the result of one five-step sweep
     after another, K = `proj.apply`.  Every step acts on f from the left,
     column by column, so f is the whole flat right side of one truncation
-    point, or one column f v per node (shape (n du, n), with `every_node`),
-    whose iterates are the tables' iterates applied to v.
+    point, or one column f v per node (shape (n du, n), sigma = t in
+    column t), whose iterates are the tables' iterates applied to v.
     """
     K = proj.apply
     M = proj.solve_projected(f)
@@ -303,7 +280,7 @@ def _sweep(proj: _Projection, f: np.ndarray):
 
 def solve_galerkin(sys: FredholmSystem, subspace_dim: int) -> np.ndarray:
     """Projection solve on the piecewise-linear subspace."""
-    proj = _Projection(sys, subspace_dim)
+    proj = _Projection(sys, subspace_dim, sys.sigma_index)
     return next(_sweep(proj, sys.rhs))
 
 
@@ -324,7 +301,7 @@ def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) 
     """Five-step refinement loop: k_iters sweeps from the iterated-Galerkin start."""
     if k_iters < 0:
         raise ValueError("iteration count must be >= 0")
-    proj = _Projection(sys, subspace_dim)
+    proj = _Projection(sys, subspace_dim, sys.sigma_index)
     return next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None))
 
 
@@ -371,7 +348,7 @@ def _gain_integrals(
         raise ValueError("iteration count must be >= 0")
     stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]
     sys0 = assemble_fredholm(dlq, 0)
-    proj = _Projection(sys0, subspace_dim, every_node=True)
+    proj = _Projection(sys0, subspace_dim, np.arange(n))
     # column t of v: w_j rg[t, j] on the nodes j >= t, zero before
     f = sys0.rhs @ np.where(proj.mask, (w[None, :, None] * rg).reshape(n, n * du).T, 0.0)
     M = next(islice(_sweep(proj, f), stage, None))

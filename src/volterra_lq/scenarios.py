@@ -476,7 +476,7 @@ def _run_fredholm_methods(cfg: RunConfig) -> ScenarioReport:
         wu = dlq.wu
         # iterate 0 is the Galerkin table, 1 the iterated one, 1 + k the
         # result of k five-step sweeps; trial 0 also records a third sweep
-        iterates = _sweep(_Projection(sys0, cfg.galerkin_dim), sys0.rhs)
+        iterates = _sweep(_Projection(sys0, cfg.galerkin_dim, 0), sys0.rhs)
         errs = [
             float(np.sqrt(np.einsum("i,ij,j->", wu, (M - M_star) ** 2, wu)))
             for M in islice(iterates, 5 if trial == 0 else 4)

@@ -319,7 +319,7 @@ def _node_inner(samples: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(samples.transpose(0, 2, 3, 1))
 
 
-def _convolve_columns(F, Gsamples, column_weights, columns=None) -> np.ndarray:
+def _convolve_columns(F, Gsamples, column_weights) -> np.ndarray:
     """out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j.
 
     F is the left factor in the node-innermost layout of `_node_inner`,
@@ -330,15 +330,14 @@ def _convolve_columns(F, Gsamples, column_weights, columns=None) -> np.ndarray:
     F that is zero for l >= i).  Each source column's weighted block
     F[j+1:, :, :, j:] * Wj is written into one scratch buffer, allocated
     once per call at the size of column 0's block, and multiplied by G's
-    column in one GEMM.  Only the source columns j in `columns` are
-    computed (default: all, in any order); the others stay exactly zero,
-    as does every entry on and above the diagonal.
+    column in one GEMM.  Every entry on and above the diagonal stays
+    exactly zero.
     """
     n, d1, dm, _ = F.shape
     d2 = Gsamples.shape[-1]
     scratch = np.empty((n - 1) * d1 * dm * n)
     out = np.zeros((n, n, d1, d2))
-    for j in range(n - 1) if columns is None else columns:
+    for j in range(n - 1):
         m = n - j  # source nodes l = j, ..., n-1
         Fw = scratch[: (m - 1) * d1 * dm * m].reshape(m - 1, d1, dm, m)
         np.multiply(F[j + 1 :, :, :, j:], column_weights(j)[:, None, None, :], out=Fw)
@@ -365,6 +364,7 @@ def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -
 
 
 _MAX_LEVELS = 120  # series levels summed before the resolvent is declared divergent
+_MAX_CANCELLATION = 1e8  # largest level over max |D| beyond which the sum is refused
 
 
 def _series_size(norm_a: float, beta: float, T: float) -> str:
@@ -388,8 +388,11 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     quadrature pass over sampled source columns.  The series stops at the
     first level below 1e-13 of the largest level so far.  The operator's
     A is finite (its build refuses anything else); NumericalError is
-    raised for a level whose scale is not finite, and when `_MAX_LEVELS`
-    levels do not reach the stopping ratio; both name |A| Gamma(beta) T^beta.
+    raised for a level whose scale is not finite, when `_MAX_LEVELS`
+    levels do not reach the stopping ratio, and when the largest level
+    exceeds max |D| by more than `_MAX_CANCELLATION` (the alternating levels
+    of a strongly negative A cancel, and D loses that many digits); all
+    three name |A| Gamma(beta) T^beta.
     """
     beta, grid, n, dx = ops.beta, ops.grid, ops.n, ops.dx
     Asamp = ops.A_samples
@@ -430,6 +433,13 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
         raise NumericalError(
             "resolvent series did not reach the requested tolerance within "
             f"{_MAX_LEVELS} levels; {_series_size(norm_a, beta, grid.T)} may be too large"
+        )
+    d_max = float(np.max(np.abs(D)))
+    if scale_ref > _MAX_CANCELLATION * d_max:
+        raise NumericalError(
+            f"resolvent series cancels: its largest level {scale_ref:.3g} exceeds "
+            f"max |D| = {d_max:.3g} by more than {_MAX_CANCELLATION:.0e}; "
+            f"{_series_size(norm_a, beta, grid.T)} is too large"
         )
 
     # after the series, so that an overflowing level stops before the bound's product

@@ -123,6 +123,30 @@ def test_singular_implicit_step_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("a", [-8.0, -3.0])
+def test_cancelling_resolvent_series_exits_2(tmp_path, capsys, a):
+    # a constant dissipative A = a: the alternating series levels grow to
+    # 1.9e8 times max |D| at a = -8, whose D keeps about three digits, and
+    # the series is refused; at a = -3 (82 times) the kernels are served
+    # and the run reaches its checks
+    text = (
+        f"problem = inline\nscenario = convergence\nn = 17\nbeta = 0.75\nA = {a}\n"
+        f"B = 1.0\nphi = 1.0\noutdir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    capsys.readouterr()
+    code = run_config(tmp_path, "cancel", text)
+    err = capsys.readouterr().err
+    if a == -8.0:
+        assert code == 2
+        assert err.startswith("error: resolvent series cancels:")
+        assert "|A| Gamma(beta) T^beta = 9.8 is too large" in err
+        assert "Traceback" not in err
+    else:
+        assert code != 2 and "error" not in err
+        check = "varconst: stepping vs resolvent solve decreases under grid doubling"
+        assert residual_row(tmp_path / "out", check)[2] == "1"
+
+
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
 def test_reduction_without_terminal_weight_at_small_beta(tmp_path, kind):
     # rho alone (S = 0) keeps the default delta = min eig R a valid floor

@@ -222,22 +222,6 @@ class TestProjectionFamily:
         hollow = replace(sys0, kernel=np.zeros_like(sys0.kernel))
         assert np.all(solve_galerkin(hollow, 8) == 0.0)
 
-    def test_projection_is_orthogonal(self, gain_setup):
-        _, sys0, _ = gain_setup
-        from volterra_lq.fredholm import _Projection
-
-        proj = _Projection(sys0, 12)
-        wu = np.repeat(sys0.omega, sys0.du)
-        rng = np.random.default_rng(2)
-        V = rng.normal(size=(sys0.n * sys0.du, 4))
-        PV = proj.project(V)
-        assert np.allclose(proj.project(PV), PV, atol=1e-10)
-        # self-adjoint in the weighted product
-        W2 = rng.normal(size=V.shape)
-        lhs = np.einsum("ik,i,ik->k", PV, wu, W2)
-        rhs = np.einsum("ik,i,ik->k", V, wu, proj.project(W2))
-        assert np.allclose(lhs, rhs, atol=1e-10)
-
     def test_error_decreases_with_subspace(self, gain_setup):
         _, sys0, oracle = gain_setup
         errs = [
@@ -253,8 +237,10 @@ class TestProjectionFamily:
 
         gal = solve_galerkin(sys0, 12)
         it = solve_iterated_galerkin(sys0, gal)
-        proj = _Projection(sys0, 12)
-        assert np.allclose(proj.project(it), gal, atol=1e-11)
+        proj = _Projection(sys0, 12, 0)
+        # the orthogonal projector in the weighted product
+        projected = proj.Hb @ np.linalg.solve(proj.HtW @ proj.Hb, proj.HtW @ it)
+        assert np.allclose(projected, gal, atol=1e-11)
 
     def test_iterated_beats_projection_on_most_trials(self):
         grid = build_grid(48, 1.0)
@@ -310,7 +296,7 @@ class TestProjectionFamily:
     @pytest.mark.parametrize("t", [1, 9, 30])
     def test_sweep_reads_no_kernel_column_before_sigma(self, gain_setup, t):
         # NaN in the kernel columns of the nodes < sigma reaches no iterate:
-        # the space's H' Wu K carries them, its slice at sigma does not
+        # H' Wu Kmat carries them, its columns of the nodes >= sigma do not
         from volterra_lq.fredholm import _Projection, _sweep
 
         _, sys0, _ = gain_setup
@@ -319,7 +305,7 @@ class TestProjectionFamily:
         poisoned[:, : t * sys0.du] = np.nan
         sweeps = []
         for Kmat in (sys0.Kmat, poisoned):
-            proj = _Projection(replace(sys0, Kmat=Kmat, sigma_index=t), q)
+            proj = _Projection(replace(sys0, Kmat=Kmat, sigma_index=t), q, t)
             sweeps.append(list(islice(_sweep(proj, sys0.rhs), 4)))
         for clean, dirty in zip(*sweeps):
             assert np.all(np.isfinite(dirty))
@@ -461,7 +447,7 @@ class TestFeedbackControl:
 def test_projection_family_refuses_small_beta():
     # at beta <= 1/2 the gain kernel is unbounded on its diagonal, like
     # |t - xi|^(2 beta - 1), which no hat subspace resolves: every
-    # projection solve builds a hat space, and that refuses the system.
+    # projection solve builds a `_Projection`, and that refuses the system.
     # The direct solve and the direct gain have no such limit.
     from volterra_lq.fredholm import _Projection
 
@@ -472,7 +458,7 @@ def test_projection_family_refuses_small_beta():
     calls = (
         lambda: solve_galerkin(sys0, 8),
         lambda: solve_superconvergent(sys0, 8, 2),
-        lambda: _Projection(sys0, 8),
+        lambda: _Projection(sys0, 8, 0),
         lambda: feedback_control(dlq, method="iterated", subspace_dim=8),
     )
     for call in calls:
@@ -490,7 +476,7 @@ def test_projection_rejects_singular_projected_system(gain_setup):
     n, du = sys0.n, sys0.du
     rigged = replace(sys0, Kmat=np.eye(n * du), sigma_index=0)
     with pytest.raises(NumericalError, match="subspace"):
-        _Projection(rigged, 8)
+        _Projection(rigged, 8, 0)
 
 
 def test_projection_rejects_nearly_singular_projected_system(gain_setup):
@@ -499,23 +485,24 @@ def test_projection_rejects_nearly_singular_projected_system(gain_setup):
     from scipy.linalg import lu_factor
 
     from volterra_lq.errors import NumericalError
-    from volterra_lq.fredholm import _HatSpace, _Projection
+    from volterra_lq.fredholm import _Projection
 
     _, sys0, _ = gain_setup
     q = 8
-    space = _HatSpace(sys0, q)
-    m = space.gram.shape[0]
+    space = _Projection(sys0, q, 0)
+    gram = space.HtW @ space.Hb
+    m = gram.shape[0]
     rng = np.random.default_rng(4)
     U, _ = np.linalg.qr(rng.normal(size=(m, m)))
     target = U @ np.diag(np.r_[np.ones(m - 1), 1e-15]) @ U.T
     # K = H X H' Wu gives the projected matrix Gram - Gram X Gram = target
-    ginv = np.linalg.inv(space.gram)
-    Kmat = space.Hb @ (ginv @ (space.gram - target) @ ginv) @ space.HtW
-    proj_mat = space.gram - (space.HtW @ Kmat) @ space.Hb
+    ginv = np.linalg.inv(gram)
+    Kmat = space.Hb @ (ginv @ (gram - target) @ ginv) @ space.HtW
+    proj_mat = gram - (space.HtW @ Kmat) @ space.Hb
     assert np.linalg.cond(proj_mat) > 1e14
     assert np.all(np.diag(lu_factor(proj_mat)[0]) != 0.0)
     with pytest.raises(NumericalError, match="nearly singular"):
-        _Projection(replace(sys0, Kmat=Kmat, sigma_index=0), q)
+        _Projection(replace(sys0, Kmat=Kmat, sigma_index=0), q, 0)
 
 
 def dyadic_system(columns):
@@ -555,36 +542,37 @@ def test_stacked_projection_refuses_one_singular_truncation_point(eps, message):
     # and sigma > 8 reads neither column, so only sigma = 8 is refused, with
     # the message of the single truncation point
     from volterra_lq.errors import NumericalError
-    from volterra_lq.fredholm import _HatSpace, _Projection
+    from volterra_lq.fredholm import _hat_basis, _Projection
 
-    hat = _HatSpace(dyadic_system({}), 5).Hb[:, 1]
+    Hb = _hat_basis(33, 5)
+    HtW = Hb.T * dyadic_system({}).omega
+    hat = Hb[:, 1]
     sys0 = dyadic_system({7: -hat, 8: (1.0 - eps) * hat})
-    space = _HatSpace(sys0, 5)
-    proj_8 = space.gram - space.HtWK[:, 8:] @ space.Hb[8:]
+    proj_8 = HtW @ Hb - HtW @ sys0.Kmat[:, 8:] @ Hb[8:]
     if eps == 0.0:
         assert np.all(proj_8[:, 1] == 0.0)
     else:
         assert np.linalg.cond(proj_8) > 1e14
     for sigma in (0, 7, 9, 32):
-        _Projection(replace(sys0, sigma_index=sigma), 5)
+        _Projection(replace(sys0, sigma_index=sigma), 5, sigma)
     with pytest.raises(NumericalError, match=message):
-        _Projection(replace(sys0, sigma_index=8), 5)
+        _Projection(replace(sys0, sigma_index=8), 5, 8)
     with pytest.raises(NumericalError, match=message):
-        _Projection(sys0, 5, every_node=True)
+        _Projection(sys0, 5, np.arange(33))
 
 
 def test_projection_representation_factors_once(monkeypatch, truncation_case):
-    # every truncation point of the representation comes from one hat space
-    # and one stacked inversion of the n projected matrices
+    # every truncation point of the representation comes from one
+    # projection and one stacked inversion of the n projected matrices
     import volterra_lq.fredholm as fredholm
 
     dlq = truncation_case.dlq
     traj = causal_trajectories(dlq.ops, solve_open_loop(dlq))
-    spaces, stacks = [], []
+    builds, stacks = [], []
 
-    class CountingSpace(fredholm._HatSpace):
+    class CountingProjection(fredholm._Projection):
         def __init__(self, *args):
-            spaces.append(1)
+            builds.append(1)
             super().__init__(*args)
 
     invert = fredholm._invert_projected
@@ -593,12 +581,27 @@ def test_projection_representation_factors_once(monkeypatch, truncation_case):
         stacks.append(proj_mats.shape)
         return invert(proj_mats)
 
-    monkeypatch.setattr(fredholm, "_HatSpace", CountingSpace)
+    monkeypatch.setattr(fredholm, "_Projection", CountingProjection)
     monkeypatch.setattr(fredholm, "_invert_projected", counting_invert)
     q, du = 8, dlq.du
     for method in ("galerkin", "iterated", "superconvergent"):
-        spaces.clear()
+        builds.clear()
         stacks.clear()
         fredholm.representation_terms(dlq, traj, method, subspace_dim=q)
-        assert len(spaces) == 1
+        assert len(builds) == 1
         assert stacks == [(dlq.n, q * du, q * du)]
+
+
+def test_single_truncation_point_inverse_is_its_entry_of_the_stack(truncation_case):
+    # one sigma sums the same node terms from the last node back to sigma
+    # as every node does, so its projected inverse is entry sigma bit for bit
+    from volterra_lq.fredholm import _Projection
+
+    dlq = truncation_case.dlq
+    sys0 = assemble_fredholm(dlq, 0)
+    n, q = dlq.n, 8
+    stack = _Projection(sys0, q, np.arange(n))._inv
+    assert stack.shape[0] == n
+    for sigma in (0, 5, n - 1):
+        single = _Projection(replace(sys0, sigma_index=sigma), q, sigma)._inv
+        assert np.array_equal(single, stack[sigma : sigma + 1])

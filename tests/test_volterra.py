@@ -202,27 +202,6 @@ class TestResolvent:
                         ref[i, j] += Wj[i - j - 1, l - j] * F[i, l] @ G[l, j]
             got = _convolve_columns(_node_inner(F), G, weights)
             assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
-            # a subset of source columns: those columns alone, the others zero
-            cols = [0, 3, n - 2]
-            part = _convolve_columns(_node_inner(F), G, weights, columns=cols)
-            assert np.array_equal(part[:, cols], got[:, cols])
-            assert np.all(np.delete(part, cols, axis=1) == 0.0)
-
-    @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_column_order_does_not_matter(self, kind):
-        # the scratch buffer serves columns of every size in any order: a
-        # small column before a large one must not read stale entries
-        grid = build_grid(17, 1.0, kind)
-        n = grid.n
-        rng = np.random.default_rng(4)
-        F = _node_inner(rng.normal(size=(n, n, 2, 3)))
-        G = rng.normal(size=(n, n, 3, 2))
-        weights = _pair_column_weights(grid, 0.75, 1.5)
-        full = _convolve_columns(F, G, weights)
-        for cols in (list(range(n - 2, -1, -1)), list(rng.permutation(n - 1)[: n // 2])):
-            part = _convolve_columns(F, G, weights, columns=cols)
-            assert np.array_equal(part[:, cols], full[:, cols])
-            assert np.all(np.delete(part, cols, axis=1) == 0.0)
 
     @pytest.mark.parametrize("n", [17, 40])
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
@@ -248,8 +227,8 @@ class TestResolvent:
         ops = StateOperator(problem, build_grid(33, 1.0, kind))
         levels = []
 
-        def convolve(F, G, column_weights, columns=None):
-            levels.append(_convolve_columns(F, G, column_weights, columns))
+        def convolve(F, G, column_weights):
+            levels.append(_convolve_columns(F, G, column_weights))
             return levels[-1]
 
         monkeypatch.setattr(volterra, "_convolve_columns", convolve)
@@ -626,9 +605,9 @@ class TestControlKernel:
         stored = weight_memo[memo_key(grid, 0.75, 0.75)]
         seen = []
 
-        def convolve(F, G, column_weights, columns=None):
+        def convolve(F, G, column_weights):
             seen.append(column_weights(0))
-            return _convolve_columns(F, G, column_weights, columns)
+            return _convolve_columns(F, G, column_weights)
 
         def no_new_weights(*args):
             raise AssertionError("control_kernel computed pair weights")
