@@ -106,13 +106,9 @@ def _zero_cost(beta, T, seed):
 
 def _constant_coeff(beta, T, seed, a=1.0, b=1.0):
     problem = ProblemData(
-        A=lambda t, s: np.broadcast_to(
-            a, np.broadcast_shapes(np.shape(t), np.shape(s))
-        )[..., None, None],
-        B=lambda t, s: np.broadcast_to(
-            b, np.broadcast_shapes(np.shape(t), np.shape(s))
-        )[..., None, None],
-        phi=lambda t: np.ones((np.size(t), 1)),
+        A=np.array([[a]]),
+        B=np.array([[b]]),
+        phi=np.ones(1),
         beta=beta,
         T=T,
         n_state=1,
@@ -125,9 +121,7 @@ def _constant_coeff(beta, T, seed, a=1.0, b=1.0):
 def _example_2_1(beta, T, seed):
     problem = ProblemData(
         A=None,
-        B=lambda t, s: np.ones(np.broadcast_shapes(np.shape(t), np.shape(s)))[
-            ..., None, None
-        ],
+        B=np.ones((1, 1)),
         phi=None,
         beta=beta,
         T=T,

@@ -20,7 +20,8 @@ Schema (all keys optional unless noted; '#' starts a comment):
     state_dim         state dimension for inline problems
     control_dim       control dimension for inline problems
     A,B,Q,S,R,G,q,g,rho,phi   inline constant coefficients, row-major
-                      comma-separated (problem = inline only)
+                      comma-separated (problem = inline only); their sizes
+                      follow state_dim and control_dim and are checked at load
 
 Unknown keys are rejected.  Each scenario check's tolerance is fixed in
 code and recorded in residuals.csv.  The same configuration always
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,24 +50,10 @@ SCENARIOS = {
     "reduction": "cross-term elimination and the general causal representation",
 }
 
-_SCALAR_KEYS = {
-    "problem": str,
-    "scenario": str,
-    "beta": float,
-    "T": float,
-    "n": int,
-    "grid": str,
-    "grading_exponent": float,
-    "m_solver": str,
-    "galerkin_dim": int,
-    "iterations": int,
-    "outdir": str,
-    "seed": int,
-    "cache_dir": str,
-    "state_dim": int,
-    "control_dim": int,
-}
-_MATRIX_KEYS = ("A", "B", "Q", "S", "R", "G", "q", "g", "rho", "phi")
+# each inline coefficient's shape in state (x) and control (u) dimensions
+_INLINE_SHAPES = dict(
+    A="xx", B="xu", Q="xx", S="ux", R="uu", G="xx", q="x", g="x", rho="u", phi="x"
+)
 
 
 @dataclass
@@ -100,6 +87,18 @@ class RunConfig:
         for k in sorted(self.inline):
             parts.append(f"{k}={np.asarray(self.inline[k]).tolist()}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+    def inline_shape(self, key: str) -> tuple:
+        dims = {"x": self.state_dim, "u": self.control_dim}
+        return tuple(dims[c] for c in _INLINE_SHAPES[key])
+
+
+# the file's scalar keys and their parsers, read off the fields above; the
+# selector sets problem_seed, and the inline keys are parsed as rows
+_PARSERS = {"str": str, "int": int, "float": float, "str | None": str}
+_SCALAR_KEYS = {
+    f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.name not in ("problem_seed", "inline")
+}
 
 
 _SELECTOR_RE = re.compile(r"^([a-z0-9-]+)(?:\((\d+)\))?$")
@@ -143,7 +142,7 @@ def load_config(path) -> RunConfig:
                 setattr(cfg, key, _SCALAR_KEYS[key](value))
             except ValueError as exc:
                 raise ConfigError(f"field {key!r}: {exc}", lineno) from None
-        elif key in _MATRIX_KEYS:
+        elif key in _INLINE_SHAPES:
             try:
                 cfg.inline[key] = np.array(
                     [float(x) for x in value.replace(";", ",").split(",") if x.strip()]
@@ -213,3 +212,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(
             "inline coefficient keys are only valid with problem = inline"
         )
+    for key, value in cfg.inline.items():
+        if key not in _INLINE_SHAPES:
+            raise ConfigError(f"unknown key {key!r}")
+        shape = cfg.inline_shape(key)
+        if np.size(value) != np.prod(shape):
+            raise ConfigError(f"field {key!r}: got {np.size(value)} entries for shape {shape}")

@@ -104,7 +104,8 @@ class CostData:
     """Weights of the quadratic cost.
 
     Q, S, R may be callables of t, constant matrices, scalars, or
-    pre-sampled (n, ., .) arrays; q, rho trajectories; G, g terminal
+    pre-sampled (n, ., .) arrays; q, rho trajectories (callables, (n, d)
+    arrays or constant (d,) vectors); G, g terminal
     weights of shapes (dx, dx) and (dx,).  delta is the coercivity floor;
     when omitted it defaults to the smallest eigenvalue of R over the grid.
     """
@@ -173,14 +174,14 @@ def _sampled_cost(cost: CostData | SampledCost, ops: StateOperator) -> SampledCo
 def _validate_cost(sc: SampledCost):
     """Check the standard coercivity block: R >= delta, Q - S^T R^-1 S >= 0, G >= 0."""
     tol = 1e-10
+    if sc.delta <= 0:
+        raise AssumptionError("violated: R(t) >= delta I with delta > 0")
     rmin = np.linalg.eigvalsh(sc.R).min()
     if rmin < sc.delta * (1.0 - 1e-9) - tol:
         raise AssumptionError(
             f"violated: R(t) >= delta I (delta = {sc.delta:.3g}, "
             f"smallest eigenvalue over nodes = {rmin:.3g})"
         )
-    if sc.delta <= 0:
-        raise AssumptionError("violated: R(t) >= delta I with delta > 0")
     Rinv = sc.R_inverses()
     schur = sc.Q - np.einsum("iax,iab,iby->ixy", sc.S, Rinv, sc.S)
     smin = np.linalg.eigvalsh(schur).min()

@@ -30,7 +30,6 @@ from .causal import (
     general_causal_control,
 )
 from .config import RunConfig, _validate
-from .errors import ConfigError
 from .fredholm import representation_terms
 from .grids import build_grid, integrate_singular, product_weights
 from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
@@ -102,43 +101,14 @@ def _materialize(cfg: RunConfig):
     if cfg.problem != "inline":
         entry = get_problem(cfg.problem, cfg.beta, cfg.T, cfg.problem_seed)
         return entry.problem, entry.cost
-    dx, du = cfg.state_dim, cfg.control_dim
-    shapes = {
-        "A": (dx, dx), "B": (dx, du), "Q": (dx, dx), "S": (du, dx),
-        "R": (du, du), "G": (dx, dx), "q": (dx,), "g": (dx,),
-        "rho": (du,), "phi": (dx,),
-    }
-    vals = {}
-    for key, shape in shapes.items():
-        if key in cfg.inline:
-            flat = cfg.inline[key]
-            if flat.size != int(np.prod(shape)):
-                raise ConfigError(
-                    f"field {key!r}: expected {int(np.prod(shape))} entries for "
-                    f"shape {shape}, got {flat.size}"
-                )
-            vals[key] = flat.reshape(shape)
-    const = lambda M: (lambda t, s: np.broadcast_to(  # noqa: E731
-        M, np.broadcast_shapes(np.shape(t), np.shape(s)) + M.shape
-    ))
-    traj = lambda v: (lambda t: np.broadcast_to(v, (np.size(t),) + v.shape))  # noqa: E731
+    c = {k: np.asarray(v, dtype=float).reshape(cfg.inline_shape(k)) for k, v in cfg.inline.items()}
     problem = ProblemData(
-        A=const(vals["A"]) if "A" in vals else None,
-        B=const(vals["B"]) if "B" in vals else None,
-        phi=traj(vals["phi"]) if "phi" in vals else None,
-        beta=cfg.beta,
-        T=cfg.T,
-        n_state=dx,
-        n_control=du,
+        A=c.get("A"), B=c.get("B"), phi=c.get("phi"), beta=cfg.beta, T=cfg.T,
+        n_state=cfg.state_dim, n_control=cfg.control_dim,
     )
     cost = CostData(
-        Q=vals.get("Q"),
-        S=vals.get("S"),
-        R=vals.get("R"),
-        q=traj(vals["q"]) if "q" in vals else None,
-        rho=traj(vals["rho"]) if "rho" in vals else None,
-        G=vals.get("G"),
-        g=vals.get("g"),
+        Q=c.get("Q"), S=c.get("S"), R=c.get("R"), q=c.get("q"), rho=c.get("rho"),
+        G=c.get("G"), g=c.get("g"),
     )
     return problem, cost
 

@@ -92,9 +92,10 @@ __all__ = [
 class ProblemData:
     """Coefficients of the state equation.
 
-    A and B may be vectorized callables (t, s) -> matrix, pre-sampled
-    arrays of shape (n, n, d1, d2), or None for a zero coefficient.
-    phi may be a vectorized callable t -> vector or an (n, n_state) array.
+    A and B may be vectorized callables (t, s) -> matrix, constant
+    (d1, d2) matrices, pre-sampled (n, n, d1, d2) arrays, or None for a
+    zero coefficient.  phi may be a vectorized callable t -> vector, a
+    constant (n_state,) vector or an (n, n_state) array.
     Every beta in (0, 1) is accepted; a cost with a terminal weight
     needs beta > 1/2, which the lq module checks where it meets the grid.
     """
@@ -121,23 +122,24 @@ def sample_kernel(K, grid: Grid, d1: int, d2: int) -> np.ndarray:
 
     Returns a new (n, n, d1, d2) float64 array; entries above the diagonal
     are zero whatever the kernel gives there (the kernel acts only on the
-    past).  Accepts callables, pre-sampled arrays of any real dtype, or
-    None (zero kernel).  A callable is evaluated once on the node table
-    and may return anything that broadcasts to (n, n, d1, d2).  Each
-    (n, n) component plane is copied on and below the diagonal only, so
-    the input is never written and its values above the diagonal, finite
-    or not, are never read.
+    past).  Accepts callables, constant (d1, d2) matrices, pre-sampled
+    (n, n, d1, d2) arrays of any real dtype, or None (zero kernel).  A
+    callable is evaluated once on the node table and may return anything
+    that broadcasts to (n, n, d1, d2).  Each (n, n) component plane is
+    copied on and below the diagonal only, so the input is never written
+    and its values above the diagonal, finite or not, are never read.
+    Inline configuration sizes are checked when the file is loaded.
     """
     n = grid.n
     out = np.zeros((n, n, d1, d2))
     if K is None:
         return out
     if isinstance(K, np.ndarray):
-        if K.shape != (n, n, d1, d2):
+        if K.shape not in ((d1, d2), (n, n, d1, d2)):
             raise ValueError(
-                f"pre-sampled kernel has shape {K.shape}, expected {(n, n, d1, d2)}"
+                f"kernel has shape {K.shape}, expected {(d1, d2)} or {(n, n, d1, d2)}"
             )
-        values = K
+        values = np.broadcast_to(K, (n, n, d1, d2))
     else:
         values = np.broadcast_to(
             np.asarray(K(grid.nodes[:, None], grid.nodes[None, :]), dtype=float),
@@ -162,23 +164,23 @@ def _require_finite(samples: np.ndarray, grid: Grid, what: str):
 
 
 def sample_trajectory(f, grid: Grid, d: int) -> np.ndarray:
-    """Sample a trajectory (callable or array or None) on the grid, shape (n, d)."""
+    """Sample a trajectory on the grid as a new (n, d) float64 array.
+
+    Accepts callables t -> vector (whose values may broadcast to (n, d)),
+    pre-sampled (n, d) arrays (also (n,) when d = 1), constant (d,)
+    vectors, or None (zero).  Inline configuration sizes are checked when
+    the file is loaded.
+    """
     n = grid.n
     if f is None:
         return np.zeros((n, d))
-    if isinstance(f, np.ndarray):
-        arr = f.astype(float, order="C")
-        if arr.shape == (n,) and d == 1:
-            arr = arr[:, None]
-        if arr.shape != (n, d):
-            raise ValueError(f"trajectory has shape {f.shape}, expected {(n, d)}")
-        return arr
-    arr = np.asarray(f(grid.nodes), dtype=float)
+    given = isinstance(f, np.ndarray)
+    arr = np.asarray(f if given else f(grid.nodes), dtype=float)
     if arr.shape == (n,) and d == 1:
         arr = arr[:, None]
-    if arr.shape != (n, d):
-        arr = np.broadcast_to(arr, (n, d)).copy()
-    return np.asarray(arr, dtype=float)
+    if given and arr.shape not in ((n, d), (d,)):
+        raise ValueError(f"trajectory has shape {f.shape}, expected {(n, d)} or {(d,)}")
+    return np.array(np.broadcast_to(arr, (n, d)), order="C")
 
 
 # ---------------------------------------------------------------------------

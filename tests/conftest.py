@@ -161,14 +161,15 @@ def reference_series(ops):
 def reference_sample_kernel(K, grid, d1, d2):
     """Kernel samples through one (n, n, d1, d2) broadcast copy: a test reference.
 
-    The whole table is copied with the component axes innermost and the
-    upper triangle is zeroed afterwards by fancy index.
+    The whole table, or a constant (d1, d2) matrix broadcast to it, is
+    copied with the component axes innermost and the upper triangle is
+    zeroed afterwards by fancy index.
     """
     n = grid.n
     if K is None:
         return np.zeros((n, n, d1, d2))
     if isinstance(K, np.ndarray):
-        out = K.astype(np.float64)
+        out = np.array(np.broadcast_to(K, (n, n, d1, d2)), dtype=np.float64)
     else:
         values = K(grid.nodes[:, None], grid.nodes[None, :])
         out = np.array(np.broadcast_to(np.asarray(values, dtype=float), (n, n, d1, d2)))

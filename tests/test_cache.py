@@ -67,9 +67,7 @@ def test_cache_key_covers_the_state_kernel(tmp_path):
     # after a change to the catalog builder
     entry = get_problem("constant-coeff", 0.75, 1.0)
     grid = vlq.build_grid(16, 1.0)
-    other = vlq.StateOperator(
-        replace(entry.problem, A=lambda t, s: 0.5 * entry.problem.A(t, s)), grid
-    )
+    other = vlq.StateOperator(replace(entry.problem, A=0.5 * entry.problem.A), grid)
     k1 = cached_resolvent(vlq.StateOperator(entry.problem, grid), str(tmp_path))
     k2 = cached_resolvent(other, str(tmp_path))
     assert len(list(tmp_path.glob("*.vker"))) == 2

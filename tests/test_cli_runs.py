@@ -123,6 +123,20 @@ def test_singular_implicit_step_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_negative_control_weight_names_the_positive_floor(tmp_path, capsys):
+    # delta defaults to min eig R = -1; the floor delta > 0 is what fails,
+    # not R >= delta I, which holds
+    text = (
+        "problem = inline\nscenario = equivalence\nn = 16\nA = 0.5\nB = 1.0\nphi = 1.0\n"
+        f"Q = 1.0\nR = -1\noutdir = {tmp_path / 'out'}\n"
+    )
+    capsys.readouterr()
+    assert run_config(tmp_path, "negative-r", text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: violated: R(t) >= delta I with delta > 0")
+    assert "delta = -1" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("a", [-8.0, -3.0])
 def test_cancelling_resolvent_series_exits_2(tmp_path, capsys, a):
     # a constant dissipative A = a: the alternating series levels grow to

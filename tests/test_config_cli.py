@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from volterra_lq import ConfigError, RunConfig, StateOperator, load_config, run_scenario
-from volterra_lq import grids, volterra
+from volterra_lq import config, grids, volterra
 from volterra_lq.cli import main
 from volterra_lq.config import SCENARIOS
 
@@ -185,8 +185,9 @@ def test_cli_reports_unwritable_outdir(tmp_path, capsys):
     [
         (dict(n=8, m_solver="galerkin", galerkin_dim=16), "galerkin_dim"),
         (dict(problem_seed=-1), "field 'problem_seed': must be >= 0"),
+        (dict(problem="inline", inline={"A": np.array([0.5, 0.2])}), "field 'A': got 2 entries"),
     ],
-    ids=["galerkin-dim-above-n", "negative-problem-seed"],
+    ids=["galerkin-dim-above-n", "negative-problem-seed", "inline-wrong-size"],
 )
 def test_run_scenario_validates_configs_built_in_code(tmp_path, fields, match):
     cfg = RunConfig(scenario="equivalence", outdir=str(tmp_path / "out"), **fields)
@@ -248,6 +249,9 @@ def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):
         "problem = inline\nstate_dim = 0\nR = 1\n",
         "problem = inline\ncontrol_dim = 0\nQ = 1\n",
         "seed = -1\n",
+        "problem = inline\nA = 0.5, 0.2\n",
+        "problem = inline\nstate_dim = 2\nphi = 1.0\n",
+        "problem = inline\ncontrol_dim = 2\nS = 1, 2, 3\n",
     ],
     ids=[
         "T-zero",
@@ -262,6 +266,9 @@ def test_non_finite_values_name_their_field(tmp_path, capsys, key, value):
         "zero-state-dim",
         "zero-control-dim",
         "negative-seed",
+        "inline-A-wrong-size",
+        "inline-phi-wrong-size",
+        "inline-S-wrong-size",
     ],
 )
 def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
@@ -274,6 +281,18 @@ def test_cli_rejects_out_of_range_parameters(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: field ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_schema_lists_every_key_the_loader_accepts():
+    # the docstring's Schema block and the one declaration name the same keys
+    schema = config.__doc__.split("Schema", 1)[1].split("Unknown keys", 1)[0]
+    names = [
+        key
+        for line in schema.splitlines()
+        if line.startswith("    ") and not line.startswith("     ")
+        for key in line.split()[0].split(",")
+    ]
+    assert names == list(config._SCALAR_KEYS) + list(config._INLINE_SHAPES)
 
 
 def test_cli_reports_unexpected_errors_with_exit_3(tmp_path, capsys, monkeypatch):

@@ -49,17 +49,14 @@ def test_unequal_dimensions_equal_the_broadcast_references(weight_memo, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_inline_constant_kernel_equals_the_broadcast_reference(tmp_path, weight_memo, kind):
-    # the inline kernels return read-only broadcast views of their matrix
     path = tmp_path / "inline.cfg"
     path.write_text(
         "problem = inline\nstate_dim = 2\ncontrol_dim = 1\n"
         "A = 0.5, -0.25, 0.125, 1.5\nB = 1.0, -2.0\nphi = 1.0, 0.0\nQ = 1, 0, 0, 1\nR = 1.0\n"
     )
     problem, _ = _materialize(load_config(path))
-    grid = build_grid(24, 1.0, kind)
-    values = problem.A(grid.nodes[:, None], grid.nodes[None, :])
-    assert not values.flags.writeable
-    assert_build_matches_references(problem, grid)
+    assert problem.A.shape == (2, 2) and problem.B.shape == (2, 1)
+    assert_build_matches_references(problem, build_grid(24, 1.0, kind))
 
 
 def test_samples_are_a_new_writable_table_and_leave_the_input_alone():
@@ -73,6 +70,15 @@ def test_samples_are_a_new_writable_table_and_leave_the_input_alone():
     got = sample_kernel(view, grid, 2, 1)
     assert np.array_equal(got, reference_sample_kernel(view, grid, 2, 1))
     assert got[8, 0, 1, 0] == 3.0 and got[0, 8, 1, 0] == 0.0
+    # a constant (d1, d2) matrix is the broadcast table
+    const = np.array([[2.0], [-3.5]])
+    got = sample_kernel(const, grid, 2, 1)
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert np.array_equal(got, reference_sample_kernel(const, grid, 2, 1))
+    assert got[8, 0, 1, 0] == -3.5 and got[0, 8, 1, 0] == 0.0
+    assert np.array_equal(const, [[2.0], [-3.5]])
+    with pytest.raises(ValueError, match=r"\(2, 1\) or \(9, 9, 2, 1\)"):
+        sample_kernel(const.T, grid, 2, 1)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -717,6 +717,15 @@ class TestProblemData:
         assert got.flags.c_contiguous
         got[0, 0] = 7.0
         assert np.all(floats == 1.0)
+        # a constant (d,) vector is the broadcast table, also at d = 1
+        const = np.array([2.0, -3.5])
+        got = sample_trajectory(const, grid, 2)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert np.array_equal(got, np.array(np.broadcast_to(const, (5, 2))))
+        assert np.array_equal(sample_trajectory(np.array([4.0]), grid, 1), np.full((5, 1), 4.0))
+        assert np.array_equal(const, [2.0, -3.5])
+        with pytest.raises(ValueError, match=r"\(5, 2\) or \(2,\)"):
+            sample_trajectory(np.ones(3), grid, 2)
 
 
 def no_fold(self, samples):
