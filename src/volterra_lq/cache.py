@@ -3,22 +3,25 @@
 Kernel files are flat binary with a single ASCII header line documenting
 the exact layout, e.g.
 
-    volterra-kernel v1 n=64 beta=0.75 d1=2 d2=2 res_def=1e-4 res_tr=2e-4 bound=1.5 layout=row-major-float64-le C-then-D
+    volterra-kernel v2 n=64 beta=0.75 d1=2 d2=2 res_def=1e-4 res_tr=2e-4 bound=1.5 layout=row-major-float64-le D
 
-followed by the raw row-major float64 little-endian bytes of the singular
-coefficient table and then the regular part.  The cache directory
-defaults to ~/.cache/volterra-lq and is overridden by the
-VOLTERRA_LQ_CACHE environment variable.  A cached kernel is keyed by what
-it is computed from: a key version, beta, the grid nodes and the sampled
-state kernel A, read from the state operator as `ops.A_samples`; a miss
-computes `resolvent(ops)` from the same operator.  The header keeps the
-residuals and the coefficient bound, so a loaded kernel equals the fresh one.
+followed by the raw row-major float64 little-endian bytes of the regular
+part D alone, n*n*d1*d2*8 bytes.  The cache directory defaults to
+~/.cache/volterra-lq and is overridden by the VOLTERRA_LQ_CACHE
+environment variable.  A cached kernel is keyed by what it is computed
+from: a key version, beta, the grid nodes and the sampled state kernel A,
+read from the state operator as `ops.A_samples`.  That A is also the
+resolvent's singular coefficient, so no file stores it: a loaded kernel
+shares the operator's table, and a miss computes `resolvent(ops)`.  The
+header keeps the residuals and the coefficient bound, so a loaded kernel
+equals the fresh one.
 
 Files are written to a temporary name in the target directory and moved
 into place, so a reader never sees a partial file.  The loader checks the
-magic, the header fields and the exact data length and raises
-KernelFileError otherwise; a cached kernel that fails the check, or whose
-shape or beta is not the operator's, counts as a miss and is recomputed.
+magic, the header fields, that n, d1 and d2 are the coefficient's, and the
+exact data length, and raises KernelFileError otherwise; a cached kernel
+that fails the check, or whose beta is not the operator's, counts as a
+miss and is recomputed.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ __all__ = [
 ]
 
 _EXT = ".vker"
-_MAGIC = "volterra-kernel v1 "
+_MAGIC = "volterra-kernel v2 "
 # changes with the file format, the resolvent series or the kernels it refuses,
 # so that no kernel computed by another version is read back
-_KEY_VERSION = "volterra-kernel v1 with bound; resolvent series v6"
+_KEY_VERSION = "volterra-kernel v2 D only; resolvent series v6"
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -58,24 +61,36 @@ def cache_dir(override: str | None = None) -> Path:
 
 
 def save_factored_kernel(path, kernel: FactoredKernel):
-    C = np.ascontiguousarray(kernel.singular_coeff, dtype="<f8")
+    """Write the header and D's buffer, no bytes copy, to a temporary file, then move it."""
     D = np.ascontiguousarray(kernel.regular_part, dtype="<f8")
-    n, _, d1, d2 = C.shape
+    n, _, d1, d2 = D.shape
     res = kernel.residuals or {}
     header = (
         f"{_MAGIC}n={n} beta={kernel.beta!r} d1={d1} d2={d2} "
         f"res_def={res.get('defining', float('nan'))!r} "
         f"res_tr={res.get('transposed', float('nan'))!r} bound={float(kernel.coeff_bound)!r} "
-        f"layout=row-major-float64-le C-then-D\n"
+        f"layout=row-major-float64-le D\n"
     )
-    _write_atomic(path, header, C, D)
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header.encode())
+            fh.write(D.data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_factored_kernel(path) -> FactoredKernel:
-    """Read a kernel file; KernelFileError when its header or length is wrong.
+def load_factored_kernel(path, singular_coeff: np.ndarray) -> FactoredKernel:
+    """Read a kernel file whose singular coefficient is `singular_coeff`.
 
-    A wrong magic, a missing or malformed field, or a data length other
-    than the two tables' is rejected.
+    The file holds the regular part only; the coefficient is the table the
+    cache key pins, for a resolvent `ops.A_samples`, and the kernel keeps a
+    read-only view of it.  KernelFileError when the magic is wrong, a field
+    is missing or malformed, n, d1 or d2 is not the coefficient's, or the
+    data length is not the regular part's.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -84,46 +99,27 @@ def load_factored_kernel(path) -> FactoredKernel:
             if not text.startswith(_MAGIC):
                 raise ValueError("header magic missing")
             f = dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
-            shape = (2, int(f["n"]), int(f["n"]), int(f["d1"]), int(f["d2"]))
+            shape = (int(f["n"]), int(f["n"]), int(f["d1"]), int(f["d2"]))
             beta = float(f["beta"])
             residuals = {"defining": float(f["res_def"]), "transposed": float(f["res_tr"])}
             bound = float(f["bound"])
-            if min(shape) < 1:
-                raise ValueError("nonpositive table dimension")
         except (KeyError, ValueError) as exc:
             raise KernelFileError(f"{path}: not a {_MAGIC.strip()} file ({exc})") from None
+        if shape != singular_coeff.shape:
+            raise KernelFileError(
+                f"{path}: holds a kernel of n, d1, d2 = {shape[1:]}, "
+                f"but its coefficient has {singular_coeff.shape[1:]}"
+            )
         expected = 8 * int(np.prod(shape))
         found = os.fstat(fh.fileno()).st_size - len(header)
-        if found == expected:  # read straight into the tables: no bytes copy, no table copies
-            tables = np.empty(shape, dtype="<f8")
-            found = fh.readinto(tables.reshape(-1).view(np.uint8))
+        if found == expected:  # read straight into the table: no bytes copy
+            D = np.empty(shape, dtype="<f8")
+            found = fh.readinto(D.reshape(-1).view(np.uint8))
     if found != expected:
         raise KernelFileError(
             f"{path}: expected {expected} data bytes after the header, found {found}"
         )
-    C, D = tables
-    return FactoredKernel(
-        singular_coeff=C, regular_part=D, beta=beta, coeff_bound=bound, residuals=residuals
-    )
-
-
-def _write_atomic(path, header: str, *tables: np.ndarray):
-    """Write header and tables to a temporary file, then move it onto path.
-
-    Each table must be C-contiguous: its buffer is written as it lies in
-    memory, without a bytes copy.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode())
-            for table in tables:
-                fh.write(table.data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    return FactoredKernel(singular_coeff, D, beta, coeff_bound=bound, residuals=residuals)
 
 
 def cached_resolvent(ops: StateOperator, directory: str | None = None) -> FactoredKernel:
@@ -137,8 +133,8 @@ def cached_resolvent(ops: StateOperator, directory: str | None = None) -> Factor
     path = d / f"resolvent-{key.hexdigest()[:24]}{_EXT}"
     if path.exists():
         try:
-            kernel = load_factored_kernel(path)
-            if kernel.singular_coeff.shape == A.shape and kernel.beta == ops.beta:
+            kernel = load_factored_kernel(path, A)
+            if kernel.beta == ops.beta:
                 return kernel
         except KernelFileError:
             pass  # damaged, foreign or of another grid: a miss, overwritten below

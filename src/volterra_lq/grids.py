@@ -54,7 +54,6 @@ class Grid:
     nodes: np.ndarray
     T: float
     kind: str
-    exponent: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -119,7 +118,7 @@ def build_grid(n: int, T: float, kind: str = "uniform", exponent: float = 2.0) -
         nodes = T * g
         nodes[0] = 0.0
         nodes[-1] = T
-        return Grid(nodes=nodes, T=float(T), kind=kind, exponent=r)
+        return Grid(nodes=nodes, T=float(T), kind=kind)
     raise ValueError(f"unknown grid kind {kind!r} (use 'uniform' or 'graded')")
 
 

@@ -378,34 +378,30 @@ def _run_convergence(cfg: RunConfig) -> ScenarioReport:
 def _varconst_deviation(ops, kernel, seed) -> float:
     """Stepping solve vs the variation-of-constants formula through the kernel.
 
-    For a seeded smooth xi (per component a cos(w t + p)), the factored
-    resolvent Phi = C (t-s)^(beta-1) + D gives
+    The kernel must be `ops`' resolvent, whose singular coefficient is
+    `ops.A_samples` itself; any other kernel raises ValueError.  For a
+    seeded smooth xi (per component a cos(w t + p)), the factored
+    resolvent Phi = A (t-s)^(beta-1) + D gives
 
-        x(t_i) = xi(t_i) + sum_j (sw_ij C_ij + omega_j D_ij) xi(t_j),
+        x(t_i) = xi(t_i) + sum_j (sw_ij A_ij + omega_j D_ij) xi(t_j),
 
-    with sw = ops.sw the product-integration weights of the singular part
-    and omega = ops.omega the trapezoid rule for the regular part: D is
-    zero for s_j >= t_i, so the sum is the trapezoid rule over [0, t_i].
+    with sw the product-integration weights, so the A part is
+    `ops.WA_flat` times xi, and omega = ops.omega the trapezoid rule: D is
+    zero for s_j >= t_i, so its sum is the trapezoid rule over [0, t_i].
     The relative distance to `solve_state` is a discretization error of
     both sides, so it falls under grid doubling and moves with every entry
-    of C and D.
+    of D.
     """
+    if not np.shares_memory(kernel.singular_coeff, ops.A_samples):
+        raise ValueError("the varconst check needs the operator's own resolvent kernel")
     rng = np.random.default_rng(seed)
     n, dx, nodes, omega = ops.n, ops.dx, ops.grid.nodes, ops.omega
     amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
     xi = amp * np.cos(freq * nodes[:, None] + phase)
     x_step = solve_state(ops, xi)
-    # sw C comes in its flat (n dx, n dx) layout, and omega D is added one
-    # component plane at a time through one (n, n) scratch, so no full-size
-    # temporary is made
-    weighted = ops._fold(kernel.singular_coeff)
-    blocks = weighted.reshape(n, dx, n, dx)
-    plane = np.empty((n, n))
-    for a in range(dx):
-        for b in range(dx):
-            np.multiply(omega, kernel.regular_part[:, :, a, b], out=plane)
-            blocks[:, a, :, b] += plane
-    x_conv = xi + (weighted @ xi.ravel()).reshape(n, dx)
+    x_conv = xi + (ops.WA_flat @ xi.ravel()).reshape(n, dx)
+    for b in range(dx):  # D is read in place, so no full-size temporary is made
+        x_conv += kernel.regular_part[:, :, :, b].transpose(0, 2, 1) @ (omega * xi[:, b])
     return _rel(omega, x_step - x_conv, x_step)
 
 

@@ -54,12 +54,12 @@ Two complementary representations are built here.
 
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
-kernel cache read the operator's sampled A, weights and weighted fold,
-so those are built once per (problem, grid).  The product-integration
-weights depend on the grid and beta only, so every operator on a grid
-the process has seen reads them from the same memo, `_weight_memo`,
-under (grid kind, node bytes, beta).  The memo holds at most
-`_WEIGHT_MEMO_BYTES` (32 MiB) of tables in all; a table past the cap is
+kernel cache read the operator's sampled A (the resolvent's singular
+coefficient, shared), weights and weighted fold, so those exist once per
+(problem, grid).  The product-integration weights depend on the grid and
+beta only, so every operator on a grid reads them from one memo,
+`_weight_memo`, under (grid kind, node bytes, beta).  The memo holds at
+most `_WEIGHT_MEMO_BYTES` (32 MiB) of tables; a table past the cap is
 computed and not stored, and nothing is evicted.  The factored kernels
 feed diagnostics and cross-checks.
 """
@@ -194,9 +194,10 @@ class FactoredKernel:
 
     Both parts are finite at every sampled off-diagonal point; the
     singular coefficient extends continuously to the diagonal, and
-    `regular_part` is zero on and above the diagonal.  The
-    `residuals` dict records how well the kernel satisfies its defining
-    equation (filled in by `resolvent`).
+    `regular_part` is zero on and above the diagonal.  The singular
+    coefficient is a read-only view of the table given, for the resolvent
+    and Psi the operator's sampled A or B.  The `residuals` dict records
+    how well the kernel satisfies its defining equation (from `resolvent`).
     """
 
     singular_coeff: np.ndarray  # (n, n, d1, d2)
@@ -204,6 +205,10 @@ class FactoredKernel:
     beta: float
     coeff_bound: float = np.inf
     residuals: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.singular_coeff = self.singular_coeff.view()
+        self.singular_coeff.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -232,7 +237,7 @@ def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
     Both endpoint singularities are integrated exactly through the
     regularized incomplete beta function; only g is interpolated.  The
     segments past t_i have x = 1 at both ends, so they and the entries
-    l > i weigh exactly 0.
+    l > i weigh exactly 0.  Weights that overflow raise NumericalError.
     """
     nodes = grid.nodes
     tt = nodes[j + 1 :, None] - nodes[j]
@@ -240,11 +245,14 @@ def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
     x = np.clip(tau / tt, 0.0, 1.0)
     lo, hi = tau[:-1], tau[1:]
     h = hi - lo
-    nu0 = tt ** (p + q - 1.0) * beta_function(q, p) * np.diff(betainc(q, p, x), axis=-1)
-    nu1 = tt ** (p + q) * beta_function(q + 1.0, p) * np.diff(betainc(q + 1.0, p, x), axis=-1)
-    w = np.zeros((tau.size - 1, tau.size))
-    w[:, :-1] += (hi * nu0 - nu1) / h
-    w[:, 1:] += (nu1 - lo * nu0) / h
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        nu0 = tt ** (p + q - 1.0) * beta_function(q, p) * np.diff(betainc(q, p, x), axis=-1)
+        nu1 = tt ** (p + q) * beta_function(q + 1.0, p) * np.diff(betainc(q + 1.0, p, x), axis=-1)
+        w = np.zeros((tau.size - 1, tau.size))
+        w[:, :-1] += (hi * nu0 - nu1) / h
+        w[:, 1:] += (nu1 - lo * nu0) / h
+    if not np.isfinite(w).all():
+        raise NumericalError(f"the pair weights of order p + q = {p + q:.4g} are not finite")
     return w
 
 
@@ -369,16 +377,12 @@ _MAX_LEVELS = 120  # series levels summed before the resolvent is declared diver
 _MAX_CANCELLATION = 1e8  # largest level over max |D| beyond which the sum is refused
 
 
-def _series_size(norm_a: float, beta: float, T: float) -> str:
-    """The size |A| Gamma(beta) T^beta that governs the series, as its errors name it."""
-    return f"|A| Gamma(beta) T^beta = {norm_a * gamma(beta) * T**beta:.3g}"
-
-
 def resolvent(ops: StateOperator) -> FactoredKernel:
     """Resolvent kernel of A(t,s)/(t-s)^(1-beta), in factored form.
 
-    Reads the sampled A, the grid and beta of the state operator `ops`.
-    Sums the iterated-kernel series with exact product moments for every
+    Reads the sampled A, the grid and beta of the state operator `ops`;
+    the singular coefficient is `ops.A_samples` itself, read-only.  Sums
+    the iterated-kernel series with exact product moments for every
     (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  A is laid out
     node-innermost once, for every level.  Each level product F_{k+1} is
     exactly zero on and above the diagonal, so it is added to D, and its
@@ -390,36 +394,40 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     quadrature pass over sampled source columns.  The series stops at the
     first level below 1e-13 of the largest level so far.  The operator's
     A is finite (its build refuses anything else); NumericalError is
-    raised for a level whose scale is not finite, when `_MAX_LEVELS`
-    levels do not reach the stopping ratio, and when the largest level
-    exceeds max |D| by more than `_MAX_CANCELLATION` (the alternating levels
-    of a strongly negative A cancel, and D loses that many digits); all
-    three name |A| Gamma(beta) T^beta.
+    raised for a level whose weights or scale are not finite, when
+    `_MAX_LEVELS` levels do not reach the stopping ratio, and when the
+    largest level exceeds max |D| by more than `_MAX_CANCELLATION` (the
+    alternating levels of a strongly negative A cancel, and D loses that
+    many digits); each names |A| Gamma(beta) T^beta.
     """
     beta, grid, n, dx = ops.beta, ops.grid, ops.n, ops.dx
     Asamp = ops.A_samples
     norm_a = float(np.max(np.abs(Asamp))) * dx
-    kernel = FactoredKernel(
-        singular_coeff=Asamp.copy(), regular_part=np.zeros_like(Asamp), beta=beta
-    )
+    size = f"|A| Gamma(beta) T^beta = {norm_a * gamma(beta) * grid.T**beta:.3g}"  # errors name it
+    kernel = FactoredKernel(singular_coeff=Asamp, regular_part=np.zeros_like(Asamp), beta=beta)
     # t - s below the diagonal and 1 on and above it, where every level is 0
     dt = np.where(np.tri(n, k=-1, dtype=bool), grid.nodes[:, None] - grid.nodes, 1.0)
     A_inner = _node_inner(Asamp)
-    G = Asamp.copy()  # coefficient of (t-s)^(k*beta - 1), level k = 1
+    G = kernel.singular_coeff  # coefficient of (t-s)^(k*beta - 1), level k = 1
     D = kernel.regular_part
     diag_idx = np.arange(n)
     A_diag = Asamp[diag_idx, diag_idx]
     scale_ref = 0.0
     for k in range(1, _MAX_LEVELS + 1):
         q = k * beta
-        F_next = _convolve_columns(A_inner, G, _pair_column_weights(grid, beta, q))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+                F_next = _convolve_columns(A_inner, G, _pair_column_weights(grid, beta, q))
+        except NumericalError as exc:
+            exc.args = (f"resolvent series level {k}: {exc}; {size} is too large",)
+            raise
         if k == 1:
             F2 = F_next
         level_scale = float(np.max(np.abs(F_next)))
         if not np.isfinite(level_scale):
             raise NumericalError(
-                f"resolvent series level {k} is not finite (largest entry "
-                f"{level_scale}); {_series_size(norm_a, beta, grid.T)} is too large"
+                f"resolvent series level {k} is not finite (largest entry {level_scale}); "
+                f"{size} is too large"
             )
         Gnew = F_next / (dt ** ((k + 1) * beta - 1.0))[:, :, None, None]
         # diagonal limit of the next coefficient
@@ -434,14 +442,14 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     else:
         raise NumericalError(
             "resolvent series did not reach the requested tolerance within "
-            f"{_MAX_LEVELS} levels; {_series_size(norm_a, beta, grid.T)} may be too large"
+            f"{_MAX_LEVELS} levels; {size} may be too large"
         )
     d_max = float(np.max(np.abs(D)))
     if scale_ref > _MAX_CANCELLATION * d_max:
         raise NumericalError(
             f"resolvent series cancels: its largest level {scale_ref:.3g} exceeds "
             f"max |D| = {d_max:.3g} by more than {_MAX_CANCELLATION:.0e}; "
-            f"{_series_size(norm_a, beta, grid.T)} is too large"
+            f"{size} is too large"
         )
 
     # after the series, so that an overflowing level stops before the bound's product
@@ -675,7 +683,8 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     grid: the singular coefficient is B itself, and the regular part
     integrates the two pieces of Phi against B.  The piece C (t-tau)^(beta-1)
     takes the doubly singular weights; the regular piece D takes the hat
-    weights of the lower-endpoint factor (tau-s)^(beta-1) alone.  A
+    weights of the lower-endpoint factor (tau-s)^(beta-1) alone.  The
+    singular coefficient is `ops.B_samples` itself, read-only.  A
     resolvent of another node count or beta raises ValueError.
     """
     _require_matching_kernel(resolvent_kernel, ops, "the resolvent kernel")
@@ -691,7 +700,7 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
         Bsamp,
         lambda j: lower_product_weights(grid, beta, j)[None],
     )
-    return FactoredKernel(singular_coeff=Bsamp.copy(), regular_part=piece1 + piece2, beta=beta)
+    return FactoredKernel(singular_coeff=Bsamp, regular_part=piece1 + piece2, beta=beta)
 
 
 def solve_state(ops: StateOperator, xi) -> np.ndarray:

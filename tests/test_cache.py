@@ -17,30 +17,72 @@ from volterra_lq.errors import KernelFileError
 
 def test_factored_kernel_round_trip(tmp_path):
     entry = get_problem("random-smooth", 0.75, 1.0, seed=8)
-    grid = vlq.build_grid(24, 1.0)
-    kernel = vlq.resolvent(vlq.StateOperator(entry.problem, grid))
+    ops = vlq.StateOperator(entry.problem, vlq.build_grid(24, 1.0))
+    kernel = vlq.resolvent(ops)
     path = tmp_path / "k.vker"
     save_factored_kernel(path, kernel)
-    loaded = load_factored_kernel(path)
+    loaded = load_factored_kernel(path, ops.A_samples)
     assert np.array_equal(loaded.singular_coeff, kernel.singular_coeff)
     assert np.array_equal(loaded.regular_part, kernel.regular_part)
     assert loaded.beta == kernel.beta
     assert loaded.residuals == kernel.residuals
     assert np.isfinite(kernel.coeff_bound) and loaded.coeff_bound == kernel.coeff_bound
     header = path.read_bytes().split(b"\n", 1)[0].decode()
-    assert "volterra-kernel v1" in header
+    assert "volterra-kernel v2" in header
     assert "n=24" in header
 
 
-def test_kernel_file_is_the_header_then_the_raw_tables(tmp_path):
-    # the tables' buffers go to disk as they lie in memory, C then D
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_kernel_file_is_the_header_then_the_regular_part(tmp_path, kind):
+    # D's buffer goes to disk as it lies in memory; C is the operator's A
+    # and is not stored
     entry = get_problem("random-smooth", 0.75, 1.0, seed=8)
-    kernel = vlq.resolvent(vlq.StateOperator(entry.problem, vlq.build_grid(24, 1.0, "graded")))
+    kernel = vlq.resolvent(vlq.StateOperator(entry.problem, vlq.build_grid(24, 1.0, kind)))
     path = tmp_path / "k.vker"
     save_factored_kernel(path, kernel)
     header, data = path.read_bytes().split(b"\n", 1)
-    assert header.startswith(b"volterra-kernel v1 n=24 ")
-    assert data == kernel.singular_coeff.tobytes() + kernel.regular_part.tobytes()
+    assert header.startswith(b"volterra-kernel v2 n=24 beta=0.75 d1=2 d2=2 ")
+    assert header.endswith(b" layout=row-major-float64-le D")
+    assert data == kernel.regular_part.tobytes()
+    assert len(data) == 24 * 24 * 2 * 2 * 8
+
+
+def test_singular_coefficient_is_the_operators_table_read_only(tmp_path):
+    entry = get_problem("random-smooth", 0.75, 1.0, seed=8)
+    ops = vlq.StateOperator(entry.problem, vlq.build_grid(17, 1.0, "graded"))
+    fresh = cached_resolvent(ops, str(tmp_path))
+    loaded = cached_resolvent(ops, str(tmp_path))
+    psi = vlq.control_kernel(ops, loaded)
+    for kernel, table in ((fresh, ops.A_samples), (loaded, ops.A_samples), (psi, ops.B_samples)):
+        assert np.shares_memory(kernel.singular_coeff, table)
+        assert not kernel.singular_coeff.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.singular_coeff[1, 0] = 0.0
+    # the operator keeps its own tables writeable
+    assert ops.A_samples.flags.writeable and ops.B_samples.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "fields", ["n=34 beta=0.75 d1=1 d2=1", "n=17 beta=0.75 d1=4 d2=1", "n=17 beta=0.75 d1=1 d2=4"]
+)
+def test_header_shape_other_than_the_coefficients_is_refused(tmp_path, fields):
+    # each edited header keeps the data length 17 * 17 * 2 * 2 * 8, so only
+    # the check against the coefficient's shape catches it
+    entry = get_problem("random-smooth", 0.75, 1.0, seed=3)
+    ops = vlq.StateOperator(entry.problem, vlq.build_grid(17, 1.0))
+    cached_resolvent(ops, str(tmp_path))
+    (path,) = tmp_path.glob("*.vker")
+    good = path.read_bytes()
+    edited = good.replace(b"n=17 beta=0.75 d1=2 d2=2", fields.encode(), 1)
+    assert edited != good and len(edited) == len(good)
+    path.write_bytes(edited)
+    named = r"n, d1, d2 = .* but its coefficient has \(17, 2, 2\)"
+    with pytest.raises(KernelFileError, match=named):
+        load_factored_kernel(path, ops.A_samples)
+    # through the cache: a miss, recomputed and overwritten
+    kernel = cached_resolvent(ops, str(tmp_path))
+    assert path.read_bytes() == good
+    assert np.array_equal(kernel.regular_part, vlq.resolvent(ops).regular_part)
 
 
 def test_cached_resolvent_hits_disk_once(tmp_path):
@@ -145,7 +187,7 @@ def test_zero_state_kernel_convergence_run(tmp_path, kind):
         files = sorted((tmp_path / run / "cache").glob("*.vker"))
         assert len(files) == 2
         for path in files:
-            kernel = load_factored_kernel(path)
+            kernel = load_factored_kernel(path, np.zeros(_header_shape(path)))
             assert np.all(kernel.singular_coeff == 0.0)
             assert np.all(kernel.regular_part == 0.0)
             assert kernel.residuals == {"defining": 0.0, "transposed": 0.0}
@@ -164,6 +206,14 @@ def test_zero_state_kernel_convergence_run(tmp_path, kind):
     assert [path.read_bytes() for path in hit] == runs[0][:2]
 
 
+def _header_shape(path):
+    """(n, n, d1, d2) as a kernel file's header states them."""
+    header = path.read_bytes().split(b"\n", 1)[0].decode()
+    fields = dict(token.split("=") for token in header.split() if "=" in token)
+    n = int(fields["n"])
+    return (n, n, int(fields["d1"]), int(fields["d2"]))
+
+
 def _damage(data: bytes, how: str) -> bytes:
     head = data.index(b"\n") + 1
     half = (len(data) - head) // 16 * 8
@@ -173,11 +223,15 @@ def _damage(data: bytes, how: str) -> bytes:
         return data[: head + half]
     if how == "padded":
         return data + bytes(8)
+    if how == "v1-header":  # the format that also stored C
+        return data.replace(b"volterra-kernel v2 ", b"volterra-kernel v1 ", 1)
     # same fields and length under another format's magic
-    return data.replace(b"volterra-kernel v1 ", b"some-other-format v1 ", 1)
+    return data.replace(b"volterra-kernel v2 ", b"some-other-format v2 ", 1)
 
 
-@pytest.mark.parametrize("how", ["truncated-odd", "truncated-even", "padded", "foreign-header"])
+@pytest.mark.parametrize(
+    "how", ["truncated-odd", "truncated-even", "padded", "foreign-header", "v1-header"]
+)
 def test_damaged_cache_file_is_a_miss(tmp_path, how):
     cache = tmp_path / "cache"
     cfg = tmp_path / "run.cfg"
@@ -188,10 +242,12 @@ def test_damaged_cache_file_is_a_miss(tmp_path, how):
     assert main(["run", "--config", str(cfg)]) == 0
     files = sorted(cache.glob("*.vker"))
     good = files[0].read_bytes()
+    # the loader reads only the shape of this stand-in for the key's A
+    coeff = np.zeros(_header_shape(files[0]))
     files[0].write_bytes(_damage(good, how))
     with pytest.raises(KernelFileError):
-        load_factored_kernel(files[0])
+        load_factored_kernel(files[0], coeff)
     assert main(["run", "--config", str(cfg)]) == 0
     assert files[0].read_bytes() == good
-    load_factored_kernel(files[0])
+    load_factored_kernel(files[0], coeff)
     assert sorted(p.name for p in cache.iterdir()) == [p.name for p in files]

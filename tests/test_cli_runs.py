@@ -161,6 +161,34 @@ def test_cancelling_resolvent_series_exits_2(tmp_path, capsys, a):
         assert residual_row(tmp_path / "out", check)[2] == "1"
 
 
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        # the pair weights of level 102 carry 1000^102.9, past the largest double
+        (
+            "beta = 0.999\nT = 1000\nA = -3.91",
+            "error: resolvent series level 102: the pair weights of order p + q = 102.9",
+        ),
+        # the level product itself overflows in its GEMM
+        ("beta = 0.001\nT = 10\nA = 2.0", "error: resolvent series level 93 is not finite"),
+    ],
+    ids=["weights", "product"],
+)
+def test_overflowing_resolvent_series_exits_2(tmp_path, capsys, params, error):
+    # long horizons: with warnings as errors, as here, the run still ends
+    # in one typed error line and writes no kernel file
+    text = (
+        f"problem = inline\nscenario = convergence\nn = 17\n{params}\nB = 1.0\nphi = 1.0\n"
+        f"outdir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    capsys.readouterr()
+    assert run_config(tmp_path, "overflow", text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.endswith(" is too large\n")
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+    assert not list((tmp_path / "cache").glob("*.vker"))
+
+
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
 def test_reduction_without_terminal_weight_at_small_beta(tmp_path, kind):
     # rho alone (S = 0) keeps the default delta = min eig R a valid floor

@@ -26,9 +26,16 @@ from volterra_lq.volterra import (
     sample_trajectory,
 )
 from volterra_lq.grids import Grid, lower_product_weights
+from volterra_lq import scenarios
 from volterra_lq.scenarios import _series_error, _varconst_deviation
 
-from conftest import lower_weight_table, reference_convolve, reference_series, rel_l2
+from conftest import (
+    lower_weight_table,
+    reference_convolve,
+    reference_fold,
+    reference_series,
+    rel_l2,
+)
 
 
 def scalar_problem(A, B, phi, beta=0.75, T=1.0):
@@ -440,6 +447,44 @@ class TestSolveState:
         value = _varconst_deviation(ops, ker, 0)
         assert _varconst_deviation(ops, perturbed, 0) >= 3.0 * value
 
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    @pytest.mark.parametrize(
+        "name,seed", [("random-smooth", 3), ("constant-coeff", 0)], ids=["rs", "const"]
+    )
+    def test_varconst_expression_matches_the_fold_plus_plane_oracle(
+        self, monkeypatch, name, seed, kind
+    ):
+        # oracle: the formula as it was before it read ops.WA_flat, sw C
+        # folded and omega D added one component plane at a time, in one
+        # matrix; the check's own x_conv is read back from its _rel call
+        grid = build_grid(65, 1.0, kind)
+        ops = StateOperator(get_problem(name, 0.75, 1.0, seed).problem, grid)
+        ker = resolvent(ops)
+        seen = []
+        monkeypatch.setattr(scenarios, "_rel", lambda w, diff, ref: seen.append((diff, ref)))
+        _varconst_deviation(ops, ker, 5)
+        ((diff, x_step),) = seen
+        x_conv = x_step - diff
+        n, dx, omega = ops.n, ops.dx, ops.omega
+        rng = np.random.default_rng(5)
+        amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
+        xi = amp * np.cos(freq * grid.nodes[:, None] + phase)
+        weighted = reference_fold(product_weights(grid, 0.75), ker.singular_coeff)
+        blocks = weighted.reshape(n, dx, n, dx)
+        for a in range(dx):
+            for b in range(dx):
+                blocks[:, a, :, b] += omega * ker.regular_part[:, :, a, b]
+        x_old = xi + (weighted @ xi.ravel()).reshape(n, dx)
+        assert np.abs(x_conv - x_old).max() <= 1e-14 * np.abs(x_old).max()
+
+    def test_varconst_check_refuses_another_operators_kernel(self):
+        grid = build_grid(17, 1.0)
+        p = get_problem("random-smooth", 0.75, 1.0, 3).problem
+        ops, twin = StateOperator(p, grid), StateOperator(p, grid)
+        assert np.array_equal(ops.A_samples, twin.A_samples)
+        with pytest.raises(ValueError, match="operator's own resolvent"):
+            _varconst_deviation(ops, resolvent(twin), 0)
+
     def test_singular_diagonal_block_raises(self):
         # uniform grids share one diagonal weight, so A = 1 / w_11 makes
         # every implicit step I - w_ii A singular
@@ -795,6 +840,22 @@ def test_overflowing_level_stops_the_series(monkeypatch):
             resolvent(ops)
     assert len(levels) == 1
     assert "|A| Gamma(beta) T^beta = 1.23e+160 is too large" in str(info.value)
+
+
+def test_overflowing_pair_weights_stop_the_series_and_are_not_kept(weight_memo):
+    # T = 1000: the level-102 weights carry (t - s)^(p+q) = 1000^102.9,
+    # past the largest double; the error names the level and the series
+    # size, no RuntimeWarning escapes, and the lower levels stay in the memo
+    grid = build_grid(17, 1000.0)
+    ops = StateOperator(scalar_problem(const_kernel(-3.91), None, None, 0.999, 1000.0), grid)
+    with pytest.raises(vlq_errors.NumericalError) as info:
+        resolvent(ops)
+    assert str(info.value).startswith("resolvent series level 102: the pair weights")
+    assert "|A| Gamma(beta) T^beta = 3.89e+03 is too large" in str(info.value)
+    stored = [key[3] for key in weight_memo if len(key) == 4]
+    assert len(stored) == 101 and max(stored) == pytest.approx(101 * 0.999)
+    with pytest.raises(vlq_errors.NumericalError, match="not finite"):
+        _pair_column_weights(grid, 0.999, 102 * 0.999)
 
 
 def test_integer_presampled_kernel_is_cast_to_float(tmp_path):
