@@ -16,7 +16,6 @@ from .errors import AssumptionError, ConfigError, KernelFileError, NumericalErro
 from .grids import (
     Grid,
     build_grid,
-    check_young_bound,
     integrate_singular,
     product_weights,
 )
@@ -51,7 +50,7 @@ from .fredholm import (
     FredholmSystem,
     assemble_fredholm,
     crosscheck_kernel_samples,
-    feedback_control,
+    representation_terms,
     solve_direct,
     solve_galerkin,
     solve_iterated_galerkin,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import cache
 
 from .cache import cache_dir, clear_cache
 from .catalog import get_problem, problem_names
@@ -56,7 +57,9 @@ def _cmd_clear_cache(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="volterra-lq",
         description="linear-quadratic control of weakly singular Volterra equations",
@@ -77,8 +80,11 @@ def main(argv=None) -> int:
     p_cc = sub.add_parser("clear-cache", help="delete cached kernel files")
     p_cc.add_argument("--cache-dir", help="cache directory override")
     p_cc.set_defaults(func=_cmd_clear_cache)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, AssumptionError, NumericalError, OSError) as exc:

@@ -178,6 +178,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"field 'beta': must lie in (0, 1), got {cfg.beta}")
     if not cfg.T > 0.0:
         raise ConfigError(f"field 'T': must be positive, got {cfg.T}")
+    if cfg.scenario == "example-2-1" and not cfg.T < 2.0:
+        raise ConfigError(
+            f"field 'T': scenario 'example-2-1' needs T < 2, got {cfg.T}; its control "
+            "1/(sqrt(T-s) log(T-s)) is not square-integrable where log(T-s) = 0"
+        )
     if cfg.n < 3:
         raise ConfigError(f"field 'n': grid needs at least 3 nodes, got {cfg.n}")
     if cfg.grid not in ("uniform", "graded"):

@@ -71,10 +71,11 @@ from itertools import islice
 
 import numpy as np
 
-from .causal import _require_no_cross_terms, _running_gradients, causal_trajectories
+from .causal import _require_no_cross_terms, _running_gradients
 from .errors import AssumptionError, NumericalError
 from .grids import Grid, lower_product_weights, trapezoid_rule
-from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop
+# solve_open_loop is unused here; perfbench/tests/test_perfbench.py pins this import site
+from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop  # noqa: F401
 from .volterra import FactoredKernel, _require_matching_kernel
 
 __all__ = [
@@ -84,7 +85,6 @@ __all__ = [
     "solve_galerkin",
     "solve_iterated_galerkin",
     "solve_superconvergent",
-    "feedback_control",
     "representation_terms",
     "crosscheck_kernel_samples",
 ]
@@ -384,26 +384,6 @@ def representation_terms(
     rg = (sc.R_inverses() @ gvec.transpose(1, 2, 0)).transpose(2, 0, 1)  # [t, j] = R_j^-1 g_t(j)
     nodes = np.arange(n)
     return -rg[nodes, nodes] - _gain_integrals(dlq, rg, method, subspace_dim, iterations)
-
-
-def feedback_control(
-    dlq: DiscreteLQ,
-    method: str = "direct",
-    subspace_dim: int | None = None,
-    iterations: int = 2,
-) -> np.ndarray:
-    """Reconstruct the optimal control through the gain-kernel representation.
-
-    Solves the open-loop problem, builds the truncation family of the
-    optimal control, and evaluates the representation at every node.
-    Requires zero cross weights; general problems use the cross-term
-    reduction and its representation.
-    """
-    _require_no_cross_terms(dlq.cost_samples, "the gain representation")
-    x_trunc = causal_trajectories(dlq.ops, solve_open_loop(dlq))
-    return representation_terms(
-        dlq, x_trunc, method=method, subspace_dim=subspace_dim, iterations=iterations
-    )
 
 
 def crosscheck_kernel_samples(

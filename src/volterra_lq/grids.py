@@ -36,7 +36,6 @@ __all__ = [
     "build_grid",
     "product_weights",
     "integrate_singular",
-    "check_young_bound",
     "lower_product_weights",
     "trapezoid_rule",
     "segment_moments",
@@ -45,15 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing time nodes on [0, T].
+    """Strictly increasing time nodes on [0, T]: a grid is its nodes.
 
-    kind is "uniform" or "graded"; graded grids cluster nodes near both
-    endpoints (free terms may blow up at 0, terminal couplings at T).
+    `uniform` tells the nodes of `build_grid(n, T)` apart from any other
+    node array, graded or given by hand.
     """
 
     nodes: np.ndarray
     T: float
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -63,10 +61,7 @@ class Grid:
         if nodes[0] != 0.0 or nodes[-1] != self.T:
             raise ValueError("grid must start at 0 and end at T")
         if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError(
-                "grid nodes are not strictly increasing; "
-                "grading exponent too aggressive for this node count"
-            )
+            raise ValueError("grid nodes are not strictly increasing")
 
     @property
     def n(self) -> int:
@@ -75,6 +70,11 @@ class Grid:
     @property
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
+
+    @property
+    def uniform(self) -> bool:
+        """Whether the nodes are np.linspace(0, T, n), bit for bit."""
+        return np.array_equal(self.nodes, np.linspace(0.0, self.T, self.n))
 
     def trapezoid_weights(self) -> np.ndarray:
         """Node weights of the composite trapezoid rule on [0, T]."""
@@ -107,8 +107,7 @@ def build_grid(n: int, T: float, kind: str = "uniform", exponent: float = 2.0) -
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
     if kind == "uniform":
-        nodes = np.linspace(0.0, T, n)
-        return Grid(nodes=nodes, T=float(T), kind=kind)
+        return Grid(nodes=np.linspace(0.0, T, n), T=float(T))
     if kind == "graded":
         r = float(exponent)
         if not r >= 1.0:
@@ -118,7 +117,10 @@ def build_grid(n: int, T: float, kind: str = "uniform", exponent: float = 2.0) -
         nodes = T * g
         nodes[0] = 0.0
         nodes[-1] = T
-        return Grid(nodes=nodes, T=float(T), kind=kind)
+        try:
+            return Grid(nodes=nodes, T=float(T))
+        except ValueError as exc:
+            raise ValueError(f"{exc}: grading exponent {r:g} too aggressive for n = {n}") from None
     raise ValueError(f"unknown grid kind {kind!r} (use 'uniform' or 'graded')")
 
 
@@ -200,38 +202,3 @@ def integrate_singular(w: np.ndarray, i: int, g: np.ndarray):
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
     return w[i] @ g
-
-
-def check_young_bound(grid: Grid, beta: float, theta0: np.ndarray, s: float) -> bool:
-    """Check the convolution norm bounds on eta(t, s) = int_s^t theta0(tau) (t-tau)^(beta-1) dtau.
-
-    Verifies ||eta(., s)||_{L2(s,T)} <= ((T-s)^beta / beta) ||theta0||_{L2(s,T)}
-    and, when beta > 1/2, the sup-norm bound with constant
-    (T-s)^(beta-1/2) / sqrt(2 beta - 1).  A 1% slack absorbs discretization
-    error of the discrete norms.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (grid.n,):
-        raise ValueError("theta0 must be sampled on the grid")
-    if not 0.0 <= s < grid.T:
-        raise ValueError(f"s must lie in [0, T), got {s}")
-    nodes = grid.nodes
-    # eta at s and every node beyond it, by the product weights of those
-    # points shifted to start at 0; a single last segment is split in two,
-    # since a grid needs 3 nodes
-    pts = np.concatenate(([s], nodes[nodes > s]))
-    if pts.size < 3:
-        pts = np.array([s, 0.5 * (s + grid.T), grid.T])
-    vals = np.interp(pts, nodes, theta0)
-    eta = product_weights(Grid(nodes=pts - s, T=grid.T - s, kind="shifted"), beta) @ vals
-    trap = trapezoid_rule(pts)
-    norm_eta = np.sqrt(trap @ eta**2)
-    norm_theta = np.sqrt(trap @ vals**2)
-    slack = 1.01
-    ok = norm_eta <= slack * (grid.T - s) ** beta / beta * norm_theta
-    if beta > 0.5:
-        sup_bound = (grid.T - s) ** (beta - 0.5) / np.sqrt(2.0 * beta - 1.0)
-        ok = ok and np.max(np.abs(eta)) <= slack * sup_bound * norm_theta
-    return bool(ok)

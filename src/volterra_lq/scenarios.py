@@ -481,11 +481,20 @@ def _run_fredholm_methods(cfg: RunConfig) -> ScenarioReport:
 
 def _run_example_2_1(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("example-2-1", "example-2-1")
-    # control energy by plain quadrature on the graded mesh
+    # control energy on the graded mesh: with rho = T - s, u^2 = g / rho and
+    # g = 1 / log^2(rho).  Every segment but the last weighs the hat
+    # interpolant of g against 1/rho exactly; the last, where g falls to 0
+    # like no hat does, takes its closed form -1/log(h) for width h.  For
+    # T < 2 the energy is -1/log(T/2), which is 1/ln 2 at T = 1.
     g_norm = build_grid(max(cfg.n, 4096), cfg.T, "graded", 4.5)
-    u = example_2_1_control(g_norm.nodes, cfg.T)
-    energy = float(g_norm.trapezoid_weights() @ u**2)
-    reference = 1.0 / np.log(2.0)
+    rho = cfg.T - g_norm.nodes
+    g = rho * example_2_1_control(g_norm.nodes, cfg.T) ** 2
+    a, d = rho[1:-1], -np.diff(rho[:-1])  # segment j spans rho in [a_j, a_j + d_j]
+    log_ratio = np.log1p(d / a)
+    near = ((a + d) * log_ratio - d) / d  # weight of g(a_j)
+    far = (d - a * log_ratio) / d  # weight of g(a_j + d_j)
+    energy = float(near @ g[1:-1] + far @ g[:-2] - 1.0 / np.log(rho[-2]))
+    reference = -1.0 / np.log(cfg.T / 2.0)
     report.add(
         "control energy matches the closed form within 2%",
         abs(energy - reference) / reference,

@@ -35,10 +35,10 @@ Two complementary representations are built here.
     Every kernel product (each series level and both pieces of Psi) runs
     through one column loop, `_convolve_columns`, which differs only in
     its weight source: the incomplete-beta weights of each source column
-    (`_pair_column`; on a uniform grid every column is a slice of column
-    0's), or the one row of lower-endpoint weights that every target
-    shares, for the regular part D (zero on and above the diagonal)
-    against B.  The left factor is taken with the node axis innermost
+    (`_pair_column`; on a uniform grid, `Grid.uniform`, every column is
+    a slice of column 0's), or the one row of lower-endpoint weights that
+    every target shares, for the regular part D (zero on and above the
+    diagonal) against B.  The left factor is taken with the node axis innermost
     (`_node_inner`; `resolvent` lays A out so once for all levels), and
     each source column costs one weighted product into a scratch buffer
     allocated once per call, and one GEMM.  Every level product is
@@ -47,10 +47,10 @@ Two complementary representations are built here.
 
     The incomplete-beta weights depend on the grid, beta and the series
     level only, so they are built once per process: `_pair_column_weights`
-    keeps them, read-only, in `_weight_memo` under (grid kind, node bytes,
-    p, q), column 0's table on a uniform grid and every column's on a
-    graded one.  Later problems on the same grid, and Psi's (beta, beta)
-    piece, read level k's table instead of computing it again.
+    keeps them, read-only, in `_weight_memo` under (node bytes, p, q),
+    column 0's table on a uniform grid and every column's on any other.
+    Later problems on the same grid, and Psi's (beta, beta) piece, read
+    level k's table instead of computing it again.
 
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
@@ -58,9 +58,9 @@ kernel cache read the operator's sampled A (the resolvent's singular
 coefficient, shared), weights and weighted fold, so those exist once per
 (problem, grid).  The product-integration weights depend on the grid and
 beta only, so every operator on a grid reads them from one memo,
-`_weight_memo`, under (grid kind, node bytes, beta).  The memo holds at
-most `_WEIGHT_MEMO_BYTES` (32 MiB) of tables; a table past the cap is
-computed and not stored, and nothing is evicted.  The factored kernels
+`_weight_memo`, under (node bytes, beta).  The memo holds at most
+`_WEIGHT_MEMO_BYTES` (32 MiB) of tables; a table past the cap is computed
+and not stored, and nothing is evicted.  The factored kernels
 feed diagnostics and cross-checks.
 """
 
@@ -274,10 +274,10 @@ def _memo_has_room(nbytes: int) -> bool:
 def _product_weight_table(grid: Grid, beta: float) -> np.ndarray:
     """`product_weights(grid, beta)`, read-only and kept in `_weight_memo`.
 
-    The key is (grid kind, node bytes, beta).  A table that would take the
-    stored bytes past `_WEIGHT_MEMO_BYTES` is computed and not stored.
+    The key is (node bytes, beta).  A table that would take the stored
+    bytes past `_WEIGHT_MEMO_BYTES` is computed and not stored.
     """
-    key = (grid.kind, grid.nodes.tobytes(), beta)
+    key = (grid.nodes.tobytes(), beta)
     if key in _weight_memo:
         return _weight_memo[key][0]
     sw = product_weights(grid, beta)
@@ -290,18 +290,19 @@ def _product_weight_table(grid: Grid, beta: float) -> np.ndarray:
 def _pair_column_weights(grid: Grid, p: float, q: float):
     """Column weight source of the doubly singular product, j -> (n-j-1, n-j).
 
-    A graded grid uses each column's weights.  On a uniform grid the
-    weights depend on offsets alone, so column j is the leading block of
-    column 0's.  The weights depend on the nodes, p and q only, never on
-    a problem, so the tables are kept in `_weight_memo` under (grid kind,
-    node bytes, p, q) and every later call on that grid reads them.  A
-    table that would take the stored bytes past `_WEIGHT_MEMO_BYTES` is
-    computed as before and not stored; a graded grid then computes each
-    column when it is asked for.  Stored tables are read-only.
+    On a uniform grid (`Grid.uniform`) the weights depend on offsets
+    alone, so column j is the leading block of column 0's; any other
+    grid uses each column's weights.  The weights depend on the nodes, p
+    and q only, never on a problem, so the tables are kept in
+    `_weight_memo` under (node bytes, p, q) and every later call on that
+    grid reads them.  A table that would take the stored bytes past
+    `_WEIGHT_MEMO_BYTES` is computed as before and not stored; a
+    non-uniform grid then computes each column when it is asked for.
+    Stored tables are read-only.
     """
     n = grid.n
-    uniform = grid.kind == "uniform"
-    key = (grid.kind, grid.nodes.tobytes(), p, q)
+    uniform = grid.uniform
+    key = (grid.nodes.tobytes(), p, q)
     tables = _weight_memo.get(key)
     if tables is None:
         cells = (n - 1) * n if uniform else (n - 1) * n * (n + 1) // 3

@@ -120,7 +120,7 @@ def test_criterion_5_three_way_equivalence(eq_pipeline):
     u_mp = vlq.control_from_adjoint(Y, pipe.ops, pipe.cost, pipe.x_opt)
     traj = vlq.causal_trajectories(pipe.ops, pipe.u_opt)
     u_causal = vlq.abstract_causal_control(pipe.dlq, traj)
-    u_fb = vlq.feedback_control(pipe.dlq)
+    u_fb = vlq.representation_terms(pipe.dlq, traj)
     d_mp = rel_l2(pipe.omega, u_mp, pipe.u_opt)
     d_causal = rel_l2(pipe.omega, u_causal, pipe.u_opt)
     d_fb = rel_l2(pipe.omega, u_fb, pipe.u_opt)

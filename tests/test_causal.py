@@ -16,6 +16,7 @@ from volterra_lq import (
     causal_trajectories,
     general_causal_control,
     lambda_sigma,
+    representation_terms,
     solve_open_loop,
 )
 from volterra_lq.catalog import get_problem
@@ -146,7 +147,6 @@ class TestTruncationFactor:
             factor.block_row(-1)
 
     def test_loss_of_positive_definiteness_is_a_numerical_error(self, rs_pipeline):
-        from volterra_lq.fredholm import representation_terms
 
         pipe = rs_pipeline
         eig = np.linalg.eigvalsh(pipe.dlq.lam)
@@ -158,8 +158,6 @@ class TestTruncationFactor:
             abstract_causal_control(bad, traj)
         with pytest.raises(NumericalError, match="coercivity"):
             representation_terms(bad, traj)
-        with pytest.raises(NumericalError, match="coercivity"):
-            vlq.feedback_control(bad)
 
 
 class TestCausalTrajectories:
@@ -301,7 +299,6 @@ class TestAbstractCausalControl:
     @pytest.mark.parametrize("method", ["direct", "superconvergent"])
     def test_family_of_wrong_length_is_rejected(self, method, extra):
         # both entry points read the family through the one shape check
-        from volterra_lq.fredholm import representation_terms
 
         pipe = Pipeline("random-smooth", seed=7, n=16)
         x = causal_trajectories(pipe.ops, pipe.u_opt)
@@ -375,7 +372,7 @@ class TestGeneralRepresentation:
         assert np.array_equal(v_bar, pipe.u_opt)
         traj = causal_trajectories(red.dlq.ops, v_bar)
         u_gen = general_causal_control(red, traj, pipe.x_opt)
-        u_fb = vlq.feedback_control(pipe.dlq)
+        u_fb = representation_terms(pipe.dlq, causal_trajectories(pipe.ops, pipe.u_opt))
         assert np.allclose(u_gen, u_fb, atol=1e-10)
 
     def test_only_instantaneous_term_survives(self, ct_pipeline):

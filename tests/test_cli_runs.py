@@ -137,6 +137,29 @@ def test_negative_control_weight_names_the_positive_floor(tmp_path, capsys):
     assert "delta = -1" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("T", [0.1, 0.5, 1.0])
+def test_example_2_1_energy_gate_holds_off_the_unit_horizon(tmp_path, T):
+    # the reference is -1/log(T/2); the log tail near s = T is closed form
+    out = tmp_path / "out"
+    text = f"problem = example-2-1\nscenario = example-2-1\nT = {T}\noutdir = {out}\n"
+    assert run_config(tmp_path, "example", text) == 0
+    value, _, passed = residual_row(out, "control energy matches the closed form within 2%")
+    assert passed == "1" and float(value) <= 1e-3
+
+
+@pytest.mark.parametrize("T", [2, 10])
+def test_example_2_1_refuses_a_horizon_without_square_integrable_control(tmp_path, capsys, T):
+    # at T >= 2, log(T - s) vanishes at s = T - 1, inside [T/2, T)
+    out = tmp_path / "out"
+    text = f"problem = example-2-1\nscenario = example-2-1\nT = {T}\noutdir = {out}\n"
+    capsys.readouterr()
+    assert run_config(tmp_path, "example", text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field 'T': scenario 'example-2-1' needs T < 2, got {T:.1f}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("a", [-8.0, -3.0])
 def test_cancelling_resolvent_series_exits_2(tmp_path, capsys, a):
     # a constant dissipative A = a: the alternating series levels grow to

@@ -149,6 +149,18 @@ def test_cli_listings(capsys):
     assert [line.split()[0] for line in lines] == list(SCENARIOS)
 
 
+def test_cli_builds_its_parser_once_per_process(capsys):
+    from volterra_lq import cli
+
+    parser = cli._parser()
+    assert main(["list-scenarios"]) == 0
+    with pytest.raises(SystemExit) as info:  # argparse's usage error
+        main(["no-such-command"])
+    assert info.value.code == 2
+    assert main(["list-scenarios"]) == 0
+    assert cli._parser() is parser
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = write(tmp_path, "problem = zero-cost\nscenario = nonsense\n")
     assert main(["run", "--config", str(cfg_path)]) == 2

@@ -12,7 +12,6 @@ from volterra_lq import (
     build_grid,
     control_kernel,
     crosscheck_kernel_samples,
-    feedback_control,
     solve_direct,
     solve_galerkin,
     solve_iterated_galerkin,
@@ -22,6 +21,7 @@ from volterra_lq import (
 )
 from volterra_lq.catalog import get_problem
 from volterra_lq.causal import TruncationFactor, causal_trajectories, lambda_sigma
+from volterra_lq.fredholm import representation_terms
 
 from conftest import Pipeline, blockdiag, gain_table, rel_l2
 
@@ -200,9 +200,9 @@ class TestDirectGainSweep:
             "solve_direct", "solve_galerkin", "solve_iterated_galerkin", "solve_superconvergent"
         ):
             monkeypatch.setattr(fredholm, name, refuse)
-        u_fb = feedback_control(pipe.dlq, method="direct")
-        assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-10
         traj = causal_trajectories(pipe.ops, pipe.u_opt)
+        u_fb = representation_terms(pipe.dlq, traj, method="direct")
+        assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-10
         # each method at its own approximation order on this problem
         for method, tol in (("galerkin", 1e-2), ("iterated", 1e-3), ("superconvergent", 1e-6)):
             u_pr = fredholm.representation_terms(
@@ -410,7 +410,7 @@ class TestFeedbackControl:
         pipe = rs_pipeline
         cost = CostData(R=pipe.cost.R)
         dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
-        u = feedback_control(dlq)
+        u = representation_terms(dlq, causal_trajectories(dlq.ops, solve_open_loop(dlq)))
         assert np.all(u == 0.0)
 
     def test_affine_only_data_matches_oracle(self, rs_pipeline):
@@ -421,27 +421,28 @@ class TestFeedbackControl:
         dlq = vlq.assemble_quadratic_form(pipe.ops, cost)
         sys0 = assemble_fredholm(dlq, 0)
         assert np.all(sys0.kernel == 0.0)
-        u_fb = feedback_control(dlq)
         u_direct = solve_open_loop(dlq)
+        u_fb = representation_terms(dlq, causal_trajectories(dlq.ops, u_direct))
         assert rel_l2(pipe.omega, u_fb, u_direct) < 1e-10
 
     def test_matches_oracle(self, rs_pipeline):
         pipe = rs_pipeline
-        u_fb = feedback_control(pipe.dlq)
+        u_fb = representation_terms(pipe.dlq, causal_trajectories(pipe.ops, pipe.u_opt))
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-6
 
     def test_projection_backed_gain_still_accurate(self, rs_pipeline):
         pipe = rs_pipeline
-        u_fb = feedback_control(
-            pipe.dlq,
+        u_fb = representation_terms(
+            pipe.dlq, causal_trajectories(pipe.ops, pipe.u_opt),
             method="superconvergent", subspace_dim=16, iterations=2,
         )
         assert rel_l2(pipe.omega, u_fb, pipe.u_opt) < 1e-6
 
     @pytest.mark.parametrize("method", ["bogus", "Direct"])
     def test_unknown_method_is_named_before_the_subspace(self, rs_pipeline, method):
+        traj = causal_trajectories(rs_pipeline.ops, rs_pipeline.u_opt)
         with pytest.raises(ValueError, match=f"unknown gain solver '{method}'"):
-            feedback_control(rs_pipeline.dlq, method=method)
+            representation_terms(rs_pipeline.dlq, traj, method=method)
 
 
 def test_projection_family_refuses_small_beta():
@@ -459,7 +460,9 @@ def test_projection_family_refuses_small_beta():
         lambda: solve_galerkin(sys0, 8),
         lambda: solve_superconvergent(sys0, 8, 2),
         lambda: _Projection(sys0, 8, 0),
-        lambda: feedback_control(dlq, method="iterated", subspace_dim=8),
+        lambda: representation_terms(
+            dlq, causal_trajectories(ops, solve_open_loop(dlq)), method="iterated", subspace_dim=8
+        ),
     )
     for call in calls:
         with pytest.raises(AssumptionError, match="projection gain solvers need beta > 1/2"):

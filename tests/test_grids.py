@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from volterra_lq import (
+    Grid,
     build_grid,
-    check_young_bound,
     integrate_singular,
     product_weights,
 )
@@ -41,6 +41,28 @@ def test_graded_nodes_symmetric_and_clustered():
 def test_build_grid_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         build_grid(**kwargs)
+
+
+def test_node_order_errors_blame_the_exponent_only_for_graded_grids():
+    with pytest.raises(ValueError, match="^grid nodes are not strictly increasing$"):
+        Grid(np.array([0.0, 0.5, 0.5, 1.0]), 1.0)
+    # (2x)^200 underflows to 0 at the first parameter nodes
+    with pytest.raises(
+        ValueError,
+        match="^grid nodes are not strictly increasing: grading exponent 200 "
+        "too aggressive for n = 65$",
+    ):
+        build_grid(65, 1.0, "graded", 200.0)
+
+
+def test_uniform_means_the_nodes_of_build_grid_bit_for_bit():
+    nodes = np.linspace(0.0, 1.5, 33)
+    assert build_grid(33, 1.5).uniform
+    assert Grid(nodes, 1.5).uniform
+    assert not build_grid(33, 1.5, "graded", 2.0).uniform
+    off = nodes.copy()
+    off[16] = np.nextafter(off[16], 2.0)
+    assert not Grid(off, 1.5).uniform
 
 
 @pytest.mark.parametrize("beta", [0.4, 0.75, 0.95])
@@ -200,48 +222,3 @@ def test_integrate_singular_validates_input():
         integrate_singular(w, 11, np.zeros(9))
     with pytest.raises(ValueError):
         product_weights(grid, 1.2)
-
-
-class TestYoungBound:
-    def test_zero_case(self):
-        grid = build_grid(33, 1.0)
-        assert check_young_bound(grid, 0.75, np.zeros(grid.n), 0.0)
-
-    def test_constant_theta_with_quadrature_oracle(self):
-        grid = build_grid(65, 1.0)
-        assert check_young_bound(grid, 0.75, np.ones(grid.n), 0.0)
-        # oracle: eta(t, 0) = t^b / b, so ||eta||_L2^2 = T^(2b+1)/(b^2 (2b+1))
-        beta = 0.75
-        norm_exact = np.sqrt(1.0 / (beta**2 * (2 * beta + 1)))
-        bound = (1.0**beta / beta) * 1.0  # (T-s)^b/b * ||theta0||
-        assert norm_exact <= bound
-
-    def test_midpoint_start(self):
-        grid = build_grid(65, 1.0)
-        rng = np.random.default_rng(11)
-        theta0 = rng.uniform(0.0, 1.0, size=grid.n)
-        assert check_young_bound(grid, 0.6, theta0, 0.5)
-
-    @pytest.mark.parametrize("beta", [0.55, 0.75, 0.95])
-    def test_random_nonnegative_profiles(self, beta):
-        grid = build_grid(49, 1.0)
-        rng = np.random.default_rng(int(beta * 100))
-        for trial in range(100):
-            theta0 = rng.uniform(0.0, 2.0, size=grid.n)
-            s = float(rng.uniform(0.0, 0.8))
-            assert check_young_bound(grid, beta, theta0, s), f"trial {trial}"
-
-    @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_start_in_the_last_segment(self, kind):
-        # at most one node lies past s: too few points for a grid of their own
-        grid = build_grid(9, 1.0, kind)
-        for s in (grid.nodes[-2], 0.5 * (grid.nodes[-2] + 1.0)):
-            assert check_young_bound(grid, 0.75, np.ones(grid.n), s) is True
-            assert check_young_bound(grid, 0.6, np.linspace(0.0, 1.0, grid.n), s) is True
-
-    def test_rejects_bad_start(self):
-        grid = build_grid(9, 1.0)
-        with pytest.raises(ValueError):
-            check_young_bound(grid, 0.6, np.zeros(grid.n), 1.0)
-        with pytest.raises(ValueError):
-            check_young_bound(grid, 1.2, np.zeros(grid.n), 0.0)

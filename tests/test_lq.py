@@ -16,8 +16,8 @@ from volterra_lq import (
     causal_trajectories,
     control_from_adjoint,
     evaluate_cost,
-    feedback_control,
     reduced_gradient,
+    representation_terms,
     solve_adjoint,
     solve_open_loop,
 )
@@ -154,7 +154,7 @@ def test_no_terminal_weight_characterizations_agree_at_small_beta(beta, kind, n)
     controls = {
         "adjoint": control_from_adjoint(solve_adjoint(ops, sc, x, u), ops, sc, x),
         "causal": abstract_causal_control(dlq, causal_trajectories(ops, u)),
-        "feedback": feedback_control(dlq),
+        "feedback": representation_terms(dlq, causal_trajectories(ops, u)),
     }
     for name, v in controls.items():
         assert rel_l2(grid.trapezoid_weights(), v, u) <= 1e-12, name

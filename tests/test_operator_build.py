@@ -131,7 +131,7 @@ class TestProductWeightMemo:
         grid = build_grid(33, 1.0, kind)
         problems = [get_problem("random-smooth", 0.75, 1.0, seed=s).problem for s in (3, 8)]
         first = StateOperator(problems[0], grid)
-        stored = weight_memo[(grid.kind, grid.nodes.tobytes(), 0.75)]
+        stored = weight_memo[(grid.nodes.tobytes(), 0.75)]
         assert len(stored) == 1 and stored[0] is first.sw
         assert np.array_equal(first.sw, product_weights(grid, 0.75))
         with pytest.raises(ValueError, match="read-only"):
@@ -149,13 +149,14 @@ class TestProductWeightMemo:
         assert np.array_equal(other.sw, product_weights(grid, 0.5))
         assert len(weight_memo) == 2
 
-    def test_grid_kind_is_part_of_the_key(self, weight_memo):
-        uniform = build_grid(17, 1.0)
-        graded = volterra.Grid(nodes=uniform.nodes, T=1.0, kind="graded")
+    def test_equal_nodes_share_the_table(self, weight_memo):
+        # a grid is its nodes: the key holds the node bytes and nothing else
+        built = build_grid(17, 1.0)
+        given = volterra.Grid(np.linspace(0.0, 1.0, 17), 1.0)
         problem = get_problem("constant-coeff", 0.75, 1.0).problem
-        a, b = StateOperator(problem, uniform), StateOperator(problem, graded)
-        assert a.sw is not b.sw and np.array_equal(a.sw, b.sw)
-        assert len(weight_memo) == 2
+        a, b = StateOperator(problem, built), StateOperator(problem, given)
+        assert a.sw is b.sw
+        assert list(weight_memo) == [(built.nodes.tobytes(), 0.75)]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_table_past_the_cap_is_computed_not_stored(self, weight_memo, monkeypatch, kind):
@@ -163,11 +164,11 @@ class TestProductWeightMemo:
         monkeypatch.setattr(volterra, "_WEIGHT_MEMO_BYTES", 8 * 17 * 17 + 8 * 33 * 33 - 8)
         problem = get_problem("random-smooth", 0.75, 1.0, seed=3).problem
         kept = StateOperator(problem, small).sw
-        assert list(weight_memo) == [(kind, small.nodes.tobytes(), 0.75)]
+        assert list(weight_memo) == [(small.nodes.tobytes(), 0.75)]
         for _ in range(2):
             ops = StateOperator(problem, large)
             assert np.array_equal(ops.sw, product_weights(large, 0.75))
             assert not ops.sw.flags.writeable
             # nothing is evicted for it, and it is not stored
-            assert list(weight_memo) == [(kind, small.nodes.tobytes(), 0.75)]
+            assert list(weight_memo) == [(small.nodes.tobytes(), 0.75)]
         assert StateOperator(problem, small).sw is kept

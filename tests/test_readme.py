@@ -21,7 +21,6 @@ UNREFERENCED_EXPORTS = {
     "solve_galerkin": "test oracle, ROADMAP settled",
     "solve_iterated_galerkin": "test oracle, ROADMAP settled",
     "solve_superconvergent": "test oracle, ROADMAP settled",
-    "check_young_bound": "convolution bound meant for the cross-term delta floor",
 }
 
 

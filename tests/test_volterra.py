@@ -286,7 +286,7 @@ class TestResolvent:
 
 
 def memo_key(grid, p, q):
-    return (grid.kind, grid.nodes.tobytes(), p, q)
+    return (grid.nodes.tobytes(), p, q)
 
 
 class TestPairMemo:
@@ -314,18 +314,34 @@ class TestPairMemo:
             with pytest.raises(ValueError, match="read-only"):
                 W[0, 0] = 1.0
 
-    def test_graded_kind_on_uniform_nodes_has_its_own_entry(self, weight_memo):
-        # the kind selects slices of column 0 or each column's own weights,
-        # so equal nodes of another kind must not share the tables
-        uniform = build_grid(17, 1.0)
-        graded = Grid(nodes=uniform.nodes, T=1.0, kind="graded")
-        _pair_column_weights(uniform, 0.75, 0.75)
-        column = _pair_column_weights(graded, 0.75, 0.75)
-        assert len(weight_memo) == 2
-        assert len(weight_memo[memo_key(uniform, 0.75, 0.75)]) == 1
-        assert len(weight_memo[memo_key(graded, 0.75, 0.75)]) == graded.n - 1
-        for j in range(graded.n - 1):
-            assert np.array_equal(column(j), _pair_column(graded, 0.75, 0.75, j))
+    def test_linspace_nodes_given_by_hand_share_every_entry(self, weight_memo):
+        # a grid is its nodes: the same nodes given as an array read the
+        # tables `build_grid`'s grid stored, and build the same kernel
+        problem = get_problem("random-smooth", 0.75, 1.0, seed=3).problem
+        built = build_grid(65, 1.0)
+        given = Grid(np.linspace(0.0, 1.0, 65), 1.0)
+        first = resolvent(StateOperator(problem, built))
+        keys = list(weight_memo)
+        assert all(len(tables) == 1 for key, tables in weight_memo.items() if len(key) == 3)
+        again = resolvent(StateOperator(problem, given))
+        assert list(weight_memo) == keys
+        assert np.array_equal(first.regular_part, again.regular_part)
+        assert first.residuals == again.residuals
+
+    def test_nodes_one_ulp_off_linspace_weigh_each_column(self, weight_memo):
+        # no uniform shortcut: each column's own weights, which agree with
+        # the slices of column 0 to round-off
+        problem = get_problem("random-smooth", 0.75, 1.0, seed=3).problem
+        built = build_grid(65, 1.0)
+        nodes = built.nodes.copy()
+        nodes[32] = np.nextafter(nodes[32], 1.0)
+        off = Grid(nodes, 1.0)
+        assert built.uniform and not off.uniform
+        ref = resolvent(StateOperator(problem, built))
+        got = resolvent(StateOperator(problem, off))
+        assert len(weight_memo[memo_key(off, 0.75, 0.75)]) == off.n - 1
+        scale = np.max(np.abs(ref.regular_part))
+        assert np.max(np.abs(got.regular_part - ref.regular_part)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("kind, n", [("uniform", 17), ("graded", 9)])
     def test_tables_past_the_cap_are_computed_not_stored(self, weight_memo, monkeypatch, kind, n):
@@ -852,7 +868,7 @@ def test_overflowing_pair_weights_stop_the_series_and_are_not_kept(weight_memo):
         resolvent(ops)
     assert str(info.value).startswith("resolvent series level 102: the pair weights")
     assert "|A| Gamma(beta) T^beta = 3.89e+03 is too large" in str(info.value)
-    stored = [key[3] for key in weight_memo if len(key) == 4]
+    stored = [key[2] for key in weight_memo if len(key) == 3]
     assert len(stored) == 101 and max(stored) == pytest.approx(101 * 0.999)
     with pytest.raises(vlq_errors.NumericalError, match="not finite"):
         _pair_column_weights(grid, 0.999, 102 * 0.999)
