@@ -38,7 +38,7 @@ import numpy as np
 
 from .catalog import problem_names
 from .errors import ConfigError
-from .grids import build_grid
+from .grids import Grid, build_grid
 
 __all__ = ["RunConfig", "load_config", "SCENARIOS"]
 
@@ -159,6 +159,11 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+def _energy_grid(n: int, T: float) -> Grid:
+    """example-2-1's energy grid: graded and odd, so that its middle node is T/2 up to rounding."""
+    return build_grid(max(n, 4096) | 1, T, "graded", 4.5)
+
+
 def _validate(cfg: RunConfig):
     numbers = [(k, getattr(cfg, k)) for k, kind in _SCALAR_KEYS.items() if kind is float]
     numbers += list(cfg.inline.items())
@@ -185,6 +190,11 @@ def _validate(cfg: RunConfig):
         )
     if cfg.n < 3:
         raise ConfigError(f"field 'n': grid needs at least 3 nodes, got {cfg.n}")
+    if cfg.scenario == "example-2-1":
+        try:
+            _energy_grid(cfg.n, cfg.T)
+        except ValueError as exc:
+            raise ConfigError(f"field 'n': example-2-1's energy grid: {exc}") from None
     if cfg.grid not in ("uniform", "graded"):
         raise ConfigError(f"field 'grid': unknown kind {cfg.grid!r}")
     if cfg.grid == "graded" and cfg.grading_exponent < 1.0:

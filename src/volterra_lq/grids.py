@@ -8,14 +8,18 @@ where g is known only through its samples on the grid.  The weight
 (t_i - s)^(beta-1) is integrable but unbounded at s = t_i, so plain
 Newton-Cotes rules lose accuracy.  Product integration treats the weight
 exactly: g is replaced by its piecewise-linear interpolant and the
-moments
+moments of rho^(beta-1), rho the distance from the singular point, are
+evaluated in closed form on every segment [near, far]:
 
-    mu0 = int_a^b (t - s)^(beta-1) ds = ((t-a)^beta - (t-b)^beta) / beta,
-    mu1 = int_a^b (t - s)^(beta-1) (s - a) ds
-        = (t-a) * mu0 - ((t-a)^(beta+1) - (t-b)^(beta+1)) / (beta+1)
+    mu0 = int rho^(beta-1) drho = (far^beta - near^beta) / beta,
+    mu1 = int rho^(beta-1) (far - rho) drho
+        = far * mu0 - (far^(beta+1) - near^(beta+1)) / (beta+1).
 
-are evaluated in closed form on every subinterval.  Constants are therefore
-reproduced exactly: the weights of row i always sum to t_i^beta / beta.
+One routine, `_hat_row`, turns the distances of a row of nodes and the
+grid's spacings into hat weights; beta = 0 gives the 1/rho kernel.  Its
+moments cancel on a short segment far from the singular point (ROADMAP
+item 2), so that is where a cancellation-free form belongs.  Constants
+are reproduced exactly: the weights of row i always sum to t_i^beta / beta.
 `product_weights` returns the weights of every t_i as one plain (n, n)
 table, row i for t_i, which `integrate_singular` reads.
 `lower_product_weights` is the mirror image with the singularity at the
@@ -38,7 +42,6 @@ __all__ = [
     "integrate_singular",
     "lower_product_weights",
     "trapezoid_rule",
-    "segment_moments",
 ]
 
 
@@ -124,16 +127,20 @@ def build_grid(n: int, T: float, kind: str = "uniform", exponent: float = 2.0) -
     raise ValueError(f"unknown grid kind {kind!r} (use 'uniform' or 'graded')")
 
 
-def segment_moments(t, beta: float, lo, hi):
-    """Closed-form moments of (t - s)^(beta-1) over [lo, hi] with lo<=hi<=t.
+def _hat_row(d: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
+    """Hat weights of rho^(beta-1) at nodes at increasing distances d from the singular point.
 
-    Returns (mu0, mu1) where mu1 is taken about lo.  Inputs broadcast.
+    h[k] is the length of segment [d[k], d[k+1]], the caller's grid spacing.
+    sum_k w[k] g(d[k]) equals int_{d[0]}^{d[-1]} rho^(beta-1) g(rho) drho
+    for piecewise-linear g; beta = 0 is the 1/rho kernel, with d[0] > 0.
     """
-    a = t - lo
-    b = t - hi
-    mu0 = (a ** beta - b ** beta) / beta
-    mu1 = a * mu0 - (a ** (beta + 1.0) - b ** (beta + 1.0)) / (beta + 1.0)
-    return mu0, mu1
+    near, far = d[:-1], d[1:]
+    mu0 = np.log1p(h / near) if beta == 0.0 else (far**beta - near**beta) / beta
+    mu1 = far * mu0 - (far ** (beta + 1.0) - near ** (beta + 1.0)) / (beta + 1.0)
+    w = np.zeros(d.size)
+    w[1:] += mu0 - mu1 / h
+    w[:-1] += mu1 / h
+    return w
 
 
 def product_weights(grid: Grid, beta: float) -> np.ndarray:
@@ -142,28 +149,16 @@ def product_weights(grid: Grid, beta: float) -> np.ndarray:
     Returns W of shape (n, n): sum_j W[i, j] g(s_j) approximates
     int_0^{t_i} (t_i - s)^(beta-1) g(s) ds for the piecewise-linear
     interpolant of g.  Hat functions interpolate g: second order, with a
-    weight at s_j = t_i.  Weights vanish for s_j > t_i; every row sums to
-    t_i^beta / beta exactly.
+    weight at s_j = t_i.  Row i is `_hat_row` on the distances t_i - s_j,
+    j = i, ..., 0, and the spacings in the same order; weights vanish for
+    s_j > t_i, and every row sums to t_i^beta / beta.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    nodes = grid.nodes
-    n = grid.n
-    w = np.zeros((n, n))
-    h = grid.spacings
-    # chunk rows so the O(n^2) temporaries stay modest on large grids
-    chunk = max(1, min(n, int(4e6 // max(n, 1))))
-    for i0 in range(1, n, chunk):
-        i1 = min(n, i0 + chunk)
-        t = nodes[i0:i1, None]
-        lo = nodes[None, :-1]
-        hi = nodes[None, 1:]
-        mask = hi <= t  # segment [s_j, s_{j+1}] fully inside [0, t_i]
-        mu0, mu1 = segment_moments(t, beta, np.minimum(lo, t), np.minimum(hi, t))
-        mu0 = np.where(mask, mu0, 0.0)
-        mu1 = np.where(mask, mu1, 0.0)
-        w[i0:i1, :-1] += mu0 - mu1 / h
-        w[i0:i1, 1:] += mu1 / h
+    nodes, h = grid.nodes, grid.spacings
+    w = np.zeros((grid.n, grid.n))
+    for i in range(1, grid.n):
+        w[i, i::-1] = _hat_row(nodes[i] - nodes[i::-1], h[i - 1 :: -1], beta)
     return w
 
 
@@ -172,21 +167,13 @@ def lower_product_weights(grid: Grid, beta: float, j: int) -> np.ndarray:
 
     Returns the row w of shape (n - j,): sum_l w[l] g(s_{j+l}) approximates
     int_{s_j}^T (s - s_j)^(beta-1) g(s) ds, exactly for piecewise-linear g.
-    Moments are taken in offsets from s_j.  Integrating only up to an
-    earlier node t_i drops the segments past t_i, which changes the row
-    only at s_l >= t_i; every caller weighs tables that vanish there, so
-    all targets share the one row.
+    It is `_hat_row` on the offsets s_l - s_j and their differences.
+    Integrating only up to an earlier node t_i drops the segments past
+    t_i, which changes the row only at s_l >= t_i; every caller weighs
+    tables that vanish there, so all targets share the one row.
     """
-    nodes = grid.nodes
-    lo = nodes[j:-1] - nodes[j]
-    hi = nodes[j + 1 :] - nodes[j]
-    h = hi - lo
-    mu0 = (hi**beta - lo**beta) / beta
-    mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
-    w = np.zeros(grid.n - j)
-    w[:-1] += mu0 - mu1 / h
-    w[1:] += mu1 / h
-    return w
+    off = grid.nodes[j:] - grid.nodes[j]
+    return _hat_row(off, np.diff(off), beta)
 
 
 def integrate_singular(w: np.ndarray, i: int, g: np.ndarray):

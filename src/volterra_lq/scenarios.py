@@ -29,9 +29,9 @@ from .causal import (
     causal_trajectories,
     general_causal_control,
 )
-from .config import RunConfig, _validate
+from .config import RunConfig, _energy_grid, _validate
 from .fredholm import representation_terms
-from .grids import build_grid, integrate_singular, product_weights
+from .grids import _hat_row, build_grid, integrate_singular, product_weights
 from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
 # resolvent is unused here; perfbench/tests/test_perfbench.py pins this import site
 from .volterra import ProblemData, StateOperator, resolvent, solve_state  # noqa: F401
@@ -482,18 +482,19 @@ def _run_fredholm_methods(cfg: RunConfig) -> ScenarioReport:
 def _run_example_2_1(cfg: RunConfig) -> ScenarioReport:
     report = ScenarioReport("example-2-1", "example-2-1")
     # control energy on the graded mesh: with rho = T - s, u^2 = g / rho and
-    # g = 1 / log^2(rho).  Every segment but the last weighs the hat
-    # interpolant of g against 1/rho exactly; the last, where g falls to 0
-    # like no hat does, takes its closed form -1/log(h) for width h.  For
-    # T < 2 the energy is -1/log(T/2), which is 1/ln 2 at T = 1.
-    g_norm = build_grid(max(cfg.n, 4096), cfg.T, "graded", 4.5)
-    rho = cfg.T - g_norm.nodes
-    g = rho * example_2_1_control(g_norm.nodes, cfg.T) ** 2
-    a, d = rho[1:-1], -np.diff(rho[:-1])  # segment j spans rho in [a_j, a_j + d_j]
-    log_ratio = np.log1p(d / a)
-    near = ((a + d) * log_ratio - d) / d  # weight of g(a_j)
-    far = (d - a * log_ratio) / d  # weight of g(a_j + d_j)
-    energy = float(near @ g[1:-1] + far @ g[:-2] - 1.0 / np.log(rho[-2]))
+    # g = 1 / log^2(rho) on the support [T/2, T).  Every segment from T/2
+    # to the last interior node weighs the hat interpolant of g against
+    # 1/rho exactly; the last, where g falls to 0 like no hat does, takes
+    # its closed form -1/log(h) for width h.  For T < 2 the energy is
+    # -1/log(T/2), which is 1/ln 2 at T = 1.
+    g_norm = _energy_grid(cfg.n, cfg.T)
+    half = g_norm.n // 2
+    s = g_norm.nodes[half:-1][::-1]  # from the last interior node out to T/2
+    rho = cfg.T - s
+    # the middle node can round to just below T/2, where u is 0: sample it at T/2
+    g = rho * example_2_1_control(np.maximum(s, cfg.T / 2.0), cfg.T) ** 2
+    w = _hat_row(rho, g_norm.spacings[half:-1][::-1], 0.0)
+    energy = float(w @ g - 1.0 / np.log(rho[0]))
     reference = -1.0 / np.log(cfg.T / 2.0)
     report.add(
         "control energy matches the closed form within 2%",

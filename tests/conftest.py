@@ -33,14 +33,14 @@ def lower_weight_table(grid, beta, j):
     it weighs exactly the segments left of t_i; shape (n - j, n - j).
     """
     off = grid.nodes[j:] - grid.nodes[j]
-    lo, hi = off[:-1], off[1:]
-    mu0 = (hi**beta - lo**beta) / beta
-    mu1 = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0) - lo * mu0
+    near, far, h = off[:-1], off[1:], np.diff(off)
+    mu0 = (far**beta - near**beta) / beta
+    mu1 = far * mu0 - (far ** (beta + 1.0) - near ** (beta + 1.0)) / (beta + 1.0)
     m = off.size
     segs = np.arange(m - 1)[None, :] < np.arange(m)[:, None]  # segment l < i - j
     W = np.zeros((m, m))
-    W[:, :-1] += np.where(segs, mu0 - mu1 / (hi - lo), 0.0)
-    W[:, 1:] += np.where(segs, mu1 / (hi - lo), 0.0)
+    W[:, 1:] += np.where(segs, mu0 - mu1 / h, 0.0)
+    W[:, :-1] += np.where(segs, mu1 / h, 0.0)
     return W
 
 
