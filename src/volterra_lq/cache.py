@@ -48,7 +48,7 @@ _EXT = ".vker"
 _MAGIC = "volterra-kernel v2 "
 # changes with the file format, the resolvent series or the kernels it refuses,
 # so that no kernel computed by another version is read back
-_KEY_VERSION = "volterra-kernel v2 D only; resolvent series v7"
+_KEY_VERSION = "volterra-kernel v2 D only; resolvent series v8"
 
 
 def cache_dir(override: str | None = None) -> Path:

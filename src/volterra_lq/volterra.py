@@ -32,25 +32,35 @@ Two complementary representations are built here.
     `control_kernel(ops, resolvent_kernel)` derives the factored control
     kernel Psi of the same grid from it.
 
-    Every kernel product (each series level and both pieces of Psi) runs
-    through one column loop, `_convolve_columns`, which differs only in
-    its weight source: the incomplete-beta weights of each source column
-    (`_pair_column`; on a uniform grid, `Grid.uniform`, every column is
-    a slice of column 0's), or the one row of lower-endpoint weights that
-    every target shares, for the regular part D (zero on and above the
-    diagonal) against B.  The left factor is taken with the node axis innermost
-    (`_node_inner`; `resolvent` lays A out so once for all levels), and
-    each source column costs one weighted product into a scratch buffer
-    allocated once per call, and one GEMM.  Every level product is
-    exactly zero on and above the diagonal, so the series adds it to D
-    and divides out its power of (t-s) as whole arrays.
+    On a uniform grid (`Grid.uniform`) every column's incomplete-beta
+    weights are a leading block of column 0's, which weigh the nodes past
+    each target exactly 0, so a series level runs through a per-call
+    column plan (`_column_plan`, `_uniform_level`): A is laid out once as
+    flat rows (i, x) over (l, y), and column j's weighted block is one
+    contiguous product of a span of those rows and a prefix of column 0's
+    weights, expanded once per level to the same row pitch, followed by
+    one GEMM against the coefficient's column.  The coefficient, the level
+    and D are kept source-major and D is transposed once at the end.
+    Every other kernel product (a series level on any other grid, and
+    both pieces of Psi) runs through one column loop, `_convolve_columns`,
+    which differs only in its weight source: the incomplete-beta weights
+    of each source column (`_pair_column`; slices of column 0's on a
+    uniform grid), or the one row of lower-endpoint weights that every
+    target shares, for the regular part D (zero on and above the
+    diagonal) against B.  Its left factor is
+    taken with the node axis innermost (`_node_inner`), and each source
+    column costs one weighted product into a scratch buffer allocated once
+    per call, and one GEMM.  Every level product is exactly zero on and
+    above the diagonal, so the series adds it to D and divides out its
+    power of (t-s) as whole arrays.
 
     The incomplete-beta weights depend on the grid, beta and the series
     level only, so they are built once per process: `_pair_column_weights`
     keeps them, read-only, in `_weight_memo` under (node bytes, p, q),
     column 0's table on a uniform grid and every column's on any other.
     Later problems on the same grid, and Psi's (beta, beta) piece, read
-    level k's table instead of computing it again.
+    level k's table instead of computing it again; the residual pass's
+    lower-endpoint rows are kept there too.
 
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
@@ -258,10 +268,10 @@ def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
 
 _WEIGHT_MEMO_BYTES = 32 * 2**20  # cap on the tables kept in `_weight_memo`
 
-# The tables of `_product_weight_table` and `_pair_column_weights`, kept for
-# the life of the process.  Nothing is evicted, so the product weights and
-# the low series levels, which every problem reads first, stay stored once
-# the cap is reached.
+# The tables of `_product_weight_table`, `_pair_column_weights` and the
+# residual pass's lower-endpoint rows, kept for the life of the process.
+# Nothing is evicted, so the product weights and the low series levels,
+# which every problem reads first, stay stored once the cap is reached.
 _weight_memo: dict = {}
 
 
@@ -271,20 +281,24 @@ def _memo_has_room(nbytes: int) -> bool:
     return stored + nbytes <= _WEIGHT_MEMO_BYTES
 
 
-def _product_weight_table(grid: Grid, beta: float) -> np.ndarray:
-    """`product_weights(grid, beta)`, read-only and kept in `_weight_memo`.
+def _memo_table(key, build) -> np.ndarray:
+    """The table build() under key in `_weight_memo`, read-only.
 
-    The key is (node bytes, beta).  A table that would take the stored
-    bytes past `_WEIGHT_MEMO_BYTES` is computed and not stored.
+    A table that would take the stored bytes past `_WEIGHT_MEMO_BYTES` is
+    computed and not stored.
     """
-    key = (grid.nodes.tobytes(), beta)
     if key in _weight_memo:
         return _weight_memo[key][0]
-    sw = product_weights(grid, beta)
-    sw.flags.writeable = False
-    if _memo_has_room(sw.nbytes):
-        _weight_memo[key] = [sw]
-    return sw
+    table = build()
+    table.flags.writeable = False
+    if _memo_has_room(table.nbytes):
+        _weight_memo[key] = [table]
+    return table
+
+
+def _product_weight_table(grid: Grid, beta: float) -> np.ndarray:
+    """`product_weights(grid, beta)`, kept in `_weight_memo` under (node bytes, beta)."""
+    return _memo_table((grid.nodes.tobytes(), beta), lambda: product_weights(grid, beta))
 
 
 def _pair_column_weights(grid: Grid, p: float, q: float):
@@ -357,6 +371,78 @@ def _convolve_columns(F, Gsamples, column_weights) -> np.ndarray:
     return out
 
 
+@dataclass
+class _ColumnPlan:
+    """Views of one uniform-grid level product, built once per `resolvent` call.
+
+    A is kept as flat rows (i, x) over (l, y), with one zero row of
+    padding; `weights` is column 0's pair-weight table expanded to the
+    same row pitch, (n-1) dx x n dx.  The coefficient `coeff` and the
+    level product `product` are source-major, (j, i, dx, dx).  Each entry
+    of `columns` holds, for source column j with m = n - j sources: the
+    span of A's rows from row (j+1, 0), column (j, 0), the prefix of
+    `weights` of the same length, the scratch block they are multiplied
+    into, that block's first m dx entries of each row as the GEMM operand
+    (lda = n dx), the coefficient block coeff[j, j:] as (m dx, dx), and
+    the output rows product[j, j+1:].
+    """
+
+    weights: np.ndarray
+    coeff: np.ndarray
+    product: np.ndarray
+    columns: list
+
+
+def _column_plan(Asamp: np.ndarray) -> _ColumnPlan:
+    """The `_ColumnPlan` of A's samples (n, n, dx, dx); the coefficient starts as A."""
+    n, _, dx, _ = Asamp.shape
+    pitch = n * dx
+    rows = np.zeros((pitch + 1) * pitch)
+    rows[: pitch * pitch].reshape(n, dx, n, dx)[...] = Asamp.transpose(0, 2, 1, 3)
+    weights = np.empty((n - 1) * dx * pitch)
+    scratch = np.empty_like(weights)
+    coeff = np.ascontiguousarray(Asamp.swapaxes(0, 1))
+    product = np.zeros_like(coeff)
+    columns = []
+    for j in range(n - 1):
+        m = n - j
+        size = (m - 1) * dx * pitch
+        start = ((j + 1) * pitch + j) * dx
+        block = scratch[:size]
+        columns.append(
+            (
+                rows[start : start + size],
+                weights[:size],
+                block,
+                block.reshape((m - 1) * dx, pitch)[:, : m * dx],
+                coeff[j, j:].reshape(m * dx, dx),
+                product[j, j + 1 :].reshape((m - 1) * dx, dx),
+            )
+        )
+    return _ColumnPlan(weights.reshape((n - 1) * dx, pitch), coeff, product, columns)
+
+
+def _uniform_level(plan: _ColumnPlan, W0: np.ndarray) -> np.ndarray:
+    """Level product of a uniform grid, source-major: out[j, i] = F[i, j].
+
+    F[i, j] = sum_{l>=j} W0[i-j-1, l-j] A[i, l] @ C[l, j] for i > j, with C
+    the plan's coefficient and W0 column 0's pair weights, (n-1, n).  Every
+    column's weights are the leading block of W0, which weighs the nodes
+    past each row's target exactly 0, so column j's weighted block is one
+    contiguous product of A's span and a prefix of W0 at A's row pitch;
+    its GEMM reads the first m dx entries of each row and sums over (l, y).
+    Returns the plan's product buffer, overwritten by the next level;
+    entries with i <= j stay exactly zero.
+    """
+    n1, n = W0.shape
+    dx = plan.weights.shape[0] // n1
+    np.copyto(plan.weights.reshape(n1, dx, n, dx), W0[:, None, :, None])
+    for span, prefix, block, operand, coeff, rows in plan.columns:
+        np.multiply(span, prefix, out=block)
+        np.matmul(operand, coeff, out=rows)
+    return plan.product
+
+
 def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -> float:
     """Concrete admissible constant K with |D(t,s)| <= |A| K B(b,b) (t-s)^(2b-1).
 
@@ -384,8 +470,9 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     Reads the sampled A, the grid and beta of the state operator `ops`;
     the singular coefficient is `ops.A_samples` itself, read-only.  Sums
     the iterated-kernel series with exact product moments for every
-    (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  A is laid out
-    node-innermost once, for every level.  Each level product F_{k+1} is
+    (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  A is laid out once
+    for every level: in a `_column_plan` on a uniform grid, node-innermost
+    for `_convolve_columns` on any other.  Each level product F_{k+1} is
     exactly zero on and above the diagonal, so it is added to D, and its
     coefficient F_{k+1} / (t-s)^((k+1) beta - 1) formed, as whole arrays
     (the power table is 1 on and above the diagonal); the diagonal limit
@@ -405,12 +492,26 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     Asamp = ops.A_samples
     norm_a = float(np.max(np.abs(Asamp))) * dx
     size = f"|A| Gamma(beta) T^beta = {norm_a * gamma(beta) * grid.T**beta:.3g}"  # errors name it
-    kernel = FactoredKernel(singular_coeff=Asamp, regular_part=np.zeros_like(Asamp), beta=beta)
     # t - s below the diagonal and 1 on and above it, where every level is 0
     dt = np.where(np.tri(n, k=-1, dtype=bool), grid.nodes[:, None] - grid.nodes, 1.0)
-    A_inner = _node_inner(Asamp)
-    G = kernel.singular_coeff  # coefficient of (t-s)^(k*beta - 1), level k = 1
-    D = kernel.regular_part
+    # G is the coefficient of (t-s)^(k*beta - 1), level k = 1 first; on a
+    # uniform grid G, every level and D are source-major (j, i)
+    uniform = grid.uniform
+    if uniform:
+        plan = _column_plan(Asamp)
+        G, dt = plan.coeff, dt.T
+
+        def level(column_weights):
+            return _uniform_level(plan, column_weights(0))
+
+    else:
+        A_inner = _node_inner(Asamp)
+        G = Asamp.copy()
+
+        def level(column_weights):
+            return _convolve_columns(A_inner, G, column_weights)
+
+    D = np.zeros_like(G)
     diag_idx = np.arange(n)
     A_diag = Asamp[diag_idx, diag_idx]
     scale_ref = 0.0
@@ -418,28 +519,28 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
         q = k * beta
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-                F_next = _convolve_columns(A_inner, G, _pair_column_weights(grid, beta, q))
+                F_next = level(_pair_column_weights(grid, beta, q))
         except NumericalError as exc:
             exc.args = (f"resolvent series level {k}: {exc}; {size} is too large",)
             raise
         if k == 1:
-            F2 = F_next
-        level_scale = float(np.max(np.abs(F_next)))
+            F2 = np.ascontiguousarray(F_next.swapaxes(0, 1) if uniform else F_next)
+        level_scale = max(float(F_next.max()), -float(F_next.min()))
         if not np.isfinite(level_scale):
             raise NumericalError(
                 f"resolvent series level {k} is not finite (largest entry {level_scale}); "
                 f"{size} is too large"
             )
-        Gnew = F_next / (dt ** ((k + 1) * beta - 1.0))[:, :, None, None]
         # diagonal limit of the next coefficient
-        Gnew[diag_idx, diag_idx] = beta_function(q, beta) * np.einsum(
+        G_diag = beta_function(q, beta) * np.einsum(
             "ixy,iyz->ixz", A_diag, G[diag_idx, diag_idx]
         )
+        np.divide(F_next, (dt ** ((k + 1) * beta - 1.0))[:, :, None, None], out=G)
+        G[diag_idx, diag_idx] = G_diag
         D += F_next
         scale_ref = max(scale_ref, level_scale)
         if level_scale <= 1e-13 * max(scale_ref, 1e-300):
             break
-        G = Gnew
     else:
         raise NumericalError(
             "resolvent series did not reach the requested tolerance within "
@@ -452,11 +553,22 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
             f"max |D| = {d_max:.3g} by more than {_MAX_CANCELLATION:.0e}; "
             f"{size} is too large"
         )
+    if uniform:
+        D = np.ascontiguousarray(D.swapaxes(0, 1))
+    kernel = FactoredKernel(singular_coeff=Asamp, regular_part=D, beta=beta)
 
     # after the series, so that an overflowing level stops before the bound's product
     kernel.coeff_bound = _coeff_bound_series(norm_a, beta, grid.T)
     kernel.residuals = _resolvent_residuals(kernel, ops, F2)
     return kernel
+
+
+def _lower_rows(grid: Grid, beta: float, cols: np.ndarray) -> np.ndarray:
+    """Lower-endpoint weights w_j(tau_l) of the columns j in cols, (n, c), zero for l < j."""
+    wlow = np.zeros((grid.n, cols.size))
+    for col, j in enumerate(cols):
+        wlow[j:, col] = lower_product_weights(grid, beta, j)
+    return wlow
 
 
 def _resolvent_residuals(kernel, ops, first):
@@ -474,8 +586,9 @@ def _resolvent_residuals(kernel, ops, first):
     weights of (tau - s_j)^(beta-1) depend on (j, tau) alone, because D
     vanishes for tau >= t; so D's flat (n dx, n dx) table multiplies A's
     sampled columns, each node row weighted by its column's row of
-    `lower_product_weights`.  The denominator evaluates Phi at the
-    sampled columns only.
+    `lower_product_weights`; those rows depend on the grid and beta alone
+    and are kept in `_weight_memo` under ((node bytes, beta), "residual
+    rows").  The denominator evaluates Phi at the sampled columns only.
     """
     beta, grid, n, dx = kernel.beta, ops.grid, ops.n, ops.dx
     D = kernel.regular_part
@@ -486,9 +599,8 @@ def _resolvent_residuals(kernel, ops, first):
     quad = (ops.WA_flat @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
     # transposed identity, kernel A on the right: weight w_j(tau_l) of
     # column j at node l, zero for l < j
-    wlow = np.zeros((n, c))
-    for col, j in enumerate(cols):
-        wlow[j:, col] = lower_product_weights(grid, beta, j)
+    key = ((grid.nodes.tobytes(), beta), "residual rows")
+    wlow = _memo_table(key, lambda: _lower_rows(grid, beta, cols))
     Aw = (wlow[:, None, :, None] * ops.A_samples[:, cols].transpose(0, 2, 1, 3)).reshape(
         n * dx, c * dx
     )  # rows (l, y), columns (j, z)

@@ -127,13 +127,34 @@ def reference_convolve(Fsamples, Gsamples, column_weights):
     return out
 
 
+def reference_plan_convolve(Fsamples, Gsamples, column_weights):
+    """Column loop summing over (l, y), as the uniform column plan does: a test reference.
+
+    out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j, with a
+    fresh weighted temporary per column, rows (i, x) over (l, y).
+    """
+    n, _, d1, dm = Fsamples.shape
+    d2 = Gsamples.shape[-1]
+    F = np.ascontiguousarray(Fsamples.transpose(0, 2, 1, 3))  # (i, x, l, y)
+    out = np.zeros((n, n, d1, d2))
+    for j in range(n - 1):
+        m = n - j
+        Fw = F[j + 1 :, :, j:, :] * column_weights(j)[:, None, :, None]
+        Gj = Gsamples[j:, j].reshape(m * dm, d2)  # rows (l, y)
+        out[j + 1 :, j] = (Fw.reshape((m - 1) * d1, m * dm) @ Gj).reshape(m - 1, d1, d2)
+    return out
+
+
 def reference_series(ops):
     """Resolvent series with strictly-lower fancy-index updates: a test reference.
 
     Returns the singular coefficient C and the regular part D, summed
     level by level until a level falls below 1e-13 of the largest one.
+    A uniform grid's level products sum over (l, y), as its column plan
+    does; any other grid's over (y, l), as `_convolve_columns` does.
     """
     beta, grid, n = ops.beta, ops.grid, ops.n
+    convolve = reference_plan_convolve if grid.uniform else reference_convolve
     A = ops.A_samples
     dt = grid.nodes[:, None] - grid.nodes[None, :]
     il = np.tril_indices(n, k=-1)
@@ -143,7 +164,7 @@ def reference_series(ops):
     scale_ref = 0.0
     for k in range(1, 121):
         q = k * beta
-        F_next = reference_convolve(A, G, _pair_column_weights(grid, beta, q))
+        F_next = convolve(A, G, _pair_column_weights(grid, beta, q))
         Gnew = np.zeros_like(G)
         Gnew[il] = F_next[il] / dt[il][:, None, None] ** ((k + 1) * beta - 1.0)
         Gnew[diag, diag] = beta_function(q, beta) * np.einsum(

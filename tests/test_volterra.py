@@ -18,10 +18,12 @@ from volterra_lq import errors as vlq_errors
 from volterra_lq import volterra
 from volterra_lq.volterra import (
     StateOperator,
+    _column_plan,
     _convolve_columns,
     _node_inner,
     _pair_column,
     _pair_column_weights,
+    _uniform_level,
     sample_kernel,
     sample_trajectory,
 )
@@ -73,6 +75,28 @@ def column_loop_residuals(kernel, Asamp, first, grid):
             float(np.max(np.abs(D[ii, j] - rhs_tr[ii - j]).max(axis=(1, 2)) / denom[ii])),
         )
     return {"defining": res_def, "transposed": res_tr}
+
+
+def record_levels(monkeypatch):
+    """Wrap both level products of `resolvent`; returns the list of levels it fills.
+
+    Each level is copied in (i, j) layout: the uniform plan's product is
+    source-major and its buffer is overwritten by the next level.
+    """
+    levels = []
+
+    def uniform(plan, W0):
+        product = _uniform_level(plan, W0)
+        levels.append(product.swapaxes(0, 1).copy())
+        return product
+
+    def convolve(F, G, column_weights):
+        levels.append(_convolve_columns(F, G, column_weights))
+        return levels[-1]
+
+    monkeypatch.setattr(volterra, "_uniform_level", uniform)
+    monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+    return levels
 
 
 def series_kernel(a, beta, dt, terms=80):
@@ -210,6 +234,29 @@ class TestResolvent:
             got = _convolve_columns(_node_inner(F), G, weights)
             assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [9, 17])
+    @pytest.mark.parametrize("dx", [2, 3])
+    def test_uniform_level_matches_triple_loop(self, dx, n):
+        # A lower triangular, as sampled; two levels through one plan, so
+        # the second reads its re-expanded weights and the coefficient
+        # written into the plan between them
+        grid = build_grid(n, 1.0)
+        rng = np.random.default_rng(10 * n + dx)
+        A = rng.normal(size=(n, n, dx, dx)) * np.tri(n)[:, :, None, None]
+        plan = _column_plan(A)
+        for q in (0.75, 2.25):
+            C = rng.normal(size=(n, n, dx, dx))
+            plan.coeff[...] = C.swapaxes(0, 1)
+            W0 = _pair_column_weights(grid, 0.75, q)(0)
+            ref = np.zeros((n, n, dx, dx))
+            for j in range(n - 1):
+                for i in range(j + 1, n):
+                    for l in range(j, n):
+                        ref[i, j] += W0[i - j - 1, l - j] * A[i, l] @ C[l, j]
+            got = _uniform_level(plan, W0).swapaxes(0, 1)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+            assert np.all(got[np.triu(np.ones((n, n), dtype=bool))] == 0.0)
+
     @pytest.mark.parametrize("n", [17, 40])
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     @pytest.mark.parametrize("name", ["random-smooth", "constant-coeff"])  # dx = 2 and 1
@@ -232,13 +279,7 @@ class TestResolvent:
         # the whole-array updates of D and of the next coefficient rely on it
         problem = get_problem("random-smooth", 0.75, 1.0, seed=3).problem
         ops = StateOperator(problem, build_grid(33, 1.0, kind))
-        levels = []
-
-        def convolve(F, G, column_weights):
-            levels.append(_convolve_columns(F, G, column_weights))
-            return levels[-1]
-
-        monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+        levels = record_levels(monkeypatch)
         resolvent(ops)
         assert len(levels) > 5
         upper = np.triu(np.ones((33, 33), dtype=bool))
@@ -374,6 +415,31 @@ class TestPairMemo:
             assert np.array_equal(ker.regular_part, fresh.regular_part)
             assert ker.residuals == fresh.residuals
             assert ker.coeff_bound == fresh.coeff_bound
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_residual_rows_are_built_once_per_grid(self, weight_memo, monkeypatch, kind):
+        # the residual pass's lower-endpoint rows depend on the grid and beta
+        # alone: the first resolvent stores them, read-only, under a key
+        # that is not a pair-weight key, and a later one computes none
+        grid = build_grid(33, 1.0, kind)
+        problems = [get_problem("random-smooth", 0.75, 1.0, seed=s).problem for s in (3, 8)]
+        first = resolvent(StateOperator(problems[0], grid))
+        (key,) = [key for key in weight_memo if key[-1] == "residual rows"]
+        assert len(key) != 3
+        (rows,) = weight_memo[key]
+        for col, j in enumerate(range(grid.n - 2)):  # every column at n = 33
+            assert np.array_equal(rows[j:, col], lower_product_weights(grid, 0.75, j))
+            assert np.all(rows[:j, col] == 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+
+        def no_new_rows(*args):
+            raise AssertionError("resolvent computed lower-endpoint weights")
+
+        monkeypatch.setattr(volterra, "lower_product_weights", no_new_rows)
+        again = resolvent(StateOperator(problems[0], grid))
+        assert again.residuals == first.residuals
+        resolvent(StateOperator(problems[1], grid))
 
 
 class TestSolveState:
@@ -844,18 +910,37 @@ def test_non_finite_control_kernel_is_refused_before_it_is_folded(monkeypatch):
 def test_overflowing_level_stops_the_series(monkeypatch):
     grid = build_grid(17, 1.0)
     ops = StateOperator(scalar_problem(const_kernel(1e160), None, None), grid)
-    levels = []
-
-    def convolve(*args):
-        levels.append(_convolve_columns(*args))
-        return levels[-1]
-
-    monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+    levels = record_levels(monkeypatch)
     with np.errstate(over="ignore"):
         with pytest.raises(vlq_errors.NumericalError, match="level 1 is not finite") as info:
             resolvent(ops)
     assert len(levels) == 1
     assert "|A| Gamma(beta) T^beta = 1.23e+160 is too large" in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_level_with_a_nan_stops_the_series(monkeypatch, kind):
+    # the level scale is max(F.max(), -F.min()), which a NaN makes NaN
+    grid = build_grid(17, 1.0, kind)
+    ops = StateOperator(scalar_problem(const_kernel(0.5), None, None), grid)
+    levels = record_levels(monkeypatch)
+    # target 9, source 4; the uniform plan's level is source-major
+    poisoned, entry = {
+        "uniform": ("_uniform_level", (4, 9, 0, 0)),
+        "graded": ("_convolve_columns", (9, 4, 0, 0)),
+    }[kind]
+    recorded = getattr(volterra, poisoned)
+
+    def level(*args):
+        F = recorded(*args)
+        if len(levels) == 2:
+            F[entry] = np.nan
+        return F
+
+    monkeypatch.setattr(volterra, poisoned, level)
+    with pytest.raises(vlq_errors.NumericalError, match="level 2 is not finite"):
+        resolvent(ops)
+    assert len(levels) == 2
 
 
 def test_overflowing_pair_weights_stop_the_series_and_are_not_kept(weight_memo):
