@@ -73,10 +73,10 @@ import numpy as np
 
 from .causal import _require_no_cross_terms, _running_gradients
 from .errors import AssumptionError, NumericalError
-from .grids import Grid, lower_product_weights, trapezoid_rule
+from .grids import Grid, trapezoid_rule
 # solve_open_loop is unused here; perfbench/tests/test_perfbench.py pins this import site
 from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop  # noqa: F401
-from .volterra import FactoredKernel, _require_matching_kernel
+from .volterra import FactoredKernel, _lower_table, _require_matching_kernel
 
 __all__ = [
     "FredholmSystem",
@@ -420,6 +420,7 @@ def crosscheck_kernel_samples(
     B = Psi.singular_coeff
     D = Psi.regular_part
     values = Psi.eval_offdiag(grid)  # Psi(t_l, s_i), zero for l <= i
+    lower = _lower_table(grid, beta)
     scale = float(np.max(np.abs(sys.kernel)))
     worst = 0.0
     pairs = 0
@@ -437,7 +438,7 @@ def crosscheck_kernel_samples(
         # evaluated from the factored table.
         Q_tau = sc.Q[m:]
         psi_i, psi_j = values[m:, i], values[m:, j]
-        sing = lower_product_weights(grid, beta, m)
+        sing = lower[m:, m]
         if i >= j:
             coeff_sing = np.einsum("lxc,lxy,lyd->lcd", B[m:, i], Q_tau, psi_j)
             coeff_reg = np.einsum("lxc,lxy,lyd->lcd", D[m:, i], Q_tau, psi_j)

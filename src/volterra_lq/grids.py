@@ -32,6 +32,7 @@ The doubly singular moments behind the resolvent live in `volterra`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,17 @@ __all__ = [
 class Grid:
     """Strictly increasing time nodes on [0, T]: a grid is its nodes.
 
+    The grid keeps a read-only float copy of the nodes it is given.
     `uniform` tells the nodes of `build_grid(n, T)` apart from any other
-    node array, graded or given by hand.
+    node array, graded or given by hand; it is computed on first read.
     """
 
     nodes: np.ndarray
     T: float
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("grid needs at least 3 nodes")
@@ -74,7 +77,7 @@ class Grid:
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    @property
+    @cached_property
     def uniform(self) -> bool:
         """Whether the nodes are np.linspace(0, T, n), bit for bit."""
         return np.array_equal(self.nodes, np.linspace(0.0, self.T, self.n))

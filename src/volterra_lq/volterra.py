@@ -32,35 +32,39 @@ Two complementary representations are built here.
     `control_kernel(ops, resolvent_kernel)` derives the factored control
     kernel Psi of the same grid from it.
 
-    On a uniform grid (`Grid.uniform`) every column's incomplete-beta
-    weights are a leading block of column 0's, which weigh the nodes past
-    each target exactly 0, so a series level runs through a per-call
-    column plan (`_column_plan`, `_uniform_level`): A is laid out once as
-    flat rows (i, x) over (l, y), and column j's weighted block is one
-    contiguous product of a span of those rows and a prefix of column 0's
-    weights, expanded once per level to the same row pitch, followed by
-    one GEMM against the coefficient's column.  The coefficient, the level
-    and D are kept source-major and D is transposed once at the end.
-    Every other kernel product (a series level on any other grid, and
-    both pieces of Psi) runs through one column loop, `_convolve_columns`,
-    which differs only in its weight source: the incomplete-beta weights
-    of each source column (`_pair_column`; slices of column 0's on a
-    uniform grid), or the one row of lower-endpoint weights that every
-    target shares, for the regular part D (zero on and above the
-    diagonal) against B.  Its left factor is
-    taken with the node axis innermost (`_node_inner`), and each source
-    column costs one weighted product into a scratch buffer allocated once
-    per call, and one GEMM.  Every level product is exactly zero on and
-    above the diagonal, so the series adds it to D and divides out its
-    power of (t-s) as whole arrays.
+    Every kernel product has one layout and one interface.  A series
+    level is source-major: it reads its coefficient as G[j, j:] and writes
+    its product as F[j, j+1:], and D is transposed once at the end.  The
+    level routine is chosen once per call: on a uniform grid
+    (`Grid.uniform`) every column's incomplete-beta weights are a leading
+    block of column 0's, which weigh the nodes past each target exactly
+    0, so `_column_plan` lays A out once as flat rows (i, x) over (l, y)
+    and column j's weighted block is one contiguous product of a span of
+    those rows and a prefix of column 0's weights, expanded once per level
+    to the same row pitch, followed by one GEMM; on any other grid
+    `_convolve_columns` weighs each source column's own table (`_pair_column`)
+    against A laid out node-innermost (`_node_inner`), in one scratch
+    buffer per call, before its GEMM.  Both are called as
+    level(column_weights).  Psi's singular piece C (t-tau)^(beta-1) runs
+    through `_convolve_columns` too.  Every level product is exactly zero
+    on and above the diagonal, so the series adds it to D and divides out
+    its power of (t-s) as whole arrays.
+
+    The lower-endpoint weights of (tau-s)^(beta-1) meet only tables that
+    vanish for tau >= t, so every target shares its column's one row:
+    `_lower_table` holds them all, column j on rows >= j, and
+    `_lower_product` is one GEMM of a kernel's flat table against B or A
+    folded with those columns (`_fold`).  It serves Psi's regular piece
+    on every column and the residual pass's transposed identity on the
+    sampled ones, and the cross-check reads the same table.
 
     The incomplete-beta weights depend on the grid, beta and the series
     level only, so they are built once per process: `_pair_column_weights`
     keeps them, read-only, in `_weight_memo` under (node bytes, p, q),
     column 0's table on a uniform grid and every column's on any other.
     Later problems on the same grid, and Psi's (beta, beta) piece, read
-    level k's table instead of computing it again; the residual pass's
-    lower-endpoint rows are kept there too.
+    level k's table instead of computing it again; the lower-endpoint
+    table is kept there too, under ((node bytes, beta), "lower table").
 
 The discrete operator layer feeds the optimization modules and the
 kernel layer alike: `resolvent(ops)`, `solve_state(ops, xi)` and the
@@ -77,7 +81,7 @@ feed diagnostics and cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -268,8 +272,8 @@ def _pair_column(grid: Grid, p: float, q: float, j: int) -> np.ndarray:
 
 _WEIGHT_MEMO_BYTES = 32 * 2**20  # cap on the tables kept in `_weight_memo`
 
-# The tables of `_product_weight_table`, `_pair_column_weights` and the
-# residual pass's lower-endpoint rows, kept for the life of the process.
+# The tables of `_product_weight_table`, `_pair_column_weights` and
+# `_lower_table`, kept for the life of the process.
 # Nothing is evicted, so the product weights and the low series levels,
 # which every problem reads first, stay stored once the cap is reached.
 _weight_memo: dict = {}
@@ -344,57 +348,50 @@ def _node_inner(samples: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(samples.transpose(0, 2, 3, 1))
 
 
-def _convolve_columns(F, Gsamples, column_weights) -> np.ndarray:
-    """out[i,j] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[l, j] for i > j.
+def _convolve_columns(F, G, column_weights) -> np.ndarray:
+    """out[j,i] = sum_{l>=j} Wj[i-j-1, l-j] F[i, l] @ G[j, l] for i > j, source-major.
 
     F is the left factor in the node-innermost layout of `_node_inner`,
-    (n, d1, dm, n), and G plain samples (n, n, dm, d2).  Wj =
-    column_weights(j) has shape (n-j-1, n-j) and carries whichever
-    singular factors the product integrates, or shape (1, n-j) for one
-    row that every target shares (the lower-endpoint weights, against an
-    F that is zero for l >= i).  Each source column's weighted block
-    F[j+1:, :, :, j:] * Wj is written into one scratch buffer, allocated
-    once per call at the size of column 0's block, and multiplied by G's
-    column in one GEMM.  Every entry on and above the diagonal stays
-    exactly zero.
+    (n, d1, dm, n), and G the right factor source-major, (n, n, dm, d2),
+    G[j, l] the sample at (t_l, s_j).  Wj = column_weights(j), the pair
+    weights of source column j, has shape (n-j-1, n-j).  Each source
+    column's weighted block F[j+1:, :, :, j:] * Wj is written into one
+    scratch buffer, allocated once per call at the size of column 0's
+    block, and multiplied by G[j, j:] in one GEMM into out[j, j+1:].
+    Every entry with i <= j stays exactly zero.
     """
     n, d1, dm, _ = F.shape
-    d2 = Gsamples.shape[-1]
+    d2 = G.shape[-1]
     scratch = np.empty((n - 1) * d1 * dm * n)
     out = np.zeros((n, n, d1, d2))
     for j in range(n - 1):
         m = n - j  # source nodes l = j, ..., n-1
         Fw = scratch[: (m - 1) * d1 * dm * m].reshape(m - 1, d1, dm, m)
         np.multiply(F[j + 1 :, :, :, j:], column_weights(j)[:, None, None, :], out=Fw)
-        Gj = Gsamples[j:, j].transpose(1, 0, 2).reshape(-1, d2)  # rows (y, l)
-        out[j + 1 :, j] = (Fw.reshape(-1, dm * m) @ Gj).reshape(m - 1, d1, d2)
+        Gj = G[j, j:].transpose(1, 0, 2).reshape(-1, d2)  # rows (y, l)
+        out[j, j + 1 :] = (Fw.reshape(-1, dm * m) @ Gj).reshape(m - 1, d1, d2)
     return out
 
 
-@dataclass
-class _ColumnPlan:
-    """Views of one uniform-grid level product, built once per `resolvent` call.
+def _column_plan(Asamp: np.ndarray):
+    """Coefficient and level product of a uniform-grid series, (coeff, level).
 
-    A is kept as flat rows (i, x) over (l, y), with one zero row of
-    padding; `weights` is column 0's pair-weight table expanded to the
-    same row pitch, (n-1) dx x n dx.  The coefficient `coeff` and the
-    level product `product` are source-major, (j, i, dx, dx).  Each entry
-    of `columns` holds, for source column j with m = n - j sources: the
-    span of A's rows from row (j+1, 0), column (j, 0), the prefix of
-    `weights` of the same length, the scratch block they are multiplied
-    into, that block's first m dx entries of each row as the GEMM operand
-    (lda = n dx), the coefficient block coeff[j, j:] as (m dx, dx), and
-    the output rows product[j, j+1:].
+    coeff starts as A's samples (n, n, dx, dx), source-major (j, i); the
+    series overwrites it in place between levels.  level(column_weights)
+    returns, source-major, F[i, j] = sum_{l>=j} W0[i-j-1, l-j] A[i, l] @
+    coeff[j, l] for i > j, with W0 = column_weights(0), column 0's pair
+    weights (n-1, n); its buffer is overwritten by the next level, and
+    entries with i <= j stay exactly zero.  Every column's weights are the
+    leading block of W0, which weighs the nodes past each target exactly
+    0.  So A is laid out once as flat rows (i, x) over (l, y), with one
+    zero row of padding, and W0 is expanded once per level to the same
+    row pitch; column j's weighted block (m = n - j sources) is then one
+    contiguous product of the span of A's rows from row (j+1, 0), column
+    (j, 0), and the prefix of the expanded W0 of the same length, and its
+    GEMM reads the first m dx entries of each row (lda = n dx) against
+    coeff[j, j:] as (m dx, dx) into the product's rows [j, j+1:].  The
+    views of every column are built once per call.
     """
-
-    weights: np.ndarray
-    coeff: np.ndarray
-    product: np.ndarray
-    columns: list
-
-
-def _column_plan(Asamp: np.ndarray) -> _ColumnPlan:
-    """The `_ColumnPlan` of A's samples (n, n, dx, dx); the coefficient starts as A."""
     n, _, dx, _ = Asamp.shape
     pitch = n * dx
     rows = np.zeros((pitch + 1) * pitch)
@@ -419,28 +416,16 @@ def _column_plan(Asamp: np.ndarray) -> _ColumnPlan:
                 product[j, j + 1 :].reshape((m - 1) * dx, dx),
             )
         )
-    return _ColumnPlan(weights.reshape((n - 1) * dx, pitch), coeff, product, columns)
+    expanded = weights.reshape(n - 1, dx, n, dx)
 
+    def level(column_weights):
+        np.copyto(expanded, column_weights(0)[:, None, :, None])
+        for span, prefix, block, operand, coeff_j, out in columns:
+            np.multiply(span, prefix, out=block)
+            np.matmul(operand, coeff_j, out=out)
+        return product
 
-def _uniform_level(plan: _ColumnPlan, W0: np.ndarray) -> np.ndarray:
-    """Level product of a uniform grid, source-major: out[j, i] = F[i, j].
-
-    F[i, j] = sum_{l>=j} W0[i-j-1, l-j] A[i, l] @ C[l, j] for i > j, with C
-    the plan's coefficient and W0 column 0's pair weights, (n-1, n).  Every
-    column's weights are the leading block of W0, which weighs the nodes
-    past each row's target exactly 0, so column j's weighted block is one
-    contiguous product of A's span and a prefix of W0 at A's row pitch;
-    its GEMM reads the first m dx entries of each row and sums over (l, y).
-    Returns the plan's product buffer, overwritten by the next level;
-    entries with i <= j stay exactly zero.
-    """
-    n1, n = W0.shape
-    dx = plan.weights.shape[0] // n1
-    np.copyto(plan.weights.reshape(n1, dx, n, dx), W0[:, None, :, None])
-    for span, prefix, block, operand, coeff, rows in plan.columns:
-        np.multiply(span, prefix, out=block)
-        np.matmul(operand, coeff, out=rows)
-    return plan.product
+    return coeff, level
 
 
 def _coeff_bound_series(norm_a: float, beta: float, T: float, kmax: int = 200) -> float:
@@ -472,7 +457,8 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     the iterated-kernel series with exact product moments for every
     (t-tau)^(beta-1) (tau-s)^(k beta - 1) weight.  A is laid out once
     for every level: in a `_column_plan` on a uniform grid, node-innermost
-    for `_convolve_columns` on any other.  Each level product F_{k+1} is
+    for `_convolve_columns` on any other; the coefficient, every level and
+    D are source-major until D is returned.  Each level product F_{k+1} is
     exactly zero on and above the diagonal, so it is added to D, and its
     coefficient F_{k+1} / (t-s)^((k+1) beta - 1) formed, as whole arrays
     (the power table is 1 on and above the diagonal); the diagonal limit
@@ -492,25 +478,15 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     Asamp = ops.A_samples
     norm_a = float(np.max(np.abs(Asamp))) * dx
     size = f"|A| Gamma(beta) T^beta = {norm_a * gamma(beta) * grid.T**beta:.3g}"  # errors name it
-    # t - s below the diagonal and 1 on and above it, where every level is 0
-    dt = np.where(np.tri(n, k=-1, dtype=bool), grid.nodes[:, None] - grid.nodes, 1.0)
-    # G is the coefficient of (t-s)^(k*beta - 1), level k = 1 first; on a
-    # uniform grid G, every level and D are source-major (j, i)
-    uniform = grid.uniform
-    if uniform:
-        plan = _column_plan(Asamp)
-        G, dt = plan.coeff, dt.T
-
-        def level(column_weights):
-            return _uniform_level(plan, column_weights(0))
-
+    # G is the coefficient of (t-s)^(k*beta - 1), level k = 1 first; G,
+    # every level, dt and D are source-major (j, i), and G is updated in place
+    if grid.uniform:
+        G, level = _column_plan(Asamp)
     else:
-        A_inner = _node_inner(Asamp)
-        G = Asamp.copy()
-
-        def level(column_weights):
-            return _convolve_columns(A_inner, G, column_weights)
-
+        G = np.ascontiguousarray(Asamp.swapaxes(0, 1))
+        level = partial(_convolve_columns, _node_inner(Asamp), G)
+    # t - s below the diagonal and 1 on and above it, where every level is 0
+    dt = np.where(np.tri(n, k=-1, dtype=bool).T, grid.nodes - grid.nodes[:, None], 1.0)
     D = np.zeros_like(G)
     diag_idx = np.arange(n)
     A_diag = Asamp[diag_idx, diag_idx]
@@ -524,7 +500,7 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
             exc.args = (f"resolvent series level {k}: {exc}; {size} is too large",)
             raise
         if k == 1:
-            F2 = np.ascontiguousarray(F_next.swapaxes(0, 1) if uniform else F_next)
+            F2 = np.ascontiguousarray(F_next.swapaxes(0, 1))
         level_scale = max(float(F_next.max()), -float(F_next.min()))
         if not np.isfinite(level_scale):
             raise NumericalError(
@@ -553,8 +529,7 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
             f"max |D| = {d_max:.3g} by more than {_MAX_CANCELLATION:.0e}; "
             f"{size} is too large"
         )
-    if uniform:
-        D = np.ascontiguousarray(D.swapaxes(0, 1))
+    D = np.ascontiguousarray(D.swapaxes(0, 1))
     kernel = FactoredKernel(singular_coeff=Asamp, regular_part=D, beta=beta)
 
     # after the series, so that an overflowing level stops before the bound's product
@@ -563,12 +538,50 @@ def resolvent(ops: StateOperator) -> FactoredKernel:
     return kernel
 
 
-def _lower_rows(grid: Grid, beta: float, cols: np.ndarray) -> np.ndarray:
-    """Lower-endpoint weights w_j(tau_l) of the columns j in cols, (n, c), zero for l < j."""
-    wlow = np.zeros((grid.n, cols.size))
-    for col, j in enumerate(cols):
-        wlow[j:, col] = lower_product_weights(grid, beta, j)
-    return wlow
+def _fold(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Kernel samples (n, c, d1, d2) times weights (n, c), as a flat (n d1, c d2) matrix.
+
+    Each (n, c) component plane's product with the weights goes straight
+    into its place in the flat layout, rows (l, y) and columns (j, z).
+    """
+    n, c, d1, d2 = samples.shape
+    out = np.empty((n, d1, c, d2))
+    for a in range(d1):
+        for b in range(d2):
+            np.multiply(weights, samples[:, :, a, b], out=out[:, a, :, b])
+    return out.reshape(n * d1, c * d2)
+
+
+def _lower_table(grid: Grid, beta: float) -> np.ndarray:
+    """Lower-endpoint weights of every source column, (n, n), read-only.
+
+    Column j holds `lower_product_weights(grid, beta, j)` on rows l >= j
+    and zero above.  The table depends on the grid and beta alone, so it
+    is kept in `_weight_memo` under ((node bytes, beta), "lower table").
+    """
+
+    def build():
+        table = np.zeros((grid.n, grid.n))
+        for j in range(grid.n):
+            table[j:, j] = lower_product_weights(grid, beta, j)
+        return table
+
+    return _memo_table(((grid.nodes.tobytes(), beta), "lower table"), build)
+
+
+def _lower_product(K, G, wlow) -> np.ndarray:
+    """out[i, j] = sum_l wlow[l, j] K[i, l] @ G[l, j], shape (n, c, d1, d2).
+
+    K is a kernel table (n, n, d1, dm) that vanishes for l >= i, G the
+    samples (n, c, dm, d2) of c source columns and wlow their columns of
+    `_lower_table`, (n, c): every target shares its column's one row of
+    lower-endpoint weights.  One GEMM of K's flat (n d1, n dm) table
+    against `_fold(wlow, G)`.
+    """
+    n, _, d1, _ = K.shape
+    c, d2 = G.shape[1], G.shape[-1]
+    K_flat = K.transpose(0, 2, 1, 3).reshape(n * d1, -1)
+    return (K_flat @ _fold(wlow, G)).reshape(n, d1, c, d2).transpose(0, 2, 1, 3)
 
 
 def _resolvent_residuals(kernel, ops, first):
@@ -582,13 +595,10 @@ def _resolvent_residuals(kernel, ops, first):
     residual exercises a different discretization of the same identity.
     Over about 48 sampled source columns s_j, each identity is one GEMM.
     The defining one multiplies the operator's weighted A, `ops.WA_flat`,
-    against those columns of D.  In the transposed one the lower-endpoint
-    weights of (tau - s_j)^(beta-1) depend on (j, tau) alone, because D
-    vanishes for tau >= t; so D's flat (n dx, n dx) table multiplies A's
-    sampled columns, each node row weighted by its column's row of
-    `lower_product_weights`; those rows depend on the grid and beta alone
-    and are kept in `_weight_memo` under ((node bytes, beta), "residual
-    rows").  The denominator evaluates Phi at the sampled columns only.
+    against those columns of D.  In the transposed one D vanishes for
+    tau >= t, so it is `_lower_product` of D against A's sampled columns
+    and their columns of `_lower_table`.  The denominator evaluates Phi
+    at the sampled columns only.
     """
     beta, grid, n, dx = kernel.beta, ops.grid, ops.n, ops.dx
     D = kernel.regular_part
@@ -597,15 +607,8 @@ def _resolvent_residuals(kernel, ops, first):
     # defining identity, kernel A on the left
     Dc = D[:, cols].transpose(0, 2, 1, 3).reshape(n * dx, c * dx)
     quad = (ops.WA_flat @ Dc).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
-    # transposed identity, kernel A on the right: weight w_j(tau_l) of
-    # column j at node l, zero for l < j
-    key = ((grid.nodes.tobytes(), beta), "residual rows")
-    wlow = _memo_table(key, lambda: _lower_rows(grid, beta, cols))
-    Aw = (wlow[:, None, :, None] * ops.A_samples[:, cols].transpose(0, 2, 1, 3)).reshape(
-        n * dx, c * dx
-    )  # rows (l, y), columns (j, z)
-    D_flat = D.transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
-    quad_tr = (D_flat @ Aw).reshape(n, dx, c, dx).transpose(0, 2, 1, 3)
+    # transposed identity, kernel A on the right
+    quad_tr = _lower_product(D, ops.A_samples[:, cols], _lower_table(grid, beta)[:, cols])
 
     denom = 1.0 + np.abs(kernel.eval_offdiag(grid, cols)).max(axis=(2, 3))
     rows = np.arange(n)[:, None] >= cols + 2  # targets i >= j + 2 of column j
@@ -659,20 +662,7 @@ class StateOperator:
         self.sw = _product_weight_table(grid, problem.beta)
         self.A_samples = sample_kernel(problem.A, grid, self.dx, self.dx)
         _require_finite(self.A_samples, grid, "state kernel A")
-        self.WA_flat = self._fold(self.A_samples)
-
-    def _fold(self, samples: np.ndarray) -> np.ndarray:
-        """Kernel samples (n, n, d1, d2) times sw, as a flat (n d1, n d2) matrix.
-
-        Each (n, n) component plane's product with sw goes straight into
-        its place in the flat layout.
-        """
-        n, _, d1, d2 = samples.shape
-        out = np.empty((n, d1, n, d2))
-        for a in range(d1):
-            for b in range(d2):
-                np.multiply(self.sw, samples[:, :, a, b], out=out[:, a, :, b])
-        return out.reshape(n * d1, n * d2)
+        self.WA_flat = _fold(self.sw, self.A_samples)
 
     @cached_property
     def B_samples(self) -> np.ndarray:
@@ -682,7 +672,7 @@ class StateOperator:
 
     @cached_property
     def WB_flat(self) -> np.ndarray:
-        return self._fold(self.B_samples)
+        return _fold(self.sw, self.B_samples)
 
     @cached_property
     def step_inverses(self) -> np.ndarray:
@@ -795,9 +785,10 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     (tau-s)^(beta-1) dtau, with Phi the supplied resolvent of the same
     grid: the singular coefficient is B itself, and the regular part
     integrates the two pieces of Phi against B.  The piece C (t-tau)^(beta-1)
-    takes the doubly singular weights; the regular piece D takes the hat
-    weights of the lower-endpoint factor (tau-s)^(beta-1) alone.  The
-    singular coefficient is `ops.B_samples` itself, read-only.  A
+    takes the doubly singular weights (`_convolve_columns`, source-major,
+    transposed back); the regular piece D takes the hat weights of the
+    lower-endpoint factor (tau-s)^(beta-1) alone (`_lower_product` on every
+    column).  The singular coefficient is `ops.B_samples` itself, read-only.  A
     resolvent of another node count or beta raises ValueError.
     """
     _require_matching_kernel(resolvent_kernel, ops, "the resolvent kernel")
@@ -805,14 +796,10 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     Bsamp = ops.B_samples
     piece1 = _convolve_columns(
         _node_inner(resolvent_kernel.singular_coeff),
-        Bsamp,
+        Bsamp.swapaxes(0, 1),
         _pair_column_weights(grid, beta, beta),
-    )
-    piece2 = _convolve_columns(
-        _node_inner(resolvent_kernel.regular_part),
-        Bsamp,
-        lambda j: lower_product_weights(grid, beta, j)[None],
-    )
+    ).swapaxes(0, 1)
+    piece2 = _lower_product(resolvent_kernel.regular_part, Bsamp, _lower_table(grid, beta))
     return FactoredKernel(singular_coeff=Bsamp, regular_part=piece1 + piece2, beta=beta)
 
 

@@ -199,9 +199,9 @@ def reference_sample_kernel(K, grid, d1, d2):
 
 
 def reference_fold(sw, samples):
-    """Samples (n, n, d1, d2) times sw in one broadcast product: a test reference."""
-    n, _, d1, d2 = samples.shape
-    return (sw[:, None, :, None] * samples.transpose(0, 2, 1, 3)).reshape(n * d1, n * d2)
+    """Samples (n, c, d1, d2) times sw (n, c) in one broadcast product: a test reference."""
+    n, c, d1, d2 = samples.shape
+    return (sw[:, None, :, None] * samples.transpose(0, 2, 1, 3)).reshape(n * d1, c * d2)
 
 
 def reference_trig_kernel(rng, d1, d2, amplitude):

@@ -65,6 +65,26 @@ def test_uniform_means_the_nodes_of_build_grid_bit_for_bit():
     assert not Grid(off, 1.5).uniform
 
 
+def test_grid_keeps_read_only_nodes_and_computes_uniform_once(monkeypatch):
+    # the caller's array is copied, not frozen, so the flag cannot go stale
+    given = np.linspace(0.0, 1.0, 17)
+    grid = Grid(given, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.nodes[3] = 0.5
+    given[3] = 0.5
+    assert given.flags.writeable and grid.nodes[3] == 3 / 16
+    calls = []
+    linspace = np.linspace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted)
+    assert all(grid.uniform for _ in range(5))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("beta", [0.4, 0.75, 0.95])
 @pytest.mark.parametrize("kind,exponent", [("uniform", 2.0), ("graded", 2.5)])
 def test_row_sums_reproduce_constants(beta, kind, exponent):

@@ -20,14 +20,18 @@ from volterra_lq.volterra import (
     StateOperator,
     _column_plan,
     _convolve_columns,
+    _fold,
+    _lower_product,
+    _lower_table,
     _node_inner,
     _pair_column,
     _pair_column_weights,
-    _uniform_level,
     sample_kernel,
     sample_trajectory,
 )
 from volterra_lq.grids import Grid, lower_product_weights
+from volterra_lq.fredholm import assemble_fredholm, crosscheck_kernel_samples
+from volterra_lq.lq import assemble_quadratic_form
 from volterra_lq import scenarios
 from volterra_lq.scenarios import _series_error, _varconst_deviation
 
@@ -77,25 +81,33 @@ def column_loop_residuals(kernel, Asamp, first, grid):
     return {"defining": res_def, "transposed": res_tr}
 
 
-def record_levels(monkeypatch):
-    """Wrap both level products of `resolvent`; returns the list of levels it fills.
+def record_levels(monkeypatch, poison=None):
+    """Wrap the level product of `resolvent` on either grid; returns the list of levels it fills.
 
-    Each level is copied in (i, j) layout: the uniform plan's product is
-    source-major and its buffer is overwritten by the next level.
+    The uniform level is the one `_column_plan` returns, any other grid's
+    is `_convolve_columns`.  Both are source-major (j, i); each level is
+    copied in (i, j) layout, since the plan's buffer is overwritten by the
+    next level.  poison(k, F), when given, may change level k's product F
+    after it is recorded and before the series reads it.
     """
     levels = []
 
-    def uniform(plan, W0):
-        product = _uniform_level(plan, W0)
-        levels.append(product.swapaxes(0, 1).copy())
-        return product
+    def recorded(level):
+        def wrapped(*args):
+            F = level(*args)
+            levels.append(F.swapaxes(0, 1).copy())
+            if poison is not None:
+                poison(len(levels), F)
+            return F
 
-    def convolve(F, G, column_weights):
-        levels.append(_convolve_columns(F, G, column_weights))
-        return levels[-1]
+        return wrapped
 
-    monkeypatch.setattr(volterra, "_uniform_level", uniform)
-    monkeypatch.setattr(volterra, "_convolve_columns", convolve)
+    def column_plan(A):
+        coeff, level = _column_plan(A)
+        return coeff, recorded(level)
+
+    monkeypatch.setattr(volterra, "_column_plan", column_plan)
+    monkeypatch.setattr(volterra, "_convolve_columns", recorded(_convolve_columns))
     return levels
 
 
@@ -161,8 +173,9 @@ class TestResolvent:
         grid = build_grid(40, 1.0)
         p = get_problem("random-smooth", 0.75, 1.0, seed=5).problem
         As = sample_kernel(p.A, grid, 2, 2)
-        u1 = _convolve_columns(_node_inner(As), As, _pair_column_weights(grid, 0.75, 0.75))
-        u2 = _convolve_columns(_node_inner(As), As, lambda j: _pair_column(grid, 0.75, 0.75, j))
+        Aj = As.swapaxes(0, 1)
+        u1 = _convolve_columns(_node_inner(As), Aj, _pair_column_weights(grid, 0.75, 0.75))
+        u2 = _convolve_columns(_node_inner(As), Aj, lambda j: _pair_column(grid, 0.75, 0.75, j))
         assert np.allclose(u1, u2, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("q", [0.75, 3.0, 9.75])
@@ -190,7 +203,8 @@ class TestResolvent:
         p = get_problem(name, 0.75, 1.0, seed=seed).problem
         ker = resolvent(StateOperator(p, grid))
         As = sample_kernel(p.A, grid, p.n_state, p.n_state)
-        first = _convolve_columns(_node_inner(As), As, _pair_column_weights(grid, 0.75, 0.75))
+        pair = _pair_column_weights(grid, 0.75, 0.75)
+        first = _convolve_columns(_node_inner(As), As.swapaxes(0, 1), pair).swapaxes(0, 1)
         ref = column_loop_residuals(ker, As, first, grid)
         for key in ("defining", "transposed"):
             assert ref[key] > 0.0
@@ -206,33 +220,52 @@ class TestResolvent:
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     def test_column_convolution_matches_triple_loop(self, kind):
-        # unequal block sizes, so a wrong reshape or block order fails; the
-        # lower-endpoint row meets a strictly lower F, as the regular part is,
-        # and the reference weighs each target with its own table row
+        # unequal block sizes, so a wrong reshape or block order fails
         grid = build_grid(9, 1.0, kind)
         n, d1, dm, d2 = grid.n, 2, 3, 1
         rng = np.random.default_rng(11)
         F = rng.normal(size=(n, n, d1, dm))
         G = rng.normal(size=(n, n, dm, d2))
-        F_lower = F * (np.arange(n)[:, None] > np.arange(n))[:, :, None, None]
         pair = _pair_column_weights(grid, 0.75, 0.6)
-        sources = (
-            (F, pair, pair),
-            (
-                F_lower,
-                lambda j: lower_product_weights(grid, 0.75, j)[None],
-                lambda j: lower_weight_table(grid, 0.75, j)[1:],
-            ),
-        )
-        for F, weights, ref_weights in sources:
-            ref = np.zeros((n, n, d1, d2))
-            for j in range(n - 1):
-                Wj = ref_weights(j)
-                for i in range(j + 1, n):
-                    for l in range(j, n):
-                        ref[i, j] += Wj[i - j - 1, l - j] * F[i, l] @ G[l, j]
-            got = _convolve_columns(_node_inner(F), G, weights)
-            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+        ref = np.zeros((n, n, d1, d2))
+        for j in range(n - 1):
+            Wj = pair(j)
+            for i in range(j + 1, n):
+                for l in range(j, n):
+                    ref[i, j] += Wj[i - j - 1, l - j] * F[i, l] @ G[l, j]
+        got = _convolve_columns(_node_inner(F), G.swapaxes(0, 1), pair).swapaxes(0, 1)
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_lower_product_matches_triple_loop(self, kind):
+        # unequal block sizes and c < n sampled columns; the lower-endpoint
+        # weights meet a strictly lower F, as the regular part is, and the
+        # reference weighs each target with its own table row
+        grid = build_grid(9, 1.0, kind)
+        n, d1, dm, d2 = grid.n, 2, 3, 1
+        rng = np.random.default_rng(12)
+        F = rng.normal(size=(n, n, d1, dm)) * np.tri(n, k=-1)[:, :, None, None]
+        cols = np.array([0, 2, 3, 6])
+        G = rng.normal(size=(n, cols.size, dm, d2))
+        ref = np.zeros((n, cols.size, d1, d2))
+        for col, j in enumerate(cols):
+            Wj = lower_weight_table(grid, 0.75, j)
+            for i in range(j + 1, n):
+                for l in range(j, n):
+                    ref[i, col] += Wj[i - j, l - j] * F[i, l] @ G[l, col]
+        got = _lower_product(F, G, _lower_table(grid, 0.75)[:, cols])
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+    def test_fold_of_sampled_columns_matches_the_broadcast_reference(self):
+        grid = build_grid(9, 1.0, "graded")
+        rng = np.random.default_rng(13)
+        cols = np.array([1, 4, 5])
+        samples = rng.normal(size=(grid.n, cols.size, 2, 3))
+        weights = _lower_table(grid, 0.75)[:, cols]
+        got = _fold(weights, samples)
+        assert got.shape == (grid.n * 2, cols.size * 3)
+        assert np.array_equal(got, reference_fold(weights, samples))
 
     @pytest.mark.parametrize("n", [9, 17])
     @pytest.mark.parametrize("dx", [2, 3])
@@ -243,17 +276,18 @@ class TestResolvent:
         grid = build_grid(n, 1.0)
         rng = np.random.default_rng(10 * n + dx)
         A = rng.normal(size=(n, n, dx, dx)) * np.tri(n)[:, :, None, None]
-        plan = _column_plan(A)
+        coeff, level = _column_plan(A)
         for q in (0.75, 2.25):
             C = rng.normal(size=(n, n, dx, dx))
-            plan.coeff[...] = C.swapaxes(0, 1)
-            W0 = _pair_column_weights(grid, 0.75, q)(0)
+            coeff[...] = C.swapaxes(0, 1)
+            column = _pair_column_weights(grid, 0.75, q)
+            W0 = column(0)
             ref = np.zeros((n, n, dx, dx))
             for j in range(n - 1):
                 for i in range(j + 1, n):
                     for l in range(j, n):
                         ref[i, j] += W0[i - j - 1, l - j] * A[i, l] @ C[l, j]
-            got = _uniform_level(plan, W0).swapaxes(0, 1)
+            got = level(column).swapaxes(0, 1)
             assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
             assert np.all(got[np.triu(np.ones((n, n), dtype=bool))] == 0.0)
 
@@ -266,12 +300,17 @@ class TestResolvent:
         C, D = reference_series(ops)
         assert np.array_equal(ker.singular_coeff, C)
         assert np.array_equal(ker.regular_part, D)
-        lower = lambda j: lower_product_weights(ops.grid, 0.75, j)[None]  # noqa: E731
+        # piece 2 is one flat GEMM of D against the folded lower-endpoint
+        # weights; each column of the table is the full row of its own
+        B, dx, du = ops.B_samples, ops.dx, ops.du
+        lower = np.zeros((n, n))
+        for j in range(n):
+            lower[j:, j] = lower_weight_table(ops.grid, 0.75, j)[-1]
+        D_flat = D.transpose(0, 2, 1, 3).reshape(n * dx, n * dx)
+        piece2 = (D_flat @ reference_fold(lower, B)).reshape(n, dx, n, du).transpose(0, 2, 1, 3)
         pair = _pair_column_weights(ops.grid, 0.75, 0.75)
         Psi = control_kernel(ops, ker)
-        ref = reference_convolve(C, ops.B_samples, pair) + reference_convolve(
-            D, ops.B_samples, lower
-        )
+        ref = reference_convolve(C, B, pair) + piece2
         assert np.array_equal(Psi.regular_part, ref)
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
@@ -417,29 +456,34 @@ class TestPairMemo:
             assert ker.coeff_bound == fresh.coeff_bound
 
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_residual_rows_are_built_once_per_grid(self, weight_memo, monkeypatch, kind):
-        # the residual pass's lower-endpoint rows depend on the grid and beta
-        # alone: the first resolvent stores them, read-only, under a key
-        # that is not a pair-weight key, and a later one computes none
+    def test_one_lower_table_per_grid(self, weight_memo, monkeypatch, kind):
+        # the lower-endpoint weights depend on the grid and beta alone: the
+        # first resolvent stores their table, read-only, under a key that is
+        # not a pair-weight key, and no later resolvent, Psi or cross-check
+        # on that grid computes any
         grid = build_grid(33, 1.0, kind)
-        problems = [get_problem("random-smooth", 0.75, 1.0, seed=s).problem for s in (3, 8)]
-        first = resolvent(StateOperator(problems[0], grid))
-        (key,) = [key for key in weight_memo if key[-1] == "residual rows"]
-        assert len(key) != 3
-        (rows,) = weight_memo[key]
-        for col, j in enumerate(range(grid.n - 2)):  # every column at n = 33
-            assert np.array_equal(rows[j:, col], lower_product_weights(grid, 0.75, j))
-            assert np.all(rows[:j, col] == 0.0)
+        entries = [get_problem("random-smooth", 0.75, 1.0, seed=s) for s in (3, 8)]
+        first = resolvent(StateOperator(entries[0].problem, grid))
+        (key,) = [key for key in weight_memo if key[-1] == "lower table"]
+        assert len(key) == 2
+        (table,) = weight_memo[key]
+        assert table.shape == (grid.n, grid.n)
+        for j in range(grid.n):
+            assert np.array_equal(table[j:, j], lower_product_weights(grid, 0.75, j))
+            assert np.all(table[:j, j] == 0.0)
         with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 1.0
+            table[0, 0] = 1.0
 
         def no_new_rows(*args):
-            raise AssertionError("resolvent computed lower-endpoint weights")
+            raise AssertionError("lower-endpoint weights were computed again")
 
         monkeypatch.setattr(volterra, "lower_product_weights", no_new_rows)
-        again = resolvent(StateOperator(problems[0], grid))
+        again = resolvent(StateOperator(entries[0].problem, grid))
         assert again.residuals == first.residuals
-        resolvent(StateOperator(problems[1], grid))
+        ops = StateOperator(entries[1].problem, grid)
+        Psi = control_kernel(ops, resolvent(ops))
+        dlq = assemble_quadratic_form(ops, entries[1].cost)
+        assert crosscheck_kernel_samples(assemble_fredholm(dlq, 0), dlq, Psi) < 1e-2
 
 
 class TestSolveState:
@@ -855,7 +899,7 @@ class TestProblemData:
             sample_trajectory(np.ones(3), grid, 2)
 
 
-def no_fold(self, samples):
+def no_fold(weights, samples):
     raise AssertionError("kernel samples were folded")
 
 
@@ -871,7 +915,7 @@ def log_t(t, s):
 def test_non_finite_state_kernel_is_refused_when_the_operator_is_built(monkeypatch, n):
     # folded, the -inf at (0, 0) would be NaN (0 * inf, with a RuntimeWarning):
     # solve_state would return NaN and theta raise scipy's bare ValueError
-    monkeypatch.setattr(StateOperator, "_fold", no_fold)
+    monkeypatch.setattr(volterra, "_fold", no_fold)
     with pytest.raises(
         vlq_errors.NumericalError, match=r"state kernel A .* node pair \(0, 0\), t = 0, s = 0"
     ):
@@ -883,7 +927,7 @@ def test_first_non_finite_node_pair_is_named(monkeypatch):
     A = np.full((17, 17, 1, 1), 0.5)
     A[9, 4] = A[7, 3] = np.nan
     A[2, 5] = np.inf  # above the diagonal: never read
-    monkeypatch.setattr(StateOperator, "_fold", no_fold)
+    monkeypatch.setattr(volterra, "_fold", no_fold)
     named = r"state kernel A is not finite at node pair \(7, 3\), t = 0.4375, s = 0.1875"
     with pytest.raises(vlq_errors.NumericalError, match=named):
         StateOperator(scalar_problem(A, None, None), grid)
@@ -899,7 +943,7 @@ def test_non_finite_control_kernel_is_refused_before_it_is_folded(monkeypatch):
         A=const_kernel(0.3), B=B, phi=None, beta=0.75, T=1.0, n_state=2, n_control=1
     )
     ops = StateOperator(problem, grid)
-    monkeypatch.setattr(StateOperator, "_fold", no_fold)
+    monkeypatch.setattr(volterra, "_fold", no_fold)
     for read in (lambda: ops.B_samples, lambda: ops.WB_flat, lambda: ops.theta):
         with pytest.raises(
             vlq_errors.NumericalError, match=r"control kernel B .* node pair \(6, 6\)"
@@ -923,21 +967,12 @@ def test_level_with_a_nan_stops_the_series(monkeypatch, kind):
     # the level scale is max(F.max(), -F.min()), which a NaN makes NaN
     grid = build_grid(17, 1.0, kind)
     ops = StateOperator(scalar_problem(const_kernel(0.5), None, None), grid)
-    levels = record_levels(monkeypatch)
-    # target 9, source 4; the uniform plan's level is source-major
-    poisoned, entry = {
-        "uniform": ("_uniform_level", (4, 9, 0, 0)),
-        "graded": ("_convolve_columns", (9, 4, 0, 0)),
-    }[kind]
-    recorded = getattr(volterra, poisoned)
 
-    def level(*args):
-        F = recorded(*args)
-        if len(levels) == 2:
-            F[entry] = np.nan
-        return F
+    def poison(k, F):
+        if k == 2:
+            F[4, 9, 0, 0] = np.nan  # target 9, source 4: levels are source-major
 
-    monkeypatch.setattr(volterra, poisoned, level)
+    levels = record_levels(monkeypatch, poison)
     with pytest.raises(vlq_errors.NumericalError, match="level 2 is not finite"):
         resolvent(ops)
     assert len(levels) == 2
