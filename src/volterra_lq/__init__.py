@@ -36,16 +36,6 @@ from .lq import (
     solve_open_loop,
 )
 from .adjoint import control_from_adjoint, reduced_gradient, solve_adjoint
-from .causal import (
-    ReducedSystem,
-    RestrictedOperator,
-    TruncationFactor,
-    abstract_causal_control,
-    build_cross_term_reduction,
-    causal_trajectories,
-    general_causal_control,
-    lambda_sigma,
-)
 from .fredholm import (
     FredholmSystem,
     assemble_fredholm,
@@ -55,6 +45,15 @@ from .fredholm import (
     solve_galerkin,
     solve_iterated_galerkin,
     solve_superconvergent,
+)
+from .causal import (
+    ReducedSystem,
+    RestrictedOperator,
+    abstract_causal_control,
+    build_cross_term_reduction,
+    causal_trajectories,
+    general_causal_control,
+    lambda_sigma,
 )
 from .catalog import get_problem, problem_names
 from .config import RunConfig, load_config

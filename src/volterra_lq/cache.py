@@ -3,25 +3,26 @@
 Kernel files are flat binary with a single ASCII header line documenting
 the exact layout, e.g.
 
-    volterra-kernel v2 n=64 beta=0.75 d1=2 d2=2 res_def=1e-4 res_tr=2e-4 bound=1.5 layout=row-major-float64-le D
+    volterra-kernel v3 n=64 beta=0.75 d1=2 d2=2 res_def=1e-4 res_tr=2e-4 bound=1.5
+    crc32=5d1e0c7a layout=row-major-float64-le D
 
-followed by the raw row-major float64 little-endian bytes of the regular
-part D alone, n*n*d1*d2*8 bytes.  The cache directory defaults to
-~/.cache/volterra-lq and is overridden by the VOLTERRA_LQ_CACHE
-environment variable.  A cached kernel is keyed by what it is computed
-from: a key version, beta, the grid nodes and the sampled state kernel A,
-read from the state operator as `ops.A_samples`.  That A is also the
-resolvent's singular coefficient, so no file stores it: a loaded kernel
-shares the operator's table, and a miss computes `resolvent(ops)`.  The
-header keeps the residuals and the coefficient bound, so a loaded kernel
-equals the fresh one.
+(one line, crc32 in hex) followed by the raw row-major float64
+little-endian bytes of the regular part D alone, n*n*d1*d2*8 bytes.  The
+cache directory defaults to ~/.cache/volterra-lq and is overridden by the
+VOLTERRA_LQ_CACHE environment variable.  A cached kernel is keyed by what
+it is computed from: a key version, beta, the grid nodes and the sampled
+state kernel A, read from the state operator as `ops.A_samples`.  That A
+is also the resolvent's singular coefficient, so no file stores it: a
+loaded kernel shares the operator's table, and a miss computes
+`resolvent(ops)`.  The header keeps the residuals and the coefficient
+bound, so a loaded kernel equals the fresh one.
 
 Files are written to a temporary name in the target directory and moved
 into place, so a reader never sees a partial file.  The loader checks the
-magic, the header fields, that n, d1 and d2 are the coefficient's, and the
-exact data length, and raises KernelFileError otherwise; a cached kernel
-that fails the check, or whose beta is not the operator's, counts as a
-miss and is recomputed.
+magic, the header fields, that n, d1 and d2 are the coefficient's, the
+exact data length and the checksum of the data, and raises
+KernelFileError otherwise; a cached kernel that fails the check, or whose
+beta is not the operator's, counts as a miss and is recomputed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +47,10 @@ __all__ = [
 ]
 
 _EXT = ".vker"
-_MAGIC = "volterra-kernel v2 "
+_MAGIC = "volterra-kernel v3 "
 # changes with the file format, the resolvent series or the kernels it refuses,
 # so that no kernel computed by another version is read back
-_KEY_VERSION = "volterra-kernel v2 D only; resolvent series v8"
+_KEY_VERSION = "volterra-kernel v3 D only, crc32; resolvent series v8"
 
 
 def cache_dir(override: str | None = None) -> Path:
@@ -69,7 +71,7 @@ def save_factored_kernel(path, kernel: FactoredKernel):
         f"{_MAGIC}n={n} beta={kernel.beta!r} d1={d1} d2={d2} "
         f"res_def={res.get('defining', float('nan'))!r} "
         f"res_tr={res.get('transposed', float('nan'))!r} bound={float(kernel.coeff_bound)!r} "
-        f"layout=row-major-float64-le D\n"
+        f"crc32={zlib.crc32(D.data):08x} layout=row-major-float64-le D\n"
     )
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -89,8 +91,9 @@ def load_factored_kernel(path, singular_coeff: np.ndarray) -> FactoredKernel:
     The file holds the regular part only; the coefficient is the table the
     cache key pins, for a resolvent `ops.A_samples`, and the kernel keeps a
     read-only view of it.  KernelFileError when the magic is wrong, a field
-    is missing or malformed, n, d1 or d2 is not the coefficient's, or the
-    data length is not the regular part's.
+    is missing or malformed, n, d1 or d2 is not the coefficient's, the
+    data length is not the regular part's, or the data's CRC-32 is not the
+    header's.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -103,6 +106,7 @@ def load_factored_kernel(path, singular_coeff: np.ndarray) -> FactoredKernel:
             beta = float(f["beta"])
             residuals = {"defining": float(f["res_def"]), "transposed": float(f["res_tr"])}
             bound = float(f["bound"])
+            crc = int(f["crc32"], 16)
         except (KeyError, ValueError) as exc:
             raise KernelFileError(f"{path}: not a {_MAGIC.strip()} file ({exc})") from None
         if shape != singular_coeff.shape:
@@ -119,6 +123,8 @@ def load_factored_kernel(path, singular_coeff: np.ndarray) -> FactoredKernel:
         raise KernelFileError(
             f"{path}: expected {expected} data bytes after the header, found {found}"
         )
+    if zlib.crc32(D.data) != crc:
+        raise KernelFileError(f"{path}: data does not match the header's crc32")
     return FactoredKernel(singular_coeff, D, beta, coeff_bound=bound, residuals=residuals)
 
 

@@ -12,13 +12,12 @@ This module rebuilds u(t) from information available at time t only:
     reversed form and one triangular inverse of it give the block row of
     every truncation point at once: a backward sweep that is the
     discrete analogue of integrating the Riccati-like gain family once
-    (`TruncationFactor`, built once per assembled problem and kept as
-    `dlq.truncation_factor`).
+    (`dlq.truncation_rows`, built once per assembled problem and kept).
 
 `causal_trajectories(ops, u)` returns the whole truncation family as
 one (n, n, dx) array, row sigma holding X_sigma on the grid.  The running
 gradients of all truncation points are one product with Theta
-(`_running_gradients`, which checks that shape), so the causal control
+(`lq._running_gradients`, which checks that shape), so the causal control
 u(t) = -Z_t b_t is a single contraction over the nodes.
 
 With the weighted-adjoint discrete operators every identity used in the
@@ -32,7 +31,8 @@ state operator `dlq.ops` and sampled cost) or the state operator alone.
 Cross terms S, rho are removed first by the substitution
 u = v - R^(-1) (S X + rho), which rewrites the problem with shifted
 coefficients (see `build_cross_term_reduction(dlq)`); the general
-representation runs the causal machinery on the reduced system.
+representation runs the feedback-gain representation of `fredholm` on the
+reduced system.
 """
 
 from __future__ import annotations
@@ -40,17 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .errors import AssumptionError, NumericalError
-from .lq import CostData, DiscreteLQ, SampledCost, assemble_quadratic_form
+from .fredholm import representation_terms
+from .lq import CostData, DiscreteLQ, _require_no_cross_terms, _running_gradients
+from .lq import assemble_quadratic_form
 # resolvent is unused here; perfbench/tests/test_perfbench.py pins this import site
 from .volterra import ProblemData, StateOperator, resolvent, sample_trajectory  # noqa: F401
 
 __all__ = [
     "RestrictedOperator",
-    "TruncationFactor",
     "ReducedSystem",
     "lambda_sigma",
     "causal_trajectories",
@@ -109,8 +108,6 @@ class RestrictedOperator:
         return out
 
     def min_generalized_eigenvalue(self) -> float:
-        from scipy.linalg import eigh
-
         w_block = np.diag(self.dlq.wu[self._k :])
         return float(eigh(self.block, w_block, eigvals_only=True)[0])
 
@@ -120,71 +117,6 @@ def lambda_sigma(dlq: DiscreteLQ, sigma_index: int) -> RestrictedOperator:
     if not 0 <= sigma_index < dlq.n:
         raise ValueError(f"sigma index {sigma_index} out of range [0, {dlq.n})")
     return RestrictedOperator(sigma_index=sigma_index, dlq=dlq)
-
-
-class TruncationFactor:
-    """Block rows of every truncation point from one triangular inverse.
-
-    With P the index reversal, P Lam P = L L', so Lam = U U' with
-    U = P L P upper triangular, and the trailing block of Lam on nodes
-    >= sigma is U_k U_k', U_k the trailing block of U.  With V = U^(-1)
-    its inverse is V_k' V_k, whose block row of sigma is
-    Z_sigma = V_{sigma sigma}' V[sigma, sigma:].  One Cholesky of the
-    reversed form and one LAPACK `dtrtri` of its factor therefore give
-    the whole block-row matrix `Z` = blockdiag(V)' V, shape
-    (n, du, n du), in O((n du)^3 / 3) each.  Z is exactly zero left of
-    its block diagonal, so no row reads a node before its own, and
-    `block_row(sigma)` is a slice.  `lambda_sigma` remains the per-node
-    reference.
-    """
-
-    def __init__(self, dlq: DiscreteLQ):
-        n, du = self.n, self.du = dlq.n, dlq.du
-        try:
-            L = cholesky(dlq.lam[::-1, ::-1], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "quadratic form is not positive definite on the truncated "
-                "control spaces; check the coercivity assumptions on the "
-                "cost weights"
-            ) from exc
-        L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)  # nonsingular: diag(L) > 0
-        V = L_inv[::-1, ::-1].reshape(n, du, n * du)
-        nodes = np.arange(n)
-        V_diag = V.reshape(n, du, n, du)[nodes, :, nodes]  # V_{sigma sigma}
-        self.Z = V_diag.swapaxes(1, 2) @ V
-
-    def block_row(self, sigma_index: int) -> np.ndarray:
-        """Z_sigma, shape (du, (n - sigma) du); columns run over nodes >= sigma."""
-        if not 0 <= sigma_index < self.n:
-            raise ValueError(f"sigma index {sigma_index} out of range [0, {self.n})")
-        return self.Z[sigma_index, :, sigma_index * self.du :]
-
-
-def _require_no_cross_terms(sc: SampledCost, what: str):
-    if sc.has_cross_terms:
-        raise AssumptionError(
-            f"{what} requires zero cross weights S and rho; "
-            "route the problem through build_cross_term_reduction first"
-        )
-
-
-def _running_gradients(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
-    """Running gradients of every truncation point, one flat row per sigma.
-
-    Row sigma is Wu [Theta* Q X_sigma + Theta_T* G X_sigma(T) + Theta* q
-    + Theta_T* g] for the truncation trajectory X_sigma = x_trunc[sigma];
-    all rows come from one product with Theta.
-    """
-    sc, ops = dlq.cost_samples, dlq.ops
-    n, dx = ops.n, ops.dx
-    if np.shape(x_trunc) != (n, n, dx):
-        raise ValueError("trajectories do not match the grid and state dimension")
-    # one product per node i with the (dx, n) panel of every sigma
-    qx = (sc.Q @ np.transpose(x_trunc, (1, 2, 0))).transpose(2, 0, 1) + sc.q
-    b = (ops.wx * qx.reshape(n, n * dx)) @ ops.theta
-    b += (x_trunc[:, -1] @ sc.G.T + sc.g) @ ops.theta[-dx:]
-    return b
 
 
 def abstract_causal_control(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
@@ -199,12 +131,12 @@ def abstract_causal_control(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
 
     On row t the correction R^(-1)(Lam - R) of the trailing-block solve
     cancels exactly, leaving u(t) = -Z_t b_t[t:] with Z_t the block row
-    of the problem's `TruncationFactor` and b_t the running gradient; all
+    of t in `dlq.truncation_rows` and b_t the running gradient; all
     nodes are one contraction of Z with the running gradients.
     """
     _require_no_cross_terms(dlq.cost_samples, "the causal representation")
     b = _running_gradients(dlq, x_trunc)
-    return -np.einsum("tak,tk->ta", dlq.truncation_factor.Z, b)
+    return -np.einsum("tak,tk->ta", dlq.truncation_rows, b)
 
 
 @dataclass(frozen=True)
@@ -291,8 +223,6 @@ def general_causal_control(
     optimal state.  Combines the instantaneous term -R^(-1)(S X + rho)
     with the feedback-gain representation of the reduced problem.
     """
-    from .fredholm import representation_terms
-
     v_rep = representation_terms(
         reduced.dlq, x_trunc, method=method, subspace_dim=subspace_dim, iterations=iterations
     )

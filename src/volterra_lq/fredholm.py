@@ -30,7 +30,7 @@ Solvers, from oracle to cheap:
     M_sigma(sigma, .) is read off the block row Z_sigma of sigma in the
     inverse trailing block.  One reversed Cholesky plus one triangular
     inverse per assembled problem give every Z_sigma, each read as a
-    slice (`causal.TruncationFactor`).  The whole family costs
+    slice of `dlq.truncation_rows`.  The whole family costs
     O((n du)^3), the discrete analogue of integrating the Riccati-like
     family once, backward.
 *   `solve_galerkin`: orthogonal projection onto continuous piecewise
@@ -61,7 +61,8 @@ blocks >= sigma of H' Wu Kmat, inverted in one stacked call, so no
 column's result depends on a kernel column before its sigma.  For every node at once this costs O(n (q du)^3) for the
 projected systems plus a few O(n^3 du^2) kernel products.  The
 `fredholm-methods` scenario walks the sweep itself and measures each
-iterate's distance to the direct oracle.
+iterate's distance to the direct oracle.  This module reads `lq` and
+`volterra` only; `causal` builds on it for problems with cross terms.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ from itertools import islice
 
 import numpy as np
 
-from .causal import _require_no_cross_terms, _running_gradients
 from .errors import AssumptionError, NumericalError
 from .grids import Grid, trapezoid_rule
 # solve_open_loop is unused here; perfbench/tests/test_perfbench.py pins this import site
 from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop  # noqa: F401
+from .lq import _require_no_cross_terms, _running_gradients
 from .volterra import FactoredKernel, _lower_table, _require_matching_kernel
 
 __all__ = [
@@ -305,17 +306,18 @@ def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) 
     return next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None))
 
 
-def _direct_gain_rows(factor, R: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _direct_gain_rows(Z: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gain blocks M_t(t, s_j) of every node t, shape (n, n, du, du).
 
-    M_t(t, s_j) = (Z_t (R W)[t:, t:] - E_t) / w_j with Z_t the factor's
-    block row and E_t the unit block row of node t, evaluated blockwise
-    as Z_t(j) R_j minus I / w_t on the diagonal block.  The blocks with
+    M_t(t, s_j) = (Z_t (R W)[t:, t:] - E_t) / w_j with Z_t the block row
+    of t in the problem's `truncation_rows` Z and E_t the unit block row
+    of node t, evaluated blockwise as Z_t(j) R_j minus I / w_t on the
+    diagonal block.  The blocks with
     j < t are exactly zero, as Z is; the other rows of the gain equation
     at sigma = t are never formed.
     """
-    n, du = factor.n, factor.du
-    by_node = factor.Z.reshape(n * du, n, du).swapaxes(0, 1) @ R  # [j, (t, a), b]
+    n, du = Z.shape[:2]
+    by_node = Z.reshape(n * du, n, du).swapaxes(0, 1) @ R  # [j, (t, a), b]
     rows = by_node.reshape(n, n, du, du).swapaxes(0, 1)
     nodes = np.arange(n)
     rows[nodes, nodes] -= np.eye(du) / w[:, None, None]
@@ -328,7 +330,7 @@ def _gain_integrals(
     """The integrals sum_{j >= t} w_j M_t(t, s_j) rg[t, j] of the representation, per t.
 
     rg[t] is the data of node t.  The direct method reads every gain row
-    from the problem's truncation factor.  The projection methods run one
+    from the problem's `truncation_rows`.  The projection methods run one
     sweep over all nodes at once: column t of its right side is the
     column f v of sigma = t, with v = w rg[t] on the nodes j >= t (the
     columns of f before t are never read), and node t keeps block t of
@@ -337,7 +339,7 @@ def _gain_integrals(
     n, du = dlq.n, dlq.du
     w = dlq.ops.omega
     if method == "direct":
-        rows = _direct_gain_rows(dlq.truncation_factor, dlq.cost_samples.R, w)
+        rows = _direct_gain_rows(dlq.truncation_rows, dlq.cost_samples.R, w)
         rows = rows.swapaxes(1, 2).reshape(n, du, n * du)  # gain row of t, flat over j
         return (rows @ (w[:, None] * rg).reshape(n, n * du, 1))[..., 0]
     if method not in ("galerkin", "iterated", "superconvergent"):
@@ -402,10 +404,11 @@ def crosscheck_kernel_samples(
     diagonal (the folded singular factor must stay resolved) and away
     from the terminal corner (where the integration domain degenerates to
     a few segments); within that region the two routes agree to first
-    order in the step.  A Psi of another node count or beta raises
-    ValueError, and so does a grid too coarse to hold such a pair.
+    order in the step.  A Psi not built from `dlq.ops` (another node
+    count, beta, grid or operator) raises ValueError, and so does a grid
+    too coarse to hold such a pair.
     """
-    _require_matching_kernel(Psi, dlq.ops, "the control kernel Psi")
+    _require_matching_kernel(Psi, dlq.ops, dlq.ops.B_samples, "control kernel Psi")
     rng = rng or np.random.default_rng(0)
     grid = sys.grid
     n, du = sys.n, sys.du

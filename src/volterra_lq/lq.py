@@ -23,7 +23,10 @@ carries it as `dlq.ops`, which every layer above reads.  The independent
 references `evaluate_cost(ops, cost, u)`, the adjoint pair and the
 `reduced_gradient(ops, cost, u)` built from it take the operator and the
 cost themselves and form no theta; the cost may be a `CostData` or the
-weights already sampled on that grid (`dlq.cost_samples`).
+weights already sampled on that grid (`dlq.cost_samples`).  The form also
+owns what the causal and feedback layers read of it, the block rows of
+every truncation point (`dlq.truncation_rows`) and the running gradients
+of a truncation family; this module imports neither layer.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 
 from .errors import AssumptionError, NumericalError
 from .grids import Grid
@@ -207,7 +211,7 @@ class DiscreteLQ:
     J(u) = u' lam u + 2 (Wu ell1)' u + lam0 with Wu the repeated trapezoid
     weights; ell1 holds nodal values of the affine term.  The causal
     reconstructions and the direct gain of one problem share one
-    `truncation_factor`, and the condition warning and the coercivity
+    `truncation_rows`, and the condition warning and the coercivity
     probe share one `weighted_eigenvalues`; both are built on first use
     and kept, so a copy with another lam (`dataclasses.replace`) builds
     its own.
@@ -237,11 +241,33 @@ class DiscreteLQ:
         return self.wu * self.ell1
 
     @cached_property
-    def truncation_factor(self):
-        """`causal.TruncationFactor` of lam, built on first use and kept."""
-        from .causal import TruncationFactor
+    def truncation_rows(self) -> np.ndarray:
+        """Block rows Z of every truncation point, shape (n, du, n du), kept once built.
 
-        return TruncationFactor(self)
+        With P the index reversal, P lam P = L L', so lam = U U' with
+        U = P L P upper triangular, and the trailing block of lam on nodes
+        >= sigma is U_k U_k', U_k the trailing block of U.  With V = U^(-1)
+        its inverse is V_k' V_k, whose block row of sigma is
+        Z_sigma = V_{sigma sigma}' V[sigma, sigma:].  One Cholesky of the
+        reversed form and one LAPACK `dtrtri` of its factor therefore give
+        Z = blockdiag(V)' V in O((n du)^3 / 3) each; Z_sigma is the slice
+        Z[sigma, :, sigma du:].  Z is exactly zero left of its block
+        diagonal, so no row reads a node before its own.
+        """
+        n, du = self.n, self.du
+        try:
+            L = cholesky(self.lam[::-1, ::-1], lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "quadratic form is not positive definite on the truncated "
+                "control spaces; check the coercivity assumptions on the "
+                "cost weights"
+            ) from exc
+        L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)  # nonsingular: diag(L) > 0
+        V = L_inv[::-1, ::-1].reshape(n, du, n * du)
+        nodes = np.arange(n)
+        V_diag = V.reshape(n, du, n, du)[nodes, :, nodes]  # V_{sigma sigma}
+        return V_diag.swapaxes(1, 2) @ V
 
     @cached_property
     def weighted_eigenvalues(self) -> np.ndarray:
@@ -253,6 +279,33 @@ class DiscreteLQ:
         """
         s = 1.0 / np.sqrt(self.wu)
         return np.linalg.eigvalsh(s[:, None] * self.lam * s)
+
+
+def _require_no_cross_terms(sc: SampledCost, what: str):
+    if sc.has_cross_terms:
+        raise AssumptionError(
+            f"{what} requires zero cross weights S and rho; "
+            "route the problem through build_cross_term_reduction first"
+        )
+
+
+def _running_gradients(dlq: DiscreteLQ, x_trunc: np.ndarray) -> np.ndarray:
+    """Running gradients of every truncation point, one flat row per sigma.
+
+    Row sigma is Wu [Theta* Q X_sigma + Theta_T* G X_sigma(T) + Theta* q
+    + Theta_T* g] for the truncation trajectory X_sigma = x_trunc[sigma];
+    all rows come from one product with Theta.  Without cross terms row 0,
+    of the free response, is the form's own linear term Wu ell1.
+    """
+    sc, ops = dlq.cost_samples, dlq.ops
+    n, dx = ops.n, ops.dx
+    if np.shape(x_trunc) != (n, n, dx):
+        raise ValueError("trajectories do not match the grid and state dimension")
+    # one product per node i with the (dx, n) panel of every sigma
+    qx = (sc.Q @ np.transpose(x_trunc, (1, 2, 0))).transpose(2, 0, 1) + sc.q
+    b = (ops.wx * qx.reshape(n, n * dx)) @ ops.theta
+    b += (x_trunc[:, -1] @ sc.G.T + sc.g) @ ops.theta[-dx:]
+    return b
 
 
 def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) -> DiscreteLQ:

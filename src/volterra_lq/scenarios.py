@@ -18,6 +18,7 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import __version__
 from .adjoint import control_from_adjoint, solve_adjoint
@@ -30,11 +31,12 @@ from .causal import (
     general_causal_control,
 )
 from .config import RunConfig, _energy_grid, _validate
-from .fredholm import representation_terms
+from .fredholm import _Projection, _sweep, assemble_fredholm, representation_terms, solve_direct
 from .grids import _hat_row, build_grid, integrate_singular, product_weights
 from .lq import CostData, assemble_quadratic_form, evaluate_cost, solve_open_loop
 # resolvent is unused here; perfbench/tests/test_perfbench.py pins this import site
 from .volterra import ProblemData, StateOperator, resolvent, solve_state  # noqa: F401
+from .volterra import _require_matching_kernel
 
 __all__ = ["Check", "ScenarioReport", "run_scenario"]
 
@@ -379,9 +381,10 @@ def _varconst_deviation(ops, kernel, seed) -> float:
     """Stepping solve vs the variation-of-constants formula through the kernel.
 
     The kernel must be `ops`' resolvent, whose singular coefficient is
-    `ops.A_samples` itself; any other kernel raises ValueError.  For a
-    seeded smooth xi (per component a cos(w t + p)), the factored
-    resolvent Phi = A (t-s)^(beta-1) + D gives
+    `ops.A_samples` itself; any other kernel raises ValueError
+    (`volterra._require_matching_kernel`).  For a seeded smooth xi (per
+    component a cos(w t + p)), the factored resolvent
+    Phi = A (t-s)^(beta-1) + D gives
 
         x(t_i) = xi(t_i) + sum_j (sw_ij A_ij + omega_j D_ij) xi(t_j),
 
@@ -392,8 +395,7 @@ def _varconst_deviation(ops, kernel, seed) -> float:
     both sides, so it falls under grid doubling and moves with every entry
     of D.
     """
-    if not np.shares_memory(kernel.singular_coeff, ops.A_samples):
-        raise ValueError("the varconst check needs the operator's own resolvent kernel")
+    _require_matching_kernel(kernel, ops, ops.A_samples, "resolvent kernel")
     rng = np.random.default_rng(seed)
     n, dx, nodes, omega = ops.n, ops.dx, ops.grid.nodes, ops.omega
     amp, freq, phase = rng.uniform((0.5, 1.0, 0.0), (1.5, 4.0, 2.0 * np.pi), size=(dx, 3)).T
@@ -407,8 +409,6 @@ def _varconst_deviation(ops, kernel, seed) -> float:
 
 def _series_error(ops, kernel) -> float:
     """Constant-coefficient check against the closed-form series at offsets >= 4h."""
-    from scipy.special import gammaln
-
     a, beta, grid, n = float(ops.A_samples[0, 0, 0, 0]), ops.beta, ops.grid, ops.n
     worst = 0.0
     for d in range(4, n, max(1, (n - 4) // 40)):
@@ -426,8 +426,6 @@ def _series_error(ops, kernel) -> float:
 
 
 def _run_fredholm_methods(cfg: RunConfig) -> ScenarioReport:
-    from .fredholm import _Projection, _sweep, assemble_fredholm, solve_direct
-
     report = ScenarioReport("fredholm-methods", cfg.problem)
     grid = build_grid(cfg.n, cfg.T, cfg.grid, cfg.grading_exponent)
     trials = 20

@@ -766,16 +766,24 @@ class StateOperator:
         return v
 
 
-def _require_matching_kernel(kernel: FactoredKernel, ops: StateOperator, what: str):
-    """Raise ValueError when a kernel's node count or beta is not the operator's.
+def _require_matching_kernel(kernel: FactoredKernel, ops: StateOperator, table, what: str):
+    """Raise ValueError unless a kernel was built from the operator's sample `table`.
 
-    A same-size kernel built on other nodes passes: it records no nodes.
+    Node count and beta must be the operator's, and the singular coefficient
+    must share memory with `table` (`ops.A_samples` for a resolvent,
+    `ops.B_samples` for Psi): a kernel records no nodes, so this refuses a
+    same-size kernel of another grid or operator.
     """
     for name, mine, theirs in (("n", kernel.n, ops.n), ("beta", kernel.beta, ops.beta)):
         if mine != theirs:
             raise ValueError(
-                f"{what} has {name} = {mine}, but the state operator has {name} = {theirs}"
+                f"the {what} has {name} = {mine}, but the state operator has {name} = {theirs}"
             )
+    if not np.shares_memory(kernel.singular_coeff, table):
+        raise ValueError(
+            f"the {what} was not built from this state operator; "
+            f"pass the operator's own {what}"
+        )
 
 
 def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> FactoredKernel:
@@ -789,9 +797,10 @@ def control_kernel(ops: StateOperator, resolvent_kernel: FactoredKernel) -> Fact
     transposed back); the regular piece D takes the hat weights of the
     lower-endpoint factor (tau-s)^(beta-1) alone (`_lower_product` on every
     column).  The singular coefficient is `ops.B_samples` itself, read-only.  A
-    resolvent of another node count or beta raises ValueError.
+    resolvent not built from `ops` (another node count, beta, grid or
+    operator) raises ValueError.
     """
-    _require_matching_kernel(resolvent_kernel, ops, "the resolvent kernel")
+    _require_matching_kernel(resolvent_kernel, ops, ops.A_samples, "resolvent kernel")
     beta, grid = ops.beta, ops.grid
     Bsamp = ops.B_samples
     piece1 = _convolve_columns(

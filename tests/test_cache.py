@@ -1,3 +1,5 @@
+import re
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,7 @@ def test_factored_kernel_round_trip(tmp_path):
     assert loaded.residuals == kernel.residuals
     assert np.isfinite(kernel.coeff_bound) and loaded.coeff_bound == kernel.coeff_bound
     header = path.read_bytes().split(b"\n", 1)[0].decode()
-    assert "volterra-kernel v2" in header
+    assert "volterra-kernel v3" in header
     assert "n=24" in header
 
 
@@ -41,8 +43,8 @@ def test_kernel_file_is_the_header_then_the_regular_part(tmp_path, kind):
     path = tmp_path / "k.vker"
     save_factored_kernel(path, kernel)
     header, data = path.read_bytes().split(b"\n", 1)
-    assert header.startswith(b"volterra-kernel v2 n=24 beta=0.75 d1=2 d2=2 ")
-    assert header.endswith(b" layout=row-major-float64-le D")
+    assert header.startswith(b"volterra-kernel v3 n=24 beta=0.75 d1=2 d2=2 ")
+    assert header.endswith(f" crc32={zlib.crc32(data):08x} layout=row-major-float64-le D".encode())
     assert data == kernel.regular_part.tobytes()
     assert len(data) == 24 * 24 * 2 * 2 * 8
 
@@ -223,14 +225,28 @@ def _damage(data: bytes, how: str) -> bytes:
         return data[: head + half]
     if how == "padded":
         return data + bytes(8)
+    if how == "flipped-payload":  # same length, one bit of D off
+        return data[: head + half] + bytes([data[head + half] ^ 1]) + data[head + half + 1 :]
     if how == "v1-header":  # the format that also stored C
-        return data.replace(b"volterra-kernel v2 ", b"volterra-kernel v1 ", 1)
+        return data.replace(b"volterra-kernel v3 ", b"volterra-kernel v1 ", 1)
+    if how == "v2-header":  # the format before the checksum, with the same D
+        v3 = rb"^volterra-kernel v3 (.*) crc32=[0-9a-f]{8} "
+        return re.sub(v3, rb"volterra-kernel v2 \1 ", data)
     # same fields and length under another format's magic
-    return data.replace(b"volterra-kernel v2 ", b"some-other-format v2 ", 1)
+    return data.replace(b"volterra-kernel v3 ", b"some-other-format v3 ", 1)
 
 
 @pytest.mark.parametrize(
-    "how", ["truncated-odd", "truncated-even", "padded", "foreign-header", "v1-header"]
+    "how",
+    [
+        "truncated-odd",
+        "truncated-even",
+        "padded",
+        "flipped-payload",
+        "foreign-header",
+        "v1-header",
+        "v2-header",
+    ],
 )
 def test_damaged_cache_file_is_a_miss(tmp_path, how):
     cache = tmp_path / "cache"
@@ -240,14 +256,19 @@ def test_damaged_cache_file_is_a_miss(tmp_path, how):
         f"outdir = {tmp_path / 'out'}\ncache_dir = {cache}\n"
     )
     assert main(["run", "--config", str(cfg)]) == 0
+    tables = [tmp_path / "out" / name for name in ("convergence.csv", "residuals.csv")]
+    cold = [path.read_bytes() for path in tables]
     files = sorted(cache.glob("*.vker"))
     good = files[0].read_bytes()
     # the loader reads only the shape of this stand-in for the key's A
     coeff = np.zeros(_header_shape(files[0]))
-    files[0].write_bytes(_damage(good, how))
+    damaged = _damage(good, how)
+    assert damaged != good
+    files[0].write_bytes(damaged)
     with pytest.raises(KernelFileError):
         load_factored_kernel(files[0], coeff)
     assert main(["run", "--config", str(cfg)]) == 0
     assert files[0].read_bytes() == good
+    assert [path.read_bytes() for path in tables] == cold
     load_factored_kernel(files[0], coeff)
     assert sorted(p.name for p in cache.iterdir()) == [p.name for p in files]

@@ -9,7 +9,6 @@ from volterra_lq import (
     CostData,
     NumericalError,
     StateOperator,
-    TruncationFactor,
     abstract_causal_control,
     build_cross_term_reduction,
     build_grid,
@@ -20,8 +19,7 @@ from volterra_lq import (
     solve_open_loop,
 )
 from volterra_lq.catalog import get_problem
-from volterra_lq.causal import _running_gradients
-from volterra_lq.lq import _apply_blocks
+from volterra_lq.lq import _apply_blocks, _running_gradients
 
 from conftest import Pipeline, blockdiag, rel_l2
 
@@ -106,19 +104,20 @@ class TestTruncationFactor:
     def test_block_rows_match_inverse_of_trailing_block(self, truncation_case):
         dlq = truncation_case.dlq
         n, du = dlq.n, dlq.du
-        factor = TruncationFactor(dlq)
+        Z = dlq.truncation_rows
+        assert Z.shape == (n, du, n * du)
         for sigma in range(n):
             k = sigma * du
             expected = np.linalg.inv(dlq.lam[k:, k:])[:du]
-            got = factor.block_row(sigma)
+            got = Z[sigma, :, k:]
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
 
     def test_block_rows_are_exactly_zero_left_of_the_diagonal(self, truncation_case):
         dlq = truncation_case.dlq
-        factor = TruncationFactor(dlq)
+        Z = dlq.truncation_rows
         for sigma in range(dlq.n):
-            assert np.all(factor.Z[sigma, :, : sigma * dlq.du] == 0.0)
+            assert np.all(Z[sigma, :, : sigma * dlq.du] == 0.0)
 
     def test_causal_control_matches_per_node_restricted_solve(self, truncation_case):
         # the slow reference: restricted solve per node, then the
@@ -139,13 +138,6 @@ class TestTruncationFactor:
         rec = abstract_causal_control(dlq, traj)
         assert rel_l2(pipe.omega, rec, expected) <= 1e-12
 
-    def test_out_of_range(self, rs_pipeline):
-        factor = TruncationFactor(rs_pipeline.dlq)
-        with pytest.raises(ValueError):
-            factor.block_row(rs_pipeline.grid.n)
-        with pytest.raises(ValueError):
-            factor.block_row(-1)
-
     def test_loss_of_positive_definiteness_is_a_numerical_error(self, rs_pipeline):
 
         pipe = rs_pipeline
@@ -153,7 +145,7 @@ class TestTruncationFactor:
         bad = replace(pipe.dlq, lam=pipe.dlq.lam - np.median(eig) * np.eye(eig.size))
         traj = causal_trajectories(pipe.ops, pipe.u_opt)
         with pytest.raises(NumericalError, match="coercivity"):
-            TruncationFactor(bad)
+            bad.truncation_rows
         with pytest.raises(NumericalError, match="coercivity"):
             abstract_causal_control(bad, traj)
         with pytest.raises(NumericalError, match="coercivity"):

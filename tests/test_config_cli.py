@@ -419,12 +419,12 @@ def test_equivalence_solves_the_open_loop_once(tmp_path, monkeypatch):
 def test_equivalence_factors_the_form_once(tmp_path, monkeypatch):
     # both causal reconstructions and the direct gain family share one
     # reversed Cholesky and one triangular inverse
-    import volterra_lq.causal as causal
+    import volterra_lq.lq as lq
 
     calls = {"cholesky": 0, "dtrtri": 0}
 
     def counting(name):
-        real = getattr(causal, name)
+        real = getattr(lq, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -433,7 +433,7 @@ def test_equivalence_factors_the_form_once(tmp_path, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(causal, name, counting(name))
+        monkeypatch.setattr(lq, name, counting(name))
     cfg = load_config(
         write(
             tmp_path,

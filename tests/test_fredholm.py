@@ -20,7 +20,7 @@ from volterra_lq import (
     solve_superconvergent,
 )
 from volterra_lq.catalog import get_problem
-from volterra_lq.causal import TruncationFactor, causal_trajectories, lambda_sigma
+from volterra_lq.causal import causal_trajectories, lambda_sigma
 from volterra_lq.fredholm import representation_terms
 
 from conftest import Pipeline, blockdiag, gain_table, rel_l2
@@ -112,6 +112,17 @@ class TestAssembly:
         with pytest.raises(ValueError, match="n = 24.*n = 48"):
             crosscheck_kernel_samples(sys0, pipe.dlq, small.Psi)
 
+    def test_crosscheck_rejects_kernel_of_another_grid(self):
+        # same n and beta on uniform nodes: read as the graded Psi, it
+        # would pass for the graded problem's kernel
+        entry = get_problem("random-smooth", 0.75, 1.0, 3)
+        graded = StateOperator(entry.problem, build_grid(33, 1.0, "graded"))
+        uniform = StateOperator(entry.problem, build_grid(33, 1.0))
+        dlq = vlq.assemble_quadratic_form(graded, entry.cost)
+        Psi = control_kernel(uniform, resolvent(uniform))
+        with pytest.raises(ValueError, match="control kernel Psi was not built from this"):
+            crosscheck_kernel_samples(assemble_fredholm(dlq, 0), dlq, Psi)
+
     def test_crosscheck_needs_a_pair_six_steps_apart(self):
         # on a uniform grid of 9 nodes no two of nodes 1..6 lie 6T/n apart:
         # a ValueError naming n, not an endless search; 10 nodes hold a pair
@@ -178,7 +189,7 @@ class TestDirectGainSweep:
         dlq = pipe.dlq
         sys0 = assemble_fredholm(dlq, 0)
         R, w = dlq.cost_samples.R, dlq.ops.omega
-        rows = _direct_gain_rows(TruncationFactor(dlq), R, w)
+        rows = _direct_gain_rows(dlq.truncation_rows, R, w)
         for sigma in range(dlq.n):
             table = gain_table(solve_direct(replace(sys0, sigma_index=sigma)), dlq.n, dlq.du)
             oracle = table[sigma, sigma:]

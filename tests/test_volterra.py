@@ -733,6 +733,18 @@ class TestControlKernel:
         with pytest.raises(ValueError, match="n = 9.*n = 17"):
             control_kernel(ops, smaller)
 
+    def test_rejects_resolvent_of_another_grid_or_operator(self):
+        # a kernel records no nodes: a same-size resolvent of uniform nodes
+        # would give a graded Psi that is silently wrong, and one of a twin
+        # operator with equal A is still not this operator's
+        p = get_problem("random-smooth", 0.75, 1.0, 3).problem
+        graded = StateOperator(p, build_grid(33, 1.0, "graded"))
+        uniform = StateOperator(p, build_grid(33, 1.0))
+        twin = StateOperator(p, uniform.grid)
+        for ops, other in ((graded, uniform), (uniform, twin)):
+            with pytest.raises(ValueError, match="resolvent kernel was not built from this"):
+                control_kernel(ops, resolvent(other))
+
     def test_free_response_consistent_with_kernel_route(self):
         # psi = phi + int Phi phi, the singular factor integrated by
         # product weights on the factored coefficient
