@@ -37,7 +37,7 @@ reduced system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
@@ -65,19 +65,19 @@ def causal_trajectories(ops: StateOperator, u) -> np.ndarray:
     Returns the truncation family x_trunc of shape (n, n, dx):
     x_trunc[sigma, i] is the state at t_i with the control cut off from
     node sigma on; x_trunc[sigma, -1] is the forecast of X(T) from the
-    same truncated control.
+    same truncated control.  Every node's response theta[:, j] u(t_j) is
+    one batched product, and the rows are one running sum over them from
+    psi, added in node order.
     """
     n, dx, du = ops.n, ops.dx, ops.du
     u_s = sample_trajectory(u, ops.grid, du)
-    theta = ops.theta
-    x = np.empty((n, n, dx))
-    acc = ops.psi.ravel().copy()
-    x[0] = acc.reshape(n, dx)
-    for sigma in range(1, n):
-        j = sigma - 1
-        acc = acc + theta[:, j * du : (j + 1) * du] @ u_s[j]
-        x[sigma] = acc.reshape(n, dx)
-    return x
+    x = np.empty((n, n * dx))
+    x[0] = ops.psi.ravel()
+    # row sigma + 1 first holds node sigma's response theta[:, sigma] u(t_sigma), one product
+    by_node = ops.theta.reshape(n * dx, n, du).transpose(1, 0, 2)
+    np.matmul(by_node[:-1], u_s[:-1, :, None], out=x[1:, :, None])
+    np.add.accumulate(x, axis=0, out=x)
+    return x.reshape(n, n, dx)
 
 
 @dataclass
@@ -165,22 +165,18 @@ class ReducedSystem:
         return v - np.einsum("iab,ib->ia", self.R_inv, shift)
 
 
-def build_cross_term_reduction(dlq: DiscreteLQ) -> ReducedSystem:
-    """Fold the cross weights S, rho into shifted problem data.
+def _reduced_operator(ops: StateOperator, RS: np.ndarray, rho_resp: np.ndarray) -> StateOperator:
+    """State operator of the reduced problem, kernel A - B R^(-1) S and free term phi - WB rho_resp.
 
-    dlq is the assembled original problem.  The shifted kernels are built
-    from the sampled originals nodewise, so the reduced discrete problem
-    (`reduced.dlq`, whose state operator is `reduced.dlq.ops`) is exactly
-    equivalent to the original one: optimal controls map through
-    u = v - R^(-1)(S X + rho) and optimal values differ by the recorded
-    constant.
+    RS holds R^(-1) S per node and rho_resp R^(-1) rho.  The shifted
+    kernel is built from the sampled originals pair by pair; the operator
+    samples it, and B, into tables of its own, and its problem then reads
+    those same tables, so the reduced system holds one table each of A
+    and B and none of the original operator's.
     """
-    ops, sc = dlq.ops, dlq.cost_samples
-    problem, grid = ops.problem, ops.grid
-    Rinv = sc.R_inverses()
-    RS = np.einsum("iab,ibx->iax", Rinv, sc.S)  # R^-1 S per node
-    A_hat = ops.A_samples - ops.B_samples @ RS  # B(t_i, s_j) R^-1 S(s_j) per pair
-    rho_resp = np.einsum("iab,ib->ia", Rinv, sc.rho)
+    problem = ops.problem
+    A_hat = ops.B_samples @ RS  # B(t_i, s_j) R^-1 S(s_j) per pair
+    np.subtract(ops.A_samples, A_hat, out=A_hat)
     phi_hat = (ops.phi.ravel() - ops.WB_flat @ rho_resp.ravel()).reshape(ops.n, ops.dx)
     problem_hat = ProblemData(
         A=A_hat,
@@ -191,12 +187,31 @@ def build_cross_term_reduction(dlq: DiscreteLQ) -> ReducedSystem:
         n_state=problem.n_state,
         n_control=problem.n_control,
     )
+    ops_hat = StateOperator(problem_hat, ops.grid)
+    ops_hat.problem = replace(problem_hat, A=ops_hat.A_samples, B=ops_hat.B_samples)
+    return ops_hat
+
+
+def build_cross_term_reduction(dlq: DiscreteLQ) -> ReducedSystem:
+    """Fold the cross weights S, rho into shifted problem data.
+
+    dlq is the assembled original problem.  The shifted kernels are built
+    from the sampled originals nodewise, so the reduced discrete problem
+    (`reduced.dlq`, whose state operator is `reduced.dlq.ops`) is exactly
+    equivalent to the original one: optimal controls map through
+    u = v - R^(-1)(S X + rho) and optimal values differ by the recorded
+    constant.  The reduced system holds none of dlq's tables, so they go
+    when the caller drops dlq.
+    """
+    ops, sc = dlq.ops, dlq.cost_samples
+    Rinv = sc.R_inverses()
+    rho_resp = np.einsum("iab,ib->ia", Rinv, sc.rho)
+    ops_hat = _reduced_operator(ops, np.einsum("iab,ibx->iax", Rinv, sc.S), rho_resp)
     Q_hat = sc.Q - np.einsum("icx,icd,idy->ixy", sc.S, Rinv, sc.S)
     q_hat = sc.q - np.einsum("icx,ic->ix", sc.S, rho_resp)
     cost_hat = CostData(
         Q=Q_hat, S=None, R=sc.R, q=q_hat, rho=None, G=sc.G, g=sc.g, delta=sc.delta
     )
-    ops_hat = StateOperator(problem_hat, grid)
     dlq_hat = assemble_quadratic_form(ops_hat, cost_hat)
     offset = float(np.einsum("i,ia,ia->", ops.omega, rho_resp, sc.rho))
     return ReducedSystem(

@@ -30,9 +30,10 @@ Solvers, from oracle to cheap:
     M_sigma(sigma, .) is read off the block row Z_sigma of sigma in the
     inverse trailing block.  One reversed Cholesky plus one triangular
     inverse per assembled problem give every Z_sigma, each read as a
-    slice of `dlq.truncation_rows`.  The whole family costs
-    O((n du)^3), the discrete analogue of integrating the Riccati-like
-    family once, backward.
+    slice of `dlq.truncation_rows`, which the representation contracts
+    with its node data directly (no table of gain rows).  The whole
+    family costs O((n du)^3), the discrete analogue of integrating the
+    Riccati-like family once, backward.
 *   `solve_galerkin`: orthogonal projection onto continuous piecewise
     linear functions on a coarser node set (through the Gram system).
 *   `solve_iterated_galerkin`: one extra kernel application; the
@@ -53,13 +54,15 @@ solver gives all its columns the one sigma and returns the gain table flat,
 shape (n du, n du), in the layout of `rhs`.  The representation, which
 needs M_t(t, .) only against one vector v per node, gives column t of its
 (n du, n) right side, node t's column f v, sigma = t, and never forms a
-gain table.  Either way K_sigma is applied to every column at once as
-Kmat[:, lo:] @ (mask * M[lo:]), lo = du min sigma, the mask keeping the
-rows of the nodes >= sigma of each column, and the projected matrices
+gain table.  One sigma is applied as Kmat[:, lo:] @ M[lo:], lo = du sigma;
+one sigma per column block by block, Kmat[:, lo:] @ (mask * M[lo:, block])
+with lo = du min sigma over the block and the mask keeping the rows of
+the nodes >= sigma of each column.  The projected matrices
 Gram - H' Wu K_sigma H come from one reverse cumulative sum over the node
 blocks >= sigma of H' Wu Kmat, inverted in one stacked call, so no
-column's result depends on a kernel column before its sigma.  For every node at once this costs O(n (q du)^3) for the
-projected systems plus a few O(n^3 du^2) kernel products.  The
+column's result depends on a kernel column before its sigma.  For every
+node at once this costs O(n (q du)^3) for the projected systems plus a
+few O(n^3 du^2) kernel products.  The
 `fredholm-methods` scenario walks the sweep itself and measures each
 iterate's distance to the direct oracle.  This module reads `lq` and
 `volterra` only; `causal` builds on it for problems with cross terms.
@@ -75,7 +78,7 @@ import numpy as np
 from .errors import AssumptionError, NumericalError
 from .grids import Grid, trapezoid_rule
 # solve_open_loop is unused here; perfbench/tests/test_perfbench.py pins this import site
-from .lq import DiscreteLQ, _block_product, _plus_block_diagonal, solve_open_loop  # noqa: F401
+from .lq import DiscreteLQ, _add_block_diagonal, _block_product, solve_open_loop  # noqa: F401
 from .lq import _require_no_cross_terms, _running_gradients
 from .volterra import FactoredKernel, _lower_table, _require_matching_kernel
 
@@ -139,8 +142,12 @@ def assemble_fredholm(dlq: DiscreteLQ, sigma_index: int) -> FredholmSystem:
     if not 0 <= sigma_index < dlq.n:
         raise ValueError(f"sigma index {sigma_index} out of range")
     ops = dlq.ops
-    lam_minus_R = _plus_block_diagonal(dlq.lam, -(ops.omega[:, None, None] * sc.R))
-    Kmat = -_block_product(sc.R_inverses(), lam_minus_R / dlq.wu[:, None])
+    lam_minus_R = dlq.lam.copy()
+    _add_block_diagonal(lam_minus_R, -(ops.omega[:, None, None] * sc.R))
+    lam_minus_R /= dlq.wu[:, None]
+    Kmat = _block_product(sc.R_inverses(), lam_minus_R)
+    del lam_minus_R
+    np.negative(Kmat, out=Kmat)
     kernel = Kmat / dlq.wu[None, :]
     return FredholmSystem(
         kernel=kernel,
@@ -185,7 +192,10 @@ def _invert_projected(proj_mats: np.ndarray) -> np.ndarray:
     An exactly singular matrix, or one whose 1-norm condition number (read
     off the inverse) exceeds 1e13, raises NumericalError: the subspace is
     too small to resolve the gain equation at that truncation point.  The
-    stack is overwritten: it holds the absolute values for the norms.
+    given stack is overwritten, with the absolute values the norms read,
+    so only the returned inverse outlives the call: `_Projection` hands
+    over its own cumulative-sum stack (for sigma at every node the stack
+    itself, not a copy) and drops it on return.
     """
     try:
         inv = np.linalg.inv(proj_mats)
@@ -204,20 +214,32 @@ def _invert_projected(proj_mats: np.ndarray) -> np.ndarray:
     return inv
 
 
+_APPLY_BLOCKS = 8  # column blocks of a kernel product whose columns each have their own sigma
+
+
 class _Projection:
     """Orthogonal projection onto the hat subspace in the weighted product.
 
     `sigma` is the truncation index of the right side's columns: one index
     for every column, or one per column (`np.arange(n)` for the
-    representation, column t at sigma = t).  K_sigma is applied to every
-    column at once as Kmat[:, lo:] @ (mask * M[lo:]), lo = du min sigma,
-    `mask` keeping the rows of the nodes >= sigma of each column.  The
-    projected matrices P_sigma = Gram - sum_{s >= sigma} H' Wu Kmat[:, s] Hb[s]
-    (node blocks s) come from one reverse cumulative sum over the nodes
-    >= min sigma and are inverted in one stacked call (`_invert_projected`),
-    so no column's result depends on a kernel column before its sigma.
-    Beta <= 1/2 is refused: the gain kernel is unbounded on its diagonal
-    like |t - xi|^(2 beta - 1), and hats do not resolve it.
+    representation, column t at sigma = t).  The projected matrices
+    P_sigma = Gram - sum_{s >= sigma} H' Wu Kmat[:, s] Hb[s] (node blocks s)
+    come from one reverse cumulative sum over the nodes >= min sigma and
+    are inverted in one stacked call (`_invert_projected`), so no column's
+    result depends on a kernel column before its sigma.
+
+    It holds the system's `Kmat` (not the system, so not its kernel
+    table), the hat basis `Hb` and `HtW` = Hb' Wu, which are (n du, q du),
+    and the stacked inverses, (k, q du, q du) for k truncation points; the
+    cumulative-sum stack is dropped once inverted.  K_sigma is applied
+    (`apply`) as Kmat[:, du sigma:] @ M[du sigma:] for one sigma; with one
+    sigma per column, the columns go in `_APPLY_BLOCKS` blocks of
+    consecutive columns (at least 16 each), each multiplied from the first
+    row its sigmas read and masked inside itself, so the rows above a
+    block are never multiplied and no masked copy of the whole right side
+    is made; for sigma = t in column t that skips close to half the
+    product.  Beta <= 1/2 is refused: the gain kernel is unbounded on its
+    diagonal like |t - xi|^(2 beta - 1), and hats do not resolve it.
     """
 
     def __init__(self, sys: FredholmSystem, subspace_dim: int, sigma):
@@ -229,7 +251,7 @@ class _Projection:
             raise ValueError("subspace dimension must be >= 2")
         if subspace_dim > sys.n:
             raise ValueError("subspace dimension exceeds the grid size")
-        self.sys = sys
+        self.Kmat = sys.Kmat
         n, du = sys.n, sys.du
         sigma = np.atleast_1d(sigma)
         first = sigma.min()
@@ -245,12 +267,28 @@ class _Projection:
         for s in range(n - first - 2, -1, -1):
             proj_mats[s] += proj_mats[s + 1]
         np.subtract(self.HtW @ self.Hb, proj_mats, out=proj_mats)
-        self.mask = np.arange(lo, n * du)[:, None] >= du * sigma
-        self._inv = _invert_projected(proj_mats[sigma - first])
+        self._blocks = None
+        if sigma.size > 1:
+            rows = np.arange(n * du)[:, None]
+            width = max(16, -(-sigma.size // _APPLY_BLOCKS))
+            self._blocks = []
+            for c in range(0, sigma.size, width):
+                cols = slice(c, c + width)
+                start = du * sigma[cols].min()
+                self._blocks.append((cols, start, rows[start:] >= du * sigma[cols]))
+        index = sigma - first
+        if not np.array_equal(index, np.arange(n - first)):
+            proj_mats = proj_mats[index]
+        self._inv = _invert_projected(proj_mats)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """K_sigma M, with the truncation point of each column."""
-        return self.sys.Kmat[:, self.lo :] @ (self.mask * M[self.lo :])
+        if self._blocks is None:
+            return self.Kmat[:, self.lo :] @ M[self.lo :]
+        out = np.empty((self.Kmat.shape[0], M.shape[1]))
+        for cols, start, keep in self._blocks:
+            out[:, cols] = self.Kmat[:, start:] @ np.where(keep, M[start:, cols], 0.0)
+        return out
 
     def solve_projected(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of (I - P K_sigma) x = P rhs inside the subspace, column by column."""
@@ -306,42 +344,29 @@ def solve_superconvergent(sys: FredholmSystem, subspace_dim: int, k_iters: int) 
     return next(islice(_sweep(proj, sys.rhs), 1 + k_iters, None))
 
 
-def _direct_gain_rows(Z: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gain blocks M_t(t, s_j) of every node t, shape (n, n, du, du).
-
-    M_t(t, s_j) = (Z_t (R W)[t:, t:] - E_t) / w_j with Z_t the block row
-    of t in the problem's `truncation_rows` Z and E_t the unit block row
-    of node t, evaluated blockwise as Z_t(j) R_j minus I / w_t on the
-    diagonal block.  The blocks with
-    j < t are exactly zero, as Z is; the other rows of the gain equation
-    at sigma = t are never formed.
-    """
-    n, du = Z.shape[:2]
-    by_node = Z.reshape(n * du, n, du).swapaxes(0, 1) @ R  # [j, (t, a), b]
-    rows = by_node.reshape(n, n, du, du).swapaxes(0, 1)
-    nodes = np.arange(n)
-    rows[nodes, nodes] -= np.eye(du) / w[:, None, None]
-    return rows
-
-
 def _gain_integrals(
     dlq: DiscreteLQ, rg: np.ndarray, method: str, subspace_dim: int | None, iterations: int
 ) -> np.ndarray:
     """The integrals sum_{j >= t} w_j M_t(t, s_j) rg[t, j] of the representation, per t.
 
-    rg[t] is the data of node t.  The direct method reads every gain row
-    from the problem's `truncation_rows`.  The projection methods run one
-    sweep over all nodes at once: column t of its right side is the
-    column f v of sigma = t, with v = w rg[t] on the nodes j >= t (the
-    columns of f before t are never read), and node t keeps block t of
-    column t.
+    rg[t] is the data of node t.  The direct method contracts the
+    problem's `truncation_rows` Z with y[t, j] = R_j w_j rg[t, j]: the gain
+    row of t is (Z_t (R W)[t:, t:] - E_t) / w with E_t the unit block row
+    of t, so its integral is Z_t y[t] - rg[t, t], and no table of gain
+    rows is formed.  The projection methods run one sweep over all nodes
+    at once: column t of its right side is the column f v of sigma = t,
+    with v = w rg[t] on the nodes j >= t (the columns of f before t are
+    never read), and node t keeps block t of column t.  The system's
+    kernel table is dropped once f is formed; the sweep reads Kmat.
     """
     n, du = dlq.n, dlq.du
     w = dlq.ops.omega
+    nodes = np.arange(n)
     if method == "direct":
-        rows = _direct_gain_rows(dlq.truncation_rows, dlq.cost_samples.R, w)
-        rows = rows.swapaxes(1, 2).reshape(n, du, n * du)  # gain row of t, flat over j
-        return (rows @ (w[:, None] * rg).reshape(n, n * du, 1))[..., 0]
+        # y[t, j] = R_j w_j rg[t, j], so Z_t y[t] - rg[t, t] is the integral
+        y = dlq.cost_samples.R @ (w[:, None] * rg).transpose(1, 2, 0)  # [j, a, t]
+        y = y.transpose(2, 0, 1).reshape(n, n * du, 1)
+        return (dlq.truncation_rows @ y)[..., 0] - rg[nodes, nodes]
     if method not in ("galerkin", "iterated", "superconvergent"):
         raise ValueError(f"unknown gain solver {method!r}")
     if subspace_dim is None:
@@ -350,11 +375,12 @@ def _gain_integrals(
         raise ValueError("iteration count must be >= 0")
     stage = {"galerkin": 0, "iterated": 1, "superconvergent": 1 + iterations}[method]
     sys0 = assemble_fredholm(dlq, 0)
-    proj = _Projection(sys0, subspace_dim, np.arange(n))
+    proj = _Projection(sys0, subspace_dim, nodes)
     # column t of v: w_j rg[t, j] on the nodes j >= t, zero before
-    f = sys0.rhs @ np.where(proj.mask, (w[None, :, None] * rg).reshape(n, n * du).T, 0.0)
+    keep = np.arange(n * du)[:, None] >= du * nodes
+    f = sys0.rhs @ np.where(keep, (w[None, :, None] * rg).reshape(n, n * du).T, 0.0)
+    del sys0  # its kernel table: the sweep reads Kmat through proj
     M = next(islice(_sweep(proj, f), stage, None))
-    nodes = np.arange(n)
     return M.reshape(n, du, n)[nodes, :, nodes]
 
 

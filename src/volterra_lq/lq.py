@@ -84,19 +84,24 @@ def _terminal_weight(value, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
-def _block_product(blocks: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """blockdiag(blocks) @ M for per-node blocks (n, a, b), as one batched product."""
+def _block_product(blocks: np.ndarray, M: np.ndarray, row_weights=None) -> np.ndarray:
+    """blockdiag(blocks) @ M for per-node blocks (n, a, b), as one batched product.
+
+    With `row_weights`, a flat (n a,) vector, the product's rows are scaled
+    in place: row_weights[:, None] * (blockdiag(blocks) @ M) without a second table.
+    """
     n, a, b = blocks.shape
-    return (blocks @ M.reshape(n, b, -1)).reshape(n * a, -1)
-
-
-def _plus_block_diagonal(M: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """M + blockdiag(blocks), added through an (n, d, n, d) view of a copy of M."""
-    n, d, _ = blocks.shape
-    out = M.copy()  # C-contiguous, so the reshape below is a view
-    nodes = np.arange(n)
-    out.reshape(n, d, n, d)[nodes, :, nodes] += blocks
+    out = (blocks @ M.reshape(n, b, -1)).reshape(n * a, -1)
+    if row_weights is not None:
+        out *= row_weights[:, None]
     return out
+
+
+def _add_block_diagonal(M: np.ndarray, blocks: np.ndarray):
+    """M += blockdiag(blocks) in place, through an (n, d, n, d) view of the C-contiguous M."""
+    n, d, _ = blocks.shape
+    nodes = np.arange(n)
+    M.reshape(n, d, n, d)[nodes, :, nodes] += blocks
 
 
 def _apply_blocks(blocks: np.ndarray, traj: np.ndarray) -> np.ndarray:
@@ -278,7 +283,9 @@ class DiscreteLQ:
         weighted inner product of the grid.
         """
         s = 1.0 / np.sqrt(self.wu)
-        return np.linalg.eigvalsh(s[:, None] * self.lam * s)
+        scaled = s[:, None] * self.lam
+        scaled *= s
+        return np.linalg.eigvalsh(scaled)
 
 
 def _require_no_cross_terms(sc: SampledCost, what: str):
@@ -329,16 +336,20 @@ def assemble_quadratic_form(ops: StateOperator, cost: CostData | SampledCost) ->
     theta_T = theta[-ops.dx :]
     psi = ops.psi
 
-    lam = theta.T @ (wx[:, None] * _block_product(sc.Q, theta))
-    lam = _plus_block_diagonal(lam, omega[:, None, None] * sc.R)
+    # at most two (n du)^2 tables besides theta, three with cross terms
+    lam = theta.T @ _block_product(sc.Q, theta, wx)
+    _add_block_diagonal(lam, omega[:, None, None] * sc.R)
     lam += theta_T.T @ sc.G @ theta_T
     if sc.has_cross_terms:
-        cross = wu[:, None] * _block_product(sc.S, theta)
+        cross = _block_product(sc.S, theta, wu)
         lam += cross + cross.T
-    asym = np.max(np.abs(lam - lam.T)) / max(1.0, np.max(np.abs(lam)))
+        del cross
+    sym = np.subtract(lam, lam.T)
+    asym = np.abs(sym, out=sym).max() / max(1.0, lam.max(), -lam.min())
     if asym > 1e-10:
         raise NumericalError(f"assembled quadratic form lost symmetry ({asym:.2e})")
-    lam = 0.5 * (lam + lam.T)
+    lam = np.add(lam, lam.T, out=sym)  # the symmetric part, in the one temporary
+    lam *= 0.5
 
     b = theta.T @ (wx * (_apply_blocks(sc.Q, psi).ravel() + sc.q.ravel()))
     b += wu * sc.rho.ravel()

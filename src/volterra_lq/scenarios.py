@@ -537,12 +537,24 @@ def _run_example_2_1(cfg: RunConfig) -> ScenarioReport:
 
 
 def _run_reduction(cfg: RunConfig) -> ScenarioReport:
+    """Cross-term elimination, checked against the original problem's direct solve.
+
+    The original assembled problem `dlq` holds its operator tables (A, B,
+    their weighted folds, the triangular factor, theta) and Lambda; they
+    are read for the optimal control and state, the quadrature cost, the
+    coercivity ratio of the original form and the reduction's shifted
+    data, and dropped once the reduction is built.  From then on only the
+    reduced problem's tables are held, through the gain family.  The
+    coercivity check reads the smaller ratio of the two forms.
+    """
     report = ScenarioReport("reduction", cfg.problem)
     grid, dlq, u_direct, x_bar = _solved_lq(cfg)
     omega = grid.trapezoid_weights()
     j_orig = evaluate_cost(dlq.ops, dlq.cost_samples, u_direct)
+    coercivity = _coercivity_ratio(dlq)
 
     reduced = build_cross_term_reduction(dlq)
+    del dlq
     v_opt = solve_open_loop(reduced.dlq)
     j_reduced = _form_value(reduced.dlq, v_opt)
     report.add(
@@ -565,7 +577,7 @@ def _run_reduction(cfg: RunConfig) -> ScenarioReport:
     )
     report.add(
         "coercivity: smallest generalized eigenvalue over delta",
-        min(_coercivity_ratio(dlq), _coercivity_ratio(reduced.dlq)),
+        min(coercivity, _coercivity_ratio(reduced.dlq)),
         1.0 - 1e-6,
         larger_ok=True,
     )

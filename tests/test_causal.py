@@ -24,6 +24,24 @@ from volterra_lq.lq import _apply_blocks, _running_gradients
 from conftest import Pipeline, blockdiag, rel_l2
 
 
+def loop_trajectories(ops, u):
+    """Truncation family by one running sum over the control samples: a test reference.
+
+    Row sigma adds node sigma - 1's response theta[:, sigma - 1] u(t_{sigma-1})
+    to row sigma - 1, starting from the free response psi.
+    """
+    n, dx, du = ops.n, ops.dx, ops.du
+    theta = ops.theta
+    x = np.empty((n, n, dx))
+    acc = ops.psi.ravel().copy()
+    x[0] = acc.reshape(n, dx)
+    for sigma in range(1, n):
+        j = sigma - 1
+        acc = acc + theta[:, j * du : (j + 1) * du] @ u[j]
+        x[sigma] = acc.reshape(n, dx)
+    return x
+
+
 def running_gradient(dlq, x_t):
     """Per-node reference: Wu [Theta* Q X_t + Theta_T* G X_t(T) + Theta* q + Theta_T* g]."""
     sc, ops = dlq.cost_samples, dlq.ops
@@ -153,6 +171,15 @@ class TestTruncationFactor:
 
 
 class TestCausalTrajectories:
+    @pytest.mark.parametrize("name,seed", [("random-smooth", 7), ("constant-coeff", 0)])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_batched_family_is_the_running_sum_bit_for_bit(self, name, seed, n):
+        # one batched product of every node's response, then one accumulate
+        entry = get_problem(name, 0.75, 1.0, seed)
+        ops = StateOperator(entry.problem, build_grid(n, 1.0))
+        u = np.random.default_rng(n).normal(size=(n, ops.du))
+        assert np.array_equal(causal_trajectories(ops, u), loop_trajectories(ops, u))
+
     def test_zero_control(self, rs_pipeline):
         pipe = rs_pipeline
         traj = causal_trajectories(pipe.ops, np.zeros_like(pipe.u_opt))
@@ -311,6 +338,18 @@ class TestCrossTermReduction:
             red.dlq.cost_samples.Q, pipe.dlq.cost_samples.Q
         )
         assert red.value_offset == 0.0
+
+    def test_reduced_problem_reads_the_operators_own_tables(self, ct_pipeline):
+        # one table each of A - B R^-1 S and B, held by the reduced operator
+        # and read by its problem; none of them is the original operator's
+        pipe = ct_pipeline
+        red = build_cross_term_reduction(pipe.dlq)
+        ops = red.dlq.ops
+        assert ops.problem.A is ops.A_samples and ops.problem.B is ops.B_samples
+        for mine in (ops.A_samples, ops.B_samples):
+            for theirs in (pipe.ops.A_samples, pipe.ops.B_samples):
+                assert not np.shares_memory(mine, theirs)
+        assert np.array_equal(ops.B_samples, pipe.ops.B_samples)
 
     def test_zero_control_kernel_leaves_dynamics(self, ct_pipeline):
         pipe = ct_pipeline

@@ -38,6 +38,22 @@ def weighted_table_dist(sys, a, b):
     return float(np.sqrt(np.einsum("i,ij,j->", wu, (a - b) ** 2, wu)))
 
 
+def direct_gain_rows(Z, R, w):
+    """Gain blocks M_t(t, s_j) of every node t, shape (n, n, du, du): a test reference.
+
+    M_t(t, s_j) = (Z_t (R W)[t:, t:] - E_t) / w_j with Z_t the block row
+    of t in the problem's `truncation_rows` Z and E_t the unit block row
+    of node t, evaluated blockwise as Z_t(j) R_j minus I / w_t on the
+    diagonal block.  The blocks with j < t are exactly zero, as Z is.
+    """
+    n, du = Z.shape[:2]
+    by_node = Z.reshape(n * du, n, du).swapaxes(0, 1) @ R  # [j, (t, a), b]
+    rows = by_node.reshape(n, n, du, du).swapaxes(0, 1)
+    nodes = np.arange(n)
+    rows[nodes, nodes] -= np.eye(du) / w[:, None, None]
+    return rows
+
+
 class TestAssembly:
     def test_zero_state_weights_give_zero_system(self, rs_pipeline):
         pipe = rs_pipeline
@@ -183,13 +199,11 @@ class TestDirectSolve:
 
 class TestDirectGainSweep:
     def test_gain_rows_match_dense_oracle(self, truncation_case):
-        from volterra_lq.fredholm import _direct_gain_rows
-
         pipe = truncation_case
         dlq = pipe.dlq
         sys0 = assemble_fredholm(dlq, 0)
         R, w = dlq.cost_samples.R, dlq.ops.omega
-        rows = _direct_gain_rows(dlq.truncation_rows, R, w)
+        rows = direct_gain_rows(dlq.truncation_rows, R, w)
         for sigma in range(dlq.n):
             table = gain_table(solve_direct(replace(sys0, sigma_index=sigma)), dlq.n, dlq.du)
             oracle = table[sigma, sigma:]
@@ -197,6 +211,21 @@ class TestDirectGainSweep:
             row = rows[sigma, sigma:]
             assert row.shape == oracle.shape
             assert np.max(np.abs(row - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+    def test_direct_integrals_contract_the_gain_rows(self, truncation_case):
+        # Z_t (R w rg[t]) - rg[t, t] is the gain row of t contracted with w rg[t],
+        # without the (n, n, du, du) table of rows
+        from volterra_lq.fredholm import _gain_integrals
+
+        dlq = truncation_case.dlq
+        n, w = dlq.n, dlq.ops.omega
+        rg = np.random.default_rng(4).normal(size=(n, n, dlq.du))
+        rows = direct_gain_rows(dlq.truncation_rows, dlq.cost_samples.R, w)
+        ref = np.einsum("j,tjab,tjb->ta", w, rows, rg)
+        # relative to the summands: the sum itself may cancel
+        scale = np.einsum("j,tjab,tjb->ta", w, np.abs(rows), np.abs(rg))
+        got = _gain_integrals(dlq, rg, "direct", None, 2)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
     def test_fast_paths_make_no_dense_solve(self, rs_pipeline, monkeypatch):
         # neither the dense oracle nor a whole-table projection solve runs
@@ -321,6 +350,22 @@ class TestProjectionFamily:
         for clean, dirty in zip(*sweeps):
             assert np.all(np.isfinite(dirty))
             assert np.array_equal(clean, dirty)
+
+    def test_per_column_apply_never_reads_a_row_before_its_sigma(self, gain_setup):
+        # column t at sigma = t: the blocked product equals the masked one,
+        # and NaN in every entry above a column's sigma reaches no entry
+        from volterra_lq.fredholm import _Projection
+
+        _, sys0, _ = gain_setup
+        n, du = sys0.n, sys0.du
+        proj = _Projection(sys0, 12, np.arange(n))
+        M = np.random.default_rng(8).normal(size=(n * du, n))
+        keep = np.arange(n * du)[:, None] >= du * np.arange(n)
+        expected = sys0.Kmat @ np.where(keep, M, 0.0)
+        got = proj.apply(np.where(keep, M, np.nan))
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(got, proj.apply(M))
 
     def test_projection_gains_form_no_masked_kernel_and_no_svd(self, gain_setup, monkeypatch):
         from volterra_lq.fredholm import representation_terms
